@@ -49,9 +49,7 @@ from repro.faults.report import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.noc import flit as flit_mod
-from repro.noc.deadlock import is_deadlock_free
 from repro.noc.flit import Packet
-from repro.noc.routing import build_updown_tables
 from repro.telemetry import WindowedMetrics
 from repro.telemetry.windows import WindowRecord
 
@@ -310,23 +308,13 @@ def _restore_injector(injector, fstate: Dict[str, Any],
     ]
 
     if fstate["repaired"]:
-        # Rebuild the repaired tables with the *current* avoid set —
-        # the same build + deadlock re-vet + up*/down* fallback
-        # _repair runs — and hot-swap.  The per-input cached routes
-        # were restored verbatim (they already reflect every
-        # post-repair decision), so no cache clearing and no wakes.
-        topo = platform.topology
-        avoid = frozenset(injector._dead_pairs)
-        routing = injector._build_tables(avoid)
-        destinations = injector._destinations()
-        if destinations and not is_deadlock_free(
-            topo, routing, sorted(destinations)
-        ):
-            routing = build_updown_tables(topo, avoid_links=avoid)
-        network.routing = routing
-        for sw in network.switches:
-            sw.routing = routing
-            sw._compile_routes(topo.n_nodes)
+        # Rebuild the repaired tables with the *current* avoid set
+        # through the injector's own repair path (build, deadlock
+        # re-vet, up*/down* fallback, dense compile) and hot-swap.
+        # The per-input cached routes were restored verbatim (they
+        # already reflect every post-repair decision), so no cache
+        # clearing and no wakes.
+        injector.install_routes(*injector.repaired_routes())
 
 
 def restore(

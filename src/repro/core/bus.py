@@ -98,30 +98,56 @@ class BusFabric:
         self._devices: List[Dict[int, Device]] = [
             {} for _ in range(N_BUSES)
         ]
+        # Per bus, a slot index below which every slot is occupied
+        # (devices never detach), so allocation never rescans them.
+        self._free = [0] * N_BUSES
         self.reads = [0] * N_BUSES
         self.writes = [0] * N_BUSES
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
+    def _lowest_free(self, bus: int) -> int:
+        slots = self._devices[bus]
+        slot = self._free[bus]
+        while slot in slots:
+            slot += 1
+        self._free[bus] = slot
+        return slot
+
     def attach(
-        self, device: Device, bus: int = 0, slot: Optional[int] = None
+        self,
+        device: Device,
+        bus: Optional[int] = 0,
+        slot: Optional[int] = None,
     ) -> int:
         """Attach a device; return its base address.
 
         With ``slot=None`` the lowest free device index on ``bus`` is
-        allocated (the platform-compilation step assigns addresses this
+        allocated.  With ``bus=None`` as well, the lowest free
+        ``(bus, slot)`` is: bus 0 first, spilling to buses 1-3 once it
+        is full (the platform-compilation step assigns addresses this
         way, in instantiation order).
         """
+        if bus is None:
+            if slot is not None:
+                raise AddressError("an explicit slot needs a bus index")
+            for bus in range(N_BUSES):
+                slot = self._lowest_free(bus)
+                if slot < DEVICES_PER_BUS:
+                    break
+            else:
+                raise AddressError(
+                    f"all {N_BUSES} buses are full"
+                    f" ({DEVICES_PER_BUS} devices each)"
+                )
         if not 0 <= bus < N_BUSES:
             raise AddressError(
                 f"bus index {bus} out of range [0, {N_BUSES})"
             )
         slots = self._devices[bus]
         if slot is None:
-            slot = 0
-            while slot in slots:
-                slot += 1
+            slot = self._lowest_free(bus)
         if slot >= DEVICES_PER_BUS:
             raise AddressError(
                 f"bus {bus} is full ({DEVICES_PER_BUS} devices)"

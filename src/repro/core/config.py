@@ -92,6 +92,20 @@ class TGSpec:
         if self.node < 0:
             raise ConfigError(f"TG node must be >= 0, got {self.node}")
 
+    def destinations(self) -> Tuple[int, ...]:
+        """Every node this TG can address, decoded from ``params["dst"]``
+        (a :class:`DestinationChooser`, one node, or a sequence); empty
+        when the traffic carries its own destinations (trace objects).
+        """
+        dst = self.params.get("dst")
+        if dst is None:
+            return ()
+        if isinstance(dst, DestinationChooser):
+            return tuple(dst.destinations())
+        if isinstance(dst, int):
+            return (dst,)
+        return tuple(dst)
+
 
 @dataclass
 class TRSpec:

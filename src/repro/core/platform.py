@@ -24,6 +24,7 @@ from repro.core.control import ControlDevice
 from repro.core.devices import TGDevice, TRDevice
 from repro.core.errors import ConfigError
 from repro.noc.network import Network
+from repro.noc.routing import unrouted_destinations
 from repro.noc.topology import Topology
 from repro.receptors.base import TrafficReceptor
 from repro.receptors.stochastic import StochasticReceptor
@@ -122,7 +123,9 @@ class EmulationPlatform:
         return wake
 
     def _attach_devices(self) -> None:
-        self.fabric.attach(self.control, bus=0)
+        """Map every device at the lowest free (bus, slot), in
+        instantiation order: the control module, TGs, then TRs."""
+        self.fabric.attach(self.control, bus=None)
         self.control.get_cycles = lambda: self.network.cycle
         self.control.get_sent = lambda: self.packets_sent
         self.control.get_received = lambda: self.packets_received
@@ -130,11 +133,11 @@ class EmulationPlatform:
         self.control.on_stat_reset = self.reset_statistics
         for generator in self.generators:
             device = TGDevice(f"tg{generator.node}", generator)
-            self.fabric.attach(device, bus=0)
+            self.fabric.attach(device, bus=None)
             self.tg_devices.append(device)
         for receptor in self.receptors:
             device = TRDevice(f"tr{receptor.node}", receptor)
-            self.fabric.attach(device, bus=0)
+            self.fabric.attach(device, bus=None)
             self.tr_devices.append(device)
 
     # ------------------------------------------------------------------
@@ -375,7 +378,7 @@ def build_platform(config: PlatformConfig) -> EmulationPlatform:
         receptor = _build_receptor(spec, topology.n_nodes)
         receptor.attach(network.rx[spec.node])
         receptors.append(receptor)
-    _validate_routes(topology, routing, config)
+    _validate_routes(network, config)
     if config.check_deadlock:
         _validate_deadlock_freedom(topology, routing, config)
     return EmulationPlatform(
@@ -386,19 +389,10 @@ def build_platform(config: PlatformConfig) -> EmulationPlatform:
 def _validate_deadlock_freedom(topology, routing, config) -> None:
     """Refuse routing tables whose channel dependencies can cycle."""
     from repro.noc.deadlock import DeadlockError, assert_deadlock_free
-    from repro.traffic.base import DestinationChooser
 
     destinations = set()
     for spec in config.tgs:
-        dst = spec.params.get("dst")
-        if dst is None:
-            continue
-        if isinstance(dst, DestinationChooser):
-            destinations.update(dst.destinations())
-        elif isinstance(dst, int):
-            destinations.add(dst)
-        else:
-            destinations.update(dst)
+        destinations.update(spec.destinations())
     if not destinations:
         return  # pure trace objects: destinations unknown statically
     try:
@@ -407,26 +401,23 @@ def _validate_deadlock_freedom(topology, routing, config) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _validate_routes(topology, routing, config: PlatformConfig) -> None:
-    """Check a route exists from every TG toward its destinations."""
-    from repro.traffic.base import DestinationChooser
+def _validate_routes(network: Network, config: PlatformConfig) -> None:
+    """Check a route exists from every TG toward its destinations.
 
+    Reads each TG switch's compiled dense route array, as the switch
+    itself does per head flit.
+    """
     for spec in config.tgs:
-        params = spec.params
-        dst = params.get("dst")
-        if dst is None:
-            continue  # trace objects carry their own destinations
-        if isinstance(dst, DestinationChooser):
-            destinations = dst.destinations()
-        elif isinstance(dst, int):
-            destinations = (dst,)
-        else:
-            destinations = tuple(dst)
-        switch = topology.switch_of_node(spec.node)
-        for destination in destinations:
-            if not routing.ports_for(switch, destination):
-                raise ConfigError(
-                    f"routing has no entry at switch {switch} for"
-                    f" destination node {destination} (TG on node"
-                    f" {spec.node})"
-                )
+        switch = network.topology.switch_of_node(spec.node)
+        missing = unrouted_destinations(
+            network.routing,
+            network.switches[switch]._route_dense,
+            switch,
+            spec.destinations(),
+        )
+        if missing:
+            raise ConfigError(
+                f"routing has no entry at switch {switch} for"
+                f" destination node {missing[0]} (TG on node"
+                f" {spec.node})"
+            )

@@ -31,6 +31,8 @@ from repro.noc.routing import (
     build_multipath_tables,
     build_shortest_path_tables,
     build_updown_tables,
+    compile_dense_route_table,
+    unrouted_destinations,
 )
 from repro.traffic.rng import derive_stream_seed
 
@@ -414,22 +416,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Online repair
     # ------------------------------------------------------------------
-    def _destinations(self) -> set:
-        from repro.traffic.base import DestinationChooser
-
-        destinations = set()
-        for spec in self.platform.config.tgs:
-            dst = spec.params.get("dst")
-            if dst is None:
-                continue
-            if isinstance(dst, DestinationChooser):
-                destinations.update(dst.destinations())
-            elif isinstance(dst, int):
-                destinations.add(dst)
-            else:
-                destinations.update(dst)
-        return destinations
-
     def _build_tables(self, avoid):
         """Rebuild routing in the platform's configured family."""
         topo = self.platform.topology
@@ -448,6 +434,42 @@ class FaultInjector:
         # objects all repair to shortest-path tables on the surviving
         # fabric (the paper's own repair story).
         return build_shortest_path_tables(topo, avoid_links=avoid)
+
+    def repaired_routes(self):
+        """Vetted tables for the surviving fabric, compiled per switch.
+
+        Builds the configured family around every dead pair, re-vets
+        deadlock freedom against the TGs' destinations (falling back
+        to up*/down*, deadlock-free by construction: the repaired
+        shortest/multipath tables can close a channel cycle the
+        originals did not), and compiles each switch's dense route
+        array.  Returns ``(routing, dense arrays)``; nothing is
+        installed until :meth:`install_routes`.
+        """
+        topo = self.platform.topology
+        avoid = frozenset(self._dead_pairs)
+        routing = self._build_tables(avoid)
+        destinations = set()
+        for spec in self.platform.config.tgs:
+            destinations.update(spec.destinations())
+        if destinations and not is_deadlock_free(
+            topo, routing, sorted(destinations)
+        ):
+            routing = build_updown_tables(topo, avoid_links=avoid)
+        dense = [
+            compile_dense_route_table(routing, s, topo.n_nodes)
+            for s in range(topo.n_switches)
+        ]
+        return routing, dense
+
+    def install_routes(self, routing, dense) -> None:
+        """Hot-swap the routing function and the compiled arrays of
+        :meth:`repaired_routes` into every switch."""
+        network = self.platform.network
+        network.routing = routing
+        for sw, row in zip(network.switches, dense):
+            sw.routing = routing
+            sw._route_dense = row
 
     def _stranded_pids(self, routing) -> set:
         """Packets whose head can no longer reach its destination.
@@ -500,38 +522,20 @@ class FaultInjector:
         platform = self.platform
         network = platform.network
         topo = platform.topology
-        avoid = frozenset(self._dead_pairs)
-        routing = self._build_tables(avoid)
-        destinations = self._destinations()
-        if destinations and not is_deadlock_free(
-            topo, routing, sorted(destinations)
-        ):
-            # The repaired shortest/multipath tables can close a
-            # channel cycle the originals did not; fall back to
-            # up*/down*, deadlock-free by construction.
-            routing = build_updown_tables(topo, avoid_links=avoid)
+        routing, dense = self.repaired_routes()
         # Partition check: every still-active flow must have a route.
-        from repro.traffic.base import DestinationChooser
-
-        node_dsts: Dict[int, tuple] = {}
-        for spec in platform.config.tgs:
-            dst = spec.params.get("dst")
-            if dst is None:
-                continue
-            if isinstance(dst, DestinationChooser):
-                node_dsts[spec.node] = tuple(dst.destinations())
-            elif isinstance(dst, int):
-                node_dsts[spec.node] = (dst,)
-            else:
-                node_dsts[spec.node] = tuple(dst)
+        node_dsts = {
+            spec.node: spec.destinations() for spec in platform.config.tgs
+        }
         orphans = []
         for gen in platform.generators:
             if not gen.enabled or gen.done:
                 continue
             switch = topo.switch_of_node(gen.node)
-            for dst in node_dsts.get(gen.node, ()):
-                if not routing.ports_for(switch, dst):
-                    orphans.append((gen.node, dst))
+            for dst in unrouted_destinations(
+                routing, dense[switch], switch, node_dsts.get(gen.node, ())
+            ):
+                orphans.append((gen.node, dst))
         if orphans:
             flows = ", ".join(f"{a}->{b}" for a, b in orphans)
             raise UnroutableError(
@@ -543,16 +547,13 @@ class FaultInjector:
         # (their flows are done or disabled, or they were cut from a
         # salvageable position).
         self._abort(self._stranded_pids(routing), now, record)
-        # Hot-swap: recompile the dense tables and drop every
-        # *uncommitted* cached route decision (committed = the input
-        # holds the output's wormhole lock; its body flits must keep
-        # following the old path).  Parked inputs among them re-arm
-        # through the normal wake path and re-route next cycle.
-        network.routing = routing
-        n_nodes = topo.n_nodes
+        # Hot-swap the tables and drop every *uncommitted* cached route
+        # decision (committed = the input holds the output's wormhole
+        # lock; its body flits must keep following the old path).
+        # Parked inputs among them re-arm through the normal wake path
+        # and re-route next cycle.
+        self.install_routes(routing, dense)
         for sw in network.switches:
-            sw.routing = routing
-            sw._compile_routes(n_nodes)
             route_outs = sw._input_out
             parked = sw._in_parked
             for i in range(len(route_outs)):

@@ -19,16 +19,83 @@ nothing upstream, sinks always drain) and are excluded.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.noc.routing import RoutingFunction
 from repro.noc.topology import Topology
 
 Channel = Tuple[int, int]  # directed switch pair (a, b)
+Node = TypeVar("Node", bound=Hashable)
 
 
 class DeadlockError(RuntimeError):
     """Raised by :func:`assert_deadlock_free` when a cycle exists."""
+
+
+def _channel_graph(
+    topology: Topology,
+    routing: RoutingFunction,
+    destinations: Optional[Sequence[int]],
+) -> Tuple[List[Channel], List[Set[int]]]:
+    """The dependency graph over integer channel ids.
+
+    Returns the channels (id -> ``(a, b)``) and, per id, the ids it
+    depends on.  Each switch's routes are read from its dense
+    ``dst -> port`` row (:meth:`RoutingFunction.dense_row`); only
+    ``None`` entries — multipath choices, missing routes — ask
+    :meth:`RoutingFunction.ports_for`.
+    """
+    n_switches = topology.n_switches
+    n_nodes = topology.n_nodes
+    if destinations is None:
+        destinations = range(n_nodes)
+    # Per switch and output port: the channel ids a packet leaving
+    # there occupies — one for an inter-switch link, none for an
+    # ejection port, which terminates the chain.
+    ids: Dict[Channel, int] = {}
+    port_hops: List[List[Tuple[int, ...]]] = []
+    for s in range(n_switches):
+        port_hops.append([
+            (ids.setdefault((s, ep.target), len(ids)),)
+            if ep.kind == "switch"
+            else ()
+            for ep in topology.switch_outputs[s]
+        ])
+    channels = list(ids)
+    heads = [b for _a, b in channels]
+    rows = [routing.dense_row(s, n_nodes) for s in range(n_switches)]
+    unknown: List[Optional[int]] = [None] * n_switches
+    succ: List[Set[int]] = [set() for _ in channels]
+    for dst in destinations:
+        if 0 <= dst < n_nodes:
+            col = [None if row is None else row[dst] for row in rows]
+        else:
+            col = unknown
+        # The channels a packet to ``dst`` may take next at each switch.
+        nxt = [
+            port_hops[s][port]
+            if port is not None
+            else tuple(
+                c
+                for p in routing.ports_for(s, dst)
+                for c in port_hops[s][p]
+            )
+            for s, port in enumerate(col)
+        ]
+        for hops in nxt:
+            for c in hops:
+                succ[c].update(nxt[heads[c]])
+    return channels, succ
 
 
 def channel_dependency_graph(
@@ -41,47 +108,34 @@ def channel_dependency_graph(
     For every destination and every switch, each input channel that a
     packet toward that destination can occupy depends on every output
     channel the routing function may pick next.  Multi-path functions
-    contribute all their candidate ports.
+    contribute all their candidate ports.  Channels without any
+    dependency are left out.
     """
-    if destinations is None:
-        destinations = range(topology.n_nodes)
-    graph: Dict[Channel, Set[Channel]] = {}
-    for dst in destinations:
-        # Walk backwards: for every switch, the outgoing channels a
-        # packet to `dst` may use.
-        next_channels: Dict[int, List[Channel]] = {}
-        for s in range(topology.n_switches):
-            channels: List[Channel] = []
-            for port in routing.ports_for(s, dst):
-                ep = topology.switch_outputs[s][port]
-                if ep.kind == "switch":
-                    channels.append((s, ep.target))
-                # Ejection ports terminate the chain: no dependency.
-            next_channels[s] = channels
-        for s in range(topology.n_switches):
-            for incoming in next_channels[s]:
-                __, b = incoming
-                for outgoing in next_channels.get(b, ()):
-                    graph.setdefault(incoming, set()).add(outgoing)
-    return graph
+    channels, succ = _channel_graph(topology, routing, destinations)
+    return {
+        channels[c]: {channels[d] for d in deps}
+        for c, deps in enumerate(succ)
+        if deps
+    }
 
 
 def find_dependency_cycle(
-    graph: Dict[Channel, Set[Channel]]
-) -> Optional[List[Channel]]:
+    graph: Dict[Node, Set[Node]]
+) -> Optional[List[Node]]:
     """One cycle of the dependency graph, or ``None`` if acyclic.
 
-    Iterative DFS with colouring; returns the cycle as a channel list
-    ``[c0, c1, ..., c0]`` for diagnostics.
+    Iterative DFS with colouring; returns the cycle as a node list
+    ``[c0, c1, ..., c0]`` for diagnostics.  Nodes are channels or
+    their integer ids.
     """
     WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[Channel, int] = {c: WHITE for c in graph}
-    parent: Dict[Channel, Optional[Channel]] = {}
+    colour: Dict[Node, int] = {c: WHITE for c in graph}
+    parent: Dict[Node, Optional[Node]] = {}
 
     for root in graph:
         if colour[root] != WHITE:
             continue
-        stack: List[Tuple[Channel, Iterable[Channel]]] = [
+        stack: List[Tuple[Node, Iterable[Node]]] = [
             (root, iter(graph.get(root, ())))
         ]
         colour[root] = GREY
@@ -116,14 +170,24 @@ def find_dependency_cycle(
     return None
 
 
+def _channel_cycle(
+    topology: Topology,
+    routing: RoutingFunction,
+    destinations: Optional[Sequence[int]],
+) -> Optional[List[Channel]]:
+    """One channel dependency cycle of ``routing``, or ``None``."""
+    channels, succ = _channel_graph(topology, routing, destinations)
+    cycle = find_dependency_cycle(dict(enumerate(succ)))
+    return None if cycle is None else [channels[c] for c in cycle]
+
+
 def is_deadlock_free(
     topology: Topology,
     routing: RoutingFunction,
     destinations: Optional[Sequence[int]] = None,
 ) -> bool:
     """True when the routing function's CDG is acyclic."""
-    graph = channel_dependency_graph(topology, routing, destinations)
-    return find_dependency_cycle(graph) is None
+    return _channel_cycle(topology, routing, destinations) is None
 
 
 def assert_deadlock_free(
@@ -132,8 +196,7 @@ def assert_deadlock_free(
     destinations: Optional[Sequence[int]] = None,
 ) -> None:
     """Raise :class:`DeadlockError` naming a cycle if one exists."""
-    graph = channel_dependency_graph(topology, routing, destinations)
-    cycle = find_dependency_cycle(graph)
+    cycle = _channel_cycle(topology, routing, destinations)
     if cycle is not None:
         pretty = " -> ".join(f"{a}->{b}" for a, b in cycle)
         raise DeadlockError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -50,19 +51,33 @@ def compile_dense_route_table(
     decision is not a single static port: multipath candidates (the
     per-packet hash must keep choosing) and missing destinations (the
     fallback raises the proper :class:`RoutingError`).  Routing
-    functions that cannot enumerate their ports (no ``ports_for``)
-    compile to ``None``: the switch then routes every head through the
-    function, exactly as before compilation.
+    functions that cannot export a dense row compile to ``None``: the
+    switch then routes every head through the function, exactly as
+    before compilation.
     """
-    try:
-        table: List[Optional[int]] = [None] * n_nodes
-        for dst in range(n_nodes):
-            ports = routing.ports_for(switch_id, dst)
-            if len(ports) == 1:
-                table[dst] = ports[0]
-        return table
-    except NotImplementedError:
-        return None
+    return routing.dense_row(switch_id, n_nodes)
+
+
+def unrouted_destinations(
+    routing: "RoutingFunction",
+    row: Optional[List[Optional[int]]],
+    switch: int,
+    destinations: Sequence[int],
+) -> List[int]:
+    """The ``destinations`` that have no route at ``switch``.
+
+    ``row`` is the switch's compiled dense array (or ``None``); only its
+    ``None`` entries — multipath choices, missing routes, destinations
+    outside the array — consult :meth:`RoutingFunction.ports_for`, the
+    same fallback rule the switch applies per head flit.
+    """
+    n = len(row) if row is not None else 0
+    return [
+        dst
+        for dst in destinations
+        if not (0 <= dst < n and row[dst] is not None)
+        and not routing.ports_for(switch, dst)
+    ]
 
 
 def _mix(value: int) -> int:
@@ -88,17 +103,32 @@ class RoutingFunction:
         """
         raise NotImplementedError
 
+    def dense_row(
+        self, switch: int, n_nodes: int
+    ) -> Optional[List[Optional[int]]]:
+        """``switch``'s single static port per destination node.
+
+        Entries are ``None`` where the decision is not one fixed port
+        (see :func:`compile_dense_route_table`); the whole row is
+        ``None`` when the function cannot enumerate its routes, which
+        is the base class's answer.
+        """
+        return None
+
 
 class TableRouting(RoutingFunction):
     """Deterministic table-based routing.
 
     ``tables[switch][dst_node]`` is the output port index to take at
-    ``switch`` for packets addressed to node ``dst_node``.
+    ``switch`` for packets addressed to node ``dst_node``.  Plain dict
+    rows are adopted rather than copied: the builders hand over tables
+    they built for this object alone.
     """
 
     def __init__(self, tables: Mapping[int, Mapping[int, int]]) -> None:
         self.tables: Dict[int, Dict[int, int]] = {
-            s: dict(t) for s, t in tables.items()
+            s: t if type(t) is dict else dict(t)
+            for s, t in tables.items()
         }
 
     def output_port(self, switch: int, flit: Flit) -> int:
@@ -115,6 +145,9 @@ class TableRouting(RoutingFunction):
             return [self.tables[switch][dst]]
         except KeyError:
             return []
+
+    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
+        return list(map(self.tables.get(switch, {}).get, range(n_nodes)))
 
     def entries(self) -> int:
         """Total number of table entries (FPGA cost model input)."""
@@ -163,6 +196,12 @@ class MultiPathTableRouting(RoutingFunction):
 
     def ports_for(self, switch: int, dst: int) -> List[int]:
         return list(self.tables.get(switch, {}).get(dst, []))
+
+    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
+        return [
+            ports[0] if ports is not None and len(ports) == 1 else None
+            for ports in map(self.tables.get(switch, {}).get, range(n_nodes))
+        ]
 
     def entries(self) -> int:
         return sum(
@@ -220,37 +259,119 @@ class XYRouting(RoutingFunction):
         except TopologyError:
             return []
 
+    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
+        topo = self.topology
+        port_to: Dict[Tuple[str, int], int] = {}
+        for port, ep in enumerate(topo.switch_outputs[switch]):
+            port_to.setdefault((ep.kind, ep.target), port)
+        row: List[Optional[int]] = []
+        for dst in range(n_nodes):
+            dst_switch = topo.node_switch[dst]
+            if dst_switch == switch:
+                row.append(port_to.get(("node", dst)))
+            else:
+                nxt = self._next_switch(switch, dst_switch)
+                row.append(port_to.get(("switch", nxt)))
+        return row
+
 
 # ----------------------------------------------------------------------
 # Table builders
 # ----------------------------------------------------------------------
-def _reverse_bfs_distances(
-    topo: Topology,
-    dst_switch: int,
-    avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
-) -> List[int]:
-    """Hop distance from every switch to ``dst_switch`` (-1 = unreachable).
+#: One destination switch's column: each switch's table entry toward
+#: it (``None`` = no route there), or ``None`` for the whole column
+#: when the destination switch is severed from the routed fabric.
+Column = Optional[List[Optional[object]]]
 
-    ``avoid_links`` excludes directed switch pairs — the fault-repair
-    path of the platform: when a board link fails, the initialisation
-    step rebuilds the tables around it without re-synthesis.
+
+def _live_links(
+    topo: Topology, avoid: AbstractSet[Tuple[int, int]]
+) -> Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]:
+    """Per switch, its live switch outputs as ``(port, target)`` in port
+    order, and the live links into it as ``(source, source port)``.
+
+    ``avoid`` excludes directed switch pairs — the fault-repair path of
+    the platform: when a board link fails, the initialisation step
+    rebuilds the tables around it without re-synthesis.
     """
-    # Build reverse adjacency once per call; topologies are small.
-    preds: List[List[int]] = [[] for _ in range(topo.n_switches)]
-    for a, b, _delay in topo.switch_edges():
-        if avoid_links and (a, b) in avoid_links:
-            continue
-        preds[b].append(a)
-    dist = [-1] * topo.n_switches
+    n = topo.n_switches
+    outs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    preds: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for s in range(n):
+        for port, ep in enumerate(topo.switch_outputs[s]):
+            if ep.kind == "switch" and (s, ep.target) not in avoid:
+                outs[s].append((port, ep.target))
+                preds[ep.target].append((s, port))
+    return outs, preds
+
+
+def _reverse_bfs_distances(
+    preds: List[List[Tuple[int, int]]], dst_switch: int
+) -> Tuple[List[int], List[Optional[int]]]:
+    """Reverse BFS toward ``dst_switch`` over the ``(source, source
+    port)`` link lists ``preds``.
+
+    Returns each switch's hop distance (-1 = unreachable) and its
+    lowest-indexed port one hop closer (``None`` at ``dst_switch`` and
+    where unreachable) — the deterministic shortest next hop.
+    """
+    dist = [-1] * len(preds)
+    hop: List[Optional[int]] = [None] * len(preds)
     dist[dst_switch] = 0
-    frontier = deque([dst_switch])
+    frontier = [dst_switch]
+    d = 0
     while frontier:
-        s = frontier.popleft()
-        for p in preds[s]:
-            if dist[p] < 0:
-                dist[p] = dist[s] + 1
-                frontier.append(p)
-    return dist
+        d += 1
+        reached = []
+        for s in frontier:
+            for p, port in preds[s]:
+                if dist[p] < 0:
+                    dist[p] = d
+                    hop[p] = port
+                    reached.append(p)
+                elif dist[p] == d and port < hop[p]:
+                    hop[p] = port
+        frontier = reached
+    return dist, hop
+
+
+def _tables_by_destination_switch(
+    topo: Topology,
+    destinations: Optional[Sequence[int]],
+    column: Callable[[int], Column],
+    eject: Callable[[int], object],
+) -> Dict[int, dict]:
+    """``tables[switch][dst]`` with one ``column`` per destination switch.
+
+    Every node on a switch shares that switch's routes everywhere but
+    at the switch itself, where the node's ejection port (wrapped by
+    ``eject``) applies — so each destination switch's BFS runs once,
+    however many nodes it hosts.  Entries are inserted in
+    ``destinations`` order, the order the initialisation step writes
+    them.
+    """
+    if destinations is None:
+        destinations = range(topo.n_nodes)
+    node_port = [0] * topo.n_nodes
+    for s in range(topo.n_switches):
+        for port, ep in enumerate(topo.switch_outputs[s]):
+            if ep.kind == "node":
+                node_port[ep.target] = port
+    tables: Dict[int, dict] = {s: {} for s in range(topo.n_switches)}
+    rows = list(tables.values())
+    columns: Dict[int, Column] = {}
+    for dst in destinations:
+        dst_switch = topo.switch_of_node(dst)
+        if dst_switch not in columns:
+            columns[dst_switch] = column(dst_switch)
+        col = columns[dst_switch]
+        if col is None:
+            continue
+        for row, entry in zip(rows, col):
+            if entry is not None:
+                row[dst] = entry
+        rows[dst_switch][dst] = eject(node_port[dst])
+    return tables
 
 
 def build_shortest_path_tables(
@@ -263,39 +384,20 @@ def build_shortest_path_tables(
     Ties are broken toward the lowest-indexed output port, which makes
     the tables reproducible across runs (the platform initialisation
     step writes them verbatim into the switches).  ``avoid_links``
-    routes around failed or reserved directed links ``(a, b)``.
+    routes around failed or reserved directed links ``(a, b)``;
+    switches cut off from a destination get no entry for it, so
+    routing raises there.
     """
-    if destinations is None:
-        destinations = range(topo.n_nodes)
-    avoid = frozenset(avoid_links or ())
-    tables: Dict[int, Dict[int, int]] = {
-        s: {} for s in range(topo.n_switches)
-    }
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        dist = _reverse_bfs_distances(topo, dst_switch, avoid)
-        for s in range(topo.n_switches):
-            if s == dst_switch:
-                tables[s][dst] = topo.output_port_to_node(s, dst)
-                continue
-            if dist[s] < 0:
-                continue  # unreachable: leave no entry, routing will raise
-            best_port = None
-            for port, ep in enumerate(topo.switch_outputs[s]):
-                if ep.kind != "switch":
-                    continue
-                if (s, ep.target) in avoid:
-                    continue
-                if dist[ep.target] == dist[s] - 1:
-                    best_port = port
-                    break
-            if best_port is None:
-                raise RoutingError(
-                    f"inconsistent BFS distances at switch {s} toward"
-                    f" node {dst}"
-                )
-            tables[s][dst] = best_port
-    return TableRouting(tables)
+    _outs, preds = _live_links(topo, frozenset(avoid_links or ()))
+
+    def column(dst_switch: int) -> Column:
+        return _reverse_bfs_distances(preds, dst_switch)[1]
+
+    return TableRouting(
+        _tables_by_destination_switch(
+            topo, destinations, column, lambda port: port
+        )
+    )
 
 
 def build_multipath_tables(
@@ -313,41 +415,30 @@ def build_multipath_tables(
     """
     if max_paths < 1:
         raise RoutingError("max_paths must be >= 1")
-    if destinations is None:
-        destinations = range(topo.n_nodes)
-    avoid = frozenset(avoid_links or ())
-    tables: Dict[int, Dict[int, List[int]]] = {
-        s: {} for s in range(topo.n_switches)
-    }
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        dist = _reverse_bfs_distances(topo, dst_switch, avoid)
-        for s in range(topo.n_switches):
-            if s == dst_switch:
-                tables[s][dst] = [topo.output_port_to_node(s, dst)]
-                continue
-            if dist[s] < 0:
-                continue
-            ports = [
-                port
-                for port, ep in enumerate(topo.switch_outputs[s])
-                if ep.kind == "switch"
-                and (s, ep.target) not in avoid
-                and dist[ep.target] == dist[s] - 1
-            ]
-            if not ports:
-                raise RoutingError(
-                    f"inconsistent BFS distances at switch {s} toward"
-                    f" node {dst}"
-                )
-            tables[s][dst] = ports[:max_paths]
-    return MultiPathTableRouting(tables, salt=salt)
+    outs, preds = _live_links(topo, frozenset(avoid_links or ()))
+
+    def column(dst_switch: int) -> Column:
+        dist, _hop = _reverse_bfs_distances(preds, dst_switch)
+        col: List[Optional[object]] = [None] * len(dist)
+        for s, d in enumerate(dist):
+            if d > 0:
+                col[s] = [
+                    port for port, t in outs[s] if dist[t] == d - 1
+                ][:max_paths]
+        return col
+
+    return MultiPathTableRouting(
+        _tables_by_destination_switch(
+            topo, destinations, column, lambda port: [port]
+        ),
+        salt=salt,
+    )
 
 
 def build_updown_tables(
     topo: Topology,
     destinations: Optional[Sequence[int]] = None,
-    root: int = 0,
+    root: Optional[int] = None,
     avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
 ) -> TableRouting:
     """Deadlock-free up*/down* tables for any connected topology.
@@ -380,125 +471,95 @@ def build_updown_tables(
     component — and destinations hosted there — simply get no table
     entries (the router raises on use), mirroring the degraded
     behaviour of :func:`build_shortest_path_tables`.
+
+    ``root`` defaults to the lowest-id switch that still has a live
+    link out — switch 0 whenever it is alive — so a fault that kills
+    switch 0 re-roots the ranking on the surviving fabric instead of
+    severing all of it.
     """
-    if not 0 <= root < topo.n_switches:
-        raise RoutingError(
-            f"up*/down* root {root} out of range"
-            f" [0, {topo.n_switches})"
-        )
-    if destinations is None:
-        destinations = range(topo.n_nodes)
     avoid = frozenset(avoid_links or ())
     n = topo.n_switches
+    outs, _preds = _live_links(topo, avoid)
+    if root is None:
+        root = next((s for s in range(n) if outs[s]), 0)
+    if not 0 <= root < n:
+        raise RoutingError(
+            f"up*/down* root {root} out of range [0, {n})"
+        )
     # Rank switches by (BFS level from the root, id); "up" edges point
-    # toward strictly lower rank.
+    # toward strictly lower rank.  ``pos`` is each switch's place in
+    # that order (-1 = outside the root's component).
     level = {root: 0}
     frontier = deque([root])
     while frontier:
         s = frontier.popleft()
-        for ep in topo.switch_outputs[s]:
-            if (
-                ep.kind == "switch"
-                and ep.target not in level
-                and (s, ep.target) not in avoid
-            ):
-                level[ep.target] = level[s] + 1
-                frontier.append(ep.target)
+        for _port, t in outs[s]:
+            if t not in level:
+                level[t] = level[s] + 1
+                frontier.append(t)
     if len(level) < n and not avoid:
         raise RoutingError(
             f"topology is not connected from switch {root}:"
             f" {n - len(level)} switches unreachable"
         )
-    rank = {s: (level[s], s) for s in level}
-    by_rank = sorted(level, key=lambda s: rank[s])
+    by_rank = sorted(level, key=lambda s: (level[s], s))
+    pos = [-1] * n
+    for i, s in enumerate(by_rank):
+        pos[s] = i
+    # Every live link out of a ranked switch ends at a ranked switch
+    # and is either up (toward lower rank) or down.
+    ups: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    down_preds: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for s in by_rank:
+        for port, t in outs[s]:
+            if pos[t] < pos[s]:
+                ups[s].append((port, t))
+            else:
+                down_preds[t].append((s, port))
 
-    tables: Dict[int, Dict[int, int]] = {s: {} for s in range(n)}
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        if dst_switch not in rank:
-            continue  # severed from the root's component
+    def column(dst_switch: int) -> Column:
+        if pos[dst_switch] < 0:
+            return None  # severed from the root's component
         # Down-only hop distance to dst_switch (reverse BFS over down
-        # edges), plus the port of a deterministic shortest down step.
-        down_dist = [-1] * n
-        down_dist[dst_switch] = 0
-        frontier = deque([dst_switch])
-        while frontier:
-            s = frontier.popleft()
-            for ep in topo.switch_inputs[s]:
-                if (
-                    ep.kind == "switch"
-                    and ep.source in rank
-                    and rank[ep.source] < rank[s]
-                    and down_dist[ep.source] < 0
-                    and (ep.source, s) not in avoid
-                ):
-                    down_dist[ep.source] = down_dist[s] + 1
-                    frontier.append(ep.source)
-        # Total route cost: descend when possible, else climb one up
-        # hop.  Up edges strictly decrease rank, so sweeping switches
-        # in rank order resolves the climb recurrence in one pass.
+        # edges), with each switch's shortest down step.
+        down_dist, down_hop = _reverse_bfs_distances(
+            down_preds, dst_switch
+        )
+        # Total route cost: descend when possible, else climb to the
+        # cheapest up neighbour (ties to the lowest port).  Up edges
+        # strictly decrease rank, so sweeping switches in rank order
+        # resolves the climb recurrence in one pass.
         cost = [-1] * n
+        col: List[Optional[object]] = [None] * n
         for s in by_rank:
-            if down_dist[s] >= 0:
-                cost[s] = down_dist[s]
+            d = down_dist[s]
+            if d >= 0:
+                # Committed to descending: shortest down step only.
+                cost[s] = d
+                col[s] = down_hop[s]
                 continue
-            best = -1
-            for ep in topo.switch_outputs[s]:
-                if (
-                    ep.kind != "switch"
-                    or ep.target not in rank
-                    or rank[ep.target] >= rank[s]
-                    or (s, ep.target) in avoid
-                ):
-                    continue
-                c = cost[ep.target]
-                if c >= 0 and (best < 0 or c + 1 < best):
-                    best = c + 1
-            if best < 0:
+            best_port, best = None, -1
+            for port, t in ups[s]:
+                c = cost[t]
+                if c >= 0 and (best < 0 or c < best):
+                    best_port, best = port, c
+            if best_port is None:
                 if avoid:
                     continue  # unreachable on the faulted fabric
                 raise RoutingError(
                     f"switch {s} has no up link toward the root and"
-                    f" cannot reach node {dst} downward; up*/down*"
-                    f" needs bidirectional links"
+                    f" cannot reach switch {dst_switch} downward;"
+                    f" up*/down* needs bidirectional links"
                 )
-            cost[s] = best
-        for s in range(n):
-            if s == dst_switch:
-                tables[s][dst] = topo.output_port_to_node(s, dst)
-                continue
-            if s not in rank or cost[s] < 0:
-                continue  # severed or unreachable under avoidance
-            best_port = None
-            best_cost = None
-            for port, ep in enumerate(topo.switch_outputs[s]):
-                if ep.kind != "switch":
-                    continue
-                t = ep.target
-                if t not in rank or (s, t) in avoid:
-                    continue
-                if down_dist[s] >= 0:
-                    # Committed to descending: shortest down step only.
-                    ok = (
-                        rank[t] > rank[s]
-                        and down_dist[t] == down_dist[s] - 1
-                    )
-                    c = down_dist[s] - 1 if ok else None
-                else:
-                    ok = rank[t] < rank[s] and cost[t] >= 0
-                    c = cost[t] if ok else None
-                if ok and (best_cost is None or c < best_cost):
-                    best_port = port
-                    best_cost = c
-            if best_port is None:
-                if avoid:
-                    continue
-                raise RoutingError(
-                    f"inconsistent up*/down* state at switch {s}"
-                    f" toward node {dst}"
-                )
-            tables[s][dst] = best_port
-    return TableRouting(tables)
+            cost[s] = best + 1
+            col[s] = best_port
+        return col
+
+    return TableRouting(
+        _tables_by_destination_switch(
+            topo, destinations, column, lambda port: port
+        )
+    )
 
 
 def build_tables_from_paths(

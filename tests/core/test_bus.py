@@ -89,6 +89,32 @@ class TestAttachment:
         fabric.attach(b, bus=0)
         assert fabric.devices() == [b, a]
 
+    def test_any_bus_takes_lowest_free_slot_then_spills(self):
+        fabric = BusFabric()
+        fabric.attach(Dummy("pinned"), bus=0, slot=1)
+        bases = [
+            fabric.attach(Dummy(f"d{i}"), bus=None)
+            for i in range(DEVICES_PER_BUS + 1)
+        ]
+        assert split_address(bases[0])[:2] == (0, 0)
+        assert split_address(bases[1])[:2] == (0, 2)
+        assert split_address(bases[DEVICES_PER_BUS - 2])[:2] == (
+            0, DEVICES_PER_BUS - 1
+        )
+        assert split_address(bases[DEVICES_PER_BUS - 1])[:2] == (1, 0)
+        assert split_address(bases[DEVICES_PER_BUS])[:2] == (1, 1)
+
+    def test_every_bus_full_rejected(self):
+        fabric = BusFabric()
+        for i in range(N_BUSES * DEVICES_PER_BUS):
+            fabric.attach(Dummy(f"d{i}"), bus=None)
+        with pytest.raises(AddressError, match="all 4 buses are full"):
+            fabric.attach(Dummy("extra"), bus=None)
+
+    def test_any_bus_with_explicit_slot_rejected(self):
+        with pytest.raises(AddressError, match="needs a bus"):
+            BusFabric().attach(Dummy(), bus=None, slot=3)
+
 
 class TestAccess:
     def test_read_write_through_fabric(self):

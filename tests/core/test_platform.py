@@ -1,7 +1,10 @@
 """Unit/integration tests for platform building and execution."""
 
+import hashlib
+
 import pytest
 
+from repro.core.bus import make_address, split_address
 from repro.core.config import (
     PlatformConfig,
     TGSpec,
@@ -10,6 +13,8 @@ from repro.core.config import (
 )
 from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
+from repro.util import canonical_json
 
 
 class TestBuildValidation:
@@ -88,6 +93,27 @@ class TestDeviceMap:
         p.run(50)
         assert p.control.get_cycles() == p.cycle
         assert p.control.get_sent() == p.packets_sent
+
+    def test_addresses_of_a_one_bus_platform_are_pinned(self):
+        # Digest of every (name, base address) of mesh:8:8 (129
+        # devices, all on bus 0) recorded before buses could spill.
+        spec = ScenarioSpec(topology="mesh:8:8", packets=4)
+        p = build_platform(spec.to_platform_config())
+        rows = [[d.name, d.base_address] for d in p.fabric.devices()]
+        digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+        assert digest[:16] == "ad5d971a0f3ecf34"
+
+    def test_more_than_one_bus_of_devices_spills(self):
+        # mesh:23:23 needs 1 control + 529 TGs + 529 TRs = 1059
+        # devices: more than bus 0's 1024 slots.
+        spec = ScenarioSpec(topology="mesh:23:23", packets=1)
+        p = build_platform(spec.to_platform_config())
+        buses = [split_address(d.base_address) for d in p.fabric.devices()]
+        assert len(buses) == 1059
+        assert buses[1023] == (0, 1023, 0)
+        assert buses[1024] == (1, 0, 0)
+        assert buses[-1] == (1, 34, 0)
+        assert p.tr_devices[-1].base_address == make_address(1, 34)
 
 
 class TestExecution:

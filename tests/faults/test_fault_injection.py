@@ -164,6 +164,20 @@ class TestSwitchDown:
         assert all(dst == 4 for _src, dst in excinfo.value.flows)
         assert "partitions the fabric" in str(excinfo.value)
 
+    @pytest.mark.parametrize("topology", ["torus:4:4", "ring:6"])
+    def test_switch_zero_death_orphans_only_its_nodes(self, topology):
+        # Regression: up*/down* repair always rooted at switch 0, so
+        # its death severed the whole fabric and the error listed
+        # flows between live switches (e.g. 1->2).
+        spec = ScenarioSpec(topology=topology, packets=60, load=0.1)
+        platform = build_platform(spec.to_platform_config())
+        schedule = FaultSchedule.of(switch_down(50, 0))
+        with pytest.raises(UnroutableError) as excinfo:
+            EmulationEngine(platform, faults=schedule).run()
+        flows = excinfo.value.flows
+        assert flows
+        assert all(dst == 0 for _src, dst in flows)
+
 
 class TestPartitionRegression:
     def two_node_config(self):

@@ -13,7 +13,13 @@ from repro.noc.routing import (
     build_tables_from_paths,
     paper_routing,
 )
-from repro.noc.topology import mesh, paper_flow_pairs, paper_topology, ring
+from repro.noc.topology import (
+    mesh,
+    paper_flow_pairs,
+    paper_topology,
+    ring,
+    torus,
+)
 
 
 def head_flit(src, dst, pid_salt=0):
@@ -335,3 +341,37 @@ class TestUpDownRouting:
 
         with pytest.raises(RoutingError, match="root"):
             build_updown_tables(ring(4), root=9)
+
+    @pytest.mark.parametrize("factory", [torus, mesh])
+    def test_repair_around_dead_switch_zero_reroots(self, factory):
+        # Regression: the ranking always rooted at switch 0, so with
+        # every link of switch 0 avoided the repaired tables held one
+        # entry and no live pair could route.
+        from repro.noc.deadlock import is_deadlock_free
+        from repro.noc.routing import build_updown_tables
+
+        topo = factory(4, 4)
+        avoid = {
+            (a, b) for a, b, _delay in topo.switch_edges() if 0 in (a, b)
+        }
+        r = build_updown_tables(topo, avoid_links=avoid)
+        live = [
+            dst for dst in range(topo.n_nodes)
+            if topo.switch_of_node(dst) != 0
+        ]
+        assert r.ports_for(1, 2)
+        for s in range(1, topo.n_switches):
+            for dst in live:
+                assert r.ports_for(s, dst), (s, dst)
+            assert not r.ports_for(s, 0)
+        assert is_deadlock_free(topo, r, live)
+
+    def test_live_switch_zero_stays_the_root(self):
+        from repro.noc.routing import build_updown_tables
+
+        topo = torus(4, 4)
+        avoid = {(1, 2), (2, 1)}
+        assert (
+            build_updown_tables(topo, avoid_links=avoid).tables
+            == build_updown_tables(topo, root=0, avoid_links=avoid).tables
+        )
