@@ -379,12 +379,6 @@ def snapshot(
     link_index = {id(link): i for i, link in enumerate(network.links)}
     links = []
     for link in network.links:
-        if link._in_flight or link._credits_in_flight:
-            raise CheckpointError(
-                f"link {link.name} carries standalone in-flight"
-                f" deques; only network-wired (wheel-fed) links are"
-                f" checkpointable"
-            )
         links.append({
             "flits_carried": link.flits_carried,
             "flits_dropped": link.flits_dropped,

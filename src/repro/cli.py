@@ -343,6 +343,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     do_profile = args.profile or args.profile_out is not None
     checkpoint_on = bool(args.checkpoint_out or args.resume)
     try:
+        # Both paths below validate their flags through the spec.
+        spec = _scenario_from(args, args.packets)
         faults = _fault_schedule_from(args)
         if args.windows_out and args.windows is None and not args.resume:
             raise ConfigError("--windows-out needs --windows N")
@@ -405,7 +407,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.monitor import Monitor
 
     try:
-        spec = _scenario_from(args, args.packets)
         if args.resume:
             from repro.checkpoint import load_checkpoint, restore
 

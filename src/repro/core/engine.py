@@ -132,7 +132,6 @@ class EmulationEngine:
         max_cycles: Optional[int] = None,
         max_packets: Optional[int] = None,
         drain: bool = True,
-        check_interval: int = 1,
         fast_forward: bool = True,
         stagnation_cycles: int = 100_000,
         progress=None,
@@ -144,14 +143,11 @@ class EmulationEngine:
 
         ``max_packets`` stops once that many packets have been
         *received* platform-wide (the "number of sent packets" axis of
-        Slide 20 is swept by setting TG budgets instead).  The stop is
-        checked every cycle regardless of ``check_interval``, so the
-        overshoot is bounded by the deliveries of the final cycle
-        (several receptors can each complete a packet in the same
-        cycle), never by the check quantisation.  The remaining
-        completion counters are O(1), so the other checks default to
-        every cycle (``check_interval=1``); raise it only to amortise
-        the residual per-check Python cost on huge runs.
+        Slide 20 is swept by setting TG budgets instead).  Every stop
+        condition is checked every cycle (the completion counters are
+        O(1)), so the overshoot is bounded by the deliveries of the
+        final cycle: several receptors can each complete a packet in
+        the same cycle.
 
         ``fast_forward`` lets the engine jump the emulated clock over
         quiescent stretches (see
@@ -208,10 +204,6 @@ class EmulationEngine:
             None if max_cycles is None else start_cycle + max_cycles
         )
         started = time.perf_counter()  # repro: allow[wall-clock] wall-seconds telemetry of the run report; cycles are the deterministic clock
-        since_check = 0
-        # check_interval == 1 (the default) makes the countdown dead
-        # weight: skip its three per-cycle bookkeeping ops entirely.
-        counted_checks = check_interval > 1
         gens_done = False
         last_received = platform.packets_received
         last_progress_cycle = platform.cycle
@@ -310,15 +302,7 @@ class EmulationEngine:
                 max_packets is not None
                 and platform._packets_received >= max_packets
             ):
-                # Checked every cycle: quantising this to
-                # check_interval would overshoot the packet budget by
-                # up to check_interval - 1 deliveries.
                 break
-            if counted_checks:
-                since_check += 1
-                if since_check < check_interval:
-                    continue
-                since_check = 0
             received = platform._packets_received
             if not drain:
                 # Emission-phase timing: stop the moment the budgets

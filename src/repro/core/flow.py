@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import PlatformConfig
 from repro.core.devices import to_q16
@@ -148,16 +148,3 @@ class EmulationFlow:
             report_text=report_text,
             step_seconds=steps,
         )
-
-    def run_sweep(
-        self,
-        configs: List[PlatformConfig],
-        max_cycles: Optional[int] = None,
-    ) -> List[FlowReport]:
-        """Run several configurations, reusing hardware where possible.
-
-        This is the workflow the flow was designed for: a parameter
-        sweep that synthesises once and re-runs software steps many
-        times.
-        """
-        return [self.run(c, max_cycles=max_cycles) for c in configs]

@@ -37,14 +37,13 @@ class FlitBuffer:
     cycle).
 
     Hot-path contract: :meth:`push` and :meth:`pop` are *inlined* by
-    ``Switch.receive``, the traverse hop paths
-    (``Switch.traverse``/``traverse_all``) and the network's fused
-    delivery phase — any change to their bookkeeping (``_fifo``
-    identity, ``_pid_counts``, ``total_pushes``/``total_pops``,
-    ``peak_occupancy``) must be mirrored there.  The ``_fifo`` deque's
-    identity is stable for the buffer's lifetime; the switch's
-    per-input scan tuples and the links' fused delivery endpoints
-    cache it.
+    ``Switch.receive``, the hop paths of ``switch.traverse_all`` and
+    the network's fused delivery phase, which replicate their
+    bookkeeping (``_fifo`` identity, ``_pid_counts``,
+    ``total_pushes``/``total_pops``, ``peak_occupancy``).  The
+    ``_fifo`` deque's identity is stable for the buffer's lifetime;
+    the switch's per-input scan tuples and the links' fused delivery
+    endpoints cache it.
     """
 
     __slots__ = (

@@ -1,17 +1,17 @@
 """Inter-switch links.
 
 A link is a unidirectional pipeline carrying one flit per cycle from an
-upstream switch output port to a downstream input buffer, plus the
-credit return path flowing the other way.  Link *load* (fraction of
-cycles carrying a flit) is the quantity the paper's experimental setup
-fixes at 90% on two inter-switch links (Slide 19), so every link keeps a
-utilisation counter that the monitor can read out.
+upstream switch output port to a downstream input buffer; credits
+flow back the other way with the same delay, scheduled by the network
+in its credit wheel.  Link *load* (fraction of cycles carrying a flit)
+is the quantity the paper's experimental setup fixes at 90% on two
+inter-switch links (Slide 19), so every link keeps a utilisation
+counter that the monitor can read out.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.noc.flit import Flit
 
@@ -32,8 +32,6 @@ class Link:
     __slots__ = (
         "delay",  # repro: allow[state-coverage] construction config from the topology
         "name",  # repro: allow[state-coverage] derived from the endpoints at construction
-        "_in_flight",  # repro: allow[state-coverage] unwired-link fallback queue; asserted empty at capture
-        "_credits_in_flight",  # repro: allow[state-coverage] unwired-link fallback queue; asserted empty at capture
         "wheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
         "wheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
         "sink",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
@@ -52,17 +50,12 @@ class Link:
             raise ValueError(f"link delay must be >= 1, got {delay}")
         self.delay = delay
         self.name = name
-        self._in_flight: Deque[Tuple[int, Flit]] = deque()
-        self._credits_in_flight: Deque[Tuple[int, int]] = deque()
-        # Delivery-wheel wiring (set by the network).  A network-wired
-        # link does not queue flights in its own deques: the per-hop
-        # hot paths append ``(link, flit)`` straight into the
-        # network's arrival-cycle ring buffer (``wheel``, a list of
-        # ``wheel_size`` slots) and the delivery phase hands arrivals
-        # to ``sink``.  ``wire_count`` tracks the flits in flight on
-        # this link for the occupancy statistics.  Standalone links
-        # (``wheel is None``) keep the deque behaviour
-        # (:meth:`deliver` / :meth:`collect_credits`).
+        # Delivery-wheel wiring (set by the network): flights live in
+        # the network's arrival-cycle ring buffer (``wheel``, a list of
+        # ``wheel_size`` slots) as ``(link, flit)`` entries — the
+        # per-hop hot paths append them directly — and the delivery
+        # phase hands arrivals to ``sink``.  ``wire_count`` tracks the
+        # flits in flight on this link for the occupancy statistics.
         self.wheel: Optional[List[List[Tuple["Link", Flit]]]] = None
         self.wheel_size = 0
         self.sink: Optional[Callable[[Flit, int], None]] = None
@@ -70,15 +63,14 @@ class Link:
         # the (switch, input port, buffer) tuple of a link feeding a
         # switch input — the delivery phase pushes into it directly,
         # skipping the ``sink`` callback frame; ``rx`` is the
-        # reassembly buffer of an ejection link.  Both None -> deliver
-        # through ``sink`` (custom sinks, standalone use).
+        # reassembly buffer of an ejection link.
         self.dst: Optional[tuple] = None
         self.rx: Optional[object] = None
         self.wire_count = 0
         # Fault state: a downed link accepts no flits.  The hot paths
         # never consult this flag — fault application zeroes the
         # upstream credits and repairs routing so no route reaches a
-        # dead link; ``send`` keeps a guard for standalone use.
+        # dead link; ``send`` keeps a guard against protocol bugs.
         # ``flits_dropped`` counts flits the injector purged from this
         # wire, cumulative across the run (not a stats-window counter).
         self.down = False
@@ -92,7 +84,12 @@ class Link:
     # Downstream flit path
     # ------------------------------------------------------------------
     def send(self, flit: Flit, now: int) -> None:
-        """Inject a flit at cycle ``now``; it arrives at ``now + delay``."""
+        """Inject a flit at cycle ``now``; it arrives at ``now + delay``.
+
+        The out-of-line form of the send the switch hop and the event
+        kernel's injection phase inline.  A link not wired into a
+        network gets a private wheel of its own on its first send.
+        """
         if self.down:
             raise RuntimeError(
                 f"link {self.name or id(self)} is down and cannot carry"
@@ -105,43 +102,17 @@ class Link:
             )
         self._last_send_cycle = now
         wheel = self.wheel
-        if wheel is not None:
-            wheel[(now + self.delay) % self.wheel_size].append(
-                (self, flit)
-            )
-            self.wire_count += 1
-        else:
-            self._in_flight.append((now + self.delay, flit))
+        if wheel is None:
+            self.wheel_size = self.delay + 1
+            wheel = self.wheel = [[] for _ in range(self.wheel_size)]
+        wheel[(now + self.delay) % self.wheel_size].append((self, flit))
+        self.wire_count += 1
         self.flits_carried += 1
-
-    def deliver(self, now: int) -> List[Flit]:
-        """Pop all flits whose arrival cycle is ``<= now``."""
-        arrived: List[Flit] = []
-        while self._in_flight and self._in_flight[0][0] <= now:
-            arrived.append(self._in_flight.popleft()[1])
-        return arrived
 
     @property
     def occupancy(self) -> int:
         """Number of flits currently in flight."""
-        return len(self._in_flight) + self.wire_count
-
-    # ------------------------------------------------------------------
-    # Upstream credit path
-    # ------------------------------------------------------------------
-    def return_credit(self, now: int, count: int = 1) -> None:
-        """Send ``count`` credits upstream; they arrive ``delay`` later."""
-        self._credits_in_flight.append((now + self.delay, count))
-
-    def collect_credits(self, now: int) -> int:
-        """Number of credits that have completed the return trip."""
-        total = 0
-        while (
-            self._credits_in_flight
-            and self._credits_in_flight[0][0] <= now
-        ):
-            total += self._credits_in_flight.popleft()[1]
-        return total
+        return self.wire_count
 
     # ------------------------------------------------------------------
     # Statistics

@@ -21,6 +21,15 @@ wormhole-channel release, store-and-forward completion), an NI on
 scan-everything dataflow survives as :meth:`Network.step_reference`;
 both paths produce bit-identical cycle behaviour (see
 ``tests/integration/test_kernel_parity.py``).
+
+Each per-cycle rule has one out-of-line form — the switch traversal
+:func:`~repro.noc.switch.traverse_all`, ``Switch.receive`` and
+:meth:`Network._eject` behind each link's ``sink``,
+:meth:`~repro.noc.ni.NetworkInterface.inject`, and
+:meth:`Network._drain_credit_slot` — which the reference kernel and
+traced runs use.  :meth:`Network.step` additionally inlines the credit,
+delivery and injection phases for untraced speed; the parity suites pin
+those inline copies to the out-of-line forms.
 """
 
 from __future__ import annotations
@@ -167,8 +176,9 @@ class Network:
         # Opt-in flit tracer (see repro.telemetry.trace).  None keeps
         # the hot paths exactly as fast as before: the delivery and
         # injection phases test the attribute once per *cycle with
-        # traffic*, not per flit, and branch to traced twins of the
-        # inlined loops.
+        # traffic*, not per flit, and when set run the out-of-line
+        # forms (link sinks, ``NetworkInterface.inject``) with the
+        # tracer hooks around them.
         self._tracer = None  # repro: allow[state-coverage] tracers must be re-attached after restore (capture refuses otherwise)
         self._wire()
         self._max_delay = max(  # repro: allow[state-coverage] derived from link delays at construction
@@ -189,9 +199,8 @@ class Network:
             down._connect_input_credit(in_port, link.delay, entry)
         for switch in self.switches:
             switch._cwheel = self._credit_wheel
-            switch._cwheel_size = size
             switch._fwheel = self._flit_wheel
-            switch._fwheel_size = size
+            switch._wheel_size = size
             switch._wake = self._make_switch_wake(switch)
             switch._clock = self._now
             switch._compile_routes(topology.n_nodes)
@@ -342,10 +351,13 @@ class Network:
         self.link_upstream[link] = (up, up._outputs[out_port])
         self._flit_sinks.append(partial(self._eject, rx))
 
-    def _eject(self, rx: ReassemblyBuffer, flit: Flit, now: int) -> None:
-        """Hand a flit to reassembly, retiring it from the in-flight count."""
+    def _eject(
+        self, rx: ReassemblyBuffer, flit: Flit, now: int
+    ) -> Optional[Packet]:
+        """Hand a flit to reassembly, retiring it from the in-flight
+        count; return the packet it completed, if any."""
         self._in_flight_flits -= 1
-        rx.receive(flit, now)
+        return rx.receive(flit, now)
 
     def _add_injection(
         self, link: Link, node: int, switch: int, in_port: int
@@ -389,7 +401,7 @@ class Network:
 
         Blocking is handled at *input* granularity: an input whose
         head cannot move parks inside the switch (see
-        :meth:`~repro.noc.switch.Switch.traverse`) and is woken only
+        :func:`~repro.noc.switch.traverse_all`) and is woken only
         by the event that can change its outcome — a credit return on
         its starved output port, the release of the wormhole channel
         it waits on, a flit into its empty buffer, or an arrival
@@ -432,26 +444,19 @@ class Network:
                 active[:] = [sw for sw in active if sw._active]
         slot = self._flit_wheel[now % size]
         if slot and self._tracer is not None:
-            self._deliver_traced(slot, now)
+            self._drain_flit_slot(now)
         elif slot:
             # Fused delivery: links feeding a switch input push the
-            # flit straight into the buffer (Switch.receive inlined —
-            # keep the two in lockstep), activating the input and
-            # waking the switch as needed; ejection links and custom
-            # sinks go through the bound ``sink``.
+            # flit straight into the buffer (Switch.receive inlined),
+            # activating the input and waking the switch as needed;
+            # ejection links hand it to reassembly (_eject inlined).
             active = self._active_switches
             for link, flit in slot:
                 link.wire_count -= 1
                 dst = link.dst
                 if dst is None:
-                    rx = link.rx
-                    if rx is None:
-                        link.sink(flit, now)
-                    else:
-                        # Ejection: hand the flit to reassembly,
-                        # retiring it from the in-flight count.
-                        self._in_flight_flits -= 1
-                        rx.receive(flit, now)
+                    self._in_flight_flits -= 1
+                    link.rx.receive(flit, now)
                     continue
                 sw, port, buf = dst
                 fifo = buf._fifo
@@ -489,14 +494,34 @@ class Network:
                     sw._unpark_input(port)
             del slot[:]
         active = self._active_nis
-        if active and self._tracer is not None:
-            self._inject_traced(active, now)
+        tracer = self._tracer
+        if active and tracer is not None:
+            # Traced: NetworkInterface.inject out of line, plus one
+            # event per flit put on the wire.
+            retire = False
+            for ni in active:
+                flits = ni._flits
+                if flits:
+                    head = flits[0]
+                    if ni.inject(now):
+                        tracer.inject(now, ni, head)
+                    elif ni._credits <= 0:
+                        # Credit-starved (inject ticked the stall): park
+                        # as the inlined loop below does.
+                        ni._active = False
+                        ni._park(now)
+                        retire = True
+                        continue
+                if not flits:
+                    ni._active = False
+                    retire = True
+            if retire:
+                active[:] = [ni for ni in active if ni._active]
         elif active:
-            # NetworkInterface.inject inlined (keep the two in
-            # lockstep): one flit on the wire per NI per cycle is a
-            # hot path at saturation.  NIs on the active list are
-            # never parked, and network-wired injection links always
-            # share the global flit wheel.
+            # NetworkInterface.inject inlined: one flit on the wire per
+            # NI per cycle is a hot path at saturation.  NIs on the
+            # active list are never parked, and network-wired
+            # injection links always share the global flit wheel.
             fwheel = self._flit_wheel
             retire = False
             for ni in active:
@@ -574,8 +599,9 @@ class Network:
                 if not switch._active:
                     switch._active = True
                     active.append(switch)
-            elif switch._active:
-                switch._active = False
+            else:
+                # The traverse cleared ``_active`` itself, possibly for
+                # a switch its self-heal had just woken onto the list.
                 compact = True
         if compact:
             active[:] = [sw for sw in active if sw._active]
@@ -609,9 +635,9 @@ class Network:
     def _drain_credit_slot(self, now: int) -> None:
         """Deliver the credits arriving at ``now`` (reference path).
 
-        Same semantics as the block inlined in :meth:`step` — keep the
-        two in lockstep: the parked-wake conditions here are what the
-        parity suites compare against.
+        The out-of-line form of the credit phase :meth:`step` inlines;
+        the parity suites compare the two, parked-wake conditions
+        included.
         """
         slot = self._credit_wheel[now % self._wheel_size]
         if slot:
@@ -627,16 +653,31 @@ class Network:
             del slot[:]
 
     def _drain_flit_slot(self, now: int) -> None:
-        """Deliver the flits arriving at ``now`` (reference path)."""
+        """Deliver the flits arriving at ``now`` through each link's
+        ``sink`` (``Switch.receive`` or :meth:`_eject`).
+
+        The delivery phase of the reference kernel, and of the event
+        kernel while a tracer is attached: then every flit also reports
+        a ``hop`` into a switch input, or an ``eject`` into reassembly
+        followed by ``packet`` when it completes its packet.
+        """
         slot = self._flit_wheel[now % self._wheel_size]
-        if slot:
-            if self._tracer is not None:
-                self._deliver_traced(slot, now)
-                return
-            for link, flit in slot:
-                link.wire_count -= 1
+        if not slot:
+            return
+        tracer = self._tracer
+        for link, flit in slot:
+            link.wire_count -= 1
+            if tracer is None:
                 link.sink(flit, now)
-            del slot[:]
+            elif link.rx is None:
+                tracer.hop(now, link, flit)
+                link.sink(flit, now)
+            else:
+                tracer.eject(now, link, flit)
+                packet = link.sink(flit, now)
+                if packet is not None:
+                    tracer.packet_done(now, link.rx, packet)
+        del slot[:]
 
     # ------------------------------------------------------------------
     # Flit tracing (see repro.telemetry.trace)
@@ -658,85 +699,6 @@ class Network:
         tracer = self._tracer
         self._tracer = None
         return tracer
-
-    def _deliver_traced(self, slot: list, now: int) -> None:
-        """Traced twin of the fused delivery loop in :meth:`step`.
-
-        Identical state effects (``Switch.receive`` is the out-of-line
-        form of the inlined buffer push; the ejection branch mirrors
-        :meth:`_eject`), plus one tracer event per flit: ``hop`` into a
-        switch input, ``eject`` + possibly ``packet`` at reassembly.
-        """
-        tracer = self._tracer
-        for link, flit in slot:
-            link.wire_count -= 1
-            dst = link.dst
-            if dst is None:
-                rx = link.rx
-                if rx is None:
-                    link.sink(flit, now)
-                    continue
-                self._in_flight_flits -= 1
-                tracer.eject(now, link, flit)
-                if rx.receive(flit, now) is not None:
-                    tracer.packet_done(now, rx, flit.packet)
-                continue
-            tracer.hop(now, link, flit)
-            dst[0].receive(dst[1], flit, now)
-        del slot[:]
-
-    def _inject_traced(
-        self, active: List[NetworkInterface], now: int
-    ) -> None:
-        """Traced twin of the inlined NI phase in :meth:`step`.
-
-        Keep in lockstep with both that block and
-        ``NetworkInterface.inject`` — same credit/parking/drain-watch
-        semantics, plus an ``inject`` event per flit put on the wire.
-        """
-        tracer = self._tracer
-        fwheel = self._flit_wheel
-        size = self._wheel_size
-        retire = False
-        for ni in active:
-            flits = ni._flits
-            if not flits:
-                ni._active = False
-                retire = True
-                continue
-            if ni._credits <= 0:
-                ni._stall_cycles += 1
-                flits[0].stall_cycles += 1
-                ni._active = False
-                ni._park(now)
-                retire = True
-                continue
-            flit = flits.popleft()
-            if flit.is_head:
-                flit.packet.wire_entry_cycle = now
-            link = ni._link
-            if link._last_send_cycle == now:
-                link.send(flit, now)  # raises the protocol error
-            link._last_send_cycle = now
-            fwheel[(now + link.delay) % size].append((link, flit))
-            link.wire_count += 1
-            link.flits_carried += 1
-            ni._credits -= 1
-            ni.injected_flits += 1
-            if flit.is_tail:
-                ni.injected_packets += 1
-            tracer.inject(now, ni, flit)
-            level = ni._drain_level
-            if level is not None and len(flits) == level - 1:
-                callback = ni._on_drain
-                ni._drain_level = None
-                ni._on_drain = None
-                callback(now)
-            if not flits:
-                ni._active = False
-                retire = True
-        if retire:
-            active[:] = [ni for ni in active if ni._active]
 
     def run(self, cycles: int) -> None:
         """Advance the fabric by ``cycles`` clock cycles."""

@@ -21,10 +21,11 @@ class NetworkInterface:
     """Transmit-side NI: packet segmentation plus credit-controlled injection.
 
     One instance sits between a traffic generator and the input port of
-    its local switch.  ``offer`` queues a packet; :meth:`inject` is
-    called once per cycle by the network and pushes at most one flit
-    onto the injection link when a downstream buffer slot (credit) is
-    available.
+    its local switch.  ``offer`` queues a packet; :meth:`inject` pushes
+    at most one flit per cycle onto the injection link when a
+    downstream buffer slot (credit) is available.  It is the one
+    out-of-line form of the rule the event kernel's injection phase
+    inlines; parking an NI is only ever done by that kernel.
     """
 
     __slots__ = (
@@ -157,21 +158,7 @@ class NetworkInterface:
         flit = self._flits.popleft()
         if flit.is_head:
             flit.packet.wire_entry_cycle = now
-        # Link.send inlined (one injection per NI per cycle is a hot
-        # path at saturation); the call is kept only for standalone
-        # links and to raise the protocol error on a double send.
-        link = self._link
-        if link.wheel is None:
-            link.send(flit, now)
-        else:
-            if link._last_send_cycle == now:
-                link.send(flit, now)  # raises the protocol error
-            link._last_send_cycle = now
-            link.wheel[(now + link.delay) % link.wheel_size].append(
-                (link, flit)
-            )
-            link.wire_count += 1
-            link.flits_carried += 1
+        self._link.send(flit, now)
         self._credits -= 1
         self.injected_flits += 1
         if flit.is_tail:
@@ -214,7 +201,7 @@ class NetworkInterface:
     def stall_cycles(self) -> int:
         """Inject attempts stalled on credits (settled through the
         last emulated cycle, including any still-parked stretch)."""
-        if self._parked and self._clock is not None:
+        if self._parked:
             pending = self._clock() - 1 - self._park_cycle
             if pending > 0:
                 return self._stall_cycles + pending
@@ -271,7 +258,7 @@ class NetworkInterface:
         return purged
 
     def reset_stats(self) -> None:
-        if self._parked and self._clock is not None:
+        if self._parked:
             # Per-flit stall counters survive a statistics reset:
             # settle the parked stretch into them, zero the NI
             # counter, and keep accumulating into the fresh window.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.noc.arbiter import Arbiter, make_arbiter
 from repro.noc.buffer import BufferFullError, FlitBuffer
@@ -89,8 +89,8 @@ class _OutputPort:
     lock: Optional[int] = None  # input index holding the wormhole channel
     #: Packet id of the wormhole holding the lock (fault accounting:
     #: lets the injector identify the packet whose tail can no longer
-    #: arrive when a link dies mid-wormhole).  Maintained in lockstep
-    #: with ``lock`` at head-grant and tail-release.
+    #: arrive when a link dies mid-wormhole).  Set and cleared with
+    #: ``lock`` at head-grant and tail-release.
     lock_pid: Optional[int] = None
     flits_sent: int = 0
     #: The Link behind ``send`` when the sink is a plain link, letting
@@ -109,8 +109,11 @@ class Switch:
 
     The network drives the switch with :meth:`receive` (flit arrival
     from a link or a network interface), :meth:`credit` (flow-control
-    credit returned by a downstream buffer) and :meth:`traverse` (one
-    cycle of arbitration and flit movement).
+    credit returned by a downstream buffer) and :func:`traverse_all`
+    (one cycle of arbitration and flit movement over every active
+    switch; :meth:`traverse` applies it to this switch alone).  Parked
+    inputs settle their stalls against ``_clock``, which the network
+    installs.
     """
 
     __slots__ = (
@@ -120,7 +123,6 @@ class Switch:
         "inputs",
         "arbiters",
         "_outputs",
-        "_input_pop_hooks",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
         "_input_credit",
         "_input_route",
         "_input_out",  # repro: allow[state-coverage] structural output map; rebuilt by Network wiring
@@ -141,9 +143,8 @@ class Switch:
         "_parked_count",
         "_req_ports",  # repro: allow[state-coverage] per-cycle arbitration scratch; asserted empty at checkpoint boundary
         "_cwheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_cwheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
         "_fwheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_fwheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "_wheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
         "flits_forwarded",
         "_blocked_flit_cycles",
         "_credit_stall_cycles",
@@ -173,13 +174,9 @@ class Switch:
         self._outputs: List[Optional[_OutputPort]] = [
             None
         ] * config.n_outputs
-        # Upstream credit scheduling per input, one of two forms: the
-        # fused ``(delay, wheel entry)`` pair the network installs (the
-        # hop appends the entry straight into the credit wheel — no
-        # callback frame), or a plain hook for standalone switches.
-        self._input_pop_hooks: List[Optional[Callable[[int], None]]] = [
-            None
-        ] * config.n_inputs
+        # Upstream credit scheduling per input: the ``(delay, wheel
+        # entry)`` pair the network installs (the hop appends the entry
+        # straight into the credit wheel — no callback frame).
         self._input_credit: List[Optional[Tuple[int, tuple]]] = [
             None
         ] * config.n_inputs
@@ -199,9 +196,7 @@ class Switch:
         # Incremental flit count across all input buffers, and the
         # network's wake-up hook fired whenever the switch needs to
         # (re)join the active set.  ``_clock`` reads the network cycle
-        # and gates parking: without it (standalone switches in unit
-        # tests) no input ever parks and every blocked head re-ticks
-        # per cycle, the seed behaviour.
+        # for the bulk settlement of parked inputs.
         self._buffered = 0
         self._wake: Optional[Callable[[], None]] = None
         self._clock: Optional[Callable[[], int]] = None
@@ -234,13 +229,12 @@ class Switch:
         # lists live on the ports themselves).
         self._req_ports: List[_OutputPort] = []
         # Delivery-wheel wiring for the fused hop (set by the
-        # network; every network link shares the two global wheels, so
-        # the hop indexes them directly instead of dereferencing the
-        # link's copy).
+        # network; every network link shares the two global wheels of
+        # one size, so the hop indexes them directly instead of
+        # dereferencing the link's copy).
         self._cwheel: Optional[List[list]] = None
-        self._cwheel_size = 1
         self._fwheel: Optional[List[list]] = None
-        self._fwheel_size = 1
+        self._wheel_size = 1
         # Statistics.
         self.flits_forwarded = 0
         self._blocked_flit_cycles = 0  # head wanted to move, couldn't
@@ -278,35 +272,13 @@ class Switch:
             arbiter=self.arbiters[port],
         )
 
-    def connect_input_hook(
-        self, port: int, hook: Callable[[int], None]
-    ) -> None:
-        """Register a credit-return callback for input ``port``.
-
-        Standalone path: the network wires its switches through
-        :meth:`_connect_input_credit` instead, which fuses the credit
-        schedule into the hop itself.
-        """
-        if (
-            self._input_pop_hooks[port] is not None
-            or self._input_credit[port] is not None
-        ):
-            raise RuntimeError(
-                f"input port {port} of switch {self.switch_id} already"
-                f" has a credit hook"
-            )
-        self._input_pop_hooks[port] = hook
-
     def _connect_input_credit(
         self, port: int, delay: int, entry: tuple
     ) -> None:
         """Fused credit return for input ``port``: every pop appends
         ``entry`` to the network credit wheel ``delay`` cycles out, as
         one list append on the hop itself (no callback frame)."""
-        if (
-            self._input_pop_hooks[port] is not None
-            or self._input_credit[port] is not None
-        ):
+        if self._input_credit[port] is not None:
             raise RuntimeError(
                 f"input port {port} of switch {self.switch_id} already"
                 f" has a credit hook"
@@ -435,247 +407,11 @@ class Switch:
         return self.routing.output_port(self.switch_id, head)
 
     def traverse(self, now: int) -> int:
-        """One cycle of arbitration and switch traversal.
-
-        Returns the number of flits forwarded this cycle.  At most one
-        flit leaves per output port and at most one flit leaves per
-        input port.  Only the movable inputs are examined: an input
-        whose head is blocked parks individually (when a network clock
-        is attached) and is re-armed by the event that can unblock it,
-        while the remaining inputs keep streaming.
-        """
-        scan = self._scan
-        if not scan:
-            return 0
-        route_outs = self._input_out
-        actives = self._in_active
-        credit_entries = self._input_credit
-        cwheel = self._cwheel
-        csize = self._cwheel_size
-        fwheel = self._fwheel
-        fsize = self._fwheel_size
-        can_park = self._clock is not None
-        req_ports = self._req_ports
-        if req_ports:
-            # A previous traverse aborted mid-scan (a protocol error
-            # surfaced in a unit test): drop its stale requests.
-            for out in req_ports:
-                del out.requests[:]
-            del req_ports[:]
-        moved = 0
-        compact = False
-        for entry in scan:
-            i, buf, fifo = entry
-            if not fifo:
-                # Drained since it last moved: back to idle.
-                actives[i] = False
-                compact = True
-                continue
-            out = route_outs[i]
-            if out is None:
-                head = fifo[0]
-                route_dense = self._route_dense
-                if (
-                    route_dense is not None
-                    and not self._sf_mode
-                    and head.is_head
-                ):
-                    desired = route_dense[head.dst]
-                    if desired is None:
-                        desired = self.routing.output_port(
-                            self.switch_id, head
-                        )
-                else:
-                    desired = self._route_head(head, buf)
-                    if desired is None:
-                        # Store-and-forward packet still arriving: only
-                        # a flit into this input can change that.
-                        if can_park:
-                            self._park_input(i, now, None, False)
-                            compact = True
-                        continue
-                self._input_route[i] = desired
-                out = route_outs[i] = self._outputs[desired]
-            lock = out.lock
-            if lock == i:
-                flit = fifo[0]
-                if not flit.is_tail:
-                    # Streaming fast path: a mid-packet flit on its
-                    # exclusively locked channel cannot face
-                    # arbitration, and moving it changes no state any
-                    # other input's scan decision depends on.  (Tail
-                    # flits release the lock, which must stay visible
-                    # only after the scan, so they take the slow path.)
-                    if out.infinite_credits:
-                        pass
-                    elif out.credits > 0:
-                        out.credits -= 1
-                    else:
-                        flit.stall_cycles += 1
-                        self._blocked_flit_cycles += 1
-                        self._credit_stall_cycles += 1
-                        if can_park:
-                            self._park_input(i, now, flit, True)
-                            out.credit_waiters.append(i)
-                            compact = True
-                        continue
-                    # Fused hop: FlitBuffer.pop, the upstream credit
-                    # schedule and Link.send inlined (the per-flit-hop
-                    # hot spots); the buffer is non-empty by
-                    # construction.
-                    fifo.popleft()
-                    buf.total_pops += 1
-                    counts = buf._pid_counts
-                    if counts is not None:
-                        pid = flit.packet.pid
-                        remaining = counts[pid] - 1
-                        if remaining:
-                            counts[pid] = remaining
-                        else:
-                            del counts[pid]
-                    self._buffered -= 1
-                    ce = credit_entries[i]
-                    if ce is not None:
-                        cwheel[(now + ce[0]) % csize].append(ce[1])
-                    else:
-                        hook = self._input_pop_hooks[i]
-                        if hook is not None:
-                            hook(now)
-                    link = out.link
-                    if link is None or fwheel is None:
-                        out.send(flit, now)
-                    else:
-                        if link._last_send_cycle == now:
-                            out.send(flit, now)  # raises the protocol error
-                        link._last_send_cycle = now
-                        fwheel[(now + link.delay) % fsize].append(
-                            (link, flit)
-                        )
-                        link.wire_count += 1
-                        link.flits_carried += 1
-                    out.flits_sent += 1
-                    moved += 1
-                    continue
-            elif lock is not None:
-                # Channel held by another packet's wormhole: only the
-                # tail of that packet can release it.
-                head = fifo[0]
-                head.stall_cycles += 1
-                self._blocked_flit_cycles += 1
-                if can_park:
-                    self._park_input(i, now, head, False)
-                    out.lock_waiters.append(i)
-                    compact = True
-                continue
-            if not out.infinite_credits and out.credits <= 0:
-                head = fifo[0]
-                head.stall_cycles += 1
-                self._blocked_flit_cycles += 1
-                self._credit_stall_cycles += 1
-                if can_park:
-                    self._park_input(i, now, head, True)
-                    out.credit_waiters.append(i)
-                    compact = True
-                continue
-            reqs = out.requests
-            if not reqs:
-                req_ports.append(out)
-            reqs.append(i)
-
-        if req_ports:
-            inputs = self.inputs
-            for out in req_ports:
-                reqs = out.requests
-                lock = out.lock
-                if lock is not None:
-                    # The locked input has exclusive use of this
-                    # channel (every other contender is lock-blocked),
-                    # so ``reqs`` is exactly ``[lock]``.
-                    winner = lock
-                elif len(reqs) == 1:
-                    winner = out.arbiter.grant_single(reqs[0])
-                else:
-                    winner = out.arbiter.grant(reqs)
-                # The fused hop again (head/tail flits come through
-                # here).
-                buf = inputs[winner]
-                fifo = buf._fifo
-                flit = fifo.popleft()
-                buf.total_pops += 1
-                counts = buf._pid_counts
-                if counts is not None:
-                    pid = flit.packet.pid
-                    remaining = counts[pid] - 1
-                    if remaining:
-                        counts[pid] = remaining
-                    else:
-                        del counts[pid]
-                self._buffered -= 1
-                ce = credit_entries[winner]
-                if ce is not None:
-                    cwheel[(now + ce[0]) % csize].append(ce[1])
-                else:
-                    hook = self._input_pop_hooks[winner]
-                    if hook is not None:
-                        hook(now)
-                link = out.link
-                if link is None or fwheel is None:
-                    out.send(flit, now)
-                else:
-                    if link._last_send_cycle == now:
-                        out.send(flit, now)  # raises the protocol error
-                    link._last_send_cycle = now
-                    fwheel[(now + link.delay) % fsize].append(
-                        (link, flit)
-                    )
-                    link.wire_count += 1
-                    link.flits_carried += 1
-                out.flits_sent += 1
-                if not out.infinite_credits:
-                    out.credits -= 1
-                moved += 1
-                # Wormhole channel state.
-                if flit.is_tail:
-                    out.lock = None
-                    out.lock_pid = None
-                    self._input_route[winner] = None
-                    route_outs[winner] = None
-                    lw = out.lock_waiters
-                    if lw:
-                        # The channel the waiters starved for is free:
-                        # they were blocked through this cycle (the
-                        # release is post-scan), so settlement includes
-                        # it and the scan re-examines them next cycle.
-                        parked = self._in_parked
-                        for j in lw:
-                            if parked[j]:
-                                self._wake_input(j, now)
-                        del lw[:]
-                elif flit.is_head:
-                    out.lock = winner
-                    out.lock_pid = flit.packet.pid
-                # Losers of this arbitration stalled (they may win the
-                # very next cycle, so they stay on the scan list).
-                n_reqs = len(reqs)
-                if n_reqs > 1:
-                    for loser in reqs:
-                        if loser != winner:
-                            inputs[loser]._fifo[0].stall_cycles += 1
-                    self._blocked_flit_cycles += n_reqs - 1
-                del reqs[:]
-            del req_ports[:]
-
-        if compact:
-            listed = self._in_listed
-            keep = []
-            for entry in scan:
-                if actives[entry[0]]:
-                    keep.append(entry)
-                else:
-                    listed[entry[0]] = False
-            scan[:] = keep
-        self.flits_forwarded += moved
-        return moved
+        """One cycle of this switch alone (see :func:`traverse_all`);
+        returns the number of flits forwarded."""
+        return traverse_all(
+            [self], now, self._cwheel, self._fwheel, self._wheel_size
+        )[0]
 
     def traverse_reference(self, now: int) -> int:
         """One cycle via the scan-everything discipline (parity oracle).
@@ -788,7 +524,7 @@ class Switch:
 
     def _pending_stall_deltas(self) -> Tuple[int, int]:
         """(blocked, credit) stalls of parked cycles not yet settled."""
-        if not self._parked_count or self._clock is None:
+        if not self._parked_count:
             return 0, 0
         until = self._clock() - 1
         blocked = credit = 0
@@ -853,7 +589,7 @@ class Switch:
         return None if out.infinite_credits else out.credits
 
     def reset_stats(self) -> None:
-        if self._parked_count and self._clock is not None:
+        if self._parked_count:
             # Reset-while-parked: per-flit stall counters survive a
             # statistics reset, so each parked stretch up to the reset
             # must settle into them first; the switch counters are
@@ -887,20 +623,21 @@ def traverse_all(
     fwheel: List[list],
     wheel_size: int,
 ) -> Tuple[int, bool]:
-    """One cycle of arbitration and traversal over the active switches.
+    """One cycle of arbitration and traversal over the given switches.
 
-    The event kernel's switch phase fused into a single loop: with
-    input-granular parking a switch's scan is typically one or two
-    entries, so the Python frame and prologue of a per-switch
-    :meth:`Switch.traverse` call are a measurable share of the whole
-    phase.  This is that method's body applied to each switch in turn
-    — semantically identical, keep the two in lockstep — with the
-    parking gate constant-folded (network-wired switches always have
-    a clock) and the network's shared delivery wheels hoisted to
-    arguments.  Returns ``(flits moved, any switch left without
-    movable inputs)``.
+    The one form of the per-cycle switch rule: the event kernel calls
+    it over its active list, :meth:`Switch.traverse` over a single
+    switch.  At most one flit leaves per output port and at most one
+    per input port.  Only the movable inputs are examined: an input
+    whose head is blocked parks individually and is re-armed by the
+    event that can unblock it, while the remaining inputs keep
+    streaming.  With input-granular parking a switch's scan is
+    typically one or two entries, so the whole phase runs as one loop
+    (no per-switch call frame) with the network's shared delivery
+    wheels hoisted to arguments.  Returns ``(flits moved, any switch
+    left without movable inputs)``; such a switch has its ``_active``
+    flag cleared.
     """
-    csize = fsize = wheel_size
     total_moved = 0
     retire = False
     for sw in active:
@@ -914,6 +651,8 @@ def traverse_all(
         credit_entries = sw._input_credit
         req_ports = sw._req_ports
         if req_ports:
+            # A previous traverse aborted mid-scan (a protocol error
+            # surfaced in a unit test): drop its stale requests.
             for out in req_ports:
                 del out.requests[:]
             del req_ports[:]
@@ -922,6 +661,7 @@ def traverse_all(
         for entry in scan:
             i, buf, fifo = entry
             if not fifo:
+                # Drained since it last moved: back to idle.
                 actives[i] = False
                 compact = True
                 continue
@@ -942,6 +682,8 @@ def traverse_all(
                 else:
                     desired = sw._route_head(head, buf)
                     if desired is None:
+                        # Store-and-forward packet still arriving: only
+                        # a flit into this input can change that.
                         sw._park_input(i, now, None, False)
                         compact = True
                         continue
@@ -951,6 +693,12 @@ def traverse_all(
             if lock == i:
                 flit = fifo[0]
                 if not flit.is_tail:
+                    # Streaming fast path: a mid-packet flit on its
+                    # exclusively locked channel cannot face
+                    # arbitration, and moving it changes no state any
+                    # other input's scan decision depends on.  (Tail
+                    # flits release the lock, which must stay visible
+                    # only after the scan, so they take the slow path.)
                     if out.infinite_credits:
                         pass
                     elif out.credits > 0:
@@ -963,6 +711,10 @@ def traverse_all(
                         out.credit_waiters.append(i)
                         compact = True
                         continue
+                    # Fused hop: FlitBuffer.pop, the upstream credit
+                    # schedule and Link.send inlined (the per-flit-hop
+                    # hot spots); the buffer is non-empty by
+                    # construction.
                     fifo.popleft()
                     buf.total_pops += 1
                     counts = buf._pid_counts
@@ -976,19 +728,15 @@ def traverse_all(
                     sw._buffered -= 1
                     ce = credit_entries[i]
                     if ce is not None:
-                        cwheel[(now + ce[0]) % csize].append(ce[1])
-                    else:
-                        hook = sw._input_pop_hooks[i]
-                        if hook is not None:
-                            hook(now)
+                        cwheel[(now + ce[0]) % wheel_size].append(ce[1])
                     link = out.link
                     if link is None:
                         out.send(flit, now)
                     else:
                         if link._last_send_cycle == now:
-                            out.send(flit, now)
+                            out.send(flit, now)  # raises the protocol error
                         link._last_send_cycle = now
-                        fwheel[(now + link.delay) % fsize].append(
+                        fwheel[(now + link.delay) % wheel_size].append(
                             (link, flit)
                         )
                         link.wire_count += 1
@@ -997,6 +745,8 @@ def traverse_all(
                     moved += 1
                     continue
             elif lock is not None:
+                # Channel held by another packet's wormhole: only the
+                # tail of that packet can release it.
                 head = fifo[0]
                 head.stall_cycles += 1
                 sw._blocked_flit_cycles += 1
@@ -1024,11 +774,16 @@ def traverse_all(
                 reqs = out.requests
                 lock = out.lock
                 if lock is not None:
+                    # The locked input has exclusive use of this
+                    # channel (every other contender is lock-blocked),
+                    # so ``reqs`` is exactly ``[lock]``.
                     winner = lock
                 elif len(reqs) == 1:
                     winner = out.arbiter.grant_single(reqs[0])
                 else:
                     winner = out.arbiter.grant(reqs)
+                # The fused hop again (head/tail flits come through
+                # here).
                 buf = inputs[winner]
                 fifo = buf._fifo
                 flit = fifo.popleft()
@@ -1044,19 +799,15 @@ def traverse_all(
                 sw._buffered -= 1
                 ce = credit_entries[winner]
                 if ce is not None:
-                    cwheel[(now + ce[0]) % csize].append(ce[1])
-                else:
-                    hook = sw._input_pop_hooks[winner]
-                    if hook is not None:
-                        hook(now)
+                    cwheel[(now + ce[0]) % wheel_size].append(ce[1])
                 link = out.link
                 if link is None:
                     out.send(flit, now)
                 else:
                     if link._last_send_cycle == now:
-                        out.send(flit, now)
+                        out.send(flit, now)  # raises the protocol error
                     link._last_send_cycle = now
-                    fwheel[(now + link.delay) % fsize].append(
+                    fwheel[(now + link.delay) % wheel_size].append(
                         (link, flit)
                     )
                     link.wire_count += 1
@@ -1065,6 +816,7 @@ def traverse_all(
                 if not out.infinite_credits:
                     out.credits -= 1
                 moved += 1
+                # Wormhole channel state.
                 if flit.is_tail:
                     out.lock = None
                     out.lock_pid = None
@@ -1072,6 +824,10 @@ def traverse_all(
                     route_outs[winner] = None
                     lw = out.lock_waiters
                     if lw:
+                        # The channel the waiters starved for is free:
+                        # they were blocked through this cycle (the
+                        # release is post-scan), so settlement includes
+                        # it and the scan re-examines them next cycle.
                         parked = sw._in_parked
                         for j in lw:
                             if parked[j]:
@@ -1080,6 +836,8 @@ def traverse_all(
                 elif flit.is_head:
                     out.lock = winner
                     out.lock_pid = flit.packet.pid
+                # Losers of this arbitration stalled (they may win the
+                # very next cycle, so they stay on the scan list).
                 n_reqs = len(reqs)
                 if n_reqs > 1:
                     for loser in reqs:

@@ -147,6 +147,29 @@ class TestTopologyOptions:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--load", "0"],
+            ["--load", "1.5"],
+            ["--length", "0"],
+            ["--depth", "0"],
+            ["--packets", "-5"],
+            ["--packets", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_run_paper_path_malformed_flags_clean_error(
+        self, flags, capsys
+    ):
+        """The default paper path validates through the scenario spec
+        like every other topology."""
+        code = main(["run", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_synth_malformed_topology_clean_error(self, capsys):
         code = main(["synth", "--topology", "ring:0"])
         captured = capsys.readouterr()

@@ -77,7 +77,7 @@ class TestFlow:
             paper_platform_config(max_packets=30, seed=s)
             for s in range(4)
         ]
-        reports = flow.run_sweep(configs)
+        reports = [flow.run(c) for c in configs]
         assert [r.resynthesized for r in reports] == [
             True, False, False, False,
         ]

@@ -147,12 +147,10 @@ class TestTorusSaturation:
 class TestFullFlowEndToEnd:
     def test_flow_sweep_with_report_artifacts(self):
         flow = EmulationFlow()
-        reports = flow.run_sweep(
-            [
-                paper_platform_config(max_packets=100, seed=s)
-                for s in (1, 2)
-            ]
-        )
+        reports = [
+            flow.run(paper_platform_config(max_packets=100, seed=s))
+            for s in (1, 2)
+        ]
         assert flow.synthesis_runs == 1
         for report in reports:
             assert report.result.completed

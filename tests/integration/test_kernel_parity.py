@@ -189,11 +189,22 @@ def test_mixing_paths_mid_run_is_consistent():
     """Alternating step/step_reference on one network stays coherent."""
     config = lambda: paper_platform_config(traffic="uniform", max_packets=200)
     platform = fresh_platform(config)
+    net = platform.network
     for k in range(5000):
         if (k // 64) % 2:
             platform.step_reference()
         else:
             platform.step()
+        # The active lists hold each component at most once, exactly
+        # those whose ``_active`` flag is set.
+        for listed, everyone in (
+            (net._active_switches, net.switches),
+            (net._active_nis, net.nis),
+        ):
+            assert len({id(c) for c in listed}) == len(listed)
+            assert {id(c) for c in listed} == {
+                id(c) for c in everyone if c._active
+            }
     oracle = fresh_platform(config)
     for _ in range(5000):
         oracle.step_reference()

@@ -10,20 +10,30 @@ def one_flit():
     return Packet(src=0, dst=1, length=1).flit_list()[0]
 
 
+def arrivals(link, now):
+    """Drain the wheel slot of cycle ``now`` as the network's delivery
+    phase does; return the flits that arrived."""
+    slot = link.wheel[now % link.wheel_size]
+    flits = [flit for wired, flit in slot if wired is link]
+    link.wire_count -= len(flits)
+    del slot[:]
+    return flits
+
+
 class TestFlitPath:
     def test_delivery_after_delay(self):
         link = Link(delay=2)
         f = one_flit()
         link.send(f, now=5)
-        assert link.deliver(5) == []
-        assert link.deliver(6) == []
-        assert link.deliver(7) == [f]
+        assert arrivals(link, 5) == []
+        assert arrivals(link, 6) == []
+        assert arrivals(link, 7) == [f]
 
     def test_unit_delay_default(self):
         link = Link()
         f = one_flit()
         link.send(f, now=0)
-        assert link.deliver(1) == [f]
+        assert arrivals(link, 1) == [f]
 
     def test_one_flit_per_cycle_enforced(self):
         link = Link()
@@ -36,48 +46,36 @@ class TestFlitPath:
         a, b = one_flit(), one_flit()
         link.send(a, now=0)
         link.send(b, now=1)
-        assert link.deliver(1) == [a]
-        assert link.deliver(2) == [b]
-
-    def test_batch_delivery_of_overdue_flits(self):
-        link = Link(delay=1)
-        a, b = one_flit(), one_flit()
-        link.send(a, now=0)
-        link.send(b, now=1)
-        assert link.deliver(10) == [a, b]
+        assert arrivals(link, 1) == [a]
+        assert arrivals(link, 2) == [b]
 
     def test_occupancy(self):
         link = Link(delay=3)
         assert link.occupancy == 0
         link.send(one_flit(), now=0)
         assert link.occupancy == 1
-        link.deliver(3)
+        arrivals(link, 3)
         assert link.occupancy == 0
+
+    def test_sends_into_a_shared_wheel(self):
+        """A network-wired link appends to the wheel it was given."""
+        wheel = [[] for _ in range(4)]
+        link = Link(delay=3)
+        link.wheel, link.wheel_size = wheel, 4
+        f = one_flit()
+        link.send(f, now=2)
+        assert wheel[5 % 4] == [(link, f)]
+        assert link.occupancy == 1
+
+    def test_down_link_rejects_sends(self):
+        link = Link()
+        link.down = True
+        with pytest.raises(RuntimeError, match="is down"):
+            link.send(one_flit(), now=0)
 
     def test_delay_validation(self):
         with pytest.raises(ValueError):
             Link(delay=0)
-
-
-class TestCreditPath:
-    def test_credit_round_trip(self):
-        link = Link(delay=2)
-        link.return_credit(now=4)
-        assert link.collect_credits(5) == 0
-        assert link.collect_credits(6) == 1
-
-    def test_credit_batching(self):
-        link = Link(delay=1)
-        link.return_credit(now=0, count=2)
-        link.return_credit(now=0)
-        assert link.collect_credits(1) == 3
-
-    def test_credits_independent_of_flits(self):
-        link = Link(delay=1)
-        link.send(one_flit(), now=0)
-        link.return_credit(now=0)
-        assert link.collect_credits(1) == 1
-        assert len(link.deliver(1)) == 1
 
 
 class TestStatistics:

@@ -7,6 +7,26 @@ from repro.noc.routing import TableRouting
 from repro.noc.switch import Switch, SwitchConfig, SwitchingMode
 
 
+class Clock:
+    """The clock a network installs on its switches: the cycle being
+    processed during a traverse, the next unprocessed one between
+    traverses (parked inputs settle their stalls against it)."""
+
+    def __init__(self):
+        self.cycle = 0
+
+    def __call__(self):
+        return self.cycle
+
+
+def traverse(sw, now):
+    """One cycle of a standalone switch, advancing its clock."""
+    sw._clock.cycle = now
+    moved = sw.traverse(now)
+    sw._clock.cycle = now + 1
+    return moved
+
+
 def make_switch(
     n_in=2,
     n_out=2,
@@ -28,6 +48,7 @@ def make_switch(
         ),
         routing,
     )
+    sw._clock = Clock()
     sent = [[] for _ in range(n_out)]
     for port in range(n_out):
         sw.connect_output(
@@ -70,9 +91,9 @@ class TestWiring:
 
     def test_double_input_hook_rejected(self):
         sw, _ = make_switch()
-        sw.connect_input_hook(0, lambda now: None)
+        sw._connect_input_credit(0, 1, (None, None))
         with pytest.raises(RuntimeError, match="already has"):
-            sw.connect_input_hook(0, lambda now: None)
+            sw._connect_input_credit(0, 1, (None, None))
 
 
 class TestBasicForwarding:
@@ -82,7 +103,7 @@ class TestBasicForwarding:
         for f in flits:
             sw.receive(0, f)
         for now in range(3):
-            sw.traverse(now)
+            traverse(sw, now)
         assert [f for f, _ in sent[0]] == flits
         assert sw.flits_forwarded == 3
 
@@ -90,7 +111,7 @@ class TestBasicForwarding:
         sw, sent = make_switch()
         for f in packet_flits(dst=0):
             sw.receive(0, f)
-        sw.traverse(0)
+        traverse(sw, 0)
         assert len(sent[0]) == 1
 
     def test_routing_by_destination(self):
@@ -98,9 +119,9 @@ class TestBasicForwarding:
         f0 = packet_flits(dst=0, length=1)[0]
         f1 = packet_flits(dst=1, length=1)[0]
         sw.receive(0, f0)
-        sw.traverse(0)
+        traverse(sw, 0)
         sw.receive(0, f1)
-        sw.traverse(1)
+        traverse(sw, 1)
         assert sent[0][0][0] is f0
         assert sent[1][0][0] is f1
 
@@ -108,7 +129,7 @@ class TestBasicForwarding:
         sw, sent = make_switch()
         sw.receive(0, packet_flits(dst=0, length=1)[0])
         sw.receive(1, packet_flits(dst=1, length=1, src=1)[0])
-        moved = sw.traverse(0)
+        moved = traverse(sw, 0)
         assert moved == 2
         assert len(sent[0]) == 1 and len(sent[1]) == 1
 
@@ -123,7 +144,7 @@ class TestWormhole:
         for f in b:
             sw.receive(1, f)
         for now in range(6):
-            sw.traverse(now)
+            traverse(sw, now)
         order = [f.packet.pid for f, _ in sent[0]]
         # One packet's flits must be contiguous (no interleaving).
         assert order == sorted(order, key=lambda pid: order.index(pid))
@@ -139,7 +160,7 @@ class TestWormhole:
         for f in b:
             sw.receive(1, f)
         for now in range(4):
-            sw.traverse(now)
+            traverse(sw, now)
         loser_head = b[0] if sent[0][0][0] is a[0] else a[0]
         assert loser_head.stall_cycles > 0
         assert sw.blocked_flit_cycles > 0
@@ -149,6 +170,7 @@ class TestWormhole:
         sw = Switch(
             0, SwitchConfig(n_inputs=1, n_outputs=1), routing
         )
+        sw._clock = Clock()
         sent = []
         sw.connect_output(
             0, lambda f, n: sent.append(f), credits=1
@@ -156,23 +178,25 @@ class TestWormhole:
         flits = packet_flits(dst=0, length=3)
         for f in flits:
             sw.receive(0, f)
-        sw.traverse(0)
-        sw.traverse(1)  # no credit left: must stall
+        traverse(sw, 0)
+        traverse(sw, 1)  # no credit left: must stall (and park)
         assert len(sent) == 1
+        assert sw.parked_inputs == (0,)
         assert sw.credit_stall_cycles == 1
         sw.credit(0)  # downstream freed a slot
-        sw.traverse(2)
+        traverse(sw, 2)
         assert len(sent) == 2
 
     def test_infinite_credit_output_never_stalls(self):
         routing = TableRouting({0: {0: 0}})
         sw = Switch(0, SwitchConfig(n_inputs=1, n_outputs=1), routing)
+        sw._clock = Clock()
         sent = []
         sw.connect_output(0, lambda f, n: sent.append(f), credits=None)
         for f in packet_flits(dst=0, length=4, src=0):
             sw.receive(0, f)
         for now in range(4):
-            sw.traverse(now)
+            traverse(sw, now)
         assert len(sent) == 4
         assert sw.credit_stall_cycles == 0
 
@@ -181,15 +205,38 @@ class TestWormhole:
         body = packet_flits(dst=0, length=3)[1]
         sw.receive(0, body)
         with pytest.raises(RuntimeError, match="non-head"):
-            sw.traverse(0)
+            traverse(sw, 0)
 
     def test_input_pop_hook_fires(self):
+        """A pop schedules the input's upstream credit: its wheel entry
+        lands ``delay`` cycles out in the credit wheel."""
         sw, _ = make_switch()
-        pops = []
-        sw.connect_input_hook(0, lambda now: pops.append(now))
+        sw._cwheel = [[] for _ in range(3)]
+        sw._wheel_size = 3
+        sw._connect_input_credit(0, 2, ("credit", 0))
         sw.receive(0, packet_flits(dst=0, length=1)[0])
-        sw.traverse(7)
-        assert pops == [7]
+        traverse(sw, 7)
+        assert sw._cwheel[9 % 3] == [("credit", 0)]
+
+    def test_blocked_input_parks_and_stalls_settle(self):
+        """A lock-blocked input parks; its stall cycles settle on read
+        and on the wake at tail release."""
+        sw, sent = make_switch()
+        a = packet_flits(dst=0, length=4, src=0)
+        b = packet_flits(dst=0, length=1, src=1)
+        for f in a:
+            sw.receive(0, f)
+        traverse(sw, 0)  # a's head takes the channel
+        sw.receive(1, b[0])
+        traverse(sw, 1)  # b blocks on the lock and parks
+        assert sw.parked_inputs == (1,)
+        traverse(sw, 2)
+        assert sw.blocked_flit_cycles == 2  # cycles 1-2, one settled
+        traverse(sw, 3)  # a's tail releases the channel, b wakes
+        assert sw.parked_inputs == ()
+        traverse(sw, 4)
+        assert [f for f, _ in sent[0]] == a + b
+        assert b[0].stall_cycles == 3
 
 
 class TestStoreAndForward:
@@ -197,16 +244,16 @@ class TestStoreAndForward:
         sw, sent = make_switch(mode=SwitchingMode.STORE_AND_FORWARD)
         flits = packet_flits(dst=0, length=3)
         sw.receive(0, flits[0])
-        sw.traverse(0)
+        traverse(sw, 0)
         assert sent[0] == []  # only head arrived: must wait
         sw.receive(0, flits[1])
-        sw.traverse(1)
+        traverse(sw, 1)
         assert sent[0] == []
         sw.receive(0, flits[2])
-        sw.traverse(2)
+        traverse(sw, 2)
         assert len(sent[0]) == 1  # complete: head may leave
-        sw.traverse(3)
-        sw.traverse(4)
+        traverse(sw, 3)
+        traverse(sw, 4)
         assert len(sent[0]) == 3
 
     def test_packet_longer_than_buffer_rejected(self):
@@ -217,12 +264,12 @@ class TestStoreAndForward:
         sw.receive(0, flits[0])
         sw.receive(0, flits[1])
         with pytest.raises(RuntimeError, match="store-and-forward"):
-            sw.traverse(0)
+            traverse(sw, 0)
 
     def test_single_flit_packet_passes(self):
         sw, sent = make_switch(mode=SwitchingMode.STORE_AND_FORWARD)
         sw.receive(0, packet_flits(dst=0, length=1)[0])
-        sw.traverse(0)
+        traverse(sw, 0)
         assert len(sent[0]) == 1
 
 
@@ -234,7 +281,7 @@ class TestArbitration:
             sw.receive(0, packet_flits(dst=0, length=1, src=0)[0])
             sw.receive(1, packet_flits(dst=0, length=1, src=1)[0])
         for now in range(8):
-            sw.traverse(now)
+            traverse(sw, now)
         sources = [f.src for f, _ in sent[0]]
         assert sources == [0, 1, 0, 1, 0, 1, 0, 1]
 
@@ -244,7 +291,7 @@ class TestArbitration:
             sw.receive(0, packet_flits(dst=0, length=1, src=0)[0])
             sw.receive(1, packet_flits(dst=0, length=1, src=1)[0])
         for now in range(3):
-            sw.traverse(now)
+            traverse(sw, now)
         assert [f.src for f, _ in sent[0]] == [0, 0, 0]
 
 
@@ -259,13 +306,13 @@ class TestStats:
         sw, _ = make_switch()
         assert sw.output_credits(0) == 8
         sw.receive(0, packet_flits(dst=0, length=1)[0])
-        sw.traverse(0)
+        traverse(sw, 0)
         assert sw.output_credits(0) == 7
 
     def test_reset_stats(self):
         sw, _ = make_switch()
         sw.receive(0, packet_flits(dst=0, length=1)[0])
-        sw.traverse(0)
+        traverse(sw, 0)
         sw.reset_stats()
         assert sw.flits_forwarded == 0
         assert sw.blocked_flit_cycles == 0

@@ -13,6 +13,7 @@ import itertools
 import pytest
 
 import repro.noc.flit as flit_mod
+from repro.checkpoint import snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
@@ -71,6 +72,73 @@ class TestKernelParity:
         )
         assert any(w.parked_inputs > 0 for w in event[0])
         assert any(w.fault_dropped_flits > 0 for w in event[0])
+
+
+def traced_or_untraced_run(traced, cycles=4000):
+    """The saturated, faulted scenario on the event kernel, with or
+    without a tracer; returns window records, counters, the checkpoint
+    state (taken after the tracer is detached) and which parking
+    regimes engaged."""
+    spec = ScenarioSpec(topology="paper", packets=200, load=0.9)
+    flit_mod._packet_ids = itertools.count()
+    platform = build_platform(spec.to_platform_config())
+    net = platform.network
+    telemetry = WindowedMetrics(platform, 257)
+    tracer = FlitTracer(stream=io.StringIO()) if traced else None
+    if tracer is not None:
+        net.attach_tracer(tracer)
+    injector = FaultInjector(SCHEDULE, platform)
+    injector.begin(platform.cycle)
+    tel_next = telemetry.begin(net.cycle)
+    inputs_parked = nis_parked = False
+    for _ in range(cycles):
+        now = net.cycle
+        if now >= tel_next:
+            tel_next = telemetry.advance(now)
+        injector.tick(now)
+        platform.step()
+        inputs_parked |= any(sw._parked_count > 0 for sw in net.switches)
+        nis_parked |= any(ni._parked for ni in net.nis)
+    telemetry.finish(net.cycle)
+    if tracer is not None:
+        net.detach_tracer()
+        tracer.close()
+        assert tracer.events
+    counters = {
+        "switches": [
+            (sw.stats_snapshot(), sw.buffered_flits) for sw in net.switches
+        ],
+        "nis": [
+            (ni.stats_snapshot(), ni.offered_packets, ni.pending_flits)
+            for ni in net.nis
+        ],
+        "links": [
+            (link.stats_snapshot(), link.occupancy) for link in net.links
+        ],
+        "rx": [rx.stats_snapshot() for rx in net.rx],
+        "generators": [
+            (g.packets_sent, g.flits_sent, g.backpressure_cycles)
+            for g in platform.generators
+        ],
+    }
+    state = snapshot(platform, spec).state
+    return telemetry.records, counters, state, (inputs_parked, nis_parked)
+
+
+class TestTracedEventKernel:
+    """A tracer switches the event kernel's delivery and injection
+    phases from their inlined forms to the out-of-line ones (link
+    sinks, ``NetworkInterface.inject``): both must leave the fabric in
+    the same state."""
+
+    def test_traced_and_untraced_runs_end_identical(self):
+        traced = traced_or_untraced_run(True)
+        untraced = traced_or_untraced_run(False)
+        assert traced[0] == untraced[0]  # window records
+        assert traced[1] == untraced[1]  # component counters
+        assert traced[2] == untraced[2]  # checkpoint state dict
+        # Non-vacuity: input and NI parking both engaged while traced.
+        assert traced[3] == (True, True)
 
 
 class TestOptimisationsStayEngaged:
