@@ -3,9 +3,8 @@
 The emulation platform's correctness story rests on conventions that
 ordinary tests exercise only indirectly: bit-identical determinism
 (no wall clock, no ambient RNG, canonical JSON for everything hashed
-or stored), complete checkpoint state coverage, settle-on-read access
-to parked-stall counters, and wake-path registration at every parking
-site.  This package checks those conventions *statically*, over the
+or stored), settle-on-read access to parked-stall counters, and
+wake-path registration at every parking site.  This package checks those conventions *statically*, over the
 AST of the source tree, so a violation fails CI the moment it is
 written rather than the week a sweep stops reproducing.
 

@@ -11,8 +11,8 @@ Overlays
 ``load_project(paths, overlay={...})`` substitutes source text by
 path: a key matching a loaded file (exact path or posix-suffix match)
 replaces that file's text; an unmatched key becomes a virtual module.
-Tests use this to ask "what would the lint say if this captured field
-were deleted?" without editing the tree.
+Tests use this to ask "what would the lint say if this raw read were
+added?" without editing the tree.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ Adding a rule
 
 Rules receive the whole :class:`~repro.analysis.project.Project`, not
 one module at a time, because the deepest checks are cross-module
-(checkpoint coverage diffs class definitions in ``noc/`` against
-reads in ``checkpoint/``).
+(settle-on-read judges every module's reads against the modules that
+own each raw field).
 """
 
 from __future__ import annotations
@@ -134,9 +134,6 @@ from repro.analysis.rules.robustness import (  # noqa: E402
     SwallowedExceptionRule,
 )
 from repro.analysis.rules.settlement import SettleOnReadRule  # noqa: E402
-from repro.analysis.rules.state_coverage import (  # noqa: E402
-    StateCoverageRule,
-)
 
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
@@ -144,7 +141,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     UnsortedSetIterRule(),
     IdOrderingRule(),
     CanonicalJsonRule(),
-    StateCoverageRule(),
     SettleOnReadRule(),
     ParkingWakeRule(),
     SwallowedExceptionRule(),

@@ -3,7 +3,11 @@
 ``restore(checkpoint)`` builds a *fresh* platform from the embedded
 spec (same constructor path as a cold run, so all structure, hooks and
 closures are wired exactly as ``build_platform`` wires them), then
-overlays the captured mutable state in dependency order:
+overlays the captured state.  The generic walker
+(:mod:`repro.checkpoint.walker`) writes every plain-value field back
+into the object the fresh platform built; this module restores by
+hand what :mod:`repro.checkpoint.capture` captured by hand, in
+dependency order:
 
 1. structural cross-checks (component counts, wheel geometry) — any
    drift between the spec's platform and the snapshot is a clean
@@ -12,29 +16,17 @@ overlays the captured mutable state in dependency order:
    once and its eager flit list shared by every site that references
    ``(pid, seq)`` — so a parked head is *the same object* as the
    FIFO head it froze, exactly as in the original run;
-3. links, switches (FIFOs, per-input routes and park records, output
-   credits/locks, arbiter rotation, wake lists), NIs, reassembly
-   partials, the delivery wheels (credit entries resolved to the new
-   platform's structural hook tuples *before* fault re-application
-   detaches any), active lists, generators + traffic-model caches +
-   LFSR registers, platform poll caches, receptor analyzers;
-4. fault state: a new :class:`FaultInjector` on the new platform,
-   cursor/report/flaky/recovery state overlaid, downed links'
-   credit hooks detached through the saved-credit store, and — when
-   any applied event repaired routes — the route tables rebuilt with
-   the current dead-pair avoid set through the injector's own build
-   path (family tables, deadlock re-vet, up*/down* fallback) and
-   hot-swapped without touching the restored per-input route cache;
-5. telemetry: a new :class:`WindowedMetrics` with the captured
-   boundaries, closed records, and the stored last-boundary base
-   reading (the checkpoint cycle can fall mid-window, so the base is
-   state, not something to recompute);
-6. the global packet-id allocator, repositioned so future pids
+3. components, delivery wheels and active lists, then a new
+   :class:`FaultInjector` and :class:`WindowedMetrics` on the new
+   platform (the telemetry base is state: a cut can fall mid-window);
+4. last, the global packet-id allocator, repositioned so future pids
    continue the original sequence.
 
-The returned engine carries the injector (if any) so
-:meth:`EmulationEngine.run` resumes the fault schedule mid-flight
-instead of restarting it.
+A hash-valid record whose state is malformed (a missing key, a wrong
+type or length) raises :class:`CheckpointCorruptError` and leaves the
+allocator untouched.  The returned engine carries the injector (if
+any) so :meth:`EmulationEngine.run` resumes the fault schedule
+mid-flight instead of restarting it.
 """
 
 import itertools
@@ -42,19 +34,17 @@ from typing import Any, Dict, List, Tuple
 
 from repro.core.engine import EmulationEngine
 from repro.core.platform import EmulationPlatform, build_platform
-from repro.faults.report import (
-    FaultEventRecord,
-    FaultReport,
-    FaultWindow,
-)
+from repro.faults.report import FaultEventRecord, FaultWindow
 from repro.faults.schedule import FaultSchedule
 from repro.noc import flit as flit_mod
 from repro.noc.flit import Packet
 from repro.telemetry import WindowedMetrics
 from repro.telemetry.windows import WindowRecord
 
-from .errors import CheckpointError
+from .capture import MODEL_KINDS
+from .errors import CheckpointCorruptError, CheckpointError
 from .record import Checkpoint
+from .walker import restore_into
 
 __all__ = ["restore"]
 
@@ -94,6 +84,10 @@ class _PacketRegistry:
             flit.stall_cycles = stall
         return flit
 
+    def flits(self, refs: List[list]) -> list:
+        """The flits of ``[pid, seq, stall]`` references, in order."""
+        return [self.flit(pid, seq, stall) for pid, seq, stall in refs]
+
 
 def _check(condition: bool, what: str) -> None:
     if not condition:
@@ -103,28 +97,14 @@ def _check(condition: bool, what: str) -> None:
         )
 
 
-def _restore_histogram(hist, state: Dict[str, Any]) -> None:
-    hist.counts[:] = state["counts"]
-    hist.overflow = state["overflow"]
-    hist.underflow = state["underflow"]
-    hist.total = state["total"]
-    hist._sum = state["sum"]
-    hist._min = state["min"]
-    hist._max = state["max"]
-
-
 def _restore_switch(sw, state: Dict[str, Any],
-                    registry: _PacketRegistry) -> None:
+                    registry: _PacketRegistry, path: str) -> None:
     _check(len(state["inputs"]) == len(sw.inputs),
            f"switch {sw.switch_id} input count")
-    _check(len(state["outputs"]) == len(sw._outputs),
-           f"switch {sw.switch_id} output count")
+    restore_into(sw, state, path)
     for i, in_state in enumerate(state["inputs"]):
         buf = sw.inputs[i]
-        buf._fifo.extend(
-            registry.flit(pid, seq, stall)
-            for pid, seq, stall in in_state["fifo"]
-        )
+        buf._fifo.extend(registry.flits(in_state["fifo"]))
         if buf._pid_counts is not None:
             counts = buf._pid_counts
             for flit in buf._fifo:
@@ -148,137 +128,19 @@ def _restore_switch(sw, state: Dict[str, Any],
             None if head is None else registry.flit(head[0], head[1])
         )
     sw._scan[:] = [sw._in_tuples[i] for i in state["scan"]]
-    sw._parked_count = state["parked_count"]
-    sw._active = state["active"]
-    sw._buffered = state["buffered"]
-    sw.flits_forwarded = state["flits_forwarded"]
-    sw._blocked_flit_cycles = state["blocked_flit_cycles"]
-    sw._credit_stall_cycles = state["credit_stall_cycles"]
-    for port, out_state in enumerate(state["outputs"]):
-        out = sw._outputs[port]
-        out.credits = out_state["credits"]
-        out.lock = out_state["lock"]
-        out.lock_pid = out_state["lock_pid"]
-        out.flits_sent = out_state["flits_sent"]
-        out.credit_waiters[:] = out_state["credit_waiters"]
-        out.lock_waiters[:] = out_state["lock_waiters"]
-        arb = sw.arbiters[port]
-        arb_state = out_state["arbiter"]
-        arb.grants = arb_state["grants"]
-        arb.grant_counts[:] = arb_state["grant_counts"]
-        if "pointer" in arb_state:
-            arb._pointer = arb_state["pointer"]
-        if "beats" in arb_state:
-            arb._beats = [list(row) for row in arb_state["beats"]]
-
-
-def _restore_model(model, state: Dict[str, Any],
-                   rng_state: int) -> None:
-    kind = state["kind"]
-    expected = {
-        "uniform": "UniformTraffic",
-        "poisson": "PoissonTraffic",
-        "burst": "BurstTraffic",
-        "onoff": "OnOffTraffic",
-        "trace": "TraceTraffic",
-    }.get(kind)
-    _check(type(model).__name__ == expected,
-           f"traffic model family {kind!r}")
-    if kind == "uniform" or kind == "poisson":
-        model._next_emission = state["next_emission"]
-    elif kind == "burst":
-        model._state = state["state"]
-        model._next_slot = state["next_slot"]
-        model._burst_id = state["burst_id"]
-        model._burst_dst = state["burst_dst"]
-    elif kind == "onoff":
-        model._next_emission = state["next_emission"]
-        model._in_burst = state["in_burst"]
-        model._burst_id = state["burst_id"]
-        model._burst_dst = state["burst_dst"]
-    else:  # trace
-        model._cursor = state["cursor"]
-    model.rng._lfsr.state = rng_state
-
-
-def _restore_receptor(receptor, state: Dict[str, Any]) -> None:
-    receptor.packets_received = state["packets_received"]
-    receptor.flits_received = state["flits_received"]
-    receptor.first_cycle = state["first_cycle"]
-    receptor.last_cycle = state["last_cycle"]
-    receptor.enabled = state["enabled"]
-    if "latency" in state:
-        lat_state = state["latency"]
-        lat = receptor.latency
-        lat.count = lat_state["count"]
-        lat.total_latency = lat_state["total_latency"]
-        lat.min_latency = lat_state["min_latency"]
-        lat.max_latency = lat_state["max_latency"]
-        _restore_histogram(lat.histogram, lat_state["histogram"])
-        lat.total_queueing = lat_state["total_queueing"]
-        lat.total_network = lat_state["total_network"]
-        lat.decomposed_count = lat_state["decomposed_count"]
-        lat._burst_acc.clear()
-        for burst, queueing, count in lat_state["burst_acc"]:
-            lat._burst_acc[int(burst)][:] = [queueing, count]
-        con_state = state["congestion"]
-        con = receptor.congestion
-        con.packets = con_state["packets"]
-        con.flits = con_state["flits"]
-        con.total_stall_cycles = con_state["total_stall_cycles"]
-        con.max_packet_stall = con_state["max_packet_stall"]
-        con.congested_packets = con_state["congested_packets"]
-    if "length_histogram" in state:
-        _restore_histogram(
-            receptor.length_histogram, state["length_histogram"]
-        )
-        _restore_histogram(
-            receptor.gap_histogram, state["gap_histogram"]
-        )
-        _restore_histogram(
-            receptor.source_histogram, state["source_histogram"]
-        )
-        receptor._previous_arrival = state["previous_arrival"]
 
 
 def _restore_injector(injector, fstate: Dict[str, Any],
                       platform: EmulationPlatform) -> None:
+    restore_into(injector, fstate, "faults.injector")
     network = platform.network
-    schedule = injector.schedule
-    injector._next_idx = fstate["next_idx"]
-    injector._dead_pairs = {
-        (a, b) for a, b in fstate["dead_pairs"]
-    }
-    injector._boundary_cycle = fstate["boundary_cycle"]
-    injector._boundary_packets = fstate["boundary_packets"]
-    injector._boundary_label = fstate["boundary_label"]
-
-    rstate = fstate["report"]
     report = injector.report
-    report.dropped_flits = rstate["dropped_flits"]
-    report.dropped_packets = rstate["dropped_packets"]
-    report.per_link_drops.clear()
-    report.per_link_drops.update(rstate["per_link_drops"])
+    rstate = fstate["report"]
     report.events[:] = [
-        FaultEventRecord(
-            cycle=rec["cycle"],
-            kind=rec["kind"],
-            detail=rec["detail"],
-            dropped_flits=rec["dropped_flits"],
-            dropped_packets=rec["dropped_packets"],
-            repaired=rec["repaired"],
-            repair_wall_seconds=rec["repair_wall_seconds"],
-            recovery_cycles=rec["recovery_cycles"],
-        )
-        for rec in rstate["events"]
+        FaultEventRecord.from_dict(rec) for rec in rstate["events"]
     ]
-    report.windows[:] = [
-        FaultWindow(label=label, start=start, end=end,
-                    packets_received=packets)
-        for label, start, end, packets in rstate["windows"]
-    ]
-    report.degraded = rstate["degraded"]
-    report.degraded_reason = rstate["degraded_reason"]
+    report.windows[:] = [FaultWindow(*w) for w in rstate["windows"]]
+    injector._dead_pairs = {(a, b) for a, b in fstate["dead_pairs"]}
 
     # Detach the credit hooks of downed links exactly as link_down
     # did, through the saved-credit store, so link_up can re-baseline.
@@ -296,7 +158,7 @@ def _restore_injector(injector, fstate: Dict[str, Any],
     # derived exactly as _apply_flaky derives them.
     injector._flaky = []
     for event_idx, record_idx in fstate["flaky"]:
-        event = schedule.events[event_idx]
+        event = injector.schedule.events[event_idx]
         links = list(network.switch_links[(event.a, event.b)])
         threshold = int(event.drop_p * 2**32)
         injector._flaky.append(
@@ -317,74 +179,43 @@ def _restore_injector(injector, fstate: Dict[str, Any],
         injector.install_routes(*injector.repaired_routes())
 
 
-def restore(
-    checkpoint: Checkpoint,
-) -> Tuple[EmulationPlatform, EmulationEngine]:
-    """Rebuild ``(platform, engine)`` resuming at ``checkpoint.cycle``.
-
-    The continuation is bit-identical to the uninterrupted run on both
-    kernels: drive ``engine.run(...)`` or step
-    ``platform.step_reference()`` manually, exactly as you would have
-    driven the original.
-    """
-    spec = checkpoint.spec
-    state = checkpoint.state
-    platform = build_platform(spec.to_platform_config())
+def _overlay(platform: EmulationPlatform, spec,
+             state: Dict[str, Any]) -> Tuple[EmulationEngine, Any]:
+    """Write ``state`` into the fresh ``platform``; return the engine
+    and the repositioned pid allocator (installed by the caller)."""
     network = platform.network
-
-    _check(len(state["switches"]) == len(network.switches),
-           "switch count")
-    _check(len(state["nis"]) == len(network.nis), "NI count")
-    _check(len(state["rx"]) == len(network.rx), "rx count")
-    _check(len(state["links"]) == len(network.links), "link count")
-    _check(len(state["generators"]) == len(platform.generators),
-           "generator count")
-    _check(len(state["receptors"]) == len(platform.receptors),
-           "receptor count")
+    for name, components in (
+        ("switches", network.switches),
+        ("nis", network.nis),
+        ("rx", network.rx),
+        ("links", network.links),
+        ("generators", platform.generators),
+        ("receptors", platform.receptors),
+    ):
+        _check(len(state[name]) == len(components), f"{name} count")
     net_state = state["network"]
     _check(net_state["wheel_size"] == network._wheel_size,
            "delivery wheel size")
 
     registry = _PacketRegistry(state["packets"])
-    cycle = state["cycle"]
-    network.cycle = cycle
+    cycle = network.cycle = state["cycle"]
 
-    for link, link_state in zip(network.links, state["links"]):
-        link.flits_carried = link_state["flits_carried"]
-        link.flits_dropped = link_state["flits_dropped"]
-        link.stats_since = link_state["stats_since"]
-        link.down = link_state["down"]
-        link._last_send_cycle = link_state["last_send_cycle"]
-        link.wire_count = link_state["wire_count"]
-
-    for sw, sw_state in zip(network.switches, state["switches"]):
-        _restore_switch(sw, sw_state, registry)
-
-    for ni, ni_state in zip(network.nis, state["nis"]):
-        ni._flits.extend(
-            registry.flit(pid, seq, stall)
-            for pid, seq, stall in ni_state["flits"]
-        )
-        ni._credits = ni_state["credits"]
-        ni._active = ni_state["active"]
-        ni._parked = ni_state["parked"]
-        ni._park_cycle = ni_state["park_cycle"]
-        ni.offered_packets = ni_state["offered_packets"]
-        ni.injected_flits = ni_state["injected_flits"]
-        ni.injected_packets = ni_state["injected_packets"]
-        ni._stall_cycles = ni_state["stall_cycles"]
-        ni.peak_queue = ni_state["peak_queue"]
-
-    for rx, rx_state in zip(network.rx, state["rx"]):
+    for i, link in enumerate(network.links):
+        restore_into(link, state["links"][i], f"links[{i}]")
+    for i, sw in enumerate(network.switches):
+        _restore_switch(sw, state["switches"][i], registry,
+                        f"switches[{i}]")
+    for i, ni in enumerate(network.nis):
+        ni_state = state["nis"][i]
+        restore_into(ni, ni_state, f"nis[{i}]")
+        ni._flits.extend(registry.flits(ni_state["flits"]))
+    for i, rx in enumerate(network.rx):
+        rx_state = state["rx"][i]
+        restore_into(rx, rx_state, f"rx[{i}]")
         for pid, flits in rx_state["partial"]:
             rx._partial[pid] = [
-                registry.flit(pid, seq, stall)
-                for seq, stall in flits
+                registry.flit(pid, seq, stall) for seq, stall in flits
             ]
-        rx.received_flits = rx_state["received_flits"]
-        rx.received_packets = rx_state["received_packets"]
-        rx.misrouted_flits = rx_state["misrouted_flits"]
-        rx.aborted_packets = rx_state["aborted_packets"]
 
     # Delivery wheels: resolve credit entries against the freshly
     # wired hooks *before* fault restoration detaches any of them.
@@ -419,34 +250,30 @@ def restore(
         _check(ni._active == (ni.node in active_nodes),
                f"NI {ni.node} active-flag consistency")
 
-    for gen, gen_state in zip(platform.generators,
-                              state["generators"]):
-        gen.enabled = gen_state["enabled"]
-        gen._silent_until = gen_state["silent_until"]
-        gen._bp_since = gen_state["bp_since"]
-        gen.packets_sent = gen_state["packets_sent"]
-        gen.flits_sent = gen_state["flits_sent"]
-        gen._backpressure_cycles = gen_state["backpressure_cycles"]
-        _restore_model(
-            gen.model, gen_state["model"], gen_state["rng_state"]
-        )
+    for i, gen in enumerate(platform.generators):
+        gen_state = state["generators"][i]
+        kind = gen_state["model"]["kind"]
+        _check(MODEL_KINDS.get(type(gen.model)) == kind,
+               f"traffic model family {kind!r}")
+        restore_into(gen, gen_state, f"generators[{i}]")
+        gen.model.rng._lfsr.state = gen_state["rng_state"]
         if gen._bp_since is not None:
             # The original run had a one-shot drain watch armed; the
             # NI still holds >= queue_limit flits, so re-arming
             # cannot fire early.
             gen.ni.watch_drain(gen.queue_limit, gen._on_ni_drain)
 
-    pstate = state["platform"]
-    platform._next_gen_poll = pstate["next_gen_poll"]
-    platform._gen_next[:] = pstate["gen_next"]
-    platform._packets_sent = pstate["packets_sent"]
-    platform._packets_received = pstate["packets_received"]
+    restore_into(platform, state["platform"], "platform")
 
-    for receptor, r_state in zip(platform.receptors,
-                                 state["receptors"]):
-        _restore_receptor(receptor, r_state)
+    for i, receptor in enumerate(platform.receptors):
+        r_state = state["receptors"][i]
+        restore_into(receptor, r_state, f"receptors[{i}]")
+        latency = getattr(receptor, "latency", None)
+        if latency is not None:  # trace-driven
+            latency._burst_acc.clear()
+            for burst, count, total in r_state["latency"]["burst_acc"]:
+                latency._burst_acc[int(burst)][:] = [count, total]
 
-    # --- faults.
     fstate = state["faults"]
     schedule = None
     injector = None
@@ -460,43 +287,15 @@ def restore(
     elif spec.faults is not None:
         schedule = spec.faults
 
-    # --- telemetry (base snapshot last: deltas continue from the
-    # fully restored counters).
+    # Telemetry last: the base reading continues from the fully
+    # restored counters.
     telemetry = None
     tstate = state["telemetry"]
     if tstate is not None:
-        telemetry = WindowedMetrics(
-            platform, tstate["window_cycles"]
-        )
-        telemetry._started = tstate["started"]
-        telemetry._start = tstate["start"]
-        telemetry._boundary = tstate["boundary"]
+        telemetry = WindowedMetrics(platform, tstate["window_cycles"])
+        restore_into(telemetry, tstate, "telemetry")
         telemetry.records[:] = [
-            WindowRecord(
-                index=rec["index"],
-                start=rec["start"],
-                end=rec["end"],
-                injected_flits=rec["injected_flits"],
-                injected_packets=rec["injected_packets"],
-                ejected_flits=rec["ejected_flits"],
-                ejected_packets=rec["ejected_packets"],
-                forwarded_flits=rec["forwarded_flits"],
-                blocked_flit_cycles=rec["blocked_flit_cycles"],
-                credit_stall_cycles=rec["credit_stall_cycles"],
-                ni_stall_cycles=rec["ni_stall_cycles"],
-                backpressure_cycles=rec["backpressure_cycles"],
-                fault_dropped_flits=rec["fault_dropped_flits"],
-                switch_forwarded=tuple(rec["switch_forwarded"]),
-                switch_blocked=tuple(rec["switch_blocked"]),
-                switch_credit_stalls=tuple(
-                    rec["switch_credit_stalls"]
-                ),
-                link_flits=dict(rec["link_flits"]),
-                switch_buffered=tuple(rec["switch_buffered"]),
-                parked_inputs=rec["parked_inputs"],
-                in_flight_flits=rec["in_flight_flits"],
-            )
-            for rec in tstate["records"]
+            WindowRecord.from_dict(rec) for rec in tstate["records"]
         ]
         base = tstate["base"]
         if base is not None:
@@ -510,10 +309,31 @@ def restore(
         platform, faults=schedule, telemetry=telemetry
     )
     engine._injector = injector
+    return engine, itertools.count(state["next_pid"])
 
+
+def restore(
+    checkpoint: Checkpoint,
+) -> Tuple[EmulationPlatform, EmulationEngine]:
+    """Rebuild ``(platform, engine)`` resuming at ``checkpoint.cycle``.
+
+    The continuation is bit-identical to the uninterrupted run on both
+    kernels: drive ``engine.run(...)`` or step
+    ``platform.step_reference()`` manually, exactly as you would have
+    driven the original.
+    """
+    platform = build_platform(checkpoint.spec.to_platform_config())
+    try:
+        engine, packet_ids = _overlay(
+            platform, checkpoint.spec, checkpoint.state
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointCorruptError(
+            f"checkpoint state is malformed:"
+            f" {type(exc).__name__}: {exc}"
+        ) from exc
     # Future packets continue the original pid sequence (pids feed
     # the flaky-drop RNG and the multipath hash, so this is part of
     # bit-identity, not cosmetics).
-    flit_mod._packet_ids = itertools.count(state["next_pid"])
-
+    flit_mod._packet_ids = packet_ids
     return platform, engine

@@ -82,7 +82,7 @@ Static analysis (see ``repro.analysis``)::
 
     python -m repro lint
     python -m repro lint src/repro --format json
-    python -m repro lint --rule state-coverage --rule wall-clock
+    python -m repro lint --rule settle-on-read --rule wall-clock
     python -m repro lint --list-rules
 
 ``lint`` runs the determinism/invariant checker over Python sources

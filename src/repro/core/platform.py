@@ -51,6 +51,14 @@ class EmulationPlatform:
     (their callbacks fire from within the network's ejection phase).
     """
 
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: the structure ``build_platform`` rebuilds from the spec, whose
+    #: components checkpoint code walks one by one.
+    __rebuilt__ = (
+        "config", "topology", "network", "generators", "receptors",
+        "fabric", "control", "tg_devices", "tr_devices",
+    )
+
     def __init__(
         self,
         config: PlatformConfig,

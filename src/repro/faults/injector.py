@@ -43,12 +43,21 @@ NEVER = 1 << 62
 class FaultInjector:
     """Applies a fault schedule to a live platform, cycle-accurately."""
 
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: the schedule (captured whole) and the platform; checkpoint code
+    #: maps the dead pairs, saved credit hooks, flaky windows and
+    #: recovery probes itself.
+    __rebuilt__ = (
+        "schedule", "platform", "_events", "_dead_pairs",
+        "_saved_credit", "_flaky", "_awaiting",
+    )
+
     def __init__(self, schedule: FaultSchedule, platform) -> None:
         self.schedule = schedule
-        self.platform = platform  # repro: allow[state-coverage] platform reference; re-attached when the injector is rebuilt
+        self.platform = platform
         network = platform.network
         topo = platform.topology
-        self._events: Tuple[FaultEvent, ...] = schedule.events  # repro: allow[state-coverage] derived from the schedule, which is captured whole
+        self._events: Tuple[FaultEvent, ...] = schedule.events
         self._next_idx = 0
         #: Directed switch pairs currently avoided by repair.
         self._dead_pairs: Set[Tuple[int, int]] = set()

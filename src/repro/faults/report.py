@@ -47,6 +47,11 @@ class FaultEventRecord:
             "recovery_cycles": self.recovery_cycles,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultEventRecord":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**data)
+
 
 @dataclass
 class FaultWindow:
@@ -89,6 +94,10 @@ class FaultReport:
     windows: List[FaultWindow] = field(default_factory=list)
     degraded: bool = False
     degraded_reason: Optional[str] = None
+
+    #: Record lists checkpoint code serializes itself (see
+    #: :mod:`repro.checkpoint.walker`).
+    __rebuilt__ = ("events", "windows")
 
     @property
     def reroutes(self) -> List[FaultEventRecord]:

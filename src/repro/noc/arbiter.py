@@ -15,10 +15,13 @@ from typing import List, Optional, Sequence
 class Arbiter:
     """Base class: pick one requester among ``n_requesters`` candidates."""
 
+    #: Not checkpointed (see :mod:`repro.checkpoint.walker`): config.
+    __rebuilt__ = ("n_requesters",)
+
     def __init__(self, n_requesters: int) -> None:
         if n_requesters < 1:
             raise ValueError("arbiter needs at least one requester")
-        self.n_requesters = n_requesters  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.n_requesters = n_requesters
         self.grants = 0
         self.grant_counts = [0] * n_requesters
 

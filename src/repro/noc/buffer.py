@@ -47,10 +47,10 @@ class FlitBuffer:
     """
 
     __slots__ = (
-        "capacity",  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        "name",  # repro: allow[state-coverage] derived from the owning switch/port at construction
+        "capacity",
+        "name",
         "_fifo",
-        "_pid_counts",  # repro: allow[state-coverage] re-derived from the restored FIFO contents
+        "_pid_counts",
         "total_pushes",
         "total_pops",
         "peak_occupancy",

@@ -75,7 +75,7 @@ class Packet:
     injection_cycle: int = 0
     wire_entry_cycle: Optional[int] = None
     burst_id: Optional[int] = None
-    payload: Optional[object] = None  # repro: allow[state-coverage] opaque test/replay payload; excluded from checkpoints by design
+    payload: Optional[object] = None
     pid: int = field(default_factory=_next_packet_id)
 
     def __post_init__(self) -> None:
@@ -122,10 +122,10 @@ class Flit:
     __slots__ = (
         "kind",
         "packet",
-        "seq",  # repro: allow[state-coverage] re-derived via Packet.flits() during restore
+        "seq",
         "stall_cycles",
-        "is_head",  # repro: allow[state-coverage] re-derived via Packet.flits() during restore
-        "is_tail",  # repro: allow[state-coverage] re-derived via Packet.flits() during restore
+        "is_head",
+        "is_tail",
         "src",
         "dst",
     )

@@ -30,11 +30,11 @@ class Link:
     """
 
     __slots__ = (
-        "delay",  # repro: allow[state-coverage] construction config from the topology
-        "name",  # repro: allow[state-coverage] derived from the endpoints at construction
-        "wheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "wheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "sink",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "delay",
+        "name",
+        "wheel",
+        "wheel_size",
+        "sink",
         "dst",
         "rx",
         "wire_count",
@@ -43,6 +43,11 @@ class Link:
         "flits_carried",
         "stats_since",
         "_last_send_cycle",
+    )
+    #: Not checkpointed (see :mod:`repro.checkpoint.walker`): topology
+    #: config and the delivery wiring the network re-installs.
+    __rebuilt__ = (
+        "delay", "name", "wheel", "wheel_size", "sink", "dst", "rx",
     )
 
     def __init__(self, delay: int = 1, name: str = "") -> None:

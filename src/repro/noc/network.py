@@ -107,9 +107,9 @@ class Network:
         sample_buffers: bool = False,
     ) -> None:
         topology.validate()
-        self.topology = topology  # repro: allow[state-coverage] structural; restore rebuilds the network from the spec
-        self.routing = routing  # repro: allow[state-coverage] structural; restore rebuilds the network from the spec
-        self.sample_buffers = sample_buffers  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.topology = topology
+        self.routing = routing
+        self.sample_buffers = sample_buffers
         self.switches: List[Switch] = [
             Switch(
                 s,
@@ -133,17 +133,17 @@ class Network:
         self.links: List[Link] = []
         #: Map from a directed switch pair (a, b) to the links carrying
         #: a -> b traffic, for link-load monitoring (Slide 19's 90% links).
-        self.switch_links: Dict[Tuple[int, int], List[Link]] = {}  # repro: allow[state-coverage] derived wiring index; rebuilt by Network._wire on restore
+        self.switch_links: Dict[Tuple[int, int], List[Link]] = {}
         #: Map from a link to its upstream feeder: ``(switch, output
         #: port object)`` for inter-switch and ejection links, ``(None,
         #: ni)`` for injection links.  Fault injection walks this to
         #: find the credit counter a dropped wire flit must refund.
-        self.link_upstream: Dict[Link, tuple] = {}  # repro: allow[state-coverage] derived wiring index; rebuilt by Network._wire on restore
+        self.link_upstream: Dict[Link, tuple] = {}
         #: Map from ``(switch_id, input_port)`` to the link feeding it,
         #: for the instant credit refund of purged buffer slots.
-        self._input_feed: Dict[Tuple[int, int], Link] = {}  # repro: allow[state-coverage] derived wiring index; rebuilt by Network._wire on restore
+        self._input_feed: Dict[Tuple[int, int], Link] = {}
         # Per-link downstream flit sink: called with (flit, now).
-        self._flit_sinks: List[Callable[[Flit, int], None]] = []  # repro: allow[state-coverage] derived wiring index; rebuilt by Network._wire on restore
+        self._flit_sinks: List[Callable[[Flit, int], None]] = []
         # Credit-return registrations deferred until the delivery
         # wheels exist: (downstream switch, input port, link, wheel
         # entry).  The entry is structural — (output port object,
@@ -151,7 +151,7 @@ class Network:
         # injection link — so the credit phase settles each return
         # with one attribute add, and the downstream switch's fused
         # hop appends it to the wheel without a callback frame.
-        self._pending_credit_hooks: List[tuple] = []  # repro: allow[state-coverage] derived wiring index; rebuilt by Network._wire on restore
+        self._pending_credit_hooks: List[tuple] = []
         # Event-driven scheduling state.  The active lists hold the
         # switches/NIs with *actionable* work — a switch is listed
         # while its per-input scan list is non-empty, i.e. while at
@@ -179,9 +179,9 @@ class Network:
         # traffic*, not per flit, and when set run the out-of-line
         # forms (link sinks, ``NetworkInterface.inject``) with the
         # tracer hooks around them.
-        self._tracer = None  # repro: allow[state-coverage] tracers must be re-attached after restore (capture refuses otherwise)
+        self._tracer = None
         self._wire()
-        self._max_delay = max(  # repro: allow[state-coverage] derived from link delays at construction
+        self._max_delay = max(
             (link.delay for link in self.links), default=1
         )
         size = self._wheel_size = self._max_delay + 1

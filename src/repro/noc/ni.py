@@ -30,23 +30,31 @@ class NetworkInterface:
 
     __slots__ = (
         "node",
-        "name",  # repro: allow[state-coverage] derived from the node id at construction
+        "name",
         "_flits",
-        "_link",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "_link",
         "_credits",
-        "_notify_offer",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_wake",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_clock",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "_notify_offer",
+        "_wake",
+        "_clock",
         "_active",
         "_parked",
         "_park_cycle",
-        "_drain_level",  # repro: allow[state-coverage] re-armed via watch_drain during generator restore
-        "_on_drain",  # repro: allow[state-coverage] re-armed via watch_drain during generator restore
+        "_drain_level",
+        "_on_drain",
         "offered_packets",
         "injected_flits",
         "injected_packets",
         "_stall_cycles",
         "peak_queue",
+    )
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: identity and network wiring; the queued flits go through the
+    #: checkpoint's packet registry; the drain watch is re-armed by the
+    #: restored generator.
+    __rebuilt__ = (
+        "node", "name", "_flits", "_link", "_notify_offer", "_wake",
+        "_clock", "_drain_level", "_on_drain",
     )
 
     def __init__(self, node: int, name: str = "") -> None:
@@ -282,15 +290,22 @@ class ReassemblyBuffer:
 
     __slots__ = (
         "node",
-        "name",  # repro: allow[state-coverage] derived from the node id at construction
-        "on_packet",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "name",
+        "on_packet",
         "_partial",
-        "_last_pid",  # repro: allow[state-coverage] last-packet diagnostic; not observable by metrics or either kernel
-        "_last_flits",  # repro: allow[state-coverage] last-packet diagnostic; not observable by metrics or either kernel
+        "_last_pid",
+        "_last_flits",
         "received_flits",
         "received_packets",
         "misrouted_flits",
         "aborted_packets",
+    )
+    #: Not checkpointed as values: identity, the receptor hook, the
+    #: partial packets (mapped through the packet registry) and the
+    #: one-packet lookup cache over them.
+    __rebuilt__ = (
+        "node", "name", "on_packet", "_partial", "_last_pid",
+        "_last_flits",
     )
 
     def __init__(

@@ -83,9 +83,9 @@ class _OutputPort:
     processing — so appends never need a membership check.
     """
 
-    send: Callable[[Flit, int], None]  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+    send: Callable[[Flit, int], None]
     credits: int  # remaining downstream buffer slots (None -> infinite)
-    infinite_credits: bool = False  # repro: allow[state-coverage] construction config from the topology
+    infinite_credits: bool = False
     lock: Optional[int] = None  # input index holding the wormhole channel
     #: Packet id of the wormhole holding the lock (fault accounting:
     #: lets the injector identify the packet whose tail can no longer
@@ -95,13 +95,18 @@ class _OutputPort:
     flits_sent: int = 0
     #: The Link behind ``send`` when the sink is a plain link, letting
     #: the traverse fast path inline the send; None for custom sinks.
-    link: Optional[object] = None  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+    link: Optional[object] = None
     #: The arbiter of this output port (the switch's per-output list
     #: entry, cached here so the grant loop needs no index lookup).
-    arbiter: Optional[Arbiter] = None  # repro: allow[state-coverage] same object as Switch.arbiters[port], captured there
-    requests: List[int] = field(default_factory=list)  # repro: allow[state-coverage] per-cycle arbitration scratch; asserted empty at checkpoint boundary
+    arbiter: Optional[Arbiter] = None
+    requests: List[int] = field(default_factory=list)
     credit_waiters: List[int] = field(default_factory=list)
     lock_waiters: List[int] = field(default_factory=list)
+
+    #: Not checkpointed (see :mod:`repro.checkpoint.walker`): sink
+    #: wiring, topology config, and the per-cycle request scratch
+    #: (empty at every cycle boundary).
+    __rebuilt__ = ("send", "infinite_credits", "link", "requests")
 
 
 class Switch:
@@ -118,22 +123,22 @@ class Switch:
 
     __slots__ = (
         "switch_id",
-        "config",  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        "routing",  # repro: allow[state-coverage] structural; re-compiled by _compile_routes on restore
+        "config",
+        "routing",
         "inputs",
         "arbiters",
         "_outputs",
         "_input_credit",
         "_input_route",
-        "_input_out",  # repro: allow[state-coverage] structural output map; rebuilt by Network wiring
-        "_route_dense",  # repro: allow[state-coverage] compiled route cache; re-compiled on restore
+        "_input_out",
+        "_route_dense",
         "_buffered",
-        "_wake",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_clock",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "_wake",
+        "_clock",
         "_active",
-        "_sf_mode",  # repro: allow[state-coverage] derived from config.mode at construction
+        "_sf_mode",
         "_scan",
-        "_in_tuples",  # repro: allow[state-coverage] scan-list scratch; rebuilt from the restored parked flags
+        "_in_tuples",
         "_in_active",
         "_in_listed",
         "_in_parked",
@@ -141,13 +146,26 @@ class Switch:
         "_in_park_head",
         "_in_park_credit",
         "_parked_count",
-        "_req_ports",  # repro: allow[state-coverage] per-cycle arbitration scratch; asserted empty at checkpoint boundary
-        "_cwheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_fwheel",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
-        "_wheel_size",  # repro: allow[state-coverage] wiring; re-installed by Network construction on restore
+        "_req_ports",
+        "_cwheel",
+        "_fwheel",
+        "_wheel_size",
         "flits_forwarded",
         "_blocked_flit_cycles",
         "_credit_stall_cycles",
+    )
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: config, routing and wiring the network rebuilds; the arbiters,
+    #: captured through their output ports; and the per-input columns,
+    #: FIFOs and scan order, which checkpoint code transposes into
+    #: per-input records and maps through the packet registry.
+    __rebuilt__ = (
+        "switch_id", "config", "routing", "inputs", "arbiters",
+        "_input_credit", "_input_route", "_input_out", "_route_dense",
+        "_wake", "_clock", "_sf_mode", "_scan", "_in_tuples",
+        "_in_active", "_in_listed", "_in_parked", "_in_park_cycle",
+        "_in_park_head", "_in_park_credit", "_req_ports", "_cwheel",
+        "_fwheel", "_wheel_size",
     )
 
     def __init__(

@@ -23,6 +23,10 @@ class TrafficReceptor:
     ``attach`` plumbing to a reassembly buffer.
     """
 
+    #: Not checkpointed (see :mod:`repro.checkpoint.walker`): identity
+    #: and the platform's count hook.  Subclass analyzers are walked.
+    __rebuilt__ = ("node", "name", "on_count")
+
     def __init__(self, node: int, name: str = "") -> None:
         self.node = node
         self.name = name or f"tr{node}"

@@ -23,6 +23,9 @@ class Histogram:
     below ``origin`` in an underflow counter.
     """
 
+    #: The geometry is config (see :mod:`repro.checkpoint.walker`).
+    __rebuilt__ = ("n_bins", "bin_width", "origin")
+
     def __init__(
         self, n_bins: int, bin_width: int = 1, origin: int = 0
     ) -> None:

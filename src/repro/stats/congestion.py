@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CongestionCounter:
     """Accumulates per-packet blocking observed at a receptor."""
 
+    #: Every field is checkpointed (see :mod:`repro.checkpoint.walker`).
+    __rebuilt__ = ()
+
     def __init__(self) -> None:
         self.packets = 0
         self.flits = 0

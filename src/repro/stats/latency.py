@@ -25,6 +25,10 @@ class LatencyAnalyzer:
     the packets-per-burst sweeps of the paper's trace-driven figures.
     """
 
+    #: Checkpoint code saves the per-burst defaultdict as rows (see
+    #: :mod:`repro.checkpoint.walker`); every other field is walked.
+    __rebuilt__ = ("_burst_acc",)
+
     def __init__(
         self, histogram_bins: int = 64, histogram_bin_width: int = 8
     ) -> None:

@@ -112,6 +112,16 @@ class WindowRecord:
             "in_flight_flits": self.in_flight_flits,
         }
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "WindowRecord":
+        """Inverse of :meth:`to_dict` (lists back to tuples)."""
+        fields = dict(data)
+        for name in ("switch_forwarded", "switch_blocked",
+                     "switch_credit_stalls", "switch_buffered"):
+            fields[name] = tuple(fields[name])
+        fields["link_flits"] = dict(fields["link_flits"])
+        return cls(**fields)
+
 
 class WindowedMetrics:
     """Collects a :class:`WindowRecord` time series from a platform.
@@ -132,6 +142,15 @@ class WindowedMetrics:
     callback, no sampling.
     """
 
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: component caches re-resolved against the restored platform,
+    #: zero templates, and the records and differencing base, which
+    #: checkpoint code serializes itself.
+    __rebuilt__ = (
+        "platform", "records", "_network", "_switches", "_nis", "_rx",
+        "_links", "_generators", "_base", "_zero_sw", "_zero_record",
+    )
+
     def __init__(self, platform, window_cycles: int) -> None:
         if not isinstance(window_cycles, int) or isinstance(
             window_cycles, bool
@@ -144,26 +163,26 @@ class WindowedMetrics:
             raise ConfigError(
                 f"window_cycles must be >= 1, got {window_cycles}"
             )
-        self.platform = platform  # repro: allow[state-coverage] platform reference; re-resolved against the restored platform
-        self.window_cycles = window_cycles  # repro: allow[state-coverage] constructor argument re-supplied by restore
+        self.platform = platform
+        self.window_cycles = window_cycles
         self.records: List[WindowRecord] = []
         network = platform.network
-        self._network = network  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
-        self._switches = network.switches  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
-        self._nis = network.nis  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
-        self._rx = network.rx  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
-        self._links = network.links  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
-        self._generators = platform.generators  # repro: allow[state-coverage] component cache; re-resolved against the restored platform
+        self._network = network
+        self._switches = network.switches
+        self._nis = network.nis
+        self._rx = network.rx
+        self._links = network.links
+        self._generators = platform.generators
         self._started = False
         self._start = 0
         self._boundary = 0
         self._base: tuple = ()
         n_sw = len(self._switches)
-        self._zero_sw = (0,) * n_sw  # repro: allow[state-coverage] constant zero template built in __init__
+        self._zero_sw = (0,) * n_sw
         # Template for the zero-delta records of fully-skipped windows:
         # only index/start/end differ, so each one is a single
         # ``replace`` call.
-        self._zero_record = WindowRecord(  # repro: allow[state-coverage] constant zero template built in __init__
+        self._zero_record = WindowRecord(
             index=0,
             start=0,
             end=0,

@@ -115,9 +115,14 @@ class TrafficModel:
     the current cycle.
     """
 
+    #: Not checkpointed as values (see :mod:`repro.checkpoint.walker`):
+    #: the LFSR, whose register checkpoint code saves, and its seed.
+    #: Subclasses add their construction parameters.
+    __rebuilt__ = ("rng", "_seed")
+
     def __init__(self, seed: int = 1) -> None:
         self.rng = LfsrRandom(seed)
-        self._seed = seed  # repro: allow[state-coverage] rebuilt from the spec; live stream state rides in rng.state
+        self._seed = seed
 
     def reset(self, seed: Optional[int] = None) -> None:
         """Rewind the process (optionally with a new seed)."""

@@ -43,6 +43,8 @@ class BurstTraffic(TrafficModel):
         LFSR seed.
     """
 
+    __rebuilt__ = ("p_on", "p_off", "length", "destination")
+
     def __init__(
         self,
         p_on: float,
@@ -58,10 +60,10 @@ class BurstTraffic(TrafficModel):
             raise ValueError(f"p_off must be in (0, 1], got {p_off}")
         if length < 1:
             raise ValueError(f"packet length must be >= 1, got {length}")
-        self.p_on = p_on  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        self.p_off = p_off  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.p_on = p_on
+        self.p_off = p_off
         self.length = length
-        self.destination = destination  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.destination = destination
         self._state = _OFF
         self._next_slot = 0
         self._burst_id = -1

@@ -49,6 +49,13 @@ class TrafficGenerator:
         saved as a trace (:meth:`recorded_trace`).
     """
 
+    #: Not checkpointed (see :mod:`repro.checkpoint.walker`): identity,
+    #: config and platform hooks; record mode refuses checkpoints.
+    __rebuilt__ = (
+        "node", "ni", "max_packets", "queue_limit", "_clock",
+        "on_count", "on_wake", "_records",
+    )
+
     def __init__(
         self,
         node: int,
@@ -68,9 +75,9 @@ class TrafficGenerator:
             )
         self.node = node
         self.model = model
-        self.ni = ni  # repro: allow[state-coverage] NI reference; re-attached by the restored platform
-        self.max_packets = max_packets  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        self.queue_limit = queue_limit  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.ni = ni
+        self.max_packets = max_packets
+        self.queue_limit = queue_limit
         self.enabled = True
         # Cycle before which the model is known silent, cached from
         # next_emission_cycle() so idle polls cost one comparison.
@@ -85,15 +92,15 @@ class TrafficGenerator:
         # without it — standalone generators in unit tests — the
         # generator keeps ticking per polled cycle as before.
         self._bp_since: Optional[int] = None
-        self._clock: Optional[Callable[[], int]] = None  # repro: allow[state-coverage] kernel callback; re-installed by platform wiring
+        self._clock: Optional[Callable[[], int]] = None
         # Platform hook: called with a packet-count delta so aggregate
         # progress counters stay O(1) (positive on send, negative on
         # reset).
-        self.on_count: Optional[Callable[[int], None]] = None  # repro: allow[state-coverage] observer hook; re-registered by its owner after restore
+        self.on_count: Optional[Callable[[int], None]] = None
         # Platform hook: invalidates cached poll schedules whenever a
         # control operation (enable, reset, budget change) could make
         # this generator emit earlier than previously computed.
-        self.on_wake: Optional[Callable[[], None]] = None  # repro: allow[state-coverage] observer hook; re-registered by its owner after restore
+        self.on_wake: Optional[Callable[[], None]] = None
         # Statistics.
         self.packets_sent = 0
         self.flits_sent = 0

@@ -29,6 +29,8 @@ class OnOffTraffic(TrafficModel):
         Destination chooser, consulted once per burst.
     """
 
+    __rebuilt__ = ("packets_per_burst", "gap", "length", "destination")
+
     def __init__(
         self,
         packets_per_burst: int,
@@ -46,10 +48,10 @@ class OnOffTraffic(TrafficModel):
             raise ValueError(f"gap must be >= 0 cycles, got {gap}")
         if length < 1:
             raise ValueError(f"packet length must be >= 1, got {length}")
-        self.packets_per_burst = packets_per_burst  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        self.gap = gap  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.packets_per_burst = packets_per_burst
+        self.gap = gap
         self.length = length
-        self.destination = destination  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.destination = destination
         self._next_emission = 0
         self._in_burst = 0
         self._burst_id = 0

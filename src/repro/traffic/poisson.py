@@ -27,6 +27,8 @@ class PoissonTraffic(TrafficModel):
         LFSR seed.
     """
 
+    __rebuilt__ = ("rate", "length", "destination")
+
     def __init__(
         self,
         rate: float,
@@ -39,9 +41,9 @@ class PoissonTraffic(TrafficModel):
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         if length < 1:
             raise ValueError(f"packet length must be >= 1, got {length}")
-        self.rate = rate  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.rate = rate
         self.length = length
-        self.destination = destination  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.destination = destination
         self._next_emission: Optional[int] = None
 
     def reset(self, seed: Optional[int] = None) -> None:

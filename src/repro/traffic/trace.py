@@ -92,9 +92,11 @@ class TraceTraffic(TrafficModel):
     memory through its network interface.
     """
 
+    __rebuilt__ = ("trace",)
+
     def __init__(self, trace: Trace, seed: int = 1) -> None:
         super().__init__(seed)
-        self.trace = trace  # repro: allow[state-coverage] immutable trace table from the spec
+        self.trace = trace
         self._cursor = 0
 
     def reset(self, seed: Optional[int] = None) -> None:

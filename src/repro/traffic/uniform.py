@@ -30,6 +30,8 @@ class UniformTraffic(TrafficModel):
         LFSR seed (the TG's random-initialization register).
     """
 
+    __rebuilt__ = ("_length_range", "_interval_range", "destination")
+
     def __init__(
         self,
         length,
@@ -38,13 +40,13 @@ class UniformTraffic(TrafficModel):
         seed: int = 1,
     ) -> None:
         super().__init__(seed)
-        self._length_range = self._as_range(length, "length")  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
-        self._interval_range = self._as_range(interval, "interval")  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self._length_range = self._as_range(length, "length")
+        self._interval_range = self._as_range(interval, "interval")
         if self._length_range[0] < 1:
             raise ValueError("packet length must be >= 1 flit")
         if self._interval_range[0] < 1:
             raise ValueError("inter-packet interval must be >= 1 cycle")
-        self.destination = destination  # repro: allow[state-coverage] construction config; rebuilt from the spec on restore
+        self.destination = destination
         self._next_emission = 0
 
     @staticmethod

@@ -1,9 +1,8 @@
 """Fixture pairs for the kernel-convention rules.
 
-settle-on-read, parking-wake and state-coverage are the rules that
-encode *this* codebase's invariants; their fixtures mirror the real
-code shapes in ``noc/switch.py``, ``noc/ni.py`` and
-``traffic/generator.py``.
+settle-on-read and parking-wake are the rules that encode *this*
+codebase's invariants; their fixtures mirror the real code shapes in
+``noc/switch.py``, ``noc/ni.py`` and ``traffic/generator.py``.
 """
 
 import textwrap
@@ -177,131 +176,5 @@ def test_bp_since_with_watch_drain_is_clean():
             """
         },
         rules=["parking-wake"],
-    )
-    assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# state-coverage (fixture-scale; the real-tree gate has its own file)
-# ----------------------------------------------------------------------
-CAPTURE_OK = """
-def snapshot(sw):
-    return {"foo": sw._foo, "bar": sw._bar}
-"""
-RESTORE_OK = """
-def restore(sw, state):
-    sw._foo = state["foo"]
-    sw._bar = state["bar"]
-"""
-SWITCH_FIXTURE = """
-class Switch:
-    __slots__ = (
-        "_foo",
-        "_bar",
-    )
-"""
-
-
-def test_state_coverage_clean_when_both_sides_cover():
-    result = lint(
-        {
-            "repro/checkpoint/capture.py": CAPTURE_OK,
-            "repro/checkpoint/restore.py": RESTORE_OK,
-            "repro/noc/switch.py": SWITCH_FIXTURE,
-        },
-        rules=["state-coverage"],
-    )
-    assert result.findings == []
-
-
-def test_state_coverage_fires_when_capture_misses_a_field():
-    result = lint(
-        {
-            "repro/checkpoint/capture.py": """
-            def snapshot(sw):
-                return {"foo": sw._foo}
-            """,
-            "repro/checkpoint/restore.py": RESTORE_OK,
-            "repro/noc/switch.py": SWITCH_FIXTURE,
-        },
-        rules=["state-coverage"],
-    )
-    assert len(result.findings) == 1
-    finding = result.findings[0]
-    assert "Switch._bar" in finding.message
-    assert "capture" in finding.message
-    assert "restore" not in finding.message
-
-
-def test_state_coverage_fires_when_restore_misses_a_field():
-    result = lint(
-        {
-            "repro/checkpoint/capture.py": CAPTURE_OK,
-            "repro/checkpoint/restore.py": """
-            def restore(sw, state):
-                sw._foo = state["foo"]
-            """,
-            "repro/noc/switch.py": SWITCH_FIXTURE,
-        },
-        rules=["state-coverage"],
-    )
-    assert len(result.findings) == 1
-    assert "Switch._bar" in result.findings[0].message
-
-
-def test_state_coverage_restore_kwargs_count_as_coverage():
-    result = lint(
-        {
-            "repro/checkpoint/capture.py": """
-            def snapshot(rec):
-                return rec.to_dict()
-            """,
-            "repro/checkpoint/restore.py": """
-            def restore(state):
-                from repro.telemetry.windows import WindowRecord
-                return WindowRecord(index=state["index"])
-            """,
-            "repro/telemetry/windows.py": """
-            from dataclasses import dataclass
-
-            @dataclass
-            class WindowRecord:
-                index: int
-
-                def to_dict(self):
-                    return {"index": self.index}
-            """,
-        },
-        rules=["state-coverage"],
-    )
-    assert result.findings == []
-
-
-def test_state_coverage_pragma_documents_rebuilt_fields():
-    result = lint(
-        {
-            "repro/checkpoint/capture.py": CAPTURE_OK,
-            "repro/checkpoint/restore.py": RESTORE_OK,
-            "repro/noc/switch.py": """
-            class Switch:
-                __slots__ = (
-                    "_foo",
-                    "_bar",
-                    "_wiring",  # repro: allow[state-coverage] rebuilt by the network
-                )
-            """,
-        },
-        rules=["state-coverage"],
-    )
-    assert result.findings == []
-    assert len(result.suppressed) == 1
-
-
-def test_state_coverage_skipped_without_checkpoint_modules():
-    # A partial lint (no capture/restore in scope) cannot judge
-    # coverage and must stay silent rather than flag everything.
-    result = lint(
-        {"repro/noc/switch.py": SWITCH_FIXTURE},
-        rules=["state-coverage"],
     )
     assert result.findings == []

@@ -17,9 +17,11 @@ from repro.checkpoint import (
     CHECKPOINT_SCHEMA,
     Checkpoint,
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointSchemaError,
     CheckpointSpecMismatch,
     load_checkpoint,
+    restore,
     snapshot,
 )
 from repro.core.platform import build_platform
@@ -195,6 +197,43 @@ def test_from_dict_rejects_missing_fields():
         del broken[key]
         with pytest.raises(CheckpointCorruptError):
             Checkpoint.from_dict(broken)
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (["links"], None, "links"),
+        (["nis", 3, "credits"], None, r"nis\[3\]\.credits"),
+        (["switches", 1, "outputs", 0, "arbiter", "grants"], None,
+         r"switches\[1\]\.outputs\[0\]\.arbiter\.grants"),
+        (["generators", 0, "model", "next_emission"], None,
+         r"generators\[0\]\.model\.next_emission"),
+        (["cycle"], "x", "malformed"),
+        (["generators", 0, "model"], "x", "malformed"),
+    ],
+    ids=["no-links", "ni-credits", "arbiter-grants", "model-field",
+         "cycle-type", "model-type"],
+)
+def test_malformed_state_is_a_checkpoint_error(path, value, match):
+    """A record whose hash is valid but whose state is malformed fails
+    restore with a structured error naming what is wrong, and leaves
+    the global packet-id allocator untouched."""
+    spec = ScenarioSpec(load=0.5, packets=30, seed=3)
+    _, checkpoint = checkpoint_for(spec, cycles=200)
+    state = json.loads(json.dumps(checkpoint.state))
+    *parents, key = path
+    node = state
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    allocator = flit_mod._packet_ids = itertools.count(777)
+    with pytest.raises(CheckpointError, match=match):
+        restore(Checkpoint(spec=spec, state=state))
+    assert flit_mod._packet_ids is allocator
+    assert next(allocator) == 777
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,49 @@ class TestCommands:
         ]
         assert len(lines) == 7  # ppb in 1..64
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["links"], None),
+            (["nis", 0, "credits"], None),
+            (["cycle"], "x"),
+        ],
+        ids=["no-links", "ni-credits", "cycle-type"],
+    )
+    def test_resume_malformed_state_is_a_clean_error(
+        self, tmp_path, capsys, path, value
+    ):
+        """A checkpoint with a valid hash but malformed state exits 2
+        with ``error:``, never a traceback."""
+        import json
+
+        from repro.checkpoint import Checkpoint
+        from repro.experiments.spec import ScenarioSpec
+
+        cp = tmp_path / "cp.json"
+        flags = ["run", "--packets", "50"]
+        assert main(flags + ["--checkpoint-out", str(cp)]) == 0
+        record = json.loads(cp.read_text())
+        *parents, key = path
+        node = record["state"]
+        for part in parents:
+            node = node[part]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        record["hash"] = Checkpoint(
+            spec=ScenarioSpec.from_dict(record["spec"]),
+            state=record["state"],
+        ).content_hash
+        cp.write_text(json.dumps(record))
+        capsys.readouterr()
+        code = main(flags + ["--resume", str(cp)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestTopologyOptions:
     def test_run_generic_topology(self, capsys):
