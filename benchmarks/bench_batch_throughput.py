@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, emit, format_table
+from benchmarks.conftest import RESULTS_DIR, emit, format_table, usable_cores
 from repro.experiments import (
     ResultCache,
     ScenarioSpec,
@@ -47,13 +47,6 @@ PARALLEL_WORKERS = 4
 #: Conservative floors (see module docstring).
 PARALLEL_FLOOR = 2.0
 CACHE_FLOOR = 5.0
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def _measure(runner: SweepRunner, specs):
@@ -83,7 +76,7 @@ def test_batch_throughput_smoke(tmp_path):
     assert cached_runner.last_stats.executed == 0
     assert cached_runner.last_stats.cached == n
 
-    cores = _usable_cores()
+    cores = usable_cores()
     report = {
         "scenarios": n,
         "usable_cores": cores,

@@ -20,7 +20,12 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, emit, format_table
+from benchmarks.conftest import (
+    RESULTS_DIR,
+    check_no_drift,
+    emit,
+    format_table,
+)
 from repro.checkpoint import Checkpoint, restore, snapshot
 from repro.experiments import (
     ScenarioSpec,
@@ -124,34 +129,11 @@ def run_bench():
     }
 
 
-def check_no_drift(report, baseline_path):
-    """Fail before overwriting when deterministic fields changed."""
-    if not os.path.exists(baseline_path):
-        return
-    try:
-        with open(baseline_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return  # unreadable record: nothing to guard against
-    old = committed.get("deterministic")
-    if old is None:
-        return
-    new = report["deterministic"]
-    assert new == old, (
-        f"deterministic checkpoint record drifted from the committed"
-        f" {os.path.basename(baseline_path)} — refusing to"
-        f" overwrite; investigate (or delete the record to"
-        f" re-baseline deliberately).\n"
-        f"committed: {json.dumps(old, sort_keys=True)}\n"
-        f"measured:  {json.dumps(new, sort_keys=True)}"
-    )
-
-
 def test_checkpoint_bench():
     report = run_bench()
 
     baseline_path = os.path.join(RESULTS_DIR, "BENCH_checkpoint.json")
-    check_no_drift(report, baseline_path)
+    check_no_drift(report, baseline_path, "checkpoint")
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(baseline_path, "w", encoding="utf-8") as fh:

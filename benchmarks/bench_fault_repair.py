@@ -14,14 +14,17 @@ repair latencies is a deterministic function of the schedule, so if
 reroute behaviour can never silently rewrite its own baseline.
 """
 
-import itertools
 import json
 import os
 
 import pytest
 
-import repro.noc.flit as flit_mod
-from benchmarks.conftest import RESULTS_DIR, emit, format_table
+from benchmarks.conftest import (
+    RESULTS_DIR,
+    check_no_drift,
+    emit,
+    format_table,
+)
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
@@ -63,9 +66,6 @@ STAGNATION = 20_000
 
 def run_one(name):
     schedule = SCENARIOS[name]
-    # Packet ids feed the flaky drop RNG: rewind the allocator so the
-    # deterministic record is a pure function of the schedule.
-    flit_mod._packet_ids = itertools.count()
     spec = ScenarioSpec(topology="paper", packets=PACKETS[name], seed=1)
     platform = build_platform(spec.to_platform_config())
     result = EmulationEngine(platform, faults=schedule).run(
@@ -106,35 +106,11 @@ def run_one(name):
     return record
 
 
-def check_no_drift(report, baseline_path):
-    """Fail before overwriting when deterministic fields changed."""
-    if not os.path.exists(baseline_path):
-        return
-    try:
-        with open(baseline_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return  # unreadable record: nothing to guard against
-    for name, record in report.items():
-        old = committed.get(name, {}).get("deterministic")
-        if old is None:
-            continue
-        new = record["deterministic"]
-        assert new == old, (
-            f"{name}: deterministic fault record drifted from the"
-            f" committed {os.path.basename(baseline_path)} —"
-            f" refusing to overwrite; investigate (or delete the"
-            f" record to re-baseline deliberately).\n"
-            f"committed: {json.dumps(old, sort_keys=True)}\n"
-            f"measured:  {json.dumps(new, sort_keys=True)}"
-        )
-
-
 def test_fault_repair_bench():
     report = {name: run_one(name) for name in SCENARIOS}
 
     baseline_path = os.path.join(RESULTS_DIR, "BENCH_faults.json")
-    check_no_drift(report, baseline_path)
+    check_no_drift(report, baseline_path, "fault", per_name=True)
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(baseline_path, "w", encoding="utf-8") as fh:

@@ -27,7 +27,13 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, emit, format_table
+from benchmarks.conftest import (
+    RESULTS_DIR,
+    check_no_drift,
+    emit,
+    format_table,
+    usable_cores,
+)
 from repro.experiments import (
     ResultCache,
     ScenarioSpec,
@@ -35,7 +41,7 @@ from repro.experiments import (
     SweepJournal,
     SweepRunner,
 )
-from repro.experiments.runner import _run_record
+from repro.experiments.runner import run_scenario
 from repro.util import canonical_json_bytes
 
 pytestmark = pytest.mark.perf
@@ -54,11 +60,10 @@ OVERHEAD_CEILING = 1.05
 RESUME_FLOOR = 1.4
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
+def _run_record(spec_dict):
+    """Bare-pool task: specs travel as plain dicts (picklable)."""
+    result = run_scenario(ScenarioSpec.from_dict(spec_dict))
+    return result.record(), result.wall_seconds
 
 
 def _bare_pool(specs):
@@ -86,29 +91,6 @@ def _sweep_hash(records):
     return hashlib.sha256(
         canonical_json_bytes(records)
     ).hexdigest()[:16]
-
-
-def check_no_drift(report, baseline_path):
-    """Fail before overwriting when deterministic fields changed."""
-    if not os.path.exists(baseline_path):
-        return
-    try:
-        with open(baseline_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return  # unreadable record: nothing to guard against
-    old = committed.get("deterministic")
-    if old is None:
-        return
-    new = report["deterministic"]
-    assert new == old, (
-        f"deterministic resilience record drifted from the committed"
-        f" {os.path.basename(baseline_path)} — refusing to"
-        f" overwrite; investigate (or delete the record to"
-        f" re-baseline deliberately).\n"
-        f"committed: {json.dumps(old, sort_keys=True)}\n"
-        f"measured:  {json.dumps(new, sort_keys=True)}"
-    )
 
 
 def test_sweep_resilience_bench(tmp_path):
@@ -144,7 +126,7 @@ def test_sweep_resilience_bench(tmp_path):
     cold_wall = supervised_wall  # same sweep, no cache/journal
     resume_speedup = cold_wall / resume_wall
 
-    cores = _usable_cores()
+    cores = usable_cores()
     report = {
         "deterministic": {
             "scenarios": n,
@@ -162,7 +144,7 @@ def test_sweep_resilience_bench(tmp_path):
     }
 
     baseline_path = os.path.join(RESULTS_DIR, "BENCH_resilience.json")
-    check_no_drift(report, baseline_path)
+    check_no_drift(report, baseline_path, "resilience")
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(baseline_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -19,8 +19,8 @@ record summary afterwards.
 
 Before any bench runs, the driver runs the static analyzer (``repro
 lint src/repro --format json``, see ``repro.analysis``) and aborts on
-unsuppressed findings — a perf PR that breaks a determinism or
-checkpoint-coverage invariant fails here in seconds instead of after
+unsuppressed findings — a perf PR that breaks a determinism, parking
+or settle-on-read invariant fails here in seconds instead of after
 the full bench session.  ``--skip-lint`` bypasses the gate;
 ``--lint-only`` runs just it and prints the JSON report.
 """

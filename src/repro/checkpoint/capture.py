@@ -30,12 +30,10 @@ beats tidiness.  Mid-phase transients (arbitration requests) are
 asserted empty rather than serialized.
 """
 
-import itertools
 from typing import Any, Dict, List
 
 from repro.core.platform import EmulationPlatform
 from repro.experiments.spec import ScenarioSpec
-from repro.noc import flit as flit_mod
 from repro.traffic.burst import BurstTraffic
 from repro.traffic.onoff import OnOffTraffic
 from repro.traffic.poisson import PoissonTraffic
@@ -184,10 +182,6 @@ def snapshot(
                 " checkpointable"
             )
 
-    # --- allocator position: the next pid a fresh packet would get.
-    next_pid = next(flit_mod._packet_ids)
-    flit_mod._packet_ids = itertools.count(next_pid)
-
     switches = [_switch_state(sw, packets) for sw in network.switches]
 
     nis = []
@@ -269,7 +263,7 @@ def snapshot(
 
     state: Dict[str, Any] = {
         "cycle": cycle,
-        "next_pid": next_pid,
+        "next_pid": platform.next_pid,
         "packets": sorted(
             [
                 pkt.pid,

@@ -16,27 +16,25 @@ dependency order:
    once and its eager flit list shared by every site that references
    ``(pid, seq)`` — so a parked head is *the same object* as the
    FIFO head it froze, exactly as in the original run;
-3. components, delivery wheels and active lists, then a new
-   :class:`FaultInjector` and :class:`WindowedMetrics` on the new
-   platform (the telemetry base is state: a cut can fall mid-window);
-4. last, the global packet-id allocator, repositioned so future pids
-   continue the original sequence.
+3. components (the platform's pid allocator included, so future pids
+   continue the original sequence), delivery wheels and active lists,
+   then a new :class:`FaultInjector` and :class:`WindowedMetrics` on
+   the new platform (the telemetry base is state: a cut can fall
+   mid-window).
 
 A hash-valid record whose state is malformed (a missing key, a wrong
-type or length) raises :class:`CheckpointCorruptError` and leaves the
-allocator untouched.  The returned engine carries the injector (if
-any) so :meth:`EmulationEngine.run` resumes the fault schedule
-mid-flight instead of restarting it.
+type or length) raises :class:`CheckpointCorruptError`.  The returned
+engine carries the injector (if any) so :meth:`EmulationEngine.run`
+resumes the fault schedule mid-flight instead of restarting it.
 """
 
-import itertools
+import operator
 from typing import Any, Dict, List, Tuple
 
 from repro.core.engine import EmulationEngine
 from repro.core.platform import EmulationPlatform, build_platform
 from repro.faults.report import FaultEventRecord, FaultWindow
 from repro.faults.schedule import FaultSchedule
-from repro.noc import flit as flit_mod
 from repro.noc.flit import Packet
 from repro.telemetry import WindowedMetrics
 from repro.telemetry.windows import WindowRecord
@@ -180,9 +178,8 @@ def _restore_injector(injector, fstate: Dict[str, Any],
 
 
 def _overlay(platform: EmulationPlatform, spec,
-             state: Dict[str, Any]) -> Tuple[EmulationEngine, Any]:
-    """Write ``state`` into the fresh ``platform``; return the engine
-    and the repositioned pid allocator (installed by the caller)."""
+             state: Dict[str, Any]) -> EmulationEngine:
+    """Write ``state`` into the fresh ``platform``; return the engine."""
     network = platform.network
     for name, components in (
         ("switches", network.switches),
@@ -264,6 +261,9 @@ def _overlay(platform: EmulationPlatform, spec,
             gen.ni.watch_drain(gen.queue_limit, gen._on_ni_drain)
 
     restore_into(platform, state["platform"], "platform")
+    # Pids feed the flaky-drop RNG and the multipath hash: continuing
+    # the sequence is part of bit-identity (a non-int is malformed).
+    platform.next_pid = operator.index(state["next_pid"])
 
     for i, receptor in enumerate(platform.receptors):
         r_state = state["receptors"][i]
@@ -309,7 +309,7 @@ def _overlay(platform: EmulationPlatform, spec,
         platform, faults=schedule, telemetry=telemetry
     )
     engine._injector = injector
-    return engine, itertools.count(state["next_pid"])
+    return engine
 
 
 def restore(
@@ -324,16 +324,10 @@ def restore(
     """
     platform = build_platform(checkpoint.spec.to_platform_config())
     try:
-        engine, packet_ids = _overlay(
-            platform, checkpoint.spec, checkpoint.state
-        )
+        engine = _overlay(platform, checkpoint.spec, checkpoint.state)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(
             f"checkpoint state is malformed:"
             f" {type(exc).__name__}: {exc}"
         ) from exc
-    # Future packets continue the original pid sequence (pids feed
-    # the flaky-drop RNG and the multipath hash, so this is part of
-    # bit-identity, not cosmetics).
-    flit_mod._packet_ids = packet_ids
     return platform, engine

@@ -57,6 +57,8 @@ class EmulationPlatform:
     __rebuilt__ = (
         "config", "topology", "network", "generators", "receptors",
         "fabric", "control", "tg_devices", "tr_devices",
+        # Mapped by hand to the checkpoint's top-level "next_pid".
+        "next_pid",
     )
 
     def __init__(
@@ -76,6 +78,11 @@ class EmulationPlatform:
         self.control = ControlDevice()
         self.tg_devices: List[TGDevice] = []
         self.tr_devices: List[TRDevice] = []
+        # The pid the next emitted packet gets.  Pids feed the
+        # multipath hash and the flaky-drop RNG, so each platform
+        # numbers its own packets: its traffic depends only on its
+        # registers, never on what else the process built.
+        self.next_pid = 0
         # O(1) platform-wide progress counters, maintained by delta
         # hooks on every generator/receptor (so resets through any
         # path — engine, bus registers, reset_statistics — stay
@@ -85,6 +92,7 @@ class EmulationPlatform:
             r.packets_received for r in receptors
         )
         for index, generator in enumerate(generators):
+            generator.new_pid = self._new_pid
             generator.on_count = self._count_sent
             generator.on_wake = self._make_gen_wake(index)
             # The platform clock enables backpressure parking: a
@@ -108,6 +116,11 @@ class EmulationPlatform:
 
     def _now_cycle(self) -> int:
         return self.network.cycle
+
+    def _new_pid(self) -> int:
+        pid = self.next_pid
+        self.next_pid = pid + 1
+        return pid
 
     def _count_sent(self, delta: int) -> None:
         self._packets_sent += delta

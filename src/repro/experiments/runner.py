@@ -11,8 +11,9 @@ Three properties the sweeps rely on:
 
 * **Determinism** — a scenario's metrics are a pure function of its
   spec: every generator seed is derived from ``(seed, spec hash, TG
-  index)`` (:meth:`ScenarioSpec.stream_seed`), so serial, parallel and
-  re-ordered executions produce bit-identical records.  Wall-clock
+  index)`` (:meth:`ScenarioSpec.stream_seed`) and each platform
+  numbers its own packets, so serial, parallel and re-ordered
+  executions produce bit-identical records.  Wall-clock
   speed is measured but kept *outside* the record.
 * **Parallelism** — ``workers > 1`` fans scenarios out over a
   ``multiprocessing`` pool (one emulation per task, order-preserving),
@@ -49,7 +50,7 @@ from typing import (
 
 from repro.core.engine import EmulationEngine
 from repro.core.errors import ConfigError
-from repro.core.platform import build_platform
+from repro.core.platform import EmulationPlatform, build_platform
 from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
     FailureRecord,
@@ -108,6 +109,22 @@ class ScenarioResult:
         )
 
 
+def _build_engine(
+    spec: ScenarioSpec,
+) -> Tuple[EmulationPlatform, EmulationEngine]:
+    """``spec``'s fresh platform and the engine that runs it, with the
+    spec's fault schedule and telemetry windows attached."""
+    platform = build_platform(spec.to_platform_config())
+    telemetry = None
+    if spec.telemetry_windows is not None:
+        from repro.telemetry.windows import WindowedMetrics
+
+        telemetry = WindowedMetrics(platform, spec.telemetry_windows)
+    return platform, EmulationEngine(
+        platform, faults=spec.faults, telemetry=telemetry
+    )
+
+
 def run_scenario(
     spec: ScenarioSpec, timeout: Optional[float] = None
 ) -> ScenarioResult:
@@ -119,26 +136,9 @@ def run_scenario(
     computes — a finished run's record is identical with or without
     the deadline.
     """
-    import itertools
-
-    import repro.noc.flit as flit_mod
-
     started = time.perf_counter()  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
-    # Packet ids feed the multipath routing hash and the flaky-fault
-    # drop RNG.  Rewind the global allocator so the record really is a
-    # pure function of the spec, independent of whatever this process
-    # ran before (worker pools reuse processes; serial sweeps share
-    # one).
-    flit_mod._packet_ids = itertools.count()
-    platform = build_platform(spec.to_platform_config())
-    telemetry = None
-    if spec.telemetry_windows is not None:
-        from repro.telemetry.windows import WindowedMetrics
-
-        telemetry = WindowedMetrics(platform, spec.telemetry_windows)
-    result = EmulationEngine(
-        platform, faults=spec.faults, telemetry=telemetry
-    ).run(max_wall_seconds=timeout)
+    platform, engine = _build_engine(spec)
+    result = engine.run(max_wall_seconds=timeout)
     from repro.stats.summary import scenario_metrics
 
     metrics = scenario_metrics(platform, result)
@@ -147,12 +147,6 @@ def run_scenario(
         metrics=metrics,
         wall_seconds=time.perf_counter() - started,  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
     )
-
-
-def _run_record(spec_dict: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
-    """Worker entry point: specs travel as plain dicts (picklable)."""
-    result = run_scenario(ScenarioSpec.from_dict(spec_dict))
-    return result.record(), result.wall_seconds
 
 
 @dataclass
@@ -603,21 +597,9 @@ def make_ramp_checkpoint(spec: ScenarioSpec, ramp_cycles: int):
     open), so restores continue it bit-identically.  Use an unbounded
     spec (``packets=None``) so the ramp never exhausts its budget.
     """
-    import itertools
-
-    import repro.noc.flit as flit_mod
     from repro.checkpoint import snapshot
 
-    flit_mod._packet_ids = itertools.count()
-    platform = build_platform(spec.to_platform_config())
-    telemetry = None
-    if spec.telemetry_windows is not None:
-        from repro.telemetry.windows import WindowedMetrics
-
-        telemetry = WindowedMetrics(platform, spec.telemetry_windows)
-    engine = EmulationEngine(
-        platform, faults=spec.faults, telemetry=telemetry
-    )
+    platform, engine = _build_engine(spec)
     engine.run(max_cycles=ramp_cycles, finalize=False)
     return snapshot(platform, spec, engine)
 
@@ -740,22 +722,10 @@ def run_cold_point(
     bench pins that claim — and its wall clock prices what the warm
     path saves (``checkpoint_hash`` is empty: nothing was restored).
     """
-    import itertools
-
-    import repro.noc.flit as flit_mod
     from repro.stats.summary import scenario_metrics
 
     started = time.perf_counter()  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
-    flit_mod._packet_ids = itertools.count()
-    platform = build_platform(spec.to_platform_config())
-    telemetry = None
-    if spec.telemetry_windows is not None:
-        from repro.telemetry.windows import WindowedMetrics
-
-        telemetry = WindowedMetrics(platform, spec.telemetry_windows)
-    engine = EmulationEngine(
-        platform, faults=spec.faults, telemetry=telemetry
-    )
+    platform, engine = _build_engine(spec)
     engine.run(max_cycles=ramp_cycles, finalize=False)
     _apply_point_load(platform, load)
     result = engine.run(max_cycles=max_cycles)

@@ -36,10 +36,15 @@ class FlitType(enum.Enum):
         return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
+#: Pid source for packets built outside a platform (unit tests, the
+#: TLM/RTL baseline schedules).  A platform numbers its own packets
+#: (:attr:`EmulationPlatform.next_pid`), so its traffic never depends
+#: on what else the process built.
 _packet_ids = itertools.count()
 
 
-def _next_packet_id() -> int:
+def next_packet_id() -> int:
+    """The next pid of the out-of-platform allocator."""
     return next(_packet_ids)
 
 
@@ -76,7 +81,7 @@ class Packet:
     wire_entry_cycle: Optional[int] = None
     burst_id: Optional[int] = None
     payload: Optional[object] = None
-    pid: int = field(default_factory=_next_packet_id)
+    pid: int = field(default_factory=next_packet_id)
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -98,10 +103,6 @@ class Packet:
             flits.append(Flit(FlitType.BODY, self, seq=seq))
         flits.append(Flit(FlitType.TAIL, self, seq=self.length - 1))
         return flits
-
-    def flit_list(self) -> List["Flit"]:
-        """Eagerly segmented flits (alias kept for tests)."""
-        return self.flits()
 
 
 class Flit:

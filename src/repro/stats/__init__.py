@@ -2,9 +2,9 @@
 
 Analyzer objects accumulate per-packet measurements; the monitor and
 the benchmark harnesses read them out.  ``latency`` and ``congestion``
-implement the two trace-driven analyses of the paper; ``throughput``
-and ``runtime`` support the stochastic run-time figure (Slide 20) and
-the speed comparison (Slide 18).
+implement the two trace-driven analyses of the paper; ``runtime``
+supports the stochastic run-time figure (Slide 20) and the speed
+comparison (Slide 18).
 """
 
 from repro.stats.congestion import (
@@ -18,7 +18,6 @@ from repro.stats.summary import (
     merged_latency_histogram,
     scenario_metrics,
 )
-from repro.stats.throughput import ThroughputMeter
 
 __all__ = [
     "BufferStat",
@@ -27,7 +26,6 @@ __all__ = [
     "OccupancyReport",
     "RunTimeModel",
     "SpeedReport",
-    "ThroughputMeter",
     "merged_latency_histogram",
     "network_congestion_rate",
     "scenario_metrics",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.noc.flit import Packet
+from repro.noc.flit import Packet, next_packet_id
 from repro.noc.ni import NetworkInterface
 from repro.traffic.base import TrafficModel
 from repro.traffic.trace import Trace, TraceRecord
@@ -53,7 +53,7 @@ class TrafficGenerator:
     #: config and platform hooks; record mode refuses checkpoints.
     __rebuilt__ = (
         "node", "ni", "max_packets", "queue_limit", "_clock",
-        "on_count", "on_wake", "_records",
+        "new_pid", "on_count", "on_wake", "_records",
     )
 
     def __init__(
@@ -93,6 +93,10 @@ class TrafficGenerator:
         # generator keeps ticking per polled cycle as before.
         self._bp_since: Optional[int] = None
         self._clock: Optional[Callable[[], int]] = None
+        # Platform hook: numbers each emitted packet.  A platform
+        # draws pids from its own allocator; standalone generators
+        # (unit tests) share the out-of-platform one.
+        self.new_pid: Callable[[], int] = next_packet_id
         # Platform hook: called with a packet-count delta so aggregate
         # progress counters stay O(1) (positive on send, negative on
         # reset).
@@ -260,6 +264,7 @@ class TrafficGenerator:
             length=length,
             injection_cycle=now,
             burst_id=burst_id,
+            pid=self.new_pid(),
         )
         self.ni.offer(packet)
         self.packets_sent += 1

@@ -84,11 +84,6 @@ class OnOffTraffic(TrafficModel):
     def next_emission_cycle(self, now: int) -> Optional[int]:
         return max(now, self._next_emission)
 
-    @property
-    def burst_cycles(self) -> int:
-        """Length of one on+off period in cycles."""
-        return self.packets_per_burst * self.length + self.gap
-
     def expected_load(self) -> Optional[float]:
         on = self.packets_per_burst * self.length
         return on / (on + self.gap) if (on + self.gap) else 1.0

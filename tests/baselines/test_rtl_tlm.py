@@ -25,7 +25,7 @@ def paper_setup():
 class TestTlmFifo:
     def test_request_update_semantics(self):
         fifo = TlmFifo(2)
-        flit = Packet(src=0, dst=1, length=1).flit_list()[0]
+        flit = Packet(src=0, dst=1, length=1).flits()[0]
         assert fifo.nb_write(flit)
         assert fifo.num_available() == 0  # not visible yet
         fifo.update()
@@ -37,8 +37,8 @@ class TestTlmFifo:
 
     def test_capacity_respected_within_cycle(self):
         fifo = TlmFifo(1)
-        f1 = Packet(src=0, dst=1, length=1).flit_list()[0]
-        f2 = Packet(src=0, dst=1, length=1).flit_list()[0]
+        f1 = Packet(src=0, dst=1, length=1).flits()[0]
+        f2 = Packet(src=0, dst=1, length=1).flits()[0]
         assert fifo.nb_write(f1)
         assert not fifo.nb_write(f2)  # full this cycle
         fifo.update()
@@ -104,7 +104,7 @@ class TestRtlSwitchUnit:
         sim = EventSimulator()
         clk = sim.signal("clk", 0)
         sw = RtlSwitch(sim, 0, 1, 1, 8, {1: 0}, clk)
-        flit = Packet(src=0, dst=1, length=1).flit_list()[0]
+        flit = Packet(src=0, dst=1, length=1).flits()[0]
         # Drive the input port like a link would.
         sim.drive({sw.in_valid[0]: 1, sw.in_data[0]: flit})
         sim.tick(clk)  # flit written into the FIFO

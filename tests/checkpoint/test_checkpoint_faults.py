@@ -11,12 +11,10 @@ both sides, the one field that measures host wall time rather than
 emulated state.
 """
 
-import itertools
 import json
 
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import Checkpoint, restore, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -38,7 +36,6 @@ HORIZON = 2600
 
 
 def fresh_run():
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(SPEC.to_platform_config())
     engine = EmulationEngine(platform, faults=SPEC.faults)
     return platform, engine
@@ -132,7 +129,6 @@ def test_healthy_platform_snapshot_needs_no_engine():
     mutated yet); after stepping it must demand the engine."""
     from repro.checkpoint import CheckpointError
 
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(SPEC.to_platform_config())
     snapshot(platform, SPEC)  # cycle 0: fine
     engine = EmulationEngine(platform, faults=SPEC.faults)

@@ -10,11 +10,8 @@ host-dependent field, ``repair_wall_seconds``, is zeroed before
 hashing.
 """
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import Checkpoint, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -64,7 +61,6 @@ GOLDEN = [
 
 def cut_checkpoint(spec: ScenarioSpec) -> Checkpoint:
     """Snapshot of ``spec`` at :data:`CUT`, wall-clock fields zeroed."""
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(spec.to_platform_config())
     telemetry = (
         None if spec.telemetry_windows is None

@@ -7,12 +7,10 @@ wrong scenario — fails loudly with a specific error *before* any
 state is applied.  A partial restore would be worse than no restore.
 """
 
-import itertools
 import json
 
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA,
     Checkpoint,
@@ -34,7 +32,6 @@ from repro.faults import FaultSchedule, link_down, link_up
 
 
 def checkpoint_for(spec, cycles=0):
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(spec.to_platform_config())
     if cycles:
         platform.run(cycles)
@@ -160,15 +157,13 @@ def test_tampered_state_fails_the_hash(tmp_path):
 
 
 def test_corrupt_load_restores_nothing(tmp_path):
-    """A failed load leaves no side effects — in particular the global
-    packet-id allocator is untouched, so a later build is unaffected."""
+    """A file that is not JSON fails the load before any state is
+    applied."""
     path, _ = saved(tmp_path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{not json")
-    flit_mod._packet_ids = itertools.count(777)
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(path)
-    assert next(flit_mod._packet_ids) == 777
 
 
 def test_spec_mismatch_names_both_hashes(tmp_path):
@@ -210,14 +205,14 @@ def test_from_dict_rejects_missing_fields():
          r"generators\[0\]\.model\.next_emission"),
         (["cycle"], "x", "malformed"),
         (["generators", 0, "model"], "x", "malformed"),
+        (["next_pid"], "x", "malformed"),
     ],
     ids=["no-links", "ni-credits", "arbiter-grants", "model-field",
-         "cycle-type", "model-type"],
+         "cycle-type", "model-type", "next-pid-type"],
 )
 def test_malformed_state_is_a_checkpoint_error(path, value, match):
     """A record whose hash is valid but whose state is malformed fails
-    restore with a structured error naming what is wrong, and leaves
-    the global packet-id allocator untouched."""
+    restore with a structured error naming what is wrong."""
     spec = ScenarioSpec(load=0.5, packets=30, seed=3)
     _, checkpoint = checkpoint_for(spec, cycles=200)
     state = json.loads(json.dumps(checkpoint.state))
@@ -229,11 +224,8 @@ def test_malformed_state_is_a_checkpoint_error(path, value, match):
         del node[key]
     else:
         node[key] = value
-    allocator = flit_mod._packet_ids = itertools.count(777)
     with pytest.raises(CheckpointError, match=match):
         restore(Checkpoint(spec=spec, state=state))
-    assert flit_mod._packet_ids is allocator
-    assert next(allocator) == 777
 
 
 # ----------------------------------------------------------------------

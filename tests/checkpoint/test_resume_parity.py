@@ -19,13 +19,11 @@ parity claim is never vacuous.
 """
 
 import io
-import itertools
 import json
 import random
 
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import Checkpoint, load_checkpoint, restore, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -34,8 +32,6 @@ from repro.telemetry import FlitTracer, WindowedMetrics
 
 
 def fresh_platform(spec):
-    """Rewind the global pid counter so runs allocate identical pids."""
-    flit_mod._packet_ids = itertools.count()
     return build_platform(spec.to_platform_config())
 
 

@@ -8,11 +8,8 @@ that does not exist, a new field is carried through ``snapshot()`` ->
 that is not plain data fails the snapshot naming it.
 """
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import CheckpointError, restore, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import EmulationPlatform, build_platform
@@ -55,7 +52,6 @@ WALKED = {
 
 
 def run(spec, cycles=500):
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(spec.to_platform_config())
     telemetry = (
         None if spec.telemetry_windows is None

@@ -123,7 +123,7 @@ class TestTGDevice:
 class TestTRDevice:
     def deliver(self, receptor, at=10, stall=0, length=2):
         p = Packet(src=0, dst=1, length=length, injection_cycle=0)
-        flits = p.flit_list()
+        flits = p.flits()
         for f in flits:
             f.stall_cycles = stall
         receptor.on_packet(p, at, flits)

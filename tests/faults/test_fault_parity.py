@@ -10,11 +10,8 @@ stepping loop, exactly as the engine does (tick at the top of the
 cycle, before the credit phase).
 """
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
@@ -31,9 +28,8 @@ pytestmark = pytest.mark.chaos
 
 
 def fresh_platform(make_config):
-    """Rewind the global packet-id counter so both runs allocate
-    identical pid sequences (pids feed the flaky drop RNG)."""
-    flit_mod._packet_ids = itertools.count()
+    """A platform numbering its packets from pid 0 (pids feed the
+    flaky drop RNG), whatever the process built before."""
     return build_platform(make_config())
 
 

@@ -9,11 +9,8 @@ per-packet latency statistics, congestion statistics and every
 component-level counter.
 """
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -21,13 +18,8 @@ from repro.receptors.tracedriven import TraceDrivenReceptor
 
 
 def fresh_platform(make_config):
-    """Build a platform with the global packet-id counter rewound.
-
-    Packet ids seed the multipath routing hash, so both co-simulated
-    platforms must allocate identical pid sequences; that also means
-    the two runs must execute sequentially, not interleaved.
-    """
-    flit_mod._packet_ids = itertools.count()
+    """A platform numbering its packets from pid 0 (pids seed the
+    multipath routing hash), whatever the process built before."""
     return build_platform(make_config())
 
 

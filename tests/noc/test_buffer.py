@@ -8,7 +8,7 @@ from repro.noc.flit import Packet
 
 def flits(n, length=None):
     p = Packet(src=0, dst=1, length=length or n)
-    return p.flit_list()[:n]
+    return p.flits()[:n]
 
 
 class TestFifoSemantics:

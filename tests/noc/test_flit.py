@@ -31,19 +31,19 @@ class TestPacket:
 
     def test_single_flit_packet_is_head_tail(self):
         p = Packet(src=0, dst=1, length=1)
-        flits = p.flit_list()
+        flits = p.flits()
         assert len(flits) == 1
         assert flits[0].kind is FlitType.HEAD_TAIL
         assert flits[0].is_head and flits[0].is_tail
 
     def test_two_flit_packet_is_head_then_tail(self):
         p = Packet(src=0, dst=1, length=2)
-        kinds = [f.kind for f in p.flit_list()]
+        kinds = [f.kind for f in p.flits()]
         assert kinds == [FlitType.HEAD, FlitType.TAIL]
 
     def test_long_packet_structure(self):
         p = Packet(src=2, dst=5, length=6)
-        flits = p.flit_list()
+        flits = p.flits()
         assert len(flits) == 6
         assert flits[0].kind is FlitType.HEAD
         assert all(f.kind is FlitType.BODY for f in flits[1:-1])
@@ -80,16 +80,16 @@ class TestFlitType:
 class TestFlit:
     def test_flags_precomputed(self):
         p = Packet(src=1, dst=2, length=3)
-        head, body, tail = p.flit_list()
+        head, body, tail = p.flits()
         assert head.is_head and not head.is_tail
         assert not body.is_head and not body.is_tail
         assert tail.is_tail and not tail.is_head
 
     def test_stall_cycles_start_at_zero(self):
         p = Packet(src=0, dst=1, length=1)
-        assert p.flit_list()[0].stall_cycles == 0
+        assert p.flits()[0].stall_cycles == 0
 
     def test_repr_mentions_endpoints(self):
         p = Packet(src=4, dst=9, length=1)
-        text = repr(p.flit_list()[0])
+        text = repr(p.flits()[0])
         assert "4->9" in text

@@ -7,7 +7,7 @@ from repro.noc.link import Link
 
 
 def one_flit():
-    return Packet(src=0, dst=1, length=1).flit_list()[0]
+    return Packet(src=0, dst=1, length=1).flits()[0]
 
 
 def arrivals(link, now):

@@ -85,7 +85,7 @@ class TestReassemblyBuffer:
             1, on_packet=lambda p, now, fs: done.append((p, now))
         )
         p = Packet(src=0, dst=1, length=3)
-        flits = p.flit_list()
+        flits = p.flits()
         assert rx.receive(flits[0], 10) is None
         assert rx.receive(flits[1], 11) is None
         assert rx.receive(flits[2], 12) is p
@@ -97,7 +97,7 @@ class TestReassemblyBuffer:
         rx = ReassemblyBuffer(1)
         a = Packet(src=0, dst=1, length=2)
         b = Packet(src=2, dst=1, length=2)
-        fa, fb = a.flit_list(), b.flit_list()
+        fa, fb = a.flits(), b.flits()
         rx.receive(fa[0], 0)
         rx.receive(fb[0], 1)
         assert rx.partial_packets == 2
@@ -107,7 +107,7 @@ class TestReassemblyBuffer:
 
     def test_misrouted_flit_raises(self):
         rx = ReassemblyBuffer(1)
-        wrong = Packet(src=0, dst=2, length=1).flit_list()[0]
+        wrong = Packet(src=0, dst=2, length=1).flits()[0]
         with pytest.raises(RuntimeError, match="routing tables"):
             rx.receive(wrong, 0)
         assert rx.misrouted_flits == 1
@@ -115,12 +115,12 @@ class TestReassemblyBuffer:
     def test_single_flit_packet_completes_immediately(self):
         rx = ReassemblyBuffer(1)
         p = Packet(src=0, dst=1, length=1)
-        assert rx.receive(p.flit_list()[0], 5) is p
+        assert rx.receive(p.flits()[0], 5) is p
 
     def test_reset_stats(self):
         rx = ReassemblyBuffer(1)
         p = Packet(src=0, dst=1, length=1)
-        rx.receive(p.flit_list()[0], 0)
+        rx.receive(p.flits()[0], 0)
         rx.reset_stats()
         assert rx.received_flits == 0
         assert rx.received_packets == 0

@@ -23,7 +23,7 @@ from repro.noc.topology import (
 
 
 def head_flit(src, dst, pid_salt=0):
-    return Packet(src=src, dst=dst, length=1).flit_list()[0]
+    return Packet(src=src, dst=dst, length=1).flits()[0]
 
 
 class TestTableRouting:

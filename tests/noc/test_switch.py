@@ -60,7 +60,7 @@ def make_switch(
 
 
 def packet_flits(dst, length=3, src=0):
-    return Packet(src=src, dst=dst, length=length).flit_list()
+    return Packet(src=src, dst=dst, length=length).flits()
 
 
 class TestConfig:

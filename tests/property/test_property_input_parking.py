@@ -13,11 +13,8 @@ the event kernel to stay bit-identical to per-cycle ticking
 parked, and a statistics reset dropped on a parked stretch.
 """
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
-import repro.noc.flit as flit_mod
 from repro.core.config import PlatformConfig, TGSpec, TRSpec
 from repro.core.platform import build_platform
 
@@ -103,20 +100,9 @@ def stall_snapshot(platform):
 
 
 def build_pair(make_config):
-    """Build (event, reference) platforms with identical pid streams.
-
-    The runs are co-simulated in *lockstep*, so each platform gets its
-    own packet-id counter (returned alongside it) that the stepping
-    loop must install before each step — otherwise the two runs would
-    interleave allocations from the global counter and their pids
-    would never line up.
-    """
-    pairs = []
-    for _ in range(2):
-        counter = itertools.count()
-        flit_mod._packet_ids = counter
-        pairs.append((build_platform(make_config()), counter))
-    return pairs
+    """Build (event, reference) platforms for lockstep co-simulation;
+    each numbers its own packets, so their pid streams line up."""
+    return build_platform(make_config()), build_platform(make_config())
 
 
 @settings(max_examples=15, deadline=None)
@@ -133,7 +119,7 @@ def test_mixed_load_parking_matches_per_cycle_ticking(
     """Lockstep co-simulation: the event kernel's per-input parking
     must be invisible at *every* observation point, not just at the
     end — snapshots land mid-stretch while inputs are parked."""
-    (event, event_pids), (reference, reference_pids) = build_pair(
+    event, reference = build_pair(
         lambda: mixed_load_config(load, buffer_depth, seed)
     )
     event_stalls, reference_stalls = {}, {}
@@ -148,9 +134,7 @@ def test_mixed_load_parking_matches_per_cycle_ticking(
             # accumulating into the fresh window.
             event.reset_statistics()
             reference.reset_statistics()
-        flit_mod._packet_ids = event_pids
         event.step()
-        flit_mod._packet_ids = reference_pids
         reference.step_reference()
         if any(sw.parked_inputs for sw in event.network.switches):
             saw_input_parking = True
@@ -179,15 +163,13 @@ def test_saturated_mixed_load_with_backpressure(
     """Shallow buffers + tight NI queues: input parking, NI parking
     and generator backpressure parking all engage together; the final
     statistics must still match the scan-everything oracle exactly."""
-    (event, event_pids), (reference, reference_pids) = build_pair(
+    event, reference = build_pair(
         lambda: mixed_load_config(
             0.9, buffer_depth, seed, queue_limit=queue_limit
         )
     )
     for _ in range(2500):
-        flit_mod._packet_ids = event_pids
         event.step()
-        flit_mod._packet_ids = reference_pids
         reference.step_reference()
     assert stall_snapshot(event) == stall_snapshot(reference)
     assert event.packets_sent == reference.packets_sent
@@ -204,7 +186,6 @@ def test_partial_parking_coexists_with_streaming():
     parked input and a movable input in the same cycle, and still
     forwards flits that cycle (the reference kernel would have
     rescanned the parked head; the event kernel provably does not)."""
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(mixed_load_config(0.9, 2, seed=7))
     saw_partial_with_progress = False
     for _ in range(2500):

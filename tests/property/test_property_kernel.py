@@ -7,11 +7,8 @@ event-driven :meth:`Network.step` or the scan-everything
 :meth:`Network.step_reference` oracle.
 """
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
-import repro.noc.flit as flit_mod
 from repro.core.config import PlatformConfig, TGSpec, TRSpec
 from repro.core.platform import build_platform
 from repro.receptors.tracedriven import TraceDrivenReceptor
@@ -110,8 +107,6 @@ def test_random_platforms_step_identically(
 ):
     results = []
     for reference in (False, True):
-        # Identical pid sequences (multipath hashing, reassembly keys).
-        flit_mod._packet_ids = itertools.count()
         platform = build_platform(
             small_config(
                 topo_kind, arbitration, switching, model, load, seed
@@ -147,7 +142,6 @@ def test_saturated_platforms_with_reset_step_identically(
     must stay bit-identical to the scan-everything oracle."""
     results = []
     for reference in (False, True):
-        flit_mod._packet_ids = itertools.count()
         config = small_config(
             topo_kind, "round_robin", switching, "uniform", 0.9, seed
         )

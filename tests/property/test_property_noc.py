@@ -19,7 +19,7 @@ from repro.noc.topology import mesh, ring, torus
 @given(length=st.integers(min_value=1, max_value=64))
 def test_segmentation_is_lossless(length):
     p = Packet(src=0, dst=1, length=length)
-    flits = p.flit_list()
+    flits = p.flits()
     assert len(flits) == length
     assert flits[0].is_head
     assert flits[-1].is_tail
@@ -70,7 +70,7 @@ def test_shortest_path_tables_reach_destination(topo, data):
     dst = data.draw(
         st.integers(min_value=0, max_value=topo.n_nodes - 1)
     )
-    flit = Packet(src=src, dst=dst, length=1).flit_list()[0]
+    flit = Packet(src=src, dst=dst, length=1).flits()[0]
     switch = topo.switch_of_node(src)
     for _hop in range(topo.n_switches + 1):
         port = routing.output_port(switch, flit)
@@ -92,7 +92,7 @@ def test_multipath_tables_only_offer_minimal_hops(topo, data):
     )
     # Any candidate port leads strictly closer: walking any mixture of
     # candidates terminates within the network diameter.
-    flit = Packet(src=0, dst=dst, length=1).flit_list()[0]
+    flit = Packet(src=0, dst=dst, length=1).flits()[0]
     switch = topo.switch_of_node(0)
     for _hop in range(topo.n_switches + 1):
         ports = routing.ports_for(switch, dst)

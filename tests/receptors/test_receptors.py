@@ -15,7 +15,7 @@ def deliver(receptor, src=0, dst=1, length=3, at=10, burst_id=None):
         src=src, dst=dst, length=length, injection_cycle=0,
         burst_id=burst_id,
     )
-    flits = p.flit_list()
+    flits = p.flits()
     receptor.on_packet(p, at, flits)
     return p, flits
 
@@ -126,7 +126,7 @@ class TestTraceDrivenReceptor:
         p, flits = deliver(r, at=10)
         assert r.congestion.packets == 1
         assert r.congestion.total_stall_cycles == 0
-        flits2 = Packet(src=0, dst=1, length=2).flit_list()
+        flits2 = Packet(src=0, dst=1, length=2).flits()
         for f in flits2:
             f.stall_cycles = 3
         r.on_packet(flits2[0].packet, 20, flits2)

@@ -8,7 +8,6 @@ from repro.noc.routing import build_shortest_path_tables
 from repro.noc.topology import mesh
 from repro.stats.congestion import CongestionCounter, network_congestion_rate
 from repro.stats.latency import LatencyAnalyzer
-from repro.stats.throughput import ThroughputMeter
 
 
 def packet(injection=0, burst=None, length=2):
@@ -87,7 +86,7 @@ class TestLatencyAnalyzer:
 class TestCongestionCounter:
     def _flits(self, stalls):
         p = Packet(src=0, dst=1, length=len(stalls))
-        flits = p.flit_list()
+        flits = p.flits()
         for f, s in zip(flits, stalls):
             f.stall_cycles = s
         return p, flits
@@ -153,28 +152,3 @@ class TestNetworkCongestionRate:
         rate = network_congestion_rate(net)
         assert 0.0 < rate < 1.0
 
-
-class TestThroughputMeter:
-    def test_window_accounting(self):
-        meter = ThroughputMeter()
-        meter.open_window(0, {1: 0, 2: 10})
-        meter.close_window(100, {1: 50, 2: 30})
-        assert meter.window_cycles == 100
-        assert meter.node_throughput(1) == pytest.approx(0.5)
-        assert meter.node_throughput(2) == pytest.approx(0.2)
-        assert meter.aggregate_throughput() == pytest.approx(0.7)
-
-    def test_close_before_open_rejected(self):
-        with pytest.raises(RuntimeError):
-            ThroughputMeter().close_window(10, {})
-
-    def test_zero_length_window_rejected(self):
-        meter = ThroughputMeter()
-        meter.open_window(5, {})
-        with pytest.raises(ValueError):
-            meter.close_window(5, {})
-
-    def test_unopened_returns_zero(self):
-        meter = ThroughputMeter()
-        assert meter.node_throughput(0) == 0.0
-        assert meter.aggregate_throughput() == 0.0

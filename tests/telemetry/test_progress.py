@@ -1,10 +1,7 @@
 """Progress meter: sampling, adaptive interval, budget fraction."""
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 import repro.telemetry.progress as progress_mod
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -17,7 +14,6 @@ from repro.telemetry import (
 
 
 def fresh_platform(**kwargs):
-    flit_mod._packet_ids = itertools.count()
     kwargs.setdefault("packets", 80)
     spec = ScenarioSpec(topology="paper", **kwargs)
     return build_platform(spec.to_platform_config())

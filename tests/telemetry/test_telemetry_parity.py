@@ -8,11 +8,9 @@ per-cycle sampling).
 """
 
 import io
-import itertools
 
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.checkpoint import snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -26,7 +24,6 @@ SCHEDULE = FaultSchedule.of(link_down(600, 1, 4), link_down(600, 4, 1))
 
 
 def fresh_platform(**kwargs):
-    flit_mod._packet_ids = itertools.count()
     spec = ScenarioSpec(topology="paper", **kwargs)
     return build_platform(spec.to_platform_config())
 
@@ -80,7 +77,6 @@ def traced_or_untraced_run(traced, cycles=4000):
     state (taken after the tracer is detached) and which parking
     regimes engaged."""
     spec = ScenarioSpec(topology="paper", packets=200, load=0.9)
-    flit_mod._packet_ids = itertools.count()
     platform = build_platform(spec.to_platform_config())
     net = platform.network
     telemetry = WindowedMetrics(platform, 257)
@@ -227,7 +223,6 @@ class TestSampleBuffersPin:
         spec = ScenarioSpec(topology="paper", **self.BURSTY)
         config = spec.to_platform_config()
         config.sample_buffers = sample_buffers
-        flit_mod._packet_ids = itertools.count()
         platform = build_platform(config)
         steps = [0]
         inner = platform.network.step

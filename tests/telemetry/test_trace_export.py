@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
@@ -17,7 +16,6 @@ from repro.telemetry.trace import _KIND_ORDER
 
 
 def fresh_platform(**kwargs):
-    flit_mod._packet_ids = itertools.count()
     kwargs.setdefault("packets", 60)
     spec = ScenarioSpec(topology="paper", **kwargs)
     return build_platform(spec.to_platform_config())

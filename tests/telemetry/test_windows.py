@@ -1,11 +1,8 @@
 """Windowed metrics: boundary differencing, zero-delta windows,
 fast-forward landing, determinism and rendering."""
 
-import itertools
-
 import pytest
 
-import repro.noc.flit as flit_mod
 from repro.core.engine import EmulationEngine
 from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
@@ -18,7 +15,6 @@ from repro.telemetry import (
 
 
 def fresh_platform(spec):
-    flit_mod._packet_ids = itertools.count()
     return build_platform(spec.to_platform_config())
 
 
