@@ -48,7 +48,7 @@ class RtlSwitch:
         n_inputs: int,
         n_outputs: int,
         depth: int,
-        route_table: Dict[int, int],
+        route_row: List[Optional[int]],
         clock: Signal,
     ) -> None:
         if depth < MIN_RTL_DEPTH:
@@ -61,7 +61,7 @@ class RtlSwitch:
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
         self.depth = depth
-        self.route_table = route_table
+        self.route_row = route_row
         s = sim.signal
         tag = f"sw{switch_id}"
         # Input-side registers.
@@ -155,8 +155,9 @@ class RtlSwitch:
         if cached >= 0:
             self.sim.post(self.req[i], cached)
             return
-        port = self.route_table.get(head.dst, -1)
-        if port < 0:
+        row, dst = self.route_row, head.dst
+        port = row[dst] if 0 <= dst < len(row) else None
+        if port is None:
             raise SimulationError(
                 f"RTL switch {self.switch_id}: no route for destination"
                 f" {head.dst}"
@@ -356,7 +357,7 @@ class RtlPlatformSim:
                 topology.n_inputs(s),
                 topology.n_outputs(s),
                 depth,
-                dict(routing.tables.get(s, {})),
+                routing.dense_row(s, topology.n_nodes),
                 self.clock,
             )
             for s in range(topology.n_switches)

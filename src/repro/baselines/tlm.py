@@ -131,13 +131,13 @@ class _TlmSwitch:
         switch_id: int,
         n_inputs: int,
         n_outputs: int,
-        route_table: Dict[int, int],
+        route_row: List[Optional[int]],
     ) -> None:
         self.kernel = kernel
         self.switch_id = switch_id
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.route_table = route_table
+        self.route_row = route_row
         self.in_ch: List[Optional[TlmFifo]] = [None] * n_inputs
         self.out_ch: List[Optional[TlmFifo]] = [None] * n_outputs
         self._route_cache: List[int] = [-1] * n_inputs
@@ -154,8 +154,9 @@ class _TlmSwitch:
             return self._route_cache[i]
         head = channel.peek()
         assert head is not None
-        port = self.route_table.get(head.dst, -1)
-        if port < 0:
+        row, dst = self.route_row, head.dst
+        port = row[dst] if 0 <= dst < len(row) else None
+        if port is None:
             raise TlmChannelError(
                 f"TLM switch {self.switch_id}: no route for"
                 f" destination {head.dst}"
@@ -276,7 +277,7 @@ class TlmPlatformSim:
                 s,
                 topology.n_inputs(s),
                 topology.n_outputs(s),
-                dict(routing.tables.get(s, {})),
+                routing.dense_row(s, topology.n_nodes),
             )
             for s in range(topology.n_switches)
         ]

@@ -174,7 +174,7 @@ def _restore_injector(injector, fstate: Dict[str, Any],
         # The per-input cached routes were restored verbatim (they
         # already reflect every post-repair decision), so no cache
         # clearing and no wakes.
-        injector.install_routes(*injector.repaired_routes())
+        injector.install_routes(injector.repaired_routes())
 
 
 def _overlay(platform: EmulationPlatform, spec,

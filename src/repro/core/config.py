@@ -588,8 +588,11 @@ def generic_platform_config(
         )
     tgs: List[TGSpec] = []
     trs: List[TRSpec] = []
+    # One tuple of all nodes; each TG's all-other-nodes set is a slice
+    # of it, which the destination chooser keeps without copying.
+    nodes = tuple(range(n_nodes))
     for node in range(n_nodes):
-        others = [d for d in range(n_nodes) if d != node]
+        others = nodes[:node] + nodes[node + 1:]
         params = _tg_params_for(
             traffic, load, length, others, traffic_params
         )

@@ -198,6 +198,19 @@ class ScenarioSpec:
             raise ConfigError(
                 f"packet length must be >= 1 flit, got {self.length}"
             )
+        if self.switching == SwitchingMode.STORE_AND_FORWARD.value:
+            # A store-and-forward switch buffers whole packets, so its
+            # buffers must hold the longest packet the traffic emits.
+            key = "flits_per_packet" if self.traffic == "trace" else "length"
+            longest = dict(self.traffic_params).get(key, self.length)
+            if isinstance(longest, tuple) and len(longest) == 2:
+                longest = longest[1]  # an inclusive (min, max) range
+            if isinstance(longest, int) and longest > self.buffer_depth:
+                raise ConfigError(
+                    f"store-and-forward switches buffer whole packets:"
+                    f" {self.buffer_depth}-flit buffers cannot hold the"
+                    f" {longest}-flit packets of this traffic"
+                )
         if self.packets is not None and self.packets < 1:
             raise ConfigError(
                 f"packet budget must be >= 1 or None, got"

@@ -445,15 +445,14 @@ class FaultInjector:
         return build_shortest_path_tables(topo, avoid_links=avoid)
 
     def repaired_routes(self):
-        """Vetted tables for the surviving fabric, compiled per switch.
+        """Vetted tables for the surviving fabric.
 
-        Builds the configured family around every dead pair, re-vets
-        deadlock freedom against the TGs' destinations (falling back
-        to up*/down*, deadlock-free by construction: the repaired
-        shortest/multipath tables can close a channel cycle the
-        originals did not), and compiles each switch's dense route
-        array.  Returns ``(routing, dense arrays)``; nothing is
-        installed until :meth:`install_routes`.
+        Builds the configured family around every dead pair and
+        re-vets deadlock freedom against the TGs' destinations,
+        falling back to up*/down*, which is deadlock-free by
+        construction: the repaired shortest/multipath tables can close
+        a channel cycle the originals did not.  Nothing is installed
+        until :meth:`install_routes`.
         """
         topo = self.platform.topology
         avoid = frozenset(self._dead_pairs)
@@ -465,20 +464,16 @@ class FaultInjector:
             topo, routing, sorted(destinations)
         ):
             routing = build_updown_tables(topo, avoid_links=avoid)
-        dense = [
-            compile_dense_route_table(routing, s, topo.n_nodes)
-            for s in range(topo.n_switches)
-        ]
-        return routing, dense
+        return routing
 
-    def install_routes(self, routing, dense) -> None:
-        """Hot-swap the routing function and the compiled arrays of
-        :meth:`repaired_routes` into every switch."""
+    def install_routes(self, routing) -> None:
+        """Hot-swap the routing of :meth:`repaired_routes` into every
+        switch, each indexing its own row of the new tables."""
         network = self.platform.network
         network.routing = routing
-        for sw, row in zip(network.switches, dense):
+        for sw in network.switches:
             sw.routing = routing
-            sw._route_dense = row
+            sw._compile_routes(network.topology.n_nodes)
 
     def _stranded_pids(self, routing) -> set:
         """Packets whose head can no longer reach its destination.
@@ -531,7 +526,7 @@ class FaultInjector:
         platform = self.platform
         network = platform.network
         topo = platform.topology
-        routing, dense = self.repaired_routes()
+        routing = self.repaired_routes()
         # Partition check: every still-active flow must have a route.
         node_dsts = {
             spec.node: spec.destinations() for spec in platform.config.tgs
@@ -541,8 +536,9 @@ class FaultInjector:
             if not gen.enabled or gen.done:
                 continue
             switch = topo.switch_of_node(gen.node)
+            row = compile_dense_route_table(routing, switch, topo.n_nodes)
             for dst in unrouted_destinations(
-                routing, dense[switch], switch, node_dsts.get(gen.node, ())
+                routing, row, switch, node_dsts.get(gen.node, ())
             ):
                 orphans.append((gen.node, dst))
         if orphans:
@@ -561,7 +557,7 @@ class FaultInjector:
         # lock; its body flits must keep following the old path).
         # Parked inputs among them re-arm through the normal wake path
         # and re-route next cycle.
-        self.install_routes(routing, dense)
+        self.install_routes(routing)
         for sw in network.switches:
             route_outs = sw._input_out
             parked = sw._in_parked

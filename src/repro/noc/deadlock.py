@@ -51,8 +51,9 @@ def _channel_graph(
 
     Returns the channels (id -> ``(a, b)``) and, per id, the ids it
     depends on.  Each switch's routes are read from its dense
-    ``dst -> port`` row (:meth:`RoutingFunction.dense_row`); only
-    ``None`` entries — multipath choices, missing routes — ask
+    ``dst -> port`` row (:meth:`RoutingFunction.dense_row`), which for
+    table routings is the table itself, not a copy; only ``None``
+    entries — multipath choices, missing routes — ask
     :meth:`RoutingFunction.ports_for`.
     """
     n_switches = topology.n_switches

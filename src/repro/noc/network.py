@@ -41,7 +41,7 @@ from repro.noc.buffer import BufferFullError
 from repro.noc.flit import Flit, Packet
 from repro.noc.link import Link
 from repro.noc.ni import NetworkInterface, ReassemblyBuffer
-from repro.noc.routing import RoutingFunction
+from repro.noc.routing import RoutingError, RoutingFunction
 from repro.noc.switch import (
     Switch,
     SwitchConfig,
@@ -243,11 +243,20 @@ class Network:
 
     def _make_offer_hook(
         self, ni: NetworkInterface
-    ) -> Callable[[int], None]:
+    ) -> Callable[[Packet], None]:
         active = self._active_nis
+        n_nodes = self.topology.n_nodes
 
-        def offered(n_flits: int) -> None:
-            self._in_flight_flits += n_flits
+        def offered(packet: Packet) -> None:
+            # Once per packet, so the per-hop route lookup never meets
+            # a destination outside the switches' rows.
+            if not 0 <= packet.dst < n_nodes:
+                raise RoutingError(
+                    f"packet from node {packet.src} is addressed to node"
+                    f" {packet.dst}, but the fabric has nodes 0 to"
+                    f" {n_nodes - 1}"
+                )
+            self._in_flight_flits += packet.length
             if not ni._active:
                 ni._active = True
                 active.append(ni)

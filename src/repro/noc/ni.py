@@ -64,11 +64,12 @@ class NetworkInterface:
         self._link: Optional[Link] = None
         self._credits = 0
         # Event-driven scheduling hooks (set by the network): the
-        # offer hook is called with the queued flit count on every
-        # offer, so the network can bump its in-flight counter and
-        # mark this NI active; the wake hook re-activates a parked NI.
+        # offer hook is called with each offered packet before it is
+        # queued, so the network can reject a destination outside the
+        # fabric, bump its in-flight counter and mark this NI active;
+        # the wake hook re-activates a parked NI.
         # ``_clock`` reads the network cycle for bulk settlement.
-        self._notify_offer: Optional[Callable[[int], None]] = None
+        self._notify_offer: Optional[Callable[[Packet], None]] = None
         self._wake: Optional[Callable[[], None]] = None
         self._clock: Optional[Callable[[], int]] = None
         self._active = False
@@ -105,6 +106,8 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     def offer(self, packet: Packet) -> None:
         """Queue ``packet`` for injection (segmented immediately)."""
+        if self._notify_offer is not None:
+            self._notify_offer(packet)
         self.offered_packets += 1
         self._flits.extend(packet.flits())
         if len(self._flits) > self.peak_queue:
@@ -115,8 +118,6 @@ class NetworkInterface:
             # settlement therefore stops at the previous cycle.
             self._settle(self._clock() - 1)
             self._parked = False
-        if self._notify_offer is not None:
-            self._notify_offer(packet.length)
 
     @property
     def pending_flits(self) -> int:

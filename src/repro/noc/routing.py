@@ -38,29 +38,32 @@ class RoutingError(RuntimeError):
     """Raised when no route exists for a (switch, destination) pair."""
 
 
+#: One switch's routing table: per destination node, the output port a
+#: head flit takes there, ``None`` where there is no single static port.
+Row = List[Optional[int]]
+
+
 def compile_dense_route_table(
     routing: "RoutingFunction", switch_id: int, n_nodes: int
-) -> Optional[List[Optional[int]]]:
-    """Compile one switch's routes into a dense ``dst -> port`` array.
+) -> Optional[Row]:
+    """One switch's dense ``dst -> port`` row, as the switch indexes it.
 
-    The per-hop routing decision of a table-based function is two dict
-    lookups plus exception handling; the network compiles it once at
-    platform build into a plain list the traverse indexes directly.
-    Entries stay ``None`` — falling back to
+    Table routings store their routes as these rows, so for them this
+    is a lookup: the switch indexes the routing's own list, never a
+    copy.  Entries are ``None`` — falling back to
     :meth:`RoutingFunction.output_port` per head flit — when the
     decision is not a single static port: multipath candidates (the
     per-packet hash must keep choosing) and missing destinations (the
     fallback raises the proper :class:`RoutingError`).  Routing
-    functions that cannot export a dense row compile to ``None``: the
-    switch then routes every head through the function, exactly as
-    before compilation.
+    functions without tables compute the row here (XY) or give
+    ``None``: the switch then routes every head through the function.
     """
     return routing.dense_row(switch_id, n_nodes)
 
 
 def unrouted_destinations(
     routing: "RoutingFunction",
-    row: Optional[List[Optional[int]]],
+    row: Optional[Row],
     switch: int,
     destinations: Sequence[int],
 ) -> List[int]:
@@ -103,9 +106,7 @@ class RoutingFunction:
         """
         raise NotImplementedError
 
-    def dense_row(
-        self, switch: int, n_nodes: int
-    ) -> Optional[List[Optional[int]]]:
+    def dense_row(self, switch: int, n_nodes: int) -> Optional[Row]:
         """``switch``'s single static port per destination node.
 
         Entries are ``None`` where the decision is not one fixed port
@@ -119,47 +120,62 @@ class RoutingFunction:
 class TableRouting(RoutingFunction):
     """Deterministic table-based routing.
 
-    ``tables[switch][dst_node]`` is the output port index to take at
-    ``switch`` for packets addressed to node ``dst_node``.  Plain dict
-    rows are adopted rather than copied: the builders hand over tables
-    they built for this object alone.
+    ``rows[switch][dst_node]`` is the output port to take at ``switch``
+    for packets addressed to node ``dst_node``, ``None`` where the
+    table has no entry.  The rows are the only store of the routes:
+    :meth:`dense_row` hands each switch its row itself, so a switch
+    routes from the table exactly as the hardware switch reads the
+    table the processor wrote.  Rows are adopted, not copied; the
+    builders size them by the topology's node count.
     """
 
-    def __init__(self, tables: Mapping[int, Mapping[int, int]]) -> None:
-        self.tables: Dict[int, Dict[int, int]] = {
-            s: t if type(t) is dict else dict(t)
-            for s, t in tables.items()
-        }
+    def __init__(self, rows: List[Row]) -> None:
+        self.rows = rows
+
+    def _port(self, switch: int, dst: int) -> Optional[int]:
+        rows = self.rows
+        if 0 <= switch < len(rows):
+            row = rows[switch]
+            if 0 <= dst < len(row):
+                return row[dst]
+        return None
 
     def output_port(self, switch: int, flit: Flit) -> int:
-        try:
-            return self.tables[switch][flit.dst]
-        except KeyError:
+        port = self._port(switch, flit.dst)
+        if port is None:
             raise RoutingError(
                 f"no route at switch {switch} for destination node"
                 f" {flit.dst}"
-            ) from None
+            )
+        return port
 
     def ports_for(self, switch: int, dst: int) -> List[int]:
-        try:
-            return [self.tables[switch][dst]]
-        except KeyError:
-            return []
+        port = self._port(switch, dst)
+        return [] if port is None else [port]
 
-    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
-        return list(map(self.tables.get(switch, {}).get, range(n_nodes)))
+    def dense_row(self, switch: int, n_nodes: int) -> Row:
+        row = self.rows[switch] if 0 <= switch < len(self.rows) else []
+        if len(row) < n_nodes:
+            # Only hand-written tables are short: pad a copy.
+            return row + [None] * (n_nodes - len(row))
+        return row
 
     def entries(self) -> int:
         """Total number of table entries (FPGA cost model input)."""
-        return sum(len(t) for t in self.tables.values())
+        return sum(len(row) - row.count(None) for row in self.rows)
 
 
-class MultiPathTableRouting(RoutingFunction):
+_NO_CHOICES: Mapping[int, Sequence[int]] = {}
+
+
+class MultiPathTableRouting(TableRouting):
     """Table routing with several candidate ports per destination.
 
-    ``tables[switch][dst_node]`` is a non-empty list of output ports;
-    the port for a given packet is chosen by hashing the packet id, so
-    all flits of one packet take the same path (wormhole-safe) while
+    ``rows`` hold the single-port entries, as in :class:`TableRouting`.
+    ``choices[switch][dst_node]`` lists the candidates (two or more)
+    where a destination has several; the row is ``None`` there.  The
+    port for a given packet is chosen by hashing the packet id, so all
+    flits of one packet take the same path (wormhole-safe) while
     successive packets of a flow spread over the candidates.  This
     models the paper's "two routing possibilities" when the candidate
     lists have length two.
@@ -167,46 +183,36 @@ class MultiPathTableRouting(RoutingFunction):
 
     def __init__(
         self,
-        tables: Mapping[int, Mapping[int, Sequence[int]]],
+        rows: List[Row],
+        choices: Optional[Mapping[int, Mapping[int, Sequence[int]]]] = None,
         salt: int = 0,
     ) -> None:
-        self.tables: Dict[int, Dict[int, List[int]]] = {}
-        for s, t in tables.items():
-            self.tables[s] = {}
-            for dst, ports in t.items():
-                if not ports:
+        super().__init__(rows)
+        self.choices = choices or {}
+        for s, entries in self.choices.items():
+            for dst, ports in entries.items():
+                if len(ports) < 2 or self._port(s, dst) is not None:
                     raise RoutingError(
-                        f"empty candidate port list at switch {s} for"
-                        f" destination {dst}"
+                        f"choice at switch {s} for destination {dst}"
+                        f" needs two or more candidate ports and no"
+                        f" single-port entry, got {list(ports)}"
                     )
-                self.tables[s][dst] = list(ports)
         self.salt = salt
 
     def output_port(self, switch: int, flit: Flit) -> int:
-        try:
-            ports = self.tables[switch][flit.dst]
-        except KeyError:
-            raise RoutingError(
-                f"no route at switch {switch} for destination node"
-                f" {flit.dst}"
-            ) from None
-        if len(ports) == 1:
-            return ports[0]
+        ports = self.choices.get(switch, _NO_CHOICES).get(flit.dst)
+        if ports is None:
+            return super().output_port(switch, flit)
         return ports[_mix(flit.packet.pid + self.salt) % len(ports)]
 
     def ports_for(self, switch: int, dst: int) -> List[int]:
-        return list(self.tables.get(switch, {}).get(dst, []))
-
-    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
-        return [
-            ports[0] if ports is not None and len(ports) == 1 else None
-            for ports in map(self.tables.get(switch, {}).get, range(n_nodes))
-        ]
+        ports = self.choices.get(switch, _NO_CHOICES).get(dst)
+        return super().ports_for(switch, dst) if ports is None else list(ports)
 
     def entries(self) -> int:
-        return sum(
+        return super().entries() + sum(
             len(ports)
-            for t in self.tables.values()
+            for t in self.choices.values()
             for ports in t.values()
         )
 
@@ -278,10 +284,11 @@ class XYRouting(RoutingFunction):
 # ----------------------------------------------------------------------
 # Table builders
 # ----------------------------------------------------------------------
-#: One destination switch's column: each switch's table entry toward
-#: it (``None`` = no route there), or ``None`` for the whole column
-#: when the destination switch is severed from the routed fabric.
-Column = Optional[List[Optional[object]]]
+#: One destination switch's column: each switch's single port toward
+#: it (``None`` = none there), plus the switches that hold several
+#: candidate ports; or ``None`` for the whole column when the
+#: destination switch is severed from the routed fabric.
+Column = Optional[Tuple[Row, Mapping[int, List[int]]]]
 
 
 def _live_links(
@@ -335,20 +342,19 @@ def _reverse_bfs_distances(
     return dist, hop
 
 
-def _tables_by_destination_switch(
+def _rows_by_destination_switch(
     topo: Topology,
     destinations: Optional[Sequence[int]],
     column: Callable[[int], Column],
-    eject: Callable[[int], object],
-) -> Dict[int, dict]:
-    """``tables[switch][dst]`` with one ``column`` per destination switch.
+) -> Tuple[List[Row], Dict[int, Dict[int, List[int]]]]:
+    """Every switch's ``n_nodes``-long row, filled with one ``column``
+    per destination switch, and the several-candidate entries as
+    ``choices[switch][dst]``.
 
     Every node on a switch shares that switch's routes everywhere but
-    at the switch itself, where the node's ejection port (wrapped by
-    ``eject``) applies — so each destination switch's BFS runs once,
-    however many nodes it hosts.  Entries are inserted in
-    ``destinations`` order, the order the initialisation step writes
-    them.
+    at the switch itself, where the node's ejection port applies — so
+    each destination switch's BFS runs once, however many nodes it
+    hosts.  Nodes outside ``destinations`` keep ``None`` entries.
     """
     if destinations is None:
         destinations = range(topo.n_nodes)
@@ -357,8 +363,10 @@ def _tables_by_destination_switch(
         for port, ep in enumerate(topo.switch_outputs[s]):
             if ep.kind == "node":
                 node_port[ep.target] = port
-    tables: Dict[int, dict] = {s: {} for s in range(topo.n_switches)}
-    rows = list(tables.values())
+    rows: List[Row] = [
+        [None] * topo.n_nodes for _ in range(topo.n_switches)
+    ]
+    choices: Dict[int, Dict[int, List[int]]] = {}
     columns: Dict[int, Column] = {}
     for dst in destinations:
         dst_switch = topo.switch_of_node(dst)
@@ -367,11 +375,14 @@ def _tables_by_destination_switch(
         col = columns[dst_switch]
         if col is None:
             continue
-        for row, entry in zip(rows, col):
-            if entry is not None:
-                row[dst] = entry
-        rows[dst_switch][dst] = eject(node_port[dst])
-    return tables
+        ports, several = col
+        for row, port in zip(rows, ports):
+            if port is not None:
+                row[dst] = port
+        for s, candidates in several.items():
+            choices.setdefault(s, {})[dst] = candidates
+        rows[dst_switch][dst] = node_port[dst]
+    return rows, choices
 
 
 def build_shortest_path_tables(
@@ -391,12 +402,10 @@ def build_shortest_path_tables(
     _outs, preds = _live_links(topo, frozenset(avoid_links or ()))
 
     def column(dst_switch: int) -> Column:
-        return _reverse_bfs_distances(preds, dst_switch)[1]
+        return _reverse_bfs_distances(preds, dst_switch)[1], {}
 
     return TableRouting(
-        _tables_by_destination_switch(
-            topo, destinations, column, lambda port: port
-        )
+        _rows_by_destination_switch(topo, destinations, column)[0]
     )
 
 
@@ -418,21 +427,22 @@ def build_multipath_tables(
     outs, preds = _live_links(topo, frozenset(avoid_links or ()))
 
     def column(dst_switch: int) -> Column:
-        dist, _hop = _reverse_bfs_distances(preds, dst_switch)
-        col: List[Optional[object]] = [None] * len(dist)
+        # ``hop`` is each switch's first minimal port; where a switch
+        # has more, its truncated candidate list replaces it.
+        dist, hop = _reverse_bfs_distances(preds, dst_switch)
+        several: Dict[int, List[int]] = {}
         for s, d in enumerate(dist):
             if d > 0:
-                col[s] = [
+                ports = [
                     port for port, t in outs[s] if dist[t] == d - 1
                 ][:max_paths]
-        return col
+                if len(ports) > 1:
+                    several[s] = ports
+                    hop[s] = None
+        return hop, several
 
-    return MultiPathTableRouting(
-        _tables_by_destination_switch(
-            topo, destinations, column, lambda port: [port]
-        ),
-        salt=salt,
-    )
+    rows, choices = _rows_by_destination_switch(topo, destinations, column)
+    return MultiPathTableRouting(rows, choices, salt=salt)
 
 
 def build_updown_tables(
@@ -530,7 +540,7 @@ def build_updown_tables(
         # strictly decrease rank, so sweeping switches in rank order
         # resolves the climb recurrence in one pass.
         cost = [-1] * n
-        col: List[Optional[object]] = [None] * n
+        col: Row = [None] * n
         for s in by_rank:
             d = down_dist[s]
             if d >= 0:
@@ -553,12 +563,10 @@ def build_updown_tables(
                 )
             cost[s] = best + 1
             col[s] = best_port
-        return col
+        return col, {}
 
     return TableRouting(
-        _tables_by_destination_switch(
-            topo, destinations, column, lambda port: port
-        )
+        _rows_by_destination_switch(topo, destinations, column)[0]
     )
 
 
@@ -573,7 +581,9 @@ def build_tables_from_paths(
     destination node's switch.  Conflicting entries (two flows to the
     same destination demanding different ports at one switch) raise.
     """
-    tables: Dict[int, Dict[int, int]] = {}
+    rows: List[Row] = [
+        [None] * topo.n_nodes for _ in range(topo.n_switches)
+    ]
     for (src, dst), sw_path in paths.items():
         if not sw_path:
             raise RoutingError(f"empty path for flow {src}->{dst}")
@@ -592,18 +602,16 @@ def build_tables_from_paths(
         hops = list(zip(sw_path, sw_path[1:]))
         for a, b in hops:
             port = topo.output_port_to_switch(a, b)
-            existing = tables.setdefault(a, {}).get(dst)
+            existing = rows[a][dst]
             if existing is not None and existing != port:
                 raise RoutingError(
                     f"conflicting routes at switch {a} for destination"
                     f" {dst}: ports {existing} and {port}"
                 )
-            tables[a][dst] = port
+            rows[a][dst] = port
         last = sw_path[-1]
-        tables.setdefault(last, {})[dst] = topo.output_port_to_node(
-            last, dst
-        )
-    return TableRouting(tables)
+        rows[last][dst] = topo.output_port_to_node(last, dst)
+    return TableRouting(rows)
 
 
 # ----------------------------------------------------------------------
@@ -649,16 +657,17 @@ def paper_routing(topo: Topology, case: str = "overlap") -> RoutingFunction:
     if case == "disjoint":
         return build_tables_from_paths(topo, _PAPER_PATHS_DISJOINT)
     if case == "split":
-        overlap = build_tables_from_paths(topo, _PAPER_PATHS_OVERLAP)
+        rows = build_tables_from_paths(topo, _PAPER_PATHS_OVERLAP).rows
         disjoint = build_tables_from_paths(topo, _PAPER_PATHS_DISJOINT)
-        merged: Dict[int, Dict[int, List[int]]] = {}
-        for table in (overlap, disjoint):
-            for s, entries in table.tables.items():
-                for dst, port in entries.items():
-                    ports = merged.setdefault(s, {}).setdefault(dst, [])
-                    if port not in ports:
-                        ports.append(port)
-        return MultiPathTableRouting(merged)
+        choices: Dict[int, Dict[int, List[int]]] = {}
+        for s, (row, other) in enumerate(zip(rows, disjoint.rows)):
+            for dst, (port, alt) in enumerate(zip(row, other)):
+                if port is None:
+                    row[dst] = alt
+                elif alt is not None and alt != port:
+                    choices.setdefault(s, {})[dst] = [port, alt]
+                    row[dst] = None
+        return MultiPathTableRouting(rows, choices)
     raise RoutingError(
         f"unknown paper routing case {case!r}; expected 'overlap',"
         f" 'disjoint' or 'split'"

@@ -96,14 +96,14 @@ class TestRtlSwitchUnit:
         sim = EventSimulator()
         clk = sim.signal("clk", 0)
         with pytest.raises(ValueError, match="depth"):
-            RtlSwitch(sim, 0, 2, 2, 4, {}, clk)
+            RtlSwitch(sim, 0, 2, 2, 4, [], clk)
 
     def test_single_flit_crosses_switch(self):
         from repro.baselines.eventsim import EventSimulator
 
         sim = EventSimulator()
         clk = sim.signal("clk", 0)
-        sw = RtlSwitch(sim, 0, 1, 1, 8, {1: 0}, clk)
+        sw = RtlSwitch(sim, 0, 1, 1, 8, [None, 0], clk)
         flit = Packet(src=0, dst=1, length=1).flits()[0]
         # Drive the input port like a link would.
         sim.drive({sw.in_valid[0]: 1, sw.in_data[0]: flit})

@@ -46,6 +46,31 @@ class TestScenarioSpecValidation:
         with pytest.raises(ConfigError, match="buffer depth"):
             ScenarioSpec(buffer_depth=0)
 
+    def test_store_and_forward_needs_room_for_the_longest_packet(self):
+        with pytest.raises(ConfigError, match="2-flit buffers.*4-flit"):
+            ScenarioSpec(
+                topology="mesh:3:3",
+                switching="store_and_forward",
+                buffer_depth=2,
+                length=4,
+            )
+        with pytest.raises(ConfigError, match="6-flit"):
+            ScenarioSpec(
+                switching="store_and_forward",
+                length=2,
+                traffic_params={"length": [1, 6]},
+            )
+        with pytest.raises(ConfigError, match="5-flit"):
+            ScenarioSpec(
+                switching="store_and_forward",
+                traffic="trace",
+                length=2,
+                traffic_params={"flits_per_packet": 5},
+            )
+        # Whole packets that fit, and wormhole switching, are accepted.
+        ScenarioSpec(switching="store_and_forward", buffer_depth=4, length=4)
+        ScenarioSpec(buffer_depth=2, length=4)
+
     def test_bad_packets_rejected(self):
         with pytest.raises(ConfigError, match="budget"):
             ScenarioSpec(packets=0)

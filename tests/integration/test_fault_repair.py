@@ -31,7 +31,7 @@ class TestFaultAwareTables:
         routing = build_shortest_path_tables(topo, avoid_links=FAILED)
         port_14 = topo.output_port_to_switch(1, 4)
         for dst in range(topo.n_nodes):
-            assert routing.tables.get(1, {}).get(dst) != port_14
+            assert routing.rows[1][dst] != port_14
 
     def test_all_flows_still_routable(self):
         topo = paper_topology()
@@ -44,7 +44,7 @@ class TestFaultAwareTables:
         routing = build_multipath_tables(topo, avoid_links=FAILED)
         port_14 = topo.output_port_to_switch(1, 4)
         for dst in range(topo.n_nodes):
-            assert port_14 not in routing.tables.get(1, {}).get(dst, [])
+            assert port_14 not in routing.ports_for(1, dst)
 
     def test_repaired_tables_stay_deadlock_free(self):
         topo = paper_topology()

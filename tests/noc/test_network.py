@@ -5,6 +5,7 @@ import pytest
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.routing import (
+    RoutingError,
     build_shortest_path_tables,
     paper_routing,
 )
@@ -47,6 +48,15 @@ class TestDelivery:
         net.drain()
         assert done and done[0][0] is p
         assert net.rx[3].received_packets == 1
+
+    @pytest.mark.parametrize("dst", [4, 99])
+    def test_destination_outside_the_fabric_rejected_at_offer(self, dst):
+        net, _ = small_network()
+        with pytest.raises(RoutingError, match=f"to node {dst},"):
+            net.offer(Packet(src=0, dst=dst, length=2))
+        assert net.nis[0].pending_flits == 0
+        assert net.nis[0].offered_packets == 0
+        assert net.in_flight_flits == 0
 
     def test_flit_conservation(self):
         net, _ = small_network()

@@ -2,14 +2,18 @@
 
 The golden digests below were recorded from the per-destination-node
 builders that preceded the per-destination-switch pipeline, so any
-change to a table entry, its insertion order, a compiled dense array
-or a channel dependency fails here.  The work-count tests pin the
+change to a table entry, a compiled dense array or a channel
+dependency fails here.  Table digests read the rows in destination
+order; only the paper route cases' table digests were re-recorded
+when the rows became the route store (their dicts had been filled in
+path order).  The work-count tests pin the
 pipeline's shape exactly: one BFS per destination *switch*, and no
 per-(switch, destination) ``ports_for`` probing on a full table.
 Both kinds of check are machine-independent.
 """
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.noc import routing as routing_mod
 from repro.noc.deadlock import channel_dependency_graph
 from repro.noc.network import Network
 from repro.noc.routing import (
+    MultiPathTableRouting,
     TableRouting,
     XYRouting,
     build_multipath_tables,
@@ -57,15 +62,32 @@ def _digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
+def _table_entries(routing):
+    """Per switch, its ``[dst, entry]`` pairs in destination order, read
+    from the rows; a multipath entry is its candidate list."""
+    if not isinstance(routing, MultiPathTableRouting):
+        return [
+            [s, [[dst, port] for dst, port in enumerate(row)
+                 if port is not None]]
+            for s, row in enumerate(routing.rows)
+        ]
+    tables = []
+    for s, row in enumerate(routing.rows):
+        several = routing.choices.get(s, {})
+        tables.append([s, [
+            [dst, list(several.get(dst, [port]))]
+            for dst, port in enumerate(row)
+            if port is not None or dst in several
+        ]])
+    return tables
+
+
 def route_digests(topology: str, name: str, avoided: bool):
     """(tables, dense arrays, dependency edges) digests of one case."""
     topo = resolve_topology_spec(topology)
     avoid = _avoid(topo) if avoided else None
     routing = _routing(topo, name, avoid)
-    tables = [
-        [s, [[dst, port] for dst, port in entries.items()]]
-        for s, entries in routing.tables.items()
-    ]
+    tables = _table_entries(routing)
     network = Network(topo, routing)
     dense = [sw._route_dense for sw in network.switches]
     graph = channel_dependency_graph(topo, routing)
@@ -211,3 +233,78 @@ def test_dense_rows_agree_with_ports_for(topology, make):
         for dst in range(topo.n_nodes):
             ports = routing.ports_for(s, dst)
             assert row[dst] == (ports[0] if len(ports) == 1 else None)
+
+
+#: The paper route cases as ``{switch: {dst: ports}}``: the tables the
+#: initialisation step writes for Slide 19's two route possibilities.
+PAPER_TABLES = {
+    "overlap": {
+        0: {4: [3], 7: [0]},
+        1: {4: [0], 5: [1], 6: [2], 7: [2]},
+        2: {5: [3], 6: [0]},
+        3: {5: [1], 6: [3]},
+        4: {4: [0], 5: [0], 6: [1], 7: [2]},
+        5: {4: [1], 7: [3]},
+    },
+    "disjoint": {
+        0: {4: [3], 6: [1], 7: [0]},
+        1: {6: [0], 7: [1]},
+        2: {5: [3], 6: [0], 7: [1]},
+        3: {4: [0], 5: [1], 6: [3]},
+        4: {4: [1], 5: [2]},
+        5: {4: [1], 5: [0], 7: [3]},
+    },
+    "split": {
+        0: {4: [3], 6: [1], 7: [0]},
+        1: {4: [0], 5: [1], 6: [2, 0], 7: [2, 1]},
+        2: {5: [3], 6: [0], 7: [1]},
+        3: {4: [0], 5: [1], 6: [3]},
+        4: {4: [0, 1], 5: [0, 2], 6: [1], 7: [2]},
+        5: {4: [1], 5: [0], 7: [3]},
+    },
+}
+
+
+@pytest.mark.parametrize("case", PAPER_CASES)
+def test_paper_tables_are_the_written_routes(case):
+    topo = resolve_topology_spec("paper")
+    routing = paper_routing(topo, case)
+    table = {}
+    for s in range(topo.n_switches):
+        for dst in range(topo.n_nodes):
+            ports = routing.ports_for(s, dst)
+            if ports:
+                table.setdefault(s, {})[dst] = ports
+    assert table == PAPER_TABLES[case]
+
+
+@pytest.mark.parametrize(
+    "topology,routing",
+    [("mesh:4:4", "shortest"), ("torus:4:4", "updown"),
+     ("paper", "overlap")],
+)
+def test_switches_index_the_routing_rows_themselves(topology, routing):
+    """The rows are the one route store: no switch holds a copy."""
+    spec = ScenarioSpec(topology=topology, routing=routing, packets=4)
+    network = build_platform(spec.to_platform_config()).network
+    rows = network.routing.rows
+    assert len(rows) == len(network.switches)
+    for s, sw in enumerate(network.switches):
+        assert sw._route_dense is rows[s]
+
+
+def test_mesh_16x16_build_stays_within_its_memory_budget():
+    """Routes stored once keep a 256-switch build under 8.5 MiB of
+    Python allocations (10.3 MiB when each switch copied its row out
+    of per-switch dicts)."""
+    config = ScenarioSpec(
+        topology="mesh:16:16", packets=4
+    ).to_platform_config()
+    tracemalloc.start()
+    try:
+        platform = build_platform(config)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(platform.network.switches) == 256
+    assert allocated <= 8.5 * 2**20

@@ -28,34 +28,34 @@ def head_flit(src, dst, pid_salt=0):
 
 class TestTableRouting:
     def test_lookup(self):
-        r = TableRouting({0: {5: 2}})
+        r = TableRouting([[None] * 5 + [2]])
         assert r.output_port(0, head_flit(0, 5)) == 2
 
     def test_missing_entry_raises(self):
-        r = TableRouting({0: {5: 2}})
+        r = TableRouting([[None] * 5 + [2]])
         with pytest.raises(RoutingError):
             r.output_port(0, head_flit(0, 6))
         with pytest.raises(RoutingError):
             r.output_port(1, head_flit(0, 5))
 
     def test_ports_for(self):
-        r = TableRouting({0: {5: 2}})
+        r = TableRouting([[None] * 5 + [2]])
         assert r.ports_for(0, 5) == [2]
         assert r.ports_for(0, 9) == []
 
     def test_entry_count(self):
-        r = TableRouting({0: {5: 2, 6: 1}, 1: {5: 0}})
+        r = TableRouting([[None] * 5 + [2, 1], [None] * 5 + [0]])
         assert r.entries() == 3
 
 
 class TestMultiPathRouting:
     def test_single_candidate_is_deterministic(self):
-        r = MultiPathTableRouting({0: {5: [3]}})
+        r = MultiPathTableRouting([[None] * 5 + [3]])
         for _ in range(5):
             assert r.output_port(0, head_flit(0, 5)) == 3
 
     def test_choice_is_per_packet_stable(self):
-        r = MultiPathTableRouting({0: {5: [1, 2]}})
+        r = MultiPathTableRouting([[None] * 6], {0: {5: [1, 2]}})
         f = head_flit(0, 5)
         first = r.output_port(0, f)
         # Same packet -> same port, every time (wormhole safety).
@@ -63,7 +63,7 @@ class TestMultiPathRouting:
             assert r.output_port(0, f) == first
 
     def test_spreads_over_candidates(self):
-        r = MultiPathTableRouting({0: {5: [1, 2]}})
+        r = MultiPathTableRouting([[None] * 6], {0: {5: [1, 2]}})
         ports = {
             r.output_port(0, head_flit(0, 5)) for _ in range(64)
         }
@@ -71,15 +71,17 @@ class TestMultiPathRouting:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(RoutingError):
-            MultiPathTableRouting({0: {5: []}})
+            MultiPathTableRouting([[None] * 6], {0: {5: []}})
 
     def test_missing_entry_raises(self):
-        r = MultiPathTableRouting({0: {5: [1]}})
+        r = MultiPathTableRouting([[None] * 5 + [1]])
         with pytest.raises(RoutingError):
             r.output_port(0, head_flit(0, 7))
 
     def test_entries_counts_all_ports(self):
-        r = MultiPathTableRouting({0: {5: [1, 2]}, 1: {5: [0]}})
+        r = MultiPathTableRouting(
+            [[None] * 6, [None] * 5 + [0]], {0: {5: [1, 2]}}
+        )
         assert r.entries() == 3
 
 
@@ -372,6 +374,6 @@ class TestUpDownRouting:
         topo = torus(4, 4)
         avoid = {(1, 2), (2, 1)}
         assert (
-            build_updown_tables(topo, avoid_links=avoid).tables
-            == build_updown_tables(topo, root=0, avoid_links=avoid).tables
+            build_updown_tables(topo, avoid_links=avoid).rows
+            == build_updown_tables(topo, root=0, avoid_links=avoid).rows
         )

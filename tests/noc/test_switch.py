@@ -36,7 +36,7 @@ def make_switch(
     mode=SwitchingMode.WORMHOLE,
 ):
     """A switch whose outputs capture sent flits into per-port lists."""
-    routing = TableRouting({0: table or {0: 0, 1: 1}})
+    routing = TableRouting([table or [0, 1]])
     sw = Switch(
         0,
         SwitchConfig(
@@ -84,7 +84,7 @@ class TestWiring:
             sw.connect_output(0, lambda f, n: None, credits=1)
 
     def test_unwired_detected(self):
-        routing = TableRouting({0: {0: 0}})
+        routing = TableRouting([[0]])
         sw = Switch(0, SwitchConfig(n_inputs=1, n_outputs=1), routing)
         with pytest.raises(RuntimeError, match="not connected"):
             sw.check_wired()
@@ -166,7 +166,7 @@ class TestWormhole:
         assert sw.blocked_flit_cycles > 0
 
     def test_credit_exhaustion_blocks(self):
-        routing = TableRouting({0: {0: 0}})
+        routing = TableRouting([[0]])
         sw = Switch(
             0, SwitchConfig(n_inputs=1, n_outputs=1), routing
         )
@@ -188,7 +188,7 @@ class TestWormhole:
         assert len(sent) == 2
 
     def test_infinite_credit_output_never_stalls(self):
-        routing = TableRouting({0: {0: 0}})
+        routing = TableRouting([[0]])
         sw = Switch(0, SwitchConfig(n_inputs=1, n_outputs=1), routing)
         sw._clock = Clock()
         sent = []
