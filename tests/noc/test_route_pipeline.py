@@ -156,9 +156,9 @@ GOLDEN = {
     ('mesh:4:4:2', 'multipath', True): ('f73853b405871c15', '3915fba0ff29240d', '3bd8febc8c057abe'),
     ('mesh:4:4:2', 'updown', False): ('266127c4766c80a8', '7d842d39724c2dcc', '70c1d0903a7ed354'),
     ('mesh:4:4:2', 'updown', True): ('fee9bbfe421252e0', 'b9d41d100aa9124a', '718127c556228e70'),
-    ('paper', 'overlap', False): ('4cdc56fb6062f48c', 'df297f8023712a86', '8d5819ec275781f3'),
-    ('paper', 'disjoint', False): ('e09a0dd6952c5100', 'b8d709044a8b356c', '3590e0ea5b0f6fbc'),
-    ('paper', 'split', False): ('c3fa44b8d9f361c1', 'cb61f091232dc786', 'a6c39244fe8334f6'),
+    ('paper', 'overlap', False): ('d3a4acbdf8df86d4', 'df297f8023712a86', '8d5819ec275781f3'),
+    ('paper', 'disjoint', False): ('9d2cda3715b64cbf', 'b8d709044a8b356c', '3590e0ea5b0f6fbc'),
+    ('paper', 'split', False): ('81952ab127c2f2fb', 'cb61f091232dc786', 'a6c39244fe8334f6'),
 }
 
 
