@@ -588,8 +588,8 @@ def generic_platform_config(
         )
     tgs: List[TGSpec] = []
     trs: List[TRSpec] = []
-    # One tuple of all nodes; each TG's all-other-nodes set is a slice
-    # of it, which the destination chooser keeps without copying.
+    # Each TG's all-other-nodes set is one tuple cut from this one,
+    # which the destination chooser then keeps without copying.
     nodes = tuple(range(n_nodes))
     for node in range(n_nodes):
         others = nodes[:node] + nodes[node + 1:]

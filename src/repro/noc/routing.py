@@ -191,11 +191,10 @@ class MultiPathTableRouting(TableRouting):
         self.choices = choices or {}
         for s, entries in self.choices.items():
             for dst, ports in entries.items():
-                if len(ports) < 2 or self._port(s, dst) is not None:
+                if not ports:
                     raise RoutingError(
-                        f"choice at switch {s} for destination {dst}"
-                        f" needs two or more candidate ports and no"
-                        f" single-port entry, got {list(ports)}"
+                        f"empty candidate port list at switch {s} for"
+                        f" destination {dst}"
                     )
         self.salt = salt
 
