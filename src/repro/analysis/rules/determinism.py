@@ -23,10 +23,11 @@ preconditions statically):
     ``sort(key=id)`` is per-run order.  (Using ``id()`` as a dict
     *key* for identity lookup is fine and common in capture code.)
 ``canonical-json``
-    No hand-rolled ``json.dump(s)``.  Everything serialized goes
-    through :func:`repro.util.canonical_json` so sorted keys and
-    compact separators cannot drift per call site; human-facing
-    exports (Perfetto traces) carry pragmas.
+    No hand-rolled ``json.dump(s)`` and no ``json.JSONEncoder``
+    objects.  Everything serialized goes through
+    :func:`repro.util.canonical_json` so sorted keys and compact
+    separators cannot drift per call site; human-facing exports
+    (Perfetto traces) carry pragmas.
 """
 
 from __future__ import annotations
@@ -250,12 +251,19 @@ class IdOrderingRule(Rule):
 #: The one module allowed to call json.dumps: the shared encoder.
 _ENCODER_HOME = "repro/util.py"
 
+#: Calls that serialize JSON by hand: the two module-level encoders,
+#: and constructing an encoder object (whose ``encode`` is the same
+#: thing under another name).
+_HAND_ROLLED = (
+    "json.dump", "json.dumps", "json.JSONEncoder", "json.encoder.JSONEncoder"
+)
+
 
 class CanonicalJsonRule(Rule):
     id = "canonical-json"
     description = (
-        "json.dump/json.dumps outside repro/util.py; use"
-        " repro.util.canonical_json so key order and separators"
+        "json.dump/json.dumps/json.JSONEncoder outside repro/util.py;"
+        " use repro.util.canonical_json so key order and separators"
         " cannot drift"
     )
 
@@ -266,7 +274,7 @@ class CanonicalJsonRule(Rule):
             imports = import_map(module.tree)
             for call in iter_calls(module.tree):
                 full = resolve_call(call, imports)
-                if full in ("json.dump", "json.dumps"):
+                if full in _HAND_ROLLED:
                     yield self.finding(
                         module,
                         call.lineno,

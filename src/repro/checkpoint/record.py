@@ -11,7 +11,7 @@ of :class:`~repro.experiments.spec.ScenarioSpec` and
   content hash is byte-stable across processes;
 * ``content_hash`` — first 16 hex chars of the SHA-256 of the schema +
   spec + state payload, embedded in the file and re-verified on load;
-* atomic writes — ``mkstemp`` + ``os.replace``, so a crash mid-save
+* atomic writes — :func:`repro.util.atomic_write`, so a crash mid-save
   never leaves a truncated checkpoint where a good one stood;
 * clean errors, never partial reads — truncation, bad JSON, a foreign
   schema version, or a hash mismatch each raise their own
@@ -27,12 +27,11 @@ deterministic: same spec, same cycle, same hash.
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.experiments.spec import ScenarioSpec
-from repro.util import canonical_json_bytes
+from repro.util import atomic_write, canonical_json_bytes
 
 from .errors import (
     CheckpointCorruptError,
@@ -45,10 +44,6 @@ __all__ = ["CHECKPOINT_SCHEMA", "Checkpoint", "load_checkpoint"]
 #: Bump when the state layout changes incompatibly.  Old files then
 #: read as :class:`CheckpointSchemaError`, never as garbage state.
 CHECKPOINT_SCHEMA = 1
-
-
-def _canonical(payload: Any) -> bytes:
-    return canonical_json_bytes(payload)
 
 
 @dataclass(frozen=True)
@@ -68,15 +63,19 @@ class Checkpoint:
         """The cycle boundary this checkpoint was taken at."""
         return self.state["cycle"]
 
-    @property
-    def content_hash(self) -> str:
-        """16-hex-char SHA-256 over schema, spec and state."""
-        payload = {
+    def _body(self) -> bytes:
+        """Canonical ``{"schema":..,"spec":..,"state":..}``: the hashed
+        bytes, and the file's bytes once the hash is spliced in."""
+        return canonical_json_bytes({
             "schema": CHECKPOINT_SCHEMA,
             "spec": self.spec.to_dict(),
             "state": self.state,
-        }
-        return hashlib.sha256(_canonical(payload)).hexdigest()[:16]
+        })
+
+    @property
+    def content_hash(self) -> str:
+        """16-hex-char SHA-256 over schema, spec and state."""
+        return hashlib.sha256(self._body()).hexdigest()[:16]
 
     def to_dict(self) -> Dict[str, Any]:
         """The full file payload, hash included."""
@@ -90,31 +89,19 @@ class Checkpoint:
     def save(self, path: str) -> str:
         """Atomically write the checkpoint to ``path``.
 
-        Returns the content hash so callers can fold it into cache
-        keys without recomputing.
+        The state is encoded once: the file is the hashed body with
+        ``"hash":"<digest>",`` spliced in after its brace, the
+        canonical encoding of :meth:`to_dict` (``hash`` sorts first).
+        Written through :func:`repro.util.atomic_write`, so a crash
+        mid-save leaves the previous checkpoint in place.  Returns
+        the content hash so callers can fold it into cache keys.
         """
-        digest = self.content_hash
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "hash": digest,
-            "spec": self.spec.to_dict(),
-            "state": self.state,
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_canonical(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        body = self._body()
+        digest = hashlib.sha256(body).hexdigest()[:16]
+        atomic_write(path, (
+            b'{"hash":"%s",' % digest.encode("ascii"),
+            memoryview(body)[1:],
+        ))
         return digest
 
     @classmethod

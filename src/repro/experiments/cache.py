@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
-from repro.util import canonical_json_bytes
+from repro.util import atomic_write, canonical_json_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.spec import ScenarioSpec
@@ -180,20 +179,7 @@ class ResultCache:
                 f" cache key {key!r}"
             )
         path = self.path_for(key)
-        blob = _canonical(record)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f".{key}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, (_canonical(record),))
         return path
 
     # ------------------------------------------------------------------

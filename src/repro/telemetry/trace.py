@@ -19,10 +19,13 @@ the parity suite).
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import IO, Any, Dict, List, Optional
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
+from typing import IO, Any, Dict, Iterator, List, Optional
 
-from repro.util import canonical_json
+from repro.util import atomic_write
 
 #: Canonical intra-cycle order: fault application precedes its aborts,
 #: which precede the cycle's normal dataflow (injection happens in the
@@ -38,6 +41,23 @@ _KIND_ORDER = {
     "packet": 5,
 }
 
+#: Sort key of a buffered event: ``(kind order, where, pid, seq)``.
+_CANONICAL_KEY = itemgetter(0, 1, 2, 3)
+
+#: JSONL line templates, keys in canonical (sorted) order; strings
+#: are pre-quoted by ``_json_str``, the canonical encoder's own escape.
+_PLAIN_LINE = '{"cycle":%d,"kind":"%s","pid":%d,"seq":%d,"where":%s}\n'
+_TIMED_LINE = (
+    '{"cycle":%d,"dur":%d,"kind":"%s","pid":%d,"seq":%d,"where":%s}\n'
+)
+_FAULT_LINE = (
+    '{"cycle":%d,"fault":%s,"kind":"fault","pid":%d,"seq":%d,'
+    '"where":%s}\n'
+)
+
+#: Events per ``json.dumps`` call in :meth:`FlitTracer.write_perfetto`.
+_PERFETTO_BATCH = 1024
+
 
 class FlitTracer:
     """Collects flit-level events from an attached network.
@@ -46,10 +66,12 @@ class FlitTracer:
     ----------
     stream:
         Optional text file-like; each flushed event is written as one
-        canonical JSON line (sorted keys, no spaces).
+        canonical JSON line (sorted keys, no spaces), one ``write``
+        per emulated cycle.
     keep:
-        Keep flushed events in :attr:`events` (needed for
-        :meth:`to_perfetto`; disable for huge streamed runs).
+        Keep flushed events in :attr:`events` (required by
+        :meth:`to_perfetto` and :meth:`write_perfetto`; disable for
+        huge streamed runs).
 
     Attach with :meth:`~repro.noc.network.Network.attach_tracer`; call
     :meth:`close` after the run to flush the final cycle.
@@ -122,32 +144,44 @@ class FlitTracer:
                 self._flush()
             self._cycle = now
         self._pending.append(
-            (_KIND_ORDER[kind], where, pid, seq, kind, extra, now)
+            (_KIND_ORDER[kind], where, pid, seq, kind, extra)
         )
 
     def _flush(self) -> None:
-        """Emit the buffered cycle in canonical order."""
+        """Emit the buffered cycle in canonical order, one write."""
         pending = self._pending
-        pending.sort(key=lambda e: e[:4])
-        stream = self.stream
-        keep = self.keep
-        for order, where, pid, seq, kind, extra, now in pending:
-            event: Dict[str, Any] = {
-                "cycle": now,
-                "kind": kind,
-                "where": where,
-                "pid": pid,
-                "seq": seq,
-            }
-            if kind in ("hop", "eject"):
-                event["dur"] = extra
-            elif kind == "fault":
-                event["fault"] = extra
-            if keep:
-                self.events.append(event)
-            if stream is not None:
-                stream.write(canonical_json(event))
-                stream.write("\n")
+        pending.sort(key=_CANONICAL_KEY)
+        now = self._cycle
+        if self.keep:
+            append = self.events.append
+            for _, where, pid, seq, kind, extra in pending:
+                event: Dict[str, Any] = {"cycle": now, "kind": kind,
+                                         "where": where, "pid": pid,
+                                         "seq": seq}
+                if kind in ("hop", "eject"):
+                    event["dur"] = extra
+                elif kind == "fault":
+                    event["fault"] = extra
+                append(event)
+        if self.stream is not None:
+            # Each line is canonical_json(event) + "\n", formatted
+            # from the fixed schema (keys in sorted order).
+            lines = []
+            for _, where, pid, seq, kind, extra in pending:
+                if kind in ("hop", "eject"):
+                    line = _TIMED_LINE % (
+                        now, extra, kind, pid, seq, _json_str(where)
+                    )
+                elif kind == "fault":
+                    line = _FAULT_LINE % (
+                        now, _json_str(extra), pid, seq, _json_str(where)
+                    )
+                else:
+                    line = _PLAIN_LINE % (
+                        now, kind, pid, seq, _json_str(where)
+                    )
+                lines.append(line)
+            self.stream.write("".join(lines))
         del pending[:]
 
     def close(self) -> None:
@@ -166,33 +200,30 @@ class FlitTracer:
         their link flight, injects as instants), plus one async span
         per packet from its first injected flit to its completion or
         abort.  Timestamps are emulated cycles (rendered as
-        microseconds by the viewers).  Requires ``keep=True``.
+        microseconds by the viewers).  Requires ``keep=True``; raises
+        :class:`RuntimeError` otherwise.
         """
+        return {
+            "traceEvents": list(self._perfetto_events()),
+            "displayTimeUnit": "ms",
+        }
+
+    def _perfetto_events(self) -> Iterator[Dict[str, Any]]:
+        """The ``traceEvents`` of :meth:`to_perfetto`, one at a time."""
+        if not self.keep:
+            raise RuntimeError(
+                "Perfetto export needs the kept event list; construct"
+                " the FlitTracer with keep=True"
+            )
         self.close()
         events = self.events
-        tracks = sorted(
-            {e["where"] for e in events if e["where"]}
-        )
+        tracks = sorted({e["where"] for e in events if e["where"]})
         tids = {name: i + 1 for i, name in enumerate(tracks)}
-        out: List[Dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": 0,
-                "args": {"name": "noc-emulation"},
-            }
-        ]
+        yield {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+               "args": {"name": "noc-emulation"}}
         for name, tid in tids.items():
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": name},
-                }
-            )
+            yield {"name": "thread_name", "ph": "M", "pid": 0,
+                   "tid": tid, "args": {"name": name}}
         span_open: Dict[int, int] = {}
         for e in events:
             kind = e["kind"]
@@ -201,71 +232,54 @@ class FlitTracer:
             if kind == "inject":
                 if pid not in span_open:
                     span_open[pid] = cycle
-                    out.append(
-                        {
-                            "name": f"packet {pid}",
-                            "cat": "packet",
-                            "ph": "b",
-                            "id": pid,
-                            "ts": cycle,
-                            "pid": 0,
-                            "tid": 0,
-                        }
-                    )
-                out.append(
-                    {
-                        "name": f"p{pid}.f{e['seq']}",
-                        "cat": "flit",
-                        "ph": "i",
-                        "s": "t",
-                        "ts": cycle,
-                        "pid": 0,
-                        "tid": tids[e["where"]],
-                    }
-                )
+                    yield {"name": f"packet {pid}", "cat": "packet",
+                           "ph": "b", "id": pid, "ts": cycle, "pid": 0,
+                           "tid": 0}
+                yield {"name": f"p{pid}.f{e['seq']}", "cat": "flit",
+                       "ph": "i", "s": "t", "ts": cycle, "pid": 0,
+                       "tid": tids[e["where"]]}
             elif kind in ("hop", "eject"):
                 dur = e["dur"]
-                out.append(
-                    {
-                        "name": f"p{pid}.f{e['seq']}",
-                        "cat": kind,
-                        "ph": "X",
-                        "ts": cycle - dur,
-                        "dur": dur,
-                        "pid": 0,
-                        "tid": tids[e["where"]],
-                        "args": {"pid": pid, "seq": e["seq"]},
-                    }
-                )
+                yield {"name": f"p{pid}.f{e['seq']}", "cat": kind,
+                       "ph": "X", "ts": cycle - dur, "dur": dur,
+                       "pid": 0, "tid": tids[e["where"]],
+                       "args": {"pid": pid, "seq": e["seq"]}}
             elif kind in ("packet", "abort") and pid in span_open:
-                out.append(
-                    {
-                        "name": f"packet {pid}",
-                        "cat": "packet",
-                        "ph": "e",
-                        "id": pid,
-                        "ts": cycle,
-                        "pid": 0,
-                        "tid": 0,
-                        "args": {"outcome": kind},
-                    }
-                )
+                yield {"name": f"packet {pid}", "cat": "packet",
+                       "ph": "e", "id": pid, "ts": cycle, "pid": 0,
+                       "tid": 0, "args": {"outcome": kind}}
                 del span_open[pid]
             elif kind == "fault":
-                out.append(
-                    {
-                        "name": f"fault {e['fault']} {e['where']}",
-                        "cat": "fault",
-                        "ph": "i",
-                        "s": "g",
-                        "ts": cycle,
-                        "pid": 0,
-                        "tid": 0,
-                    }
-                )
-        return {"traceEvents": out, "displayTimeUnit": "ms"}
+                yield {"name": f"fault {e['fault']} {e['where']}",
+                       "cat": "fault", "ph": "i", "s": "g", "ts": cycle,
+                       "pid": 0, "tid": 0}
 
     def write_perfetto(self, path: str) -> None:
-        """Dump :meth:`to_perfetto` to ``path`` as JSON."""
-        with open(path, "w") as fh:
-            json.dump(self.to_perfetto(), fh)  # repro: allow[canonical-json] Chrome/Perfetto viewer export, not a deterministic record
+        """Write :meth:`to_perfetto` to ``path`` as JSON, atomically.
+
+        The bytes equal ``json.dumps(self.to_perfetto())``, but the
+        events are streamed: each batch of ``_PERFETTO_BATCH`` events
+        is one C-encoder ``json.dumps`` call, so neither the Perfetto
+        record list nor the whole document is held in memory.  Written
+        through :func:`repro.util.atomic_write`, so an interrupted
+        export leaves any earlier file at ``path`` intact.  Requires
+        ``keep=True``; raises :class:`RuntimeError` otherwise.
+        """
+        atomic_write(path, self._perfetto_chunks())
+
+    def _perfetto_chunks(self) -> Iterator[bytes]:
+        """The bytes of ``json.dumps(self.to_perfetto())``, in pieces."""
+        events = self._perfetto_events()
+        yield b'{"traceEvents": ['
+        separator = b""
+        while True:
+            batch = list(itertools.islice(events, _PERFETTO_BATCH))
+            if not batch:
+                break
+            # The list's brackets are stripped; batches join with the
+            # default item separator.
+            text = json.dumps(batch)  # repro: allow[canonical-json] Chrome/Perfetto viewer export, not a deterministic record
+            yield separator
+            yield text[1:-1].encode("ascii")
+            separator = b", "
+        yield b'], "displayTimeUnit": "ms"}'

@@ -248,3 +248,39 @@ def test_canonical_json_clean_twin():
         rules=["canonical-json"],
     )
     assert result.findings == []
+
+
+def test_canonical_json_flags_encoder_construction():
+    # An encoder object is json.dumps under another name: both the
+    # module path and the from-import spelling fire.
+    result = lint_src(
+        """
+        import json
+        from json import JSONEncoder as Encoder
+
+        def save(record, fh):
+            fh.write(json.JSONEncoder(sort_keys=True).encode(record))
+            fh.write(json.encoder.JSONEncoder().encode(record))
+            fh.write(Encoder(separators=(",", ":")).encode(record))
+        """,
+        rules=["canonical-json"],
+    )
+    assert len(result.findings) == 3
+    assert all("JSONEncoder" in f.message for f in result.findings)
+
+
+def test_canonical_json_encoder_construction_clean_twin():
+    # Reading the encoder module's string escaper is not an encoder.
+    result = lint_src(
+        """
+        from json.encoder import encode_basestring_ascii
+
+        from repro.util import canonical_json
+
+        def save(record, fh):
+            fh.write(canonical_json(record))
+            fh.write(encode_basestring_ascii(record["name"]))
+        """,
+        rules=["canonical-json"],
+    )
+    assert result.findings == []

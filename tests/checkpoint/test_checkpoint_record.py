@@ -8,6 +8,7 @@ state is applied.  A partial restore would be worse than no restore.
 """
 
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.checkpoint import (
     restore,
     snapshot,
 )
+from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments import (
     ResultCache,
@@ -29,6 +31,8 @@ from repro.experiments import (
     warm_point_key,
 )
 from repro.faults import FaultSchedule, link_down, link_up
+from repro.telemetry import WindowedMetrics
+from repro.util import canonical_json_bytes
 
 
 def checkpoint_for(spec, cycles=0):
@@ -72,6 +76,27 @@ def test_every_spec_field_round_trips(tmp_path):
     # The embedded fault schedule round-trips as a real FaultSchedule.
     assert isinstance(loaded.spec.faults, FaultSchedule)
     assert loaded.spec.faults.to_dict() == FULL_SPEC.faults.to_dict()
+
+
+def test_save_bytes_are_the_canonical_record(tmp_path):
+    """save() encodes the state once and splices the hash in; the file
+    must still be the canonical encoding of to_dict(), on a cut with
+    repaired routes (between link_down and link_up) mid-window."""
+    platform = build_platform(FULL_SPEC.to_platform_config())
+    engine = EmulationEngine(
+        platform,
+        faults=FULL_SPEC.faults,
+        telemetry=WindowedMetrics(platform, FULL_SPEC.telemetry_windows),
+    )
+    engine.run(max_cycles=400, finalize=False)
+    checkpoint = snapshot(platform, FULL_SPEC, engine)
+    assert checkpoint.state["faults"]["injector"]["dead_pairs"]
+    assert checkpoint.state["telemetry"]["base"] is not None
+    path = tmp_path / "cut.json"
+    digest = checkpoint.save(str(path))
+    assert digest == checkpoint.content_hash
+    assert path.read_bytes() == canonical_json_bytes(checkpoint.to_dict())
+    assert os.listdir(str(tmp_path)) == ["cut.json"]
 
 
 def test_healthy_spec_omits_optional_keys(tmp_path):

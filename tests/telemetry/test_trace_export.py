@@ -4,15 +4,21 @@ fault/abort events and the Perfetto export."""
 import io
 import itertools
 import json
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import FaultSchedule, link_down
-from repro.telemetry import FlitTracer
+from repro.telemetry import FlitTracer, trace
 from repro.telemetry.trace import _KIND_ORDER
+from repro.util import canonical_json
 
 
 def fresh_platform(**kwargs):
@@ -177,3 +183,165 @@ class TestPerfetto:
         tracer.write_perfetto(str(path))
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
+
+
+#: Trace strings the schema formatter must escape exactly like the
+#: canonical encoder: quotes, backslashes, control characters,
+#: non-ASCII (including astral-plane) text.
+NASTY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\té€𝄞'), st.characters()
+    ),
+    max_size=12,
+)
+
+#: One hook call: (cycle advance, kind, where/detail, pid, seq, extra).
+HOOK_CALLS = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from(sorted(_KIND_ORDER)),
+    NASTY_TEXT,
+    st.integers(-1, 2**40),
+    st.integers(0, 64),
+    st.one_of(st.integers(1, 9), NASTY_TEXT),
+)
+
+
+def drive(tracer, calls):
+    """Feed synthetic hook calls to ``tracer`` (no network needed)."""
+    now = 0
+    for step, kind, text, pid, seq, extra in calls:
+        now += step
+        packet = SimpleNamespace(pid=pid, length=seq)
+        flit = SimpleNamespace(packet=packet, seq=seq)
+        delay = extra if isinstance(extra, int) else 1
+        link = SimpleNamespace(name=text, delay=delay)
+        if kind == "inject":
+            tracer.inject(now, SimpleNamespace(name=text), flit)
+        elif kind in ("hop", "eject"):
+            getattr(tracer, kind)(now, link, flit)
+        elif kind == "packet":
+            tracer.packet_done(now, SimpleNamespace(name=text), packet)
+        elif kind == "abort":
+            tracer.abort(now, pid)
+        else:
+            tracer.fault(now, extra if isinstance(extra, str) else text,
+                         text)
+    tracer.close()
+
+
+class TestLineBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(HOOK_CALLS, max_size=40))
+    def test_every_line_is_canonical_json_of_its_event(self, calls):
+        stream = io.StringIO()
+        tracer = FlitTracer(stream=stream)
+        drive(tracer, calls)
+        expected = "".join(
+            canonical_json(e) + "\n" for e in tracer.events
+        )
+        assert stream.getvalue() == expected
+        assert len(tracer.events) == len(calls)
+
+    def test_all_six_kinds_and_pid_minus_one(self):
+        stream = io.StringIO()
+        tracer = FlitTracer(stream=stream)
+        drive(tracer, [
+            (0, "fault", 'a"b\\c\x01é', -1, 0, "link_down"),
+            (0, "abort", "", -1, 0, None),
+            (0, "inject", "ni\n0", 7, 0, None),
+            (1, "hop", "s0->s1", 7, 0, 2),
+            (0, "eject", "s1->rx", 7, 1, 1),
+            (1, "packet", "rx€", 7, 8, None),
+        ])
+        assert {e["kind"] for e in tracer.events} == set(_KIND_ORDER)
+        lines = stream.getvalue().splitlines()
+        assert lines == [canonical_json(e) for e in tracer.events]
+
+    def test_one_write_per_cycle(self):
+        writes = []
+        stream = SimpleNamespace(write=writes.append)
+        _, _, tracer, _ = traced_run()
+        replay = FlitTracer(stream=stream, keep=False)
+        platform = fresh_platform()
+        platform.network.attach_tracer(replay)
+        EmulationEngine(platform).run()
+        replay.close()
+        assert len(writes) == len({e["cycle"] for e in tracer.events})
+        assert "".join(writes) == "".join(
+            canonical_json(e) + "\n" for e in tracer.events
+        )
+
+
+class TestPerfettoBytes:
+    def test_write_matches_json_dumps_across_batches(
+        self, tmp_path, monkeypatch
+    ):
+        _, _, tracer, _ = traced_run()
+        expected = json.dumps(tracer.to_perfetto()).encode("ascii")
+        assert len(tracer.to_perfetto()["traceEvents"]) > 1024
+        for batch in (1, 7, 1024):
+            monkeypatch.setattr(trace, "_PERFETTO_BATCH", batch)
+            path = tmp_path / f"trace-{batch}.json"
+            tracer.write_perfetto(str(path))
+            assert path.read_bytes() == expected
+
+    def test_empty_trace(self, tmp_path):
+        tracer = FlitTracer()
+        path = tmp_path / "empty.json"
+        tracer.write_perfetto(str(path))
+        doc = tracer.to_perfetto()
+        assert len(doc["traceEvents"]) == 1  # process_name only
+        assert path.read_bytes() == json.dumps(doc).encode("ascii")
+
+    def test_keep_false_export_raises(self, tmp_path):
+        _, _, tracer, text = traced_run(keep=False)
+        assert text
+        with pytest.raises(RuntimeError, match="keep=True"):
+            tracer.to_perfetto()
+        path = tmp_path / "trace.json"
+        path.write_text("previous export")
+        with pytest.raises(RuntimeError, match="keep=True"):
+            tracer.write_perfetto(str(path))
+        assert path.read_text() == "previous export"
+        assert os.listdir(str(tmp_path)) == ["trace.json"]
+
+    def test_interrupted_export_keeps_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        _, _, tracer, _ = traced_run()
+        path = tmp_path / "trace.json"
+        path.write_text("previous export")
+        real_dumps = json.dumps
+        calls = []
+
+        def failing_dumps(batch):
+            calls.append(len(batch))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_dumps(batch)
+
+        monkeypatch.setattr(trace, "_PERFETTO_BATCH", 16)
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="disk full"):
+            tracer.write_perfetto(str(path))
+        assert path.read_text() == "previous export"
+        assert os.listdir(str(tmp_path)) == ["trace.json"]
+
+    def test_export_memory_budget(self, tmp_path):
+        """The streamed export holds one batch, never the document:
+        ~2 MiB peak on this trace, against ~20 MiB for building the
+        full event list and encoding it in one piece."""
+        spec = ScenarioSpec(topology="paper", load=0.45, packets=200)
+        platform = build_platform(spec.to_platform_config())
+        tracer = FlitTracer()
+        platform.network.attach_tracer(tracer)
+        EmulationEngine(platform).run()
+        platform.network.detach_tracer()
+        tracer.close()
+        tracemalloc.start()
+        try:
+            tracer.write_perfetto(str(tmp_path / "trace.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
