@@ -92,16 +92,27 @@ class Packet:
     def flits(self) -> List["Flit"]:
         """Segment the packet into flits, in transmission order.
 
-        Returns an eager list: the NI extends its source queue with it
-        in one C-level call, which beats draining a generator frame
-        per flit on the offer hot path.
+        The one place the simulator makes flits: each is six stores on
+        a bare object in one loop, then the head and tail flags are
+        set.  Returns an eager list: the NI extends its source queue
+        with it in one C-level call, which beats draining a generator
+        frame per flit on the offer hot path.
         """
-        if self.length == 1:
-            return [Flit(FlitType.HEAD_TAIL, self, seq=0)]
-        flits = [Flit(FlitType.HEAD, self, seq=0)]
-        for seq in range(1, self.length - 1):
-            flits.append(Flit(FlitType.BODY, self, seq=seq))
-        flits.append(Flit(FlitType.TAIL, self, seq=self.length - 1))
+        new = object.__new__
+        dst = self.dst
+        flits = []
+        append = flits.append
+        for seq in range(self.length):
+            flit = new(Flit)
+            flit.packet = self
+            flit.seq = seq
+            flit.stall_cycles = 0
+            flit.is_head = False
+            flit.is_tail = False
+            flit.dst = dst
+            append(flit)
+        flits[0].is_head = True
+        flits[-1].is_tail = True
         return flits
 
 
@@ -114,32 +125,35 @@ class Flit:
     number of cycles the flit sat at the head of a buffer without being
     able to advance; the congestion counter aggregates it.
 
-    Flits are the unit object of the simulator's inner loop, so the
-    per-packet constants (``src``, ``dst``, ``is_head``, ``is_tail``)
-    are materialised as plain attributes at construction instead of
-    being recomputed through properties on every switch traversal.
+    Flits are the unit object of the simulator's inner loop, so a flit
+    stores six fields: ``packet``, ``seq``, ``stall_cycles`` and the
+    per-hop constants ``is_head``, ``is_tail`` and ``dst``, read on
+    every switch traversal.  ``kind`` and ``src`` are derived (from the
+    flags and from ``packet.src``); no hot path reads them.
+    :meth:`Packet.flits` builds flits without calling ``__init__``.
     """
 
-    __slots__ = (
-        "kind",
-        "packet",
-        "seq",
-        "stall_cycles",
-        "is_head",
-        "is_tail",
-        "src",
-        "dst",
-    )
+    __slots__ = ("packet", "seq", "stall_cycles", "is_head", "is_tail", "dst")
 
     def __init__(self, kind: FlitType, packet: Packet, seq: int) -> None:
-        self.kind = kind
         self.packet = packet
         self.seq = seq
         self.stall_cycles = 0
-        self.is_head = kind is FlitType.HEAD or kind is FlitType.HEAD_TAIL
-        self.is_tail = kind is FlitType.TAIL or kind is FlitType.HEAD_TAIL
-        self.src = packet.src
+        self.is_head = kind.is_head
+        self.is_tail = kind.is_tail
         self.dst = packet.dst
+
+    @property
+    def kind(self) -> FlitType:
+        """Position of the flit within its packet."""
+        if self.is_head:
+            return FlitType.HEAD_TAIL if self.is_tail else FlitType.HEAD
+        return FlitType.TAIL if self.is_tail else FlitType.BODY
+
+    @property
+    def src(self) -> int:
+        """Node index of the generating network interface."""
+        return self.packet.src
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

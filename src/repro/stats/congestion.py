@@ -48,7 +48,9 @@ class CongestionCounter:
 
     def record(self, packet: Packet, flits: List[Flit]) -> int:
         """Record one completed packet; return its total stall cycles."""
-        stall = sum(f.stall_cycles for f in flits)
+        stall = 0
+        for flit in flits:
+            stall += flit.stall_cycles
         self.packets += 1
         self.flits += len(flits)
         self.total_stall_cycles += stall

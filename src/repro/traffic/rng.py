@@ -12,6 +12,15 @@ Using an LFSR instead of Python's Mersenne Twister keeps the software
 emulation bit-compatible with what a hardware TG would produce from the
 same seed, and makes every experiment reproducible from the seed
 registers alone.
+
+The register is shifted a byte per table lookup, as a parallel-CRC
+circuit shifts a word per clock.  In this Galois register feedback
+enters below bit 21 only at bits 0-1, and only from earlier output
+bits, so ``k <= 8`` steps depend on the low ``k`` bits alone: the
+register after them is ``(s >> k) ^ feedback[k][s & (2**k - 1)]`` and
+the ``k`` output bits are ``out[k][s & (2**k - 1)]``.  Both tables are
+built once at import from :meth:`Lfsr32.next_bit`, the one-bit step
+that stays the specification, so the sequence is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -92,14 +101,67 @@ class Lfsr32:
         """Shift out ``n`` bits (LSB first) as an ``n``-bit integer."""
         if not 0 < n <= 64:
             raise ValueError(f"bit count must be in [1, 64], got {n}")
+        s = self.state
         value = 0
-        for i in range(n):
-            value |= self.next_bit() << i
+        shift = 0
+        while n >= 8:
+            low = s & 0xFF
+            value |= _OUT_8[low] << shift
+            s = (s >> 8) ^ _FEEDBACK_8[low]
+            shift += 8
+            n -= 8
+        if n:
+            low = s & ((1 << n) - 1)
+            value |= _OUT[n][low] << shift
+            s = (s >> n) ^ _FEEDBACK[n][low]
+        self.state = s
         return value
 
     def next_word(self) -> int:
-        """A full 32-bit pseudo-random word."""
-        return self.next_bits(32)
+        """A full 32-bit pseudo-random word (four byte steps)."""
+        out = _OUT_8
+        feedback = _FEEDBACK_8
+        s = self.state
+        low = s & 0xFF
+        word = out[low]
+        s = (s >> 8) ^ feedback[low]
+        low = s & 0xFF
+        word |= out[low] << 8
+        s = (s >> 8) ^ feedback[low]
+        low = s & 0xFF
+        word |= out[low] << 16
+        s = (s >> 8) ^ feedback[low]
+        low = s & 0xFF
+        word |= out[low] << 24
+        self.state = (s >> 8) ^ feedback[low]
+        return word
+
+
+def _chunk_tables():
+    """``out[k]``/``feedback[k]`` for ``k = 1..8`` steps of the register.
+
+    Entry ``low`` of each table is what ``k`` calls of
+    :meth:`Lfsr32.next_bit` do to a register holding ``low``: the output
+    bits (LSB first) and the register left behind.  Index 0 is unused.
+    """
+    out, feedback = [()], [()]
+    register = Lfsr32()
+    for k in range(1, 9):
+        out_k, feedback_k = [], []
+        for low in range(1 << k):
+            register.state = low
+            bits = 0
+            for i in range(k):
+                bits |= register.next_bit() << i
+            out_k.append(bits)
+            feedback_k.append(register.state)
+        out.append(tuple(out_k))
+        feedback.append(tuple(feedback_k))
+    return tuple(out), tuple(feedback)
+
+
+_OUT, _FEEDBACK = _chunk_tables()
+_OUT_8, _FEEDBACK_8 = _OUT[8], _FEEDBACK[8]
 
 
 class LfsrRandom:
@@ -162,7 +224,8 @@ class LfsrRandom:
         u = self.random()
         # Guard u == 0, where log would diverge.
         u = max(u, 2.0 ** -33)
-        return 1 + int(math.log(u) / math.log(1.0 - p))
+        # log1p: for tiny p, 1.0 - p rounds to 1.0 and log() to 0.
+        return 1 + int(math.log(u) / math.log1p(-p))
 
     def expovariate(self, rate: float) -> float:
         """Exponential variate with the given rate (mean ``1/rate``)."""

@@ -93,3 +93,45 @@ class TestFlit:
         p = Packet(src=4, dst=9, length=1)
         text = repr(p.flits()[0])
         assert "4->9" in text
+
+
+class TestFlitLayout:
+    @pytest.mark.parametrize("length", [1, 2, 3, 8])
+    def test_flits_match_public_constructor(self, length):
+        p = Packet(src=2, dst=6, length=length)
+        flits = p.flits()
+        assert len(flits) == length
+        for f in flits:
+            ref = Flit(f.kind, p, f.seq)
+            for name in (
+                "kind",
+                "is_head",
+                "is_tail",
+                "seq",
+                "src",
+                "dst",
+                "stall_cycles",
+                "packet",
+            ):
+                assert getattr(f, name) == getattr(ref, name), name
+        kinds = [f.kind for f in flits]
+        if length == 1:
+            assert kinds == [FlitType.HEAD_TAIL]
+        else:
+            assert kinds == (
+                [FlitType.HEAD]
+                + [FlitType.BODY] * (length - 2)
+                + [FlitType.TAIL]
+            )
+
+    def test_six_stored_fields(self):
+        assert Flit.__slots__ == (
+            "packet",
+            "seq",
+            "stall_cycles",
+            "is_head",
+            "is_tail",
+            "dst",
+        )
+        flit = Packet(src=0, dst=1, length=2).flits()[0]
+        assert not hasattr(flit, "__dict__")

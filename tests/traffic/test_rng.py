@@ -1,8 +1,26 @@
 """Unit tests for the LFSR random number generator."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traffic.rng import Lfsr32, LfsrRandom
+
+
+def _bit_serial(seed, n):
+    """``n`` one-bit steps: the reference value and final register."""
+    lfsr = Lfsr32(seed)
+    value = 0
+    for i in range(n):
+        value |= lfsr.next_bit() << i
+    return value, lfsr.state
+
+
+_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF)
+)
 
 
 class TestLfsr32:
@@ -58,6 +76,76 @@ class TestLfsr32:
         first = [lfsr.next_word() for _ in range(3)]
         lfsr.reseed(42)
         assert [lfsr.next_word() for _ in range(3)] == first
+
+
+class TestChunkedShift:
+    """The byte-per-lookup register equals the one-bit specification."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(1, 64))
+    def test_next_bits_matches_bit_serial(self, seed, n):
+        lfsr = Lfsr32(seed)
+        assert (lfsr.next_bits(n), lfsr.state) == _bit_serial(seed, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS)
+    def test_next_word_matches_bit_serial(self, seed):
+        lfsr = Lfsr32(seed)
+        assert (lfsr.next_word(), lfsr.state) == _bit_serial(seed, 32)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS)
+    def test_random_matches_bit_serial(self, seed):
+        rng = LfsrRandom(seed)
+        value, state = _bit_serial(seed, 32)
+        assert rng.random() == value / 4294967296.0
+        assert rng.state == state
+
+    # Recorded from the bit-serial register: the first four words and
+    # a mixed-width sequence (with the final register) per seed.
+    GOLDEN = {
+        1: (
+            [0x8A2DB6DB, 0x909909E7, 0x44D2B93A, 0x97008287],
+            [0x1, 0x5, 0x6D, 0x2DB, 0x4C84F3C5, 0x804143A2695C9D48, 0x4B],
+            0x972542A4,
+        ),
+        0xDEADBEEF: (
+            [0x96F9E4F9, 0x39E9A8ED, 0x45E12B81, 0x02101D2E],
+            [0x1, 0x4, 0x4F, 0xF9E, 0xF4D476CB, 0x080E9722F095C09C, 0x1],
+            0x02109929,
+        ),
+        0: (
+            [0xE4F6E697, 0x6B2FF3D4, 0x5091D363, 0xF56C4A6A],
+            [0x1, 0x3, 0x69, 0xF6E, 0x97F9EA72, 0xB625352848E9B1B5, 0x7A],
+            0xF551117A,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_sequence(self, seed):
+        words, mixed, state = self.GOLDEN[seed]
+        lfsr = Lfsr32(seed)
+        assert [lfsr.next_word() for _ in range(4)] == words
+        lfsr = Lfsr32(seed)
+        widths = (1, 3, 8, 13, 32, 64, 7)
+        assert [lfsr.next_bits(n) for n in widths] == mixed
+        assert lfsr.state == state
+
+    @pytest.mark.parametrize("traffic", ["poisson", "uniform", "burst"])
+    def test_scenarios_never_step_one_bit(self, traffic, monkeypatch):
+        from repro.experiments.runner import run_scenario
+        from repro.experiments.spec import ScenarioSpec
+
+        def refuse(self):
+            raise AssertionError("traffic generation stepped one bit")
+
+        monkeypatch.setattr(Lfsr32, "next_bit", refuse)
+        result = run_scenario(
+            ScenarioSpec(
+                topology="mesh:4:4", traffic=traffic, load=0.1, packets=20
+            )
+        )
+        assert result.metrics["completed"]
 
 
 class TestLfsrRandom:
@@ -118,6 +206,16 @@ class TestLfsrRandom:
 
     def test_geometric_p_one(self):
         assert LfsrRandom(1).geometric(1.0) == 1
+
+    def test_geometric_tiny_p(self):
+        # 1.0 - 1e-17 rounds to 1.0, whose log is 0.
+        assert LfsrRandom(3).geometric(1e-17) > 10**15
+        # Same uniform draw, so the variate is exactly log(u) / log1p(-p).
+        p = 1e-12
+        u = LfsrRandom(3).random()
+        assert LfsrRandom(3).geometric(p) == 1 + int(
+            math.log(u) / math.log1p(-p)
+        )
 
     def test_geometric_validation(self):
         with pytest.raises(ValueError):
