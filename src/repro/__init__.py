@@ -19,85 +19,49 @@ Quickstart::
     flow = EmulationFlow()
     report = flow.run(paper_platform_config(max_packets=2000))
     print(report.report_text)
+
+Every exported name resolves on first use: ``import repro`` loads no
+submodule, and reading a name imports only the module defining it
+(see :mod:`repro.lazy`).
 """
 
-from repro.core import (
-    BusFabric,
-    ConfigError,
-    EmulationEngine,
-    EmulationError,
-    EmulationFlow,
-    EmulationPlatform,
-    EngineResult,
-    FlowReport,
-    Monitor,
-    PlatformConfig,
-    Processor,
-    TGSpec,
-    TRSpec,
-    build_platform,
-    paper_platform_config,
-)
-from repro.experiments import (
-    ResultCache,
-    ScenarioResult,
-    ScenarioSpec,
-    Sweep,
-    SweepRunner,
-    run_sweep,
-)
-from repro.noc import (
-    Network,
-    Packet,
-    Switch,
-    SwitchConfig,
-    SwitchingMode,
-    Topology,
-    paper_topology,
-)
-from repro.traffic import (
-    BurstTraffic,
-    PoissonTraffic,
-    Trace,
-    TraceTraffic,
-    UniformTraffic,
-)
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BurstTraffic",
-    "BusFabric",
-    "ConfigError",
-    "EmulationEngine",
-    "EmulationError",
-    "EmulationFlow",
-    "EmulationPlatform",
-    "EngineResult",
-    "FlowReport",
-    "Monitor",
-    "Network",
-    "Packet",
-    "PlatformConfig",
-    "PoissonTraffic",
-    "Processor",
-    "ResultCache",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "Sweep",
-    "SweepRunner",
-    "Switch",
-    "SwitchConfig",
-    "SwitchingMode",
-    "TGSpec",
-    "TRSpec",
-    "Topology",
-    "Trace",
-    "TraceTraffic",
-    "UniformTraffic",
-    "build_platform",
-    "paper_platform_config",
-    "paper_topology",
-    "run_sweep",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "BusFabric": ".core",
+    "ConfigError": ".core",
+    "EmulationError": ".core",
+    "EmulationEngine": ".core",
+    "EngineResult": ".core",
+    "EmulationFlow": ".core",
+    "FlowReport": ".core",
+    "Monitor": ".core",
+    "EmulationPlatform": ".core",
+    "build_platform": ".core",
+    "PlatformConfig": ".core",
+    "TGSpec": ".core",
+    "TRSpec": ".core",
+    "paper_platform_config": ".core",
+    "Processor": ".core",
+    "ResultCache": ".experiments",
+    "ScenarioResult": ".experiments",
+    "SweepRunner": ".experiments",
+    "run_sweep": ".experiments",
+    "ScenarioSpec": ".experiments",
+    "Sweep": ".experiments",
+    "Network": ".noc",
+    "Packet": ".noc",
+    "Switch": ".noc",
+    "SwitchConfig": ".noc",
+    "SwitchingMode": ".noc",
+    "Topology": ".noc",
+    "paper_topology": ".noc",
+    "BurstTraffic": ".traffic",
+    "PoissonTraffic": ".traffic",
+    "Trace": ".traffic",
+    "TraceTraffic": ".traffic",
+    "UniformTraffic": ".traffic",
+})
+__all__.append("__version__")

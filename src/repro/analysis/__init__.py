@@ -33,17 +33,14 @@ pragma (cross-file coverage gaps during a migration) go in a checked-in
 baseline file instead; see :mod:`~repro.analysis.baseline`.
 """
 
-from repro.analysis.engine import LintResult, run_lint
-from repro.analysis.findings import Finding
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.rules import ALL_RULES, RULES_BY_ID
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintResult",
-    "RULES_BY_ID",
-    "render_json",
-    "render_text",
-    "run_lint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "LintResult": ".engine",
+    "run_lint": ".engine",
+    "Finding": ".findings",
+    "render_json": ".reporters",
+    "render_text": ".reporters",
+    "ALL_RULES": ".rules",
+    "RULES_BY_ID": ".rules",
+})

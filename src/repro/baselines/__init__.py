@@ -19,21 +19,17 @@ both *kinds* of simulator in Python:
   speed table.
 """
 
-from repro.baselines.eventsim import EventSimulator, Process, Signal
-from repro.baselines.rtl import RtlPlatformSim, RtlSwitch
-from repro.baselines.speed import measure_engine_speeds, speed_report
-from repro.baselines.tlm import TlmKernel, TlmPlatformSim
-from repro.baselines.vcd import VcdTracer
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EventSimulator",
-    "Process",
-    "RtlPlatformSim",
-    "RtlSwitch",
-    "Signal",
-    "TlmKernel",
-    "TlmPlatformSim",
-    "VcdTracer",
-    "measure_engine_speeds",
-    "speed_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "EventSimulator": ".eventsim",
+    "Process": ".eventsim",
+    "Signal": ".eventsim",
+    "RtlPlatformSim": ".rtl",
+    "RtlSwitch": ".rtl",
+    "measure_engine_speeds": ".speed",
+    "speed_report": ".speed",
+    "TlmKernel": ".tlm",
+    "TlmPlatformSim": ".tlm",
+    "VcdTracer": ".vcd",
+})

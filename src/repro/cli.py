@@ -118,9 +118,7 @@ from typing import List, Optional
 from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.errors import ConfigError, EmulationError
-from repro.core.flow import EmulationFlow
 from repro.core.platform import build_platform
-from repro.fpga.synthesis import synthesize
 
 #: Route cases of the 6-switch paper platform (kept first in the
 #: --routing choices so help output leads with the paper's cases).
@@ -392,6 +390,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         # with the figures.  Fault and telemetry flags force the
         # generic engine path, which owns the injector and the
         # telemetry hooks.
+        from repro.core.flow import EmulationFlow
+
         config = _config_from(args, args.packets)
         flow = EmulationFlow()
         if do_profile:
@@ -562,6 +562,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from repro.fpga.synthesis import synthesize
+
     if args.topology == "paper" and args.routing in _PAPER_ROUTING:
         config = _config_from(args, None)
     else:

@@ -8,48 +8,32 @@ the final report and a six-step emulation flow that only repeats the
 expensive hardware steps when hardware parameters actually change.
 """
 
-from repro.core.bus import AddressError, BusFabric, Device
-from repro.core.config import (
-    PlatformConfig,
-    TGSpec,
-    TRSpec,
-    generic_platform_config,
-    paper_platform_config,
-    resolve_topology_spec,
-)
-from repro.core.control import ControlDevice
-from repro.core.devices import TGDevice, TRDevice
-from repro.core.engine import EmulationEngine, EngineResult
-from repro.core.errors import ConfigError, EmulationError
-from repro.core.flow import EmulationFlow, FlowReport
-from repro.core.monitor import Monitor
-from repro.core.platform import EmulationPlatform, build_platform
-from repro.core.processor import Processor
-from repro.core.registers import Register, RegisterBank
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AddressError",
-    "BusFabric",
-    "ConfigError",
-    "ControlDevice",
-    "Device",
-    "EmulationEngine",
-    "EmulationError",
-    "EmulationFlow",
-    "EmulationPlatform",
-    "EngineResult",
-    "FlowReport",
-    "Monitor",
-    "PlatformConfig",
-    "Processor",
-    "Register",
-    "RegisterBank",
-    "TGDevice",
-    "TGSpec",
-    "TRDevice",
-    "TRSpec",
-    "build_platform",
-    "generic_platform_config",
-    "paper_platform_config",
-    "resolve_topology_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "AddressError": ".bus",
+    "BusFabric": ".bus",
+    "Device": ".bus",
+    "PlatformConfig": ".config",
+    "TGSpec": ".config",
+    "TRSpec": ".config",
+    "generic_platform_config": ".config",
+    "paper_platform_config": ".config",
+    "check_topology_spec": ".config",
+    "resolve_topology_spec": ".config",
+    "ControlDevice": ".control",
+    "TGDevice": ".devices",
+    "TRDevice": ".devices",
+    "EmulationEngine": ".engine",
+    "EngineResult": ".engine",
+    "ConfigError": ".errors",
+    "EmulationError": ".errors",
+    "EmulationFlow": ".flow",
+    "FlowReport": ".flow",
+    "Monitor": ".monitor",
+    "EmulationPlatform": ".platform",
+    "build_platform": ".platform",
+    "Processor": ".processor",
+    "Register": ".registers",
+    "RegisterBank": ".registers",
+})

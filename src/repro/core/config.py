@@ -18,6 +18,7 @@ hardware re-synthesis", Slide 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigError
@@ -324,6 +325,18 @@ def resolve_topology_spec(spec: Union[str, Topology]) -> Topology:
         f"unknown topology spec {spec!r}; expected one of"
         f" {TOPOLOGY_SPECS}"
     )
+
+
+@lru_cache(maxsize=None)
+def check_topology_spec(spec: str) -> int:
+    """Validate a topology spec string once per process; its node count.
+
+    Scenario specs call this instead of building a :class:`Topology`
+    they would throw away.  Only the count is memoised: every platform
+    still resolves its own fresh graph, and a malformed spec raises
+    its :class:`ConfigError` on every call (exceptions are not cached).
+    """
+    return resolve_topology_spec(spec).n_nodes
 
 
 # ----------------------------------------------------------------------

@@ -37,58 +37,31 @@ The ``python -m repro batch <sweep.json>`` subcommand drives the same
 machinery from the command line.
 """
 
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.experiments.resilience import (
-    FailureRecord,
-    SweepJournal,
-    SweepReport,
-    WorkerCrash,
-)
-from repro.experiments.report import (
-    aggregate,
-    percentile,
-    render_table,
-    rows_from_results,
-    to_csv,
-    to_json,
-)
-from repro.experiments.runner import (
-    ScenarioResult,
-    SweepRunner,
-    SweepStats,
-    WarmResult,
-    make_ramp_checkpoint,
-    run_cold_point,
-    run_scenario,
-    run_sweep,
-    run_warm_point,
-    warm_point_key,
-)
-from repro.experiments.spec import ScenarioSpec, Sweep
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "FailureRecord",
-    "ResultCache",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "Sweep",
-    "SweepJournal",
-    "SweepReport",
-    "SweepRunner",
-    "SweepStats",
-    "WarmResult",
-    "WorkerCrash",
-    "aggregate",
-    "make_ramp_checkpoint",
-    "percentile",
-    "render_table",
-    "rows_from_results",
-    "run_cold_point",
-    "run_scenario",
-    "run_sweep",
-    "run_warm_point",
-    "warm_point_key",
-    "to_csv",
-    "to_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "DEFAULT_CACHE_DIR": ".cache",
+    "ResultCache": ".cache",
+    "FailureRecord": ".resilience",
+    "SweepJournal": ".resilience",
+    "SweepReport": ".resilience",
+    "WorkerCrash": ".resilience",
+    "aggregate": ".report",
+    "percentile": ".report",
+    "render_table": ".report",
+    "rows_from_results": ".report",
+    "to_csv": ".report",
+    "to_json": ".report",
+    "ScenarioResult": ".runner",
+    "SweepRunner": ".runner",
+    "SweepStats": ".runner",
+    "WarmResult": ".runner",
+    "make_ramp_checkpoint": ".runner",
+    "run_cold_point": ".runner",
+    "run_scenario": ".runner",
+    "run_sweep": ".runner",
+    "run_warm_point": ".runner",
+    "warm_point_key": ".runner",
+    "ScenarioSpec": ".spec",
+    "Sweep": ".spec",
+})

@@ -30,21 +30,33 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.config import (
     PlatformConfig,
     TG_MODELS,
     TR_KINDS,
+    check_topology_spec,
     generic_platform_config,
     paper_platform_config,
     resolve_topology_spec,
 )
 from repro.core.errors import ConfigError
-from repro.faults.schedule import FaultSchedule
 from repro.noc.switch import SwitchingMode
 from repro.traffic.rng import derive_stream_seed
 from repro.util import canonical_json, canonical_json_bytes
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
 
 #: Bump when the spec schema or its semantics change incompatibly;
 #: part of the content hash, so stale cache entries never resurface.
@@ -133,23 +145,23 @@ class ScenarioSpec:
                 f"telemetry_windows must be an int >= 1 or None, got"
                 f" {self.telemetry_windows!r}"
             )
-        if self.faults is not None and not isinstance(
-            self.faults, FaultSchedule
-        ):
+        if self.faults is not None:
+            from repro.faults.schedule import FaultSchedule
+
             if isinstance(self.faults, Mapping):
                 object.__setattr__(
                     self, "faults", FaultSchedule.from_dict(self.faults)
                 )
-            else:
+            elif not isinstance(self.faults, FaultSchedule):
                 raise ConfigError(
                     "ScenarioSpec.faults must be a FaultSchedule, its"
                     " dict form, or None; got"
                     f" {type(self.faults).__name__}"
                 )
-        if self.faults is not None and not self.faults.events:
-            # An empty schedule is a healthy run: normalise so the
-            # content hash (and hence the cache key) is identical.
-            object.__setattr__(self, "faults", None)
+            if not self.faults.events:
+                # An empty schedule is a healthy run: normalise so the
+                # content hash (and hence the cache key) is identical.
+                object.__setattr__(self, "faults", None)
         if isinstance(self.traffic_params, Mapping):
             object.__setattr__(
                 self, "traffic_params", _frozen_params(self.traffic_params)
@@ -166,7 +178,12 @@ class ScenarioSpec:
                 " must stay serialisable); got"
                 f" {type(self.topology).__name__}"
             )
-        resolve_topology_spec(self.topology)  # early validation
+        n_nodes = check_topology_spec(self.topology)
+        if n_nodes < 2:
+            raise ConfigError(
+                f"topology {self.topology!r} has {n_nodes} node(s);"
+                f" uniform traffic needs at least 2"
+            )
         if self.traffic not in TG_MODELS:
             raise ConfigError(
                 f"unknown traffic model {self.traffic!r}; expected one"

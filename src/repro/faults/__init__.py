@@ -6,32 +6,18 @@ repair, and :mod:`repro.faults.report` for the degradation record a
 faulted run returns.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.report import (
-    FaultEventRecord,
-    FaultReport,
-    FaultWindow,
-)
-from repro.faults.schedule import (
-    FAULT_SCHEMA,
-    FaultEvent,
-    FaultSchedule,
-    flaky,
-    link_down,
-    link_up,
-    switch_down,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FAULT_SCHEMA",
-    "FaultEvent",
-    "FaultEventRecord",
-    "FaultInjector",
-    "FaultReport",
-    "FaultSchedule",
-    "FaultWindow",
-    "flaky",
-    "link_down",
-    "link_up",
-    "switch_down",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "FaultInjector": ".injector",
+    "FaultEventRecord": ".report",
+    "FaultReport": ".report",
+    "FaultWindow": ".report",
+    "FAULT_SCHEMA": ".schedule",
+    "FaultEvent": ".schedule",
+    "FaultSchedule": ".schedule",
+    "flaky": ".schedule",
+    "link_down": ".schedule",
+    "link_up": ".schedule",
+    "switch_down": ".schedule",
+})

@@ -13,40 +13,24 @@ Calibration note: the paper's utilisation figures (719 slices = 7.8%,
 device.
 """
 
-from repro.fpga.costs import (
-    ResourceEstimate,
-    control_cost,
-    platform_cost,
-    switch_cost,
-    tg_cost,
-    tr_cost,
-)
-from repro.fpga.device import (
-    FpgaPart,
-    VIRTEX2PRO_PARTS,
-    part_by_name,
-    smallest_fitting_part,
-)
-from repro.fpga.power import PowerReport, PowerRow, estimate_power
-from repro.fpga.synthesis import SynthesisReport, synthesize
-from repro.fpga.timing import achievable_clock_hz, critical_path_ns
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PowerReport",
-    "PowerRow",
-    "estimate_power",
-    "FpgaPart",
-    "ResourceEstimate",
-    "SynthesisReport",
-    "VIRTEX2PRO_PARTS",
-    "achievable_clock_hz",
-    "control_cost",
-    "critical_path_ns",
-    "part_by_name",
-    "platform_cost",
-    "smallest_fitting_part",
-    "switch_cost",
-    "synthesize",
-    "tg_cost",
-    "tr_cost",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ResourceEstimate": ".costs",
+    "control_cost": ".costs",
+    "platform_cost": ".costs",
+    "switch_cost": ".costs",
+    "tg_cost": ".costs",
+    "tr_cost": ".costs",
+    "FpgaPart": ".device",
+    "VIRTEX2PRO_PARTS": ".device",
+    "part_by_name": ".device",
+    "smallest_fitting_part": ".device",
+    "PowerReport": ".power",
+    "PowerRow": ".power",
+    "estimate_power": ".power",
+    "SynthesisReport": ".synthesis",
+    "synthesize": ".synthesis",
+    "achievable_clock_hz": ".timing",
+    "critical_path_ns": ".timing",
+})

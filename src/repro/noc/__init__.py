@@ -9,65 +9,37 @@ routing (including the paper's "two routing possibilities" multi-path
 scheme) and topology construction, tied together by a cycle engine.
 """
 
-from repro.noc.arbiter import (
-    Arbiter,
-    FixedPriorityArbiter,
-    MatrixArbiter,
-    RoundRobinArbiter,
-    make_arbiter,
-)
-from repro.noc.buffer import FlitBuffer
-from repro.noc.deadlock import (
-    DeadlockError,
-    assert_deadlock_free,
-    channel_dependency_graph,
-    is_deadlock_free,
-)
-from repro.noc.flit import Flit, FlitType, Packet
-from repro.noc.link import Link
-from repro.noc.network import Network
-from repro.noc.ni import NetworkInterface, ReassemblyBuffer
-from repro.noc.routing import (
-    MultiPathTableRouting,
-    RoutingError,
-    RoutingFunction,
-    TableRouting,
-    XYRouting,
-    build_multipath_tables,
-    build_shortest_path_tables,
-)
-from repro.noc.switch import Switch, SwitchConfig, SwitchingMode
-from repro.noc.topology import Topology, TopologyError, paper_topology
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Arbiter",
-    "DeadlockError",
-    "assert_deadlock_free",
-    "channel_dependency_graph",
-    "is_deadlock_free",
-    "FixedPriorityArbiter",
-    "Flit",
-    "FlitBuffer",
-    "FlitType",
-    "Link",
-    "MatrixArbiter",
-    "MultiPathTableRouting",
-    "Network",
-    "NetworkInterface",
-    "Packet",
-    "ReassemblyBuffer",
-    "RoundRobinArbiter",
-    "RoutingError",
-    "RoutingFunction",
-    "Switch",
-    "SwitchConfig",
-    "SwitchingMode",
-    "TableRouting",
-    "Topology",
-    "TopologyError",
-    "XYRouting",
-    "build_multipath_tables",
-    "build_shortest_path_tables",
-    "make_arbiter",
-    "paper_topology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "Arbiter": ".arbiter",
+    "FixedPriorityArbiter": ".arbiter",
+    "MatrixArbiter": ".arbiter",
+    "RoundRobinArbiter": ".arbiter",
+    "make_arbiter": ".arbiter",
+    "FlitBuffer": ".buffer",
+    "DeadlockError": ".deadlock",
+    "assert_deadlock_free": ".deadlock",
+    "channel_dependency_graph": ".deadlock",
+    "is_deadlock_free": ".deadlock",
+    "Flit": ".flit",
+    "FlitType": ".flit",
+    "Packet": ".flit",
+    "Link": ".link",
+    "Network": ".network",
+    "NetworkInterface": ".ni",
+    "ReassemblyBuffer": ".ni",
+    "MultiPathTableRouting": ".routing",
+    "RoutingError": ".routing",
+    "RoutingFunction": ".routing",
+    "TableRouting": ".routing",
+    "XYRouting": ".routing",
+    "build_multipath_tables": ".routing",
+    "build_shortest_path_tables": ".routing",
+    "Switch": ".switch",
+    "SwitchConfig": ".switch",
+    "SwitchingMode": ".switch",
+    "Topology": ".topology",
+    "TopologyError": ".topology",
+    "paper_topology": ".topology",
+})

@@ -7,14 +7,11 @@ device attached to the receive side of a network interface; it consumes
 reassembled packets and maintains the statistics the monitor reads out.
 """
 
-from repro.receptors.base import TrafficReceptor
-from repro.receptors.histogram import Histogram
-from repro.receptors.stochastic import StochasticReceptor
-from repro.receptors.tracedriven import TraceDrivenReceptor
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Histogram",
-    "StochasticReceptor",
-    "TraceDrivenReceptor",
-    "TrafficReceptor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "TrafficReceptor": ".base",
+    "Histogram": ".histogram",
+    "StochasticReceptor": ".stochastic",
+    "TraceDrivenReceptor": ".tracedriven",
+})

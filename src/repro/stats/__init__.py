@@ -7,26 +7,16 @@ supports the stochastic run-time figure (Slide 20) and the speed
 comparison (Slide 18).
 """
 
-from repro.stats.congestion import (
-    CongestionCounter,
-    network_congestion_rate,
-)
-from repro.stats.latency import LatencyAnalyzer
-from repro.stats.occupancy import BufferStat, OccupancyReport
-from repro.stats.runtime import RunTimeModel, SpeedReport
-from repro.stats.summary import (
-    merged_latency_histogram,
-    scenario_metrics,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BufferStat",
-    "CongestionCounter",
-    "LatencyAnalyzer",
-    "OccupancyReport",
-    "RunTimeModel",
-    "SpeedReport",
-    "merged_latency_histogram",
-    "network_congestion_rate",
-    "scenario_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "CongestionCounter": ".congestion",
+    "network_congestion_rate": ".congestion",
+    "LatencyAnalyzer": ".latency",
+    "BufferStat": ".occupancy",
+    "OccupancyReport": ".occupancy",
+    "RunTimeModel": ".runtime",
+    "SpeedReport": ".runtime",
+    "merged_latency_histogram": ".summary",
+    "scenario_metrics": ".summary",
+})

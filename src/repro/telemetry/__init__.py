@@ -8,24 +8,14 @@ firing live run-progress callbacks — all designed so input parking and
 idle fast-forward stay fully engaged while telemetry is on.
 """
 
-from repro.telemetry.progress import (
-    ProgressMeter,
-    ProgressSample,
-    format_progress,
-)
-from repro.telemetry.trace import FlitTracer
-from repro.telemetry.windows import (
-    WindowRecord,
-    WindowedMetrics,
-    format_window_table,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FlitTracer",
-    "ProgressMeter",
-    "ProgressSample",
-    "WindowRecord",
-    "WindowedMetrics",
-    "format_progress",
-    "format_window_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "ProgressMeter": ".progress",
+    "ProgressSample": ".progress",
+    "format_progress": ".progress",
+    "FlitTracer": ".trace",
+    "WindowRecord": ".windows",
+    "WindowedMetrics": ".windows",
+    "format_window_table": ".windows",
+})

@@ -9,49 +9,27 @@ traces.  Each generator is parameterised through a bank of registers
 initialization") and feeds a network interface.
 """
 
-from repro.traffic.base import (
-    DestinationChooser,
-    FixedDestination,
-    HotspotDestination,
-    TrafficModel,
-    UniformRandomDestination,
-    interval_for_load,
-)
-from repro.traffic.burst import BurstTraffic
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.onoff import OnOffTraffic
-from repro.traffic.poisson import PoissonTraffic
-from repro.traffic.rng import Lfsr32, LfsrRandom
-from repro.traffic.trace import (
-    Trace,
-    TraceRecord,
-    TraceTraffic,
-    load_trace,
-    save_trace,
-    synthetic_burst_trace,
-    synthetic_mpeg_trace,
-)
-from repro.traffic.uniform import UniformTraffic
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BurstTraffic",
-    "DestinationChooser",
-    "FixedDestination",
-    "HotspotDestination",
-    "Lfsr32",
-    "LfsrRandom",
-    "OnOffTraffic",
-    "PoissonTraffic",
-    "Trace",
-    "TraceRecord",
-    "TraceTraffic",
-    "TrafficGenerator",
-    "TrafficModel",
-    "UniformRandomDestination",
-    "UniformTraffic",
-    "interval_for_load",
-    "load_trace",
-    "save_trace",
-    "synthetic_burst_trace",
-    "synthetic_mpeg_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "DestinationChooser": ".base",
+    "FixedDestination": ".base",
+    "HotspotDestination": ".base",
+    "TrafficModel": ".base",
+    "UniformRandomDestination": ".base",
+    "interval_for_load": ".base",
+    "BurstTraffic": ".burst",
+    "TrafficGenerator": ".generator",
+    "OnOffTraffic": ".onoff",
+    "PoissonTraffic": ".poisson",
+    "Lfsr32": ".rng",
+    "LfsrRandom": ".rng",
+    "Trace": ".trace",
+    "TraceRecord": ".trace",
+    "TraceTraffic": ".trace",
+    "load_trace": ".trace",
+    "save_trace": ".trace",
+    "synthetic_burst_trace": ".trace",
+    "synthetic_mpeg_trace": ".trace",
+    "UniformTraffic": ".uniform",
+})

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.config import paper_platform_config
 from repro.core.platform import build_platform
@@ -46,3 +53,19 @@ def make_packet(
 ) -> Packet:
     """Test helper: one packet with sane defaults."""
     return Packet(src=src, dst=dst, length=length, injection_cycle=cycle)
+
+
+@pytest.fixture
+def run_fresh():
+    """Run Python source in a new interpreter that imports this source
+    tree; returns its stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    return run

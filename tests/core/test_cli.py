@@ -326,6 +326,19 @@ class TestBatchCommand:
         assert code == 2
         assert "error:" in captured.err
 
+    def test_batch_rejects_single_node_topology(self, tmp_path, capsys):
+        sweep = self.make_sweep(tmp_path, {
+            "base": {"load": 0.1, "packets": 5},
+            "grid": {"topology": ["mesh:2:2", "mesh:4:4:0"]},
+        })
+        cache = tmp_path / "cache"
+        code = main(["batch", sweep, "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "needs at least 2" in captured.err
+        assert "executed" not in captured.err
+        assert not cache.exists()
+
     def test_batch_bad_group_by(self, tmp_path, capsys):
         sweep = self.make_sweep(tmp_path)
         code = main(

@@ -30,6 +30,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(ConfigError, match="topology"):
             ScenarioSpec(topology="mesh:3")
 
+    @pytest.mark.parametrize(
+        "topology", ["mesh:1:1", "mesh:4:4:0", "star:1", "ring:3:0", "full:2:0"]
+    )
+    def test_topology_below_two_nodes_rejected(self, topology):
+        with pytest.raises(ConfigError, match="needs at least 2"):
+            ScenarioSpec(topology=topology)
+
     def test_topology_object_rejected(self):
         from repro.noc.topology import mesh
 
