@@ -73,7 +73,10 @@ Checkpoint flags of ``run`` (see ``repro.checkpoint``)::
   emulated cycles, so a crashed or killed long run resumes from the
   last boundary instead of cycle 0.
 * ``--resume FILE`` restores a checkpoint and continues it —
-  bit-identically to the uninterrupted run.  The scenario flags must
+  bit-identically to the uninterrupted run, except that the
+  stagnation guard's clock restarts at the cut (checkpoint schema 1
+  does not record it), so a stalled run degrades up to one
+  stagnation window later.  The scenario flags must
   describe the *same* spec (guarded by a content-hash check), and the
   checkpoint's own fault schedule and telemetry are restored with it,
   so ``--fail-*``/``--heal-*``/``--windows`` are rejected.
@@ -116,8 +119,8 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import paper_platform_config
-from repro.core.engine import EmulationEngine
-from repro.core.errors import ConfigError, EmulationError
+from repro.core.engine import EmulationEngine, build_engine, drive
+from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
 
 #: Route cases of the 6-switch paper platform (kept first in the
@@ -418,15 +421,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            platform = build_platform(spec.to_platform_config())
-            telemetry = None
-            if args.windows is not None:
-                from repro.telemetry import WindowedMetrics
-
-                telemetry = WindowedMetrics(platform, args.windows)
-            engine = EmulationEngine(
-                platform, faults=faults, telemetry=telemetry
-            )
+            platform, engine = build_engine(spec, faults, args.windows)
         progress = None
         if args.progress:
             from repro.telemetry import format_progress
@@ -447,78 +442,15 @@ def cmd_run(args: argparse.Namespace) -> int:
                 stream=trace_stream, keep=bool(args.trace_perfetto)
             )
             platform.network.attach_tracer(tracer)
+
         def execute():
-            if not args.checkpoint_out:
-                return engine.run(progress=progress)
-            # Crash-safe execution: run in finalize=False chunks,
-            # rewriting the checkpoint after each (atomic replace —
-            # a crash leaves the previous good checkpoint), then
-            # close the fault/telemetry books without stepping.
-            from repro.checkpoint import snapshot
-
-            every = args.checkpoint_every
-            run_start = platform.cycle
-            total_wall = 0.0
-            if every:
-                stagnant = 0
-                prev_received = platform.packets_received
-                result = engine.run(
-                    max_cycles=every, finalize=False,
-                    progress=progress,
-                )
-                total_wall += result.wall_seconds
-                while (
-                    not (result.budget_done and result.drained)
-                    and getattr(result, "degraded_reason", None)
-                    is None
-                ):
-                    # The engine's stagnation guard resets per
-                    # chunk; re-impose it across chunks so a
-                    # deadlocked run cannot checkpoint forever.
-                    if (
-                        platform.packets_received == prev_received
-                        and platform.network._in_flight_flits > 0
-                    ):
-                        stagnant += every
-                        if stagnant >= 100_000:
-                            raise EmulationError(
-                                "no delivery across"
-                                f" {stagnant} checkpointed cycles"
-                                " (possible routing deadlock);"
-                                " refusing to checkpoint forever"
-                            )
-                    else:
-                        stagnant = 0
-                    prev_received = platform.packets_received
-                    snapshot(platform, spec, engine).save(
-                        args.checkpoint_out
-                    )
-                    result = engine.run(
-                        max_cycles=every, finalize=False,
-                        progress=progress,
-                    )
-                    total_wall += result.wall_seconds
-            else:
-                result = engine.run(
-                    finalize=False, progress=progress
-                )
-                total_wall += result.wall_seconds
-            snapshot(platform, spec, engine).save(
-                args.checkpoint_out
+            return drive(
+                engine,
+                spec,
+                checkpoint_out=args.checkpoint_out,
+                every=args.checkpoint_every,
+                progress=progress,
             )
-            print(
-                f"wrote {args.checkpoint_out}", file=sys.stderr
-            )
-            # The report covers the whole execution, not the last
-            # chunk.
-            from dataclasses import replace
-
-            result = replace(
-                result,
-                cycles=platform.cycle - run_start,
-                wall_seconds=total_wall,
-            )
-            return engine.finalize_run(result)
 
         try:
             if do_profile:
@@ -538,6 +470,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.checkpoint_out:
+        print(f"wrote {args.checkpoint_out}", file=sys.stderr)
     print(Monitor(platform).final_report(result))
     if result.faults is not None:
         print(_fault_summary(result.faults))

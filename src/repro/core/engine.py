@@ -11,11 +11,11 @@ TLM baseline engines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.errors import EmulationError, ScenarioTimeout
-from repro.core.platform import EmulationPlatform
+from repro.core.platform import EmulationPlatform, build_platform
 from repro.noc.network import format_parked_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +49,9 @@ class EngineResult:
     windowed-telemetry time series of a run driven with a
     :class:`~repro.telemetry.windows.WindowedMetrics` collector (None
     otherwise); the records are deterministic — wall-clock lives only
-    in ``wall_seconds``.
+    in ``wall_seconds``.  ``cycles`` counts one ``run()`` call, but the
+    stagnation guard's progress registers live on the engine and carry
+    across calls, so a chunked run stops where a single call would.
     """
 
     cycles: int
@@ -126,6 +128,17 @@ class EmulationEngine:
         #: mid-flight instead of restarting it; checkpoint/restore
         #: captures and re-seats it.
         self._injector = None
+        #: The stagnation guard's progress registers: packets received
+        #: at, and the cycle of, the last delivery or quiescent cycle.
+        #: They carry across ``run()`` calls, so a chunked run trips
+        #: the guard at the same cycle as an uninterrupted one; a
+        #: restored engine starts them at the cut.
+        self._last_received = platform.packets_received
+        self._last_progress_cycle = platform.cycle
+        #: The live :class:`~repro.telemetry.progress.ProgressMeter`,
+        #: kept across ``finalize=False`` chunks so a chunked run
+        #: reports as one; finalizing emits its final sample.
+        self._meter = None
 
     def run(
         self,
@@ -155,18 +168,22 @@ class EmulationEngine:
         bursty and low-load workloads skip the idle majority of
         emulated time with bit-identical results.  ``stagnation_cycles``
         bounds how long the drain phase may go without a single packet
-        delivery before the deadlock guard trips.
+        delivery before the deadlock guard trips; its progress clock
+        is engine state that carries across ``run()`` calls.
 
         ``progress`` is an optional callback fired with live
         :class:`~repro.telemetry.progress.ProgressSample` readings
         roughly every ``progress_interval`` wall-clock seconds (plus a
-        final sample when the run stops); it is observational only and
-        never perturbs the emulated schedule.  With a telemetry
-        collector attached, window boundaries are checked with the
-        same one-comparison-per-cycle discipline as fault events, and
-        an idle fast-forward lands on a window boundary so the skipped
-        windows emit as zero-delta records (parking and fast-forward
-        stay fully engaged — nothing is sampled per cycle).
+        final sample when the run is finalized); it is observational
+        only and never perturbs the emulated schedule.  A chunk's
+        meter lives on to the next chunk and, not knowing where the
+        run ends, measures the budget fraction against the packet
+        budget.  With a telemetry collector attached, window
+        boundaries are checked with the same one-comparison-per-cycle
+        discipline as fault events, and an idle fast-forward lands on
+        a window boundary so the skipped windows emit as zero-delta
+        records (parking and fast-forward stay fully engaged — nothing
+        is sampled per cycle).
 
         ``max_wall_seconds`` arms the cooperative timeout: the loop
         re-reads the host clock every few thousand cycles and raises a
@@ -183,7 +200,9 @@ class EmulationEngine:
         follow-up ``run()`` on the same engine — or on the engine
         restored from a checkpoint of this one — continues
         bit-identically to a single uninterrupted run.  Close the
-        books with :meth:`finalize_run` after the last chunk.
+        books with :meth:`finalize_run` after the last chunk.  Stop
+        conditions are checked after the cycle's bookkeeping, so a
+        chunk boundary is invisible to the stagnation guard.
         """
         if max_cycles is None and max_packets is None:
             budget_bounded = all(
@@ -205,8 +224,8 @@ class EmulationEngine:
         )
         started = time.perf_counter()  # repro: allow[wall-clock] wall-seconds telemetry of the run report; cycles are the deterministic clock
         gens_done = False
-        last_received = platform.packets_received
-        last_progress_cycle = platform.cycle
+        last_received = self._last_received
+        last_progress_cycle = self._last_progress_cycle
         skip_idle = fast_forward and not network.sample_buffers
         # The loop body inlines platform.step (generator round + one
         # network cycle): at hundreds of thousands of cycles per
@@ -242,16 +261,18 @@ class EmulationEngine:
         tel_next = _NEVER
         if telemetry is not None:
             tel_next = telemetry.begin(start_cycle)
-        meter = None
+        meter = self._meter
         prog_next = _NEVER
-        if progress is not None:
+        if meter is not None:
+            prog_next = meter.next_cycle
+        elif progress is not None:
             from repro.telemetry.progress import ProgressMeter
 
-            meter = ProgressMeter(
+            meter = self._meter = ProgressMeter(
                 platform,
                 progress,
                 interval_seconds=progress_interval,
-                limit_cycle=limit_cycle,
+                limit_cycle=limit_cycle if finalize else None,
             )
             prog_next = meter.start(start_cycle)
         # Cooperative wall-clock budget: same one-comparison register
@@ -296,8 +317,6 @@ class EmulationEngine:
             if now >= platform._next_gen_poll:
                 poll_generators(now)
             net_step()
-            if limit_cycle is not None and network.cycle >= limit_cycle:
-                break
             if (
                 max_packets is not None
                 and platform._packets_received >= max_packets
@@ -342,11 +361,6 @@ class EmulationEngine:
                     # The jump is idle time, not stagnation: restart
                     # the progress clock at the landing cycle.
                     last_progress_cycle = network.cycle
-                    if (
-                        limit_cycle is not None
-                        and network.cycle >= limit_cycle
-                    ):
-                        break
             elif received != last_received:
                 last_received = received
                 last_progress_cycle = network.cycle
@@ -374,46 +388,15 @@ class EmulationEngine:
                     f" without progress for {stagnation_cycles}"
                     f" cycles (possible routing deadlock); {detail}"
                 )
+            if limit_cycle is not None and network.cycle >= limit_cycle:
+                break
+        self._last_received = last_received
+        self._last_progress_cycle = last_progress_cycle
         wall = time.perf_counter() - started  # repro: allow[wall-clock] wall-seconds telemetry of the run report; cycles are the deterministic clock
         platform.control.stop()
         budget_done = gens_done or platform.generators_done
         drained = network.is_drained
-        fault_report = None
-        if injector is not None:
-            if finalize:
-                fault_report = injector.finalize(
-                    network.cycle,
-                    degraded=degraded_reason is not None,
-                    reason=degraded_reason,
-                )
-            else:
-                fault_report = injector.report
-        windows = None
-        if telemetry is not None:
-            if finalize:
-                telemetry.finish(network.cycle)
-            windows = tuple(telemetry.records)
-        if meter is not None:
-            meter.finish(
-                network.cycle,
-                injector is not None and injector.faulted,
-            )
-        if degraded_reason is not None:
-            return DegradedResult(
-                cycles=platform.cycle - start_cycle,
-                packets_sent=platform.packets_sent,
-                packets_received=platform.packets_received,
-                wall_seconds=wall,
-                f_clk_hz=platform.config.f_clk_hz,
-                completed=False,
-                budget_done=budget_done,
-                drained=drained,
-                faults=fault_report,
-                windows=windows,
-                degraded_reason=degraded_reason,
-                parked=parked_snapshot,
-            )
-        return EngineResult(
+        result = EngineResult(
             cycles=platform.cycle - start_cycle,
             packets_sent=platform.packets_sent,
             packets_received=platform.packets_received,
@@ -422,33 +405,117 @@ class EmulationEngine:
             completed=budget_done and drained,
             budget_done=budget_done,
             drained=drained,
-            faults=fault_report,
-            windows=windows,
+            faults=None if injector is None else injector.report,
+            windows=None if telemetry is None else tuple(telemetry.records),
         )
+        if degraded_reason is not None:
+            result = DegradedResult(
+                **vars(result),
+                degraded_reason=degraded_reason,
+                parked=parked_snapshot,
+            )
+        return self.finalize_run(result) if finalize else result
 
     def finalize_run(self, result: EngineResult) -> EngineResult:
         """Close fault/telemetry bookkeeping after ``finalize=False``
         chunks, without emulating another cycle.
 
-        Cuts the fault report's end window and closes the telemetry
-        collector's partial window at the current cycle — exactly
-        what a ``finalize=True`` run does at its own end — and
-        returns ``result`` with the finalized report and window tuple
-        swapped in.
+        Cuts the fault report's end window, closes the telemetry
+        collector's partial window at the current cycle and emits the
+        progress meter's final sample — what a ``finalize=True`` run
+        does at its own end, through this method — and returns
+        ``result`` with the finalized report and window tuple swapped
+        in.
         """
-        from dataclasses import replace
-
         cycle = self.platform.cycle
         fault_report = result.faults
         if self._injector is not None:
-            degraded = getattr(result, "degraded_reason", None)
+            degraded = isinstance(result, DegradedResult)
             fault_report = self._injector.finalize(
                 cycle,
-                degraded=degraded is not None,
-                reason=degraded,
+                degraded=degraded,
+                reason=result.degraded_reason if degraded else None,
             )
         windows = result.windows
         if self.telemetry is not None:
             self.telemetry.finish(cycle)
             windows = tuple(self.telemetry.records)
+        if self._meter is not None:
+            self._meter.finish(
+                cycle,
+                self._injector is not None and self._injector.faulted,
+            )
+            self._meter = None
         return replace(result, faults=fault_report, windows=windows)
+
+
+def build_engine(
+    spec, faults=None, windows: Optional[int] = None
+) -> Tuple[EmulationPlatform, EmulationEngine]:
+    """``spec``'s fresh platform and the engine that runs it, with the
+    spec's fault schedule and telemetry windows attached, or
+    ``faults`` and ``windows`` (window length in cycles) in their
+    place when given."""
+    platform = build_platform(spec.to_platform_config())
+    if faults is None:
+        faults = spec.faults
+    if windows is None:
+        windows = spec.telemetry_windows
+    telemetry = None
+    if windows is not None:
+        from repro.telemetry.windows import WindowedMetrics
+
+        telemetry = WindowedMetrics(platform, windows)
+    return platform, EmulationEngine(
+        platform, faults=faults, telemetry=telemetry
+    )
+
+
+def drive(
+    engine: EmulationEngine,
+    spec=None,
+    checkpoint_out: Optional[str] = None,
+    every: Optional[int] = None,
+    progress=None,
+    max_wall_seconds: Optional[float] = None,
+) -> EngineResult:
+    """Run ``engine``'s scenario to its end and close its books.
+
+    The one execution path of a scenario, shared by
+    :func:`~repro.experiments.runner.run_scenario` and ``repro run``:
+    ``finalize=False`` chunks of ``every`` cycles (a single chunk when
+    None), then :meth:`EmulationEngine.finalize_run`.  With
+    ``checkpoint_out``, the checkpoint of ``spec`` is atomically
+    rewritten after every chunk, the last one included, before the
+    books close; a crash leaves the previous good one.  The result
+    covers the whole run: ``cycles`` from the first chunk's start,
+    ``wall_seconds`` summed over the chunks (checkpoint writes
+    excluded) and one ``progress`` meter across them.
+    ``max_wall_seconds`` is each chunk's wall-clock budget.
+    """
+    platform = engine.platform
+    start_cycle = platform.cycle
+    wall = 0.0
+    if checkpoint_out is not None:
+        from repro.checkpoint import snapshot
+    while True:
+        result = engine.run(
+            max_cycles=every,
+            finalize=False,
+            progress=progress,
+            max_wall_seconds=max_wall_seconds,
+        )
+        wall += result.wall_seconds
+        if checkpoint_out is not None:
+            snapshot(platform, spec, engine).save(checkpoint_out)
+        if (
+            every is None
+            or result.completed
+            or isinstance(result, DegradedResult)
+        ):
+            break
+    return engine.finalize_run(
+        replace(
+            result, cycles=platform.cycle - start_cycle, wall_seconds=wall
+        )
+    )

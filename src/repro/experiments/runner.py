@@ -4,7 +4,7 @@ The emulation engine runs one platform; design-space exploration runs
 hundreds.  :class:`SweepRunner` is the host-side batch driver the
 paper's "host PC" role implies: it takes a list of
 :class:`~repro.experiments.spec.ScenarioSpec`, executes each through
-``build_platform`` + :class:`~repro.core.engine.EmulationEngine`,
+:func:`~repro.core.engine.build_engine` + :func:`~repro.core.engine.drive`,
 and reads the statistics out as :class:`ScenarioResult` records.
 
 Three properties the sweeps rely on:
@@ -48,9 +48,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.engine import EmulationEngine
+from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
-from repro.core.platform import EmulationPlatform, build_platform
 from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
     FailureRecord,
@@ -109,22 +108,6 @@ class ScenarioResult:
         )
 
 
-def _build_engine(
-    spec: ScenarioSpec,
-) -> Tuple[EmulationPlatform, EmulationEngine]:
-    """``spec``'s fresh platform and the engine that runs it, with the
-    spec's fault schedule and telemetry windows attached."""
-    platform = build_platform(spec.to_platform_config())
-    telemetry = None
-    if spec.telemetry_windows is not None:
-        from repro.telemetry.windows import WindowedMetrics
-
-        telemetry = WindowedMetrics(platform, spec.telemetry_windows)
-    return platform, EmulationEngine(
-        platform, faults=spec.faults, telemetry=telemetry
-    )
-
-
 def run_scenario(
     spec: ScenarioSpec, timeout: Optional[float] = None
 ) -> ScenarioResult:
@@ -137,8 +120,8 @@ def run_scenario(
     the deadline.
     """
     started = time.perf_counter()  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
-    platform, engine = _build_engine(spec)
-    result = engine.run(max_wall_seconds=timeout)
+    platform, engine = build_engine(spec)
+    result = drive(engine, max_wall_seconds=timeout)
     from repro.stats.summary import scenario_metrics
 
     metrics = scenario_metrics(platform, result)
@@ -599,7 +582,7 @@ def make_ramp_checkpoint(spec: ScenarioSpec, ramp_cycles: int):
     """
     from repro.checkpoint import snapshot
 
-    platform, engine = _build_engine(spec)
+    platform, engine = build_engine(spec)
     engine.run(max_cycles=ramp_cycles, finalize=False)
     return snapshot(platform, spec, engine)
 
@@ -725,7 +708,7 @@ def run_cold_point(
     from repro.stats.summary import scenario_metrics
 
     started = time.perf_counter()  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
-    platform, engine = _build_engine(spec)
+    platform, engine = build_engine(spec)
     engine.run(max_cycles=ramp_cycles, finalize=False)
     _apply_point_load(platform, load)
     result = engine.run(max_cycles=max_cycles)

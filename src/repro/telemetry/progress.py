@@ -85,6 +85,8 @@ class ProgressMeter:
         self._last_cycle = 0
         self._last_wall = 0.0
         self._interval_cycles = self.INITIAL_CYCLES
+        #: The cycle of the next :meth:`tick`, as last returned.
+        self.next_cycle = 0
         # Total packet budget across generators, when every generator
         # has one (the common bounded-run shape).
         budget = 0
@@ -103,7 +105,8 @@ class ProgressMeter:
         self._start_cycle = now
         self._last_cycle = now
         self._start_wall = self._last_wall = time.perf_counter()  # repro: allow[wall-clock] live progress/ETA display reads the real clock by definition
-        return now + self._interval_cycles
+        self.next_cycle = now + self._interval_cycles
+        return self.next_cycle
 
     def tick(self, now: int, faulted: bool = False) -> int:
         """Emit a sample at cycle ``now``; return the next check cycle.
@@ -113,7 +116,8 @@ class ProgressMeter:
         measured emulation speed.
         """
         self._emit(now, faulted, final=False)
-        return now + self._interval_cycles
+        self.next_cycle = now + self._interval_cycles
+        return self.next_cycle
 
     def finish(self, now: int, faulted: bool = False) -> None:
         """Emit the final sample as the run stops."""

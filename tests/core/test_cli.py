@@ -144,6 +144,80 @@ class TestCommands:
         assert "Traceback" not in err
 
 
+class TestCheckpointEvery:
+    """``--checkpoint-every`` chunks the run without changing it."""
+
+    def run(self, tmp_path, capsys, flags, every):
+        import json
+
+        cp = tmp_path / f"cp-{every}.json"
+        chunking = [] if every is None else ["--checkpoint-every", every]
+        code = main(
+            ["run", "--topology", "mesh:4:4"] + flags
+            + ["--checkpoint-out", str(cp)] + chunking
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured, json.loads(cp.read_text())["hash"]
+
+    def test_chunking_leaves_windows_and_checkpoint_alone(
+        self, tmp_path, capsys
+    ):
+        seen = set()
+        for every in (None, "97", "250"):
+            windows = tmp_path / f"w-{every}.json"
+            _, digest = self.run(
+                tmp_path, capsys,
+                ["--load", "0.2", "--packets", "50", "--windows", "500",
+                 "--windows-out", str(windows)],
+                every,
+            )
+            seen.add((windows.read_text(), digest))
+        assert len(seen) == 1
+
+    def test_checkpointed_degraded_run_matches(self, tmp_path, capsys):
+        flags = [
+            "--load", "0.1", "--packets", "50",
+            "--fail-link", "5:6@300", "--no-repair",
+        ]
+        assert main(["run", "--topology", "mesh:4:4"] + flags) == 0
+        want = capsys.readouterr().out
+        captured, _ = self.run(tmp_path, capsys, flags, "250")
+        assert "DEGRADED" in captured.out
+
+        def emulated(out):
+            # Everything but the wall-clock speed line.
+            return [l for l in out.splitlines() if "engine speed" not in l]
+
+        assert emulated(captured.out) == emulated(want)
+
+    def test_progress_reports_the_whole_run(self, tmp_path, capsys):
+        captured, _ = self.run(
+            tmp_path, capsys, ["--packets", "50", "--progress"], "250"
+        )
+        lines = [
+            l for l in captured.err.splitlines() if l.startswith("cycle")
+        ]
+        assert [l.endswith("done") for l in lines].count(True) == 1
+        assert lines[-1].endswith("100%  done")
+        assert not any("100%" in l for l in lines[:-1])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--checkpoint-out", "cp.json", "--checkpoint-every", "0"],
+            ["--checkpoint-every", "250"],
+            ["--checkpoint-out", "cp.json", "--trace", "t.jsonl"],
+        ],
+        ids=["every-zero", "every-without-out", "out-with-trace"],
+    )
+    def test_bad_checkpoint_flags_exit_2(self, capsys, flags):
+        code = main(["run", "--topology", "mesh:2:2"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestTopologyOptions:
     def test_run_generic_topology(self, capsys):
         code = main(

@@ -91,6 +91,27 @@ def test_batch_imports_only_what_it_runs(run_fresh, tmp_path):
     ]
 
 
+def test_checkpointed_run_imports_no_sweep_machinery(run_fresh, tmp_path):
+    cp = tmp_path / "cp.json"
+    loaded = loaded_by(
+        run_fresh,
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'run', '--topology', 'mesh:2:2',"
+        " '--packets', '5', '--checkpoint-every', '50',"
+        f" '--checkpoint-out', {str(cp)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n",
+    )
+    assert "repro.checkpoint.capture" in loaded
+    assert loaded.isdisjoint({
+        "repro.experiments.cache",
+        "repro.experiments.resilience",
+        "repro.experiments.runner",
+    })
+
+
 class TestTopologyValidationMemo:
     #: ``sweep_short``'s grid document, inlined: 48 specs over two
     #: topologies.
