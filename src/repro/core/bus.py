@@ -38,7 +38,13 @@ class Device:
     """Base class of every memory-mapped platform component.
 
     A device is a register bank plus an identity; subclasses populate
-    the bank and react to writes through register callbacks.
+    the bank in :meth:`_define_registers` and react to writes through
+    register callbacks.  The bank is built on the first access to
+    :attr:`bank` — a bus read or write, a register lookup, the control
+    module's ``start``/``stop`` — from the state the device holds then.
+    A run changes that state only through register writes, so the
+    registers read as if the bank had been built with the device, and
+    a platform whose registers nobody touches allocates none.
     """
 
     #: Subclasses set a short type tag used in reports ("tg", "tr", ...).
@@ -46,8 +52,20 @@ class Device:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.bank = RegisterBank(name)
+        self._bank: Optional[RegisterBank] = None
         self.base_address: Optional[int] = None
+
+    @property
+    def bank(self) -> RegisterBank:
+        """The device's registers, built on first access."""
+        bank = self._bank
+        if bank is None:
+            bank = self._bank = RegisterBank(self.name)
+            self._define_registers(bank)
+        return bank
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        """Populate a new bank; subclasses define their register map."""
 
     def describe(self) -> str:
         """One-line description for the monitor's device listing."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.bus import Device
+from repro.core.registers import RegisterBank
 
 CTRL_RUN = 1 << 0
 CTRL_STAT_RESET = 1 << 1
@@ -42,24 +43,22 @@ class ControlDevice(Device):
         self.get_received: Callable[[], int] = lambda: 0
         self.is_done: Callable[[], bool] = lambda: False
         self.on_stat_reset: Optional[Callable[[], None]] = None
-        self.bank.define("CTRL", on_write=self._write_ctrl)
-        self.bank.define(
-            "STATUS", writable=False, on_read=self._read_status
-        )
-        self.bank.define(
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        bank.define("CTRL", on_write=self._write_ctrl)
+        bank.define("STATUS", writable=False, on_read=self._read_status)
+        bank.define(
             "CYCLES_LO",
             writable=False,
             on_read=lambda: self.get_cycles() & 0xFFFFFFFF,
         )
-        self.bank.define(
+        bank.define(
             "CYCLES_HI",
             writable=False,
             on_read=lambda: self.get_cycles() >> 32,
         )
-        self.bank.define(
-            "SENT", writable=False, on_read=lambda: self.get_sent()
-        )
-        self.bank.define(
+        bank.define("SENT", writable=False, on_read=lambda: self.get_sent())
+        bank.define(
             "RECEIVED",
             writable=False,
             on_read=lambda: self.get_received(),

@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.core.bus import Device
 from repro.core.errors import EmulationError
+from repro.core.registers import RegisterBank
 from repro.receptors.base import TrafficReceptor
 from repro.receptors.stochastic import StochasticReceptor
 from repro.receptors.tracedriven import TraceDrivenReceptor
@@ -86,9 +87,10 @@ class TGDevice(Device):
     def __init__(self, name: str, generator: TrafficGenerator) -> None:
         super().__init__(name)
         self.generator = generator
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        generator = self.generator
         model = generator.model
-        self._model_code = MODEL_CODES.get(type(model), 0)
-        bank = self.bank
         bank.define("CTRL", value=TG_CTRL_ENABLE, on_write=self._write_ctrl)
         bank.define("SEED", value=model._seed & 0xFFFFFFFF)
         bank.define(
@@ -97,7 +99,9 @@ class TGDevice(Device):
             on_write=self._write_max_packets,
         )
         bank.define(
-            "MODEL_TYPE", value=self._model_code, writable=False
+            "MODEL_TYPE",
+            value=MODEL_CODES.get(type(model), 0),
+            writable=False,
         )
         for i in range(3):
             bank.define(
@@ -239,7 +243,9 @@ class TRDevice(Device):
     def __init__(self, name: str, receptor: TrafficReceptor) -> None:
         super().__init__(name)
         self.receptor = receptor
-        bank = self.bank
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        receptor = self.receptor
         bank.define(
             "CTRL", value=TR_CTRL_ENABLE, on_write=self._write_ctrl
         )
@@ -266,9 +272,9 @@ class TRDevice(Device):
             on_read=lambda: self.receptor.running_time,
         )
         if isinstance(receptor, TraceDrivenReceptor):
-            self._define_tracedriven(receptor)
+            self._define_tracedriven(bank, receptor)
         if isinstance(receptor, StochasticReceptor):
-            self._define_stochastic(receptor)
+            self._define_stochastic(bank)
 
     def _write_ctrl(self, value: int) -> None:
         self.receptor.enabled = bool(value & TR_CTRL_ENABLE)
@@ -279,10 +285,11 @@ class TRDevice(Device):
     # ------------------------------------------------------------------
     # Trace-driven registers (latency analyzer + congestion counter)
     # ------------------------------------------------------------------
-    def _define_tracedriven(self, receptor: TraceDrivenReceptor) -> None:
+    def _define_tracedriven(
+        self, bank: RegisterBank, receptor: TraceDrivenReceptor
+    ) -> None:
         lat = receptor.latency
         con = receptor.congestion
-        bank = self.bank
         bank.define(
             "LAT_MIN",
             writable=False,
@@ -325,8 +332,7 @@ class TRDevice(Device):
     # ------------------------------------------------------------------
     # Stochastic registers (histogram window)
     # ------------------------------------------------------------------
-    def _define_stochastic(self, receptor: StochasticReceptor) -> None:
-        bank = self.bank
+    def _define_stochastic(self, bank: RegisterBank) -> None:
         bank.define("HIST_SELECT", value=HIST_LENGTH)
         bank.define("HIST_INDEX", value=0)
         bank.define(

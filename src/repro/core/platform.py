@@ -426,15 +426,24 @@ def _validate_routes(network: Network, config: PlatformConfig) -> None:
     """Check a route exists from every TG toward its destinations.
 
     Reads each TG switch's compiled dense route array, as the switch
-    itself does per head flit.
+    itself does per head flit.  A row without a ``None`` entry that
+    spans every destination of the TG routes them all; only other
+    rows are scanned destination by destination.
     """
     for spec in config.tgs:
         switch = network.topology.switch_of_node(spec.node)
+        row = network.switches[switch]._route_dense
+        destinations = spec.destinations()
+        if (
+            row is not None
+            and destinations
+            and 0 <= min(destinations)
+            and max(destinations) < len(row)
+            and None not in row
+        ):
+            continue
         missing = unrouted_destinations(
-            network.routing,
-            network.switches[switch]._route_dense,
-            switch,
-            spec.destinations(),
+            network.routing, row, switch, destinations
         )
         if missing:
             raise ConfigError(

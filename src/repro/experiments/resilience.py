@@ -319,34 +319,34 @@ def _worker_main(conn, config: Dict[str, Any]) -> None:
     kill_on = chaos.get("kill_on") or {}
     hang_on = chaos.get("hang_on") or {}
 
-    from repro.experiments.runner import run_scenario
+    from repro.experiments.runner import ScenarioHeap
     from repro.experiments.spec import ScenarioSpec
 
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):  # supervisor went away
-            break
-        if task is None:
-            break
-        task_id, spec_dict, attempt = task
-        spec = ScenarioSpec.from_dict(spec_dict)
-        key = spec.key
-        if key in kill_on and kill_on[key] in (0, attempt):
-            os.kill(os.getpid(), signal.SIGKILL)
-        if key in hang_on and hang_on[key] in (0, attempt):
-            while True:  # wedged on purpose; the watchdog kills us
-                time.sleep(0.05)
-        try:
-            result = run_scenario(spec, timeout=timeout)
-        except Exception as exc:
-            reply = ("err", task_id, type(exc).__name__, str(exc))
-        else:
-            reply = ("ok", task_id, result.record(), result.wall_seconds)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # supervisor went away
-            break
+    with ScenarioHeap() as heap:
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):  # supervisor went away
+                break
+            if task is None:
+                break
+            task_id, spec_dict, attempt = task
+            spec = ScenarioSpec.from_dict(spec_dict)
+            key = spec.key
+            if key in kill_on and kill_on[key] in (0, attempt):
+                os.kill(os.getpid(), signal.SIGKILL)
+            if key in hang_on and hang_on[key] in (0, attempt):
+                while True:  # wedged on purpose; the watchdog kills us
+                    time.sleep(0.05)
+            result, failure = heap.attempt(spec, timeout)
+            if result is None:
+                reply = ("err", task_id, *failure)
+            else:
+                reply = ("ok", task_id, result.record(), result.wall_seconds)
+            try:
+                conn.send(reply)
+            except (BrokenPipeError, OSError):  # supervisor went away
+                break
     conn.close()
 
 

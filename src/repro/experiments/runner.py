@@ -35,6 +35,7 @@ completed results plus failure records.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import (
@@ -130,6 +131,43 @@ def run_scenario(
         metrics=metrics,
         wall_seconds=time.perf_counter() - started,  # repro: allow[wall-clock] wall-time telemetry only; never enters a hashed or cached record
     )
+
+
+class ScenarioHeap:
+    """Runs scenarios one at a time, freeing each platform before the
+    next one is built.
+
+    A platform is cyclic garbage (devices, switches and wake hooks
+    point back at it), which only a full collection frees; left to the
+    collector's thresholds, finished platforms pile up between those
+    passes.  Entering collects and freezes the heap built so far
+    (imports, the sweep itself), so the full collection after each
+    attempt walks only what the attempt allocated; leaving unfreezes.
+    """
+
+    def __enter__(self) -> "ScenarioHeap":
+        gc.collect()
+        gc.freeze()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        gc.unfreeze()
+
+    def attempt(
+        self, spec: ScenarioSpec, timeout: Optional[float]
+    ) -> Tuple[Optional[ScenarioResult], Optional[Tuple[str, str]]]:
+        """One :func:`run_scenario` call: its result, or the failure's
+        exception type name and message.  Either way the attempt's
+        platform is freed before this returns."""
+        failure = None
+        try:
+            result: Optional[ScenarioResult] = run_scenario(
+                spec, timeout=timeout
+            )
+        except Exception as exc:
+            result, failure = None, (type(exc).__name__, str(exc))
+        gc.collect()
+        return result, failure
 
 
 @dataclass
@@ -430,27 +468,18 @@ class SweepRunner:
             return 0, 0
         if self.workers == 1 or len(pending) == 1:
             executed = 0
-            for i, spec in pending:
-                for attempt in range(1, self.retries + 2):
-                    executed += 1
-                    try:
-                        result = run_scenario(
-                            spec, timeout=self.timeout
-                        )
-                    except Exception as exc:
+            with ScenarioHeap() as heap:
+                for i, spec in pending:
+                    for attempt in range(1, self.retries + 2):
+                        executed += 1
+                        result, failure = heap.attempt(spec, self.timeout)
+                        if result is not None:
+                            self._finish(i, spec, result, results, total)
+                            break
                         if attempt > self.retries:
                             self._fail(
-                                i,
-                                spec,
-                                type(exc).__name__,
-                                str(exc),
-                                attempt,
-                                failures,
-                                total,
+                                i, spec, *failure, attempt, failures, total
                             )
-                        continue
-                    self._finish(i, spec, result, results, total)
-                    break
             return executed, executed - len(pending)
 
         dispatched = run_supervised(

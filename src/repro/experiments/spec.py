@@ -340,7 +340,12 @@ class ScenarioSpec:
         share an LFSR sequence, regardless of which worker process runs
         them or in what order.
         """
-        return derive_stream_seed(self.seed, int(self.key, 16), index)
+        return self._stream_seeds([index])[0]
+
+    def _stream_seeds(self, indices: Iterable[int]) -> List[int]:
+        """:meth:`stream_seed` of each index, hashing the spec once."""
+        key = int(self.key, 16)
+        return [derive_stream_seed(self.seed, key, i) for i in indices]
 
     # ------------------------------------------------------------------
     # Elaboration
@@ -363,7 +368,7 @@ class ScenarioSpec:
                     buffer_depth=self.buffer_depth,
                     seed=self.seed,
                     traffic_params=params,
-                    seeds=[self.stream_seed(i) for i in range(4)],
+                    seeds=self._stream_seeds(range(4)),
                 )
                 config.arbitration = self.arbitration
                 config.switching = SwitchingMode(self.switching)
@@ -384,7 +389,7 @@ class ScenarioSpec:
             switching=SwitchingMode(self.switching),
             seed=self.seed,
             traffic_params=params,
-            seeds=[self.stream_seed(i) for i in range(topo.n_nodes)],
+            seeds=self._stream_seeds(range(topo.n_nodes)),
         )
 
 

@@ -15,6 +15,14 @@ tables before a multi-hour emulation hangs.
 A *channel* here is a directed inter-switch link ``(a, b)``; injection
 and ejection channels cannot participate in cycles (sources hold
 nothing upstream, sinks always drain) and are excluded.
+
+The graph is built per channel, not per destination: each channel gets
+the bitmask of destinations whose packets occupy it, read from the
+switches' dense route rows, and ``c -> c'`` holds exactly when ``c'``
+leaves the switch ``c`` enters and the two masks share a destination.
+The work grows with channels times row length in C-level byte and int
+operations, where a walk over every (destination, switch) pair would
+pay one Python set update each.
 """
 
 from __future__ import annotations
@@ -42,6 +50,36 @@ class DeadlockError(RuntimeError):
     """Raised by :func:`assert_deadlock_free` when a cycle exists."""
 
 
+#: The row byte of an entry that is not one static port (``None``).
+#: Switches with this many output ports or more are read per entry.
+_NO_PORT = 255
+_ZEROS = b"0" * 256
+
+
+def _encoded_row(
+    row: Optional[Sequence[Optional[int]]], n_nodes: int, n_ports: int
+) -> Optional[bytes]:
+    """``row``'s first ``n_nodes`` entries as one byte each (``None`` as
+    :data:`_NO_PORT`), or ``None`` when a byte cannot hold the row:
+    no row, too many ports, or an entry that is not one of the ports."""
+    if row is None or n_ports >= _NO_PORT or not 0 < n_nodes <= len(row):
+        return None
+    if len(row) > n_nodes:
+        row = row[:n_nodes]
+    try:
+        encoded = bytes(row)
+    except TypeError:  # a ``None`` entry (or not a port at all)
+        try:
+            encoded = bytes([_NO_PORT if p is None else p for p in row])
+        except (TypeError, ValueError):
+            return None
+    except ValueError:
+        return None
+    if encoded.translate(None, bytes(range(n_ports)) + b"\xff"):
+        return None
+    return encoded
+
+
 def _channel_graph(
     topology: Topology,
     routing: RoutingFunction,
@@ -50,52 +88,93 @@ def _channel_graph(
     """The dependency graph over integer channel ids.
 
     Returns the channels (id -> ``(a, b)``) and, per id, the ids it
-    depends on.  Each switch's routes are read from its dense
-    ``dst -> port`` row (:meth:`RoutingFunction.dense_row`), which for
-    table routings is the table itself, not a copy; only ``None``
-    entries — multipath choices, missing routes — ask
-    :meth:`RoutingFunction.ports_for`.
+    depends on.  Each channel gets one int bitmask of the destinations
+    whose packets occupy it, and ``c -> c'`` exists exactly when ``c'``
+    leaves the switch ``c`` enters and the two masks intersect.  A
+    switch's masks come from its dense ``dst -> port`` row
+    (:meth:`RoutingFunction.dense_row`), encoded once as bytes: per
+    output port, ``translate`` maps the port's byte to ``"1"`` and every
+    other byte to ``"0"``, and ``int(..., 2)`` reads that as the mask
+    (destination ``d`` is bit ``n_nodes - 1 - d``).  Only ``None``
+    entries (multipath choices, missing routes), destinations outside
+    ``[0, n_nodes)`` and rows a byte cannot hold ask
+    :meth:`RoutingFunction.ports_for`, destination by destination.
     """
     n_switches = topology.n_switches
     n_nodes = topology.n_nodes
-    if destinations is None:
-        destinations = range(n_nodes)
-    # Per switch and output port: the channel ids a packet leaving
-    # there occupies — one for an inter-switch link, none for an
-    # ejection port, which terminates the chain.
+    # Per switch and output port: the channel id a packet leaving there
+    # occupies, or ``None`` for an ejection port, which terminates the
+    # chain.
     ids: Dict[Channel, int] = {}
-    port_hops: List[List[Tuple[int, ...]]] = []
-    for s in range(n_switches):
-        port_hops.append([
-            (ids.setdefault((s, ep.target), len(ids)),)
+    port_channel: List[List[Optional[int]]] = [
+        [
+            ids.setdefault((s, ep.target), len(ids))
             if ep.kind == "switch"
-            else ()
+            else None
             for ep in topology.switch_outputs[s]
-        ])
-    channels = list(ids)
-    heads = [b for _a, b in channels]
-    rows = [routing.dense_row(s, n_nodes) for s in range(n_switches)]
-    unknown: List[Optional[int]] = [None] * n_switches
-    succ: List[Set[int]] = [set() for _ in channels]
-    for dst in destinations:
-        if 0 <= dst < n_nodes:
-            col = [None if row is None else row[dst] for row in rows]
-        else:
-            col = unknown
-        # The channels a packet to ``dst`` may take next at each switch.
-        nxt = [
-            port_hops[s][port]
-            if port is not None
-            else tuple(
-                c
-                for p in routing.ports_for(s, dst)
-                for c in port_hops[s][p]
-            )
-            for s, port in enumerate(col)
         ]
-        for hops in nxt:
-            for c in hops:
-                succ[c].update(nxt[heads[c]])
+        for s in range(n_switches)
+    ]
+    channels = list(ids)
+
+    # The destination bits: in-fabric ``d`` at ``n_nodes - 1 - d``, the
+    # k-th distinct outside id at ``n_nodes + k``.
+    inside: Optional[Set[int]] = None
+    outside: Dict[int, int] = {}
+    if destinations is None:
+        wanted = (1 << n_nodes) - 1
+    else:
+        inside = set()
+        for dst in destinations:
+            if 0 <= dst < n_nodes:
+                inside.add(dst)
+            elif dst not in outside:
+                outside[dst] = 1 << (n_nodes + len(outside))
+        bits = bytearray(b"0" * n_nodes)
+        for dst in inside:
+            bits[dst] = ord("1")
+        wanted = int(bits or b"0", 2) | sum(outside.values())
+
+    users = [0] * len(channels)
+    tables: List[bytes] = []  # per port: its byte -> "1", others -> "0"
+    for s in range(n_switches):
+        chans = port_channel[s]
+        row = routing.dense_row(s, n_nodes)
+        encoded = _encoded_row(row, n_nodes, len(chans))
+        if encoded is None:
+            # Entry by entry: the row's port where it has one.
+            probe = list(range(n_nodes))
+        else:
+            while len(tables) < len(chans):
+                port = len(tables)
+                tables.append(_ZEROS[:port] + b"1" + _ZEROS[port + 1:])
+            for c, table in zip(chans, tables):
+                if c is not None:
+                    users[c] |= int(encoded.translate(table), 2)
+            row = None  # its ports are in the masks; probe the Nones
+            probe = []
+            dst = encoded.find(_NO_PORT)
+            while dst >= 0:
+                probe.append(dst)
+                dst = encoded.find(_NO_PORT, dst + 1)
+        asks = [
+            (dst, 1 << (n_nodes - 1 - dst), None if row is None else row[dst])
+            for dst in probe
+            if inside is None or dst in inside
+        ]
+        asks.extend((dst, bit, None) for dst, bit in outside.items())
+        for dst, bit, port in asks:
+            for p in routing.ports_for(s, dst) if port is None else (port,):
+                c = chans[p]
+                if c is not None:
+                    users[c] |= bit
+
+    succ: List[Set[int]] = []
+    for c, (_a, b) in enumerate(channels):
+        mine = users[c] & wanted
+        succ.append({
+            d for d in port_channel[b] if d is not None and users[d] & mine
+        } if mine else set())
     return channels, succ
 
 

@@ -14,6 +14,7 @@ from repro.core.config import (
 from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
+from repro.noc.routing import build_shortest_path_tables
 from repro.util import canonical_json
 
 
@@ -72,6 +73,28 @@ class TestBuildValidation:
         cfg.tgs[0].params["dst"] = 5  # not flow 0's receptor
         with pytest.raises(ConfigError, match="no entry"):
             build_platform(cfg)
+
+    def test_one_missing_table_entry_is_named(self):
+        cfg = ScenarioSpec(topology="mesh:3:3", packets=4).to_platform_config()
+        routing = build_shortest_path_tables(cfg.resolve_topology())
+        routing.rows[4][7] = None
+        cfg.routing = routing
+        with pytest.raises(ConfigError) as err:
+            build_platform(cfg)
+        assert str(err.value) == (
+            "routing has no entry at switch 4 for destination node 7"
+            " (TG on node 4)"
+        )
+
+    def test_multipath_rows_with_none_pass_the_route_check(self):
+        cfg = ScenarioSpec(
+            topology="paper", routing="split", packets=4
+        ).to_platform_config()
+        platform = build_platform(cfg)
+        assert any(
+            None in switch._route_dense
+            for switch in platform.network.switches
+        )
 
 
 class TestDeviceMap:

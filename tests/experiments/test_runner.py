@@ -1,6 +1,8 @@
 """Runner tests: metrics, ordering, and serial/parallel determinism."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.experiments import (
     run_scenario,
     run_sweep,
 )
+from repro.experiments import runner as runner_mod
 
 #: A small, fast sweep: 6 scenarios across traffic models and depths.
 SPECS = Sweep.grid(
@@ -91,6 +94,36 @@ class TestSweepRunnerSerial:
         )
         runner.run(SPECS[:2])
         assert seen == [(1, 2), (2, 2)]
+
+    def test_each_platform_is_freed_before_the_next_build(
+        self, monkeypatch
+    ):
+        built, alive_at_build, drives = [], [], []
+        real_build, real_drive = runner_mod.build_engine, runner_mod.drive
+
+        def tracking_build(spec, *args, **kwargs):
+            alive_at_build.append([ref() is not None for ref in built])
+            platform, engine = real_build(spec, *args, **kwargs)
+            built.append(weakref.ref(platform))
+            return platform, engine
+
+        def failing_first_drive(engine, *args, **kwargs):
+            drives.append(None)
+            if len(drives) == 1:
+                raise RuntimeError("first attempt fails")
+            return real_drive(engine, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "build_engine", tracking_build)
+        monkeypatch.setattr(runner_mod, "drive", failing_first_drive)
+        runner = SweepRunner(retries=1)
+        assert len(runner.run(SPECS[:2])) == 2
+        assert runner.last_stats.retried == 1
+        # A failed attempt's platform is freed too.
+        assert alive_at_build == [[], [False], [False, False]]
+
+    def test_heap_is_unfrozen_after_the_sweep(self):
+        SweepRunner().run(SPECS[:2])
+        assert gc.get_freeze_count() == 0
 
     def test_non_spec_rejected(self):
         with pytest.raises(ConfigError, match="ScenarioSpec"):

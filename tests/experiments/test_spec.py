@@ -165,6 +165,17 @@ class TestScenarioSpecIdentity:
 
 
 class TestScenarioSpecElaboration:
+    @pytest.mark.parametrize(
+        "topology,seed",
+        [("paper", 1), ("mesh:4:4:2", 7), ("torus:4:4", 123)],
+    )
+    def test_tg_seeds_are_the_stream_seeds(self, topology, seed):
+        spec = ScenarioSpec(topology=topology, seed=seed, packets=5)
+        tgs = spec.to_platform_config().tgs
+        assert [tg.seed for tg in tgs] == [
+            spec.stream_seed(i) for i in range(len(tgs))
+        ]
+
     def test_paper_spec_elaborates(self):
         config = ScenarioSpec(traffic="burst", packets=50).to_platform_config()
         assert config.topology == "paper"

@@ -21,7 +21,7 @@ from repro.core.config import resolve_topology_spec
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.noc import routing as routing_mod
-from repro.noc.deadlock import channel_dependency_graph
+from repro.noc.deadlock import assert_deadlock_free, channel_dependency_graph
 from repro.noc.network import Network
 from repro.noc.routing import (
     MultiPathTableRouting,
@@ -191,6 +191,27 @@ class TestWorkCounts:
         platform = build_platform(spec.to_platform_config())
         assert isinstance(platform.network.routing, TableRouting)
         assert calls == []
+
+    def test_vetting_a_full_table_reads_each_row_once(self, monkeypatch):
+        topo = resolve_topology_spec("mesh:8:8")
+        routing = build_shortest_path_tables(topo)
+        calls = {"ports_for": 0, "dense_row": []}
+        ports_for = TableRouting.ports_for
+        dense_row = TableRouting.dense_row
+
+        def counting_ports_for(self, switch, dst):
+            calls["ports_for"] += 1
+            return ports_for(self, switch, dst)
+
+        def counting_dense_row(self, switch, n_nodes):
+            calls["dense_row"].append(switch)
+            return dense_row(self, switch, n_nodes)
+
+        monkeypatch.setattr(TableRouting, "ports_for", counting_ports_for)
+        monkeypatch.setattr(TableRouting, "dense_row", counting_dense_row)
+        assert_deadlock_free(topo, routing, range(topo.n_nodes))
+        assert calls["ports_for"] == 0
+        assert calls["dense_row"] == list(range(topo.n_switches))
 
     @pytest.mark.parametrize(
         "builder",
