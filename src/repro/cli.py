@@ -13,8 +13,14 @@ host-side tooling for the Python reproduction::
     python -m repro sweep  --metric latency
     python -m repro batch  sweep.json --workers 4 --progress
 
-``run`` executes one emulation through the full six-step flow and
-prints the monitor's final report; ``synth`` prints the Table 1-style
+``run`` turns its flags into one scenario spec
+(:class:`~repro.experiments.ScenarioSpec`), builds its platform (or
+restores it with ``--resume``), drives it to the end and prints the
+monitor's final report.  Every topology, the paper platform included,
+takes this one path: each TG's seed is the spec's stream seed
+(``ScenarioSpec.stream_seed``), and the observer flags (``--windows``,
+``--progress``, ``--trace``, ``--checkpoint-out``, ``--profile``) never
+change the emulated result.  ``synth`` prints the Table 1-style
 utilisation report only; ``speed`` measures the three engines and
 prints the Table 2-style comparison; ``sweep`` regenerates the
 packets-per-burst series of the trace-driven figures; ``batch``
@@ -118,10 +124,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.config import paper_platform_config
-from repro.core.engine import EmulationEngine, build_engine, drive
+from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
-from repro.core.platform import build_platform
 
 #: Route cases of the 6-switch paper platform (kept first in the
 #: --routing choices so help output leads with the paper's cases).
@@ -185,23 +189,10 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from(args: argparse.Namespace, max_packets: Optional[int]):
-    return paper_platform_config(
-        traffic=args.traffic,
-        load=args.load,
-        length=args.length,
-        max_packets=max_packets,
-        routing_case=args.routing,
-        receptor_kind=args.receptors,
-        buffer_depth=args.depth,
-        seed=args.seed,
-    )
-
-
 def _scenario_from(
     args: argparse.Namespace, max_packets: Optional[int]
 ):
-    """A ScenarioSpec mirroring the platform options (generic path)."""
+    """The ScenarioSpec the platform options describe."""
     from repro.experiments import ScenarioSpec
 
     routing = args.routing
@@ -339,12 +330,10 @@ def _profiled(fn, top: int, out: Optional[str] = None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.checkpoint.errors import CheckpointError
+    from repro.core.monitor import Monitor
 
-    top = args.profile_top
     do_profile = args.profile or args.profile_out is not None
-    checkpoint_on = bool(args.checkpoint_out or args.resume)
     try:
-        # Both paths below validate their flags through the spec.
         spec = _scenario_from(args, args.packets)
         faults = _fault_schedule_from(args)
         if args.windows_out and args.windows is None and not args.resume:
@@ -366,7 +355,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 " --trace/--trace-perfetto (detach the tracer, "
                 "checkpoint, then re-attach a fresh one instead)"
             )
-        if args.resume and (faults is not None or args.windows):
+        if args.resume and (
+            faults is not None or args.windows is not None
+        ):
             raise ConfigError(
                 "--resume restores the checkpoint's own fault"
                 " schedule and telemetry; drop the --fail-*/--heal-*/"
@@ -375,40 +366,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    telemetry_on = bool(
-        args.progress
-        or args.windows
-        or args.trace
-        or args.trace_perfetto
-    )
-    if (
-        args.topology == "paper"
-        and args.routing in _PAPER_ROUTING
-        and faults is None
-        and not telemetry_on
-        and not checkpoint_on
-    ):
-        # The paper platform keeps its historical path (six-step flow,
-        # seed registers loaded as seed+i) so outputs stay comparable
-        # with the figures.  Fault and telemetry flags force the
-        # generic engine path, which owns the injector and the
-        # telemetry hooks.
-        from repro.core.flow import EmulationFlow
-
-        config = _config_from(args, args.packets)
-        flow = EmulationFlow()
-        if do_profile:
-            report, table = _profiled(
-                lambda: flow.run(config), top, args.profile_out
-            )
-            print(report.report_text)
-            print(table)
-        else:
-            report = flow.run(config)
-            print(report.report_text)
-        return 0
-    from repro.core.monitor import Monitor
-
     try:
         if args.resume:
             from repro.checkpoint import load_checkpoint, restore
@@ -455,7 +412,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             if do_profile:
                 result, table = _profiled(
-                    execute, top, args.profile_out
+                    execute, args.profile_top, args.profile_out
                 )
             else:
                 result, table = execute(), None
@@ -498,14 +455,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from repro.fpga.synthesis import synthesize
 
-    if args.topology == "paper" and args.routing in _PAPER_ROUTING:
-        config = _config_from(args, None)
-    else:
-        try:
-            config = _scenario_from(args, None).to_platform_config()
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        config = _scenario_from(args, None).to_platform_config()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = synthesize(config, auto_part=args.auto_part)
     print(report.render())
     return 0 if report.fits else 1
@@ -514,6 +468,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_speed(args: argparse.Namespace) -> int:
     from repro.baselines.speed import measure_engine_speeds, speed_report
 
+    if args.packets < 1:
+        print(
+            f"error: --packets must be >= 1, got {args.packets}",
+            file=sys.stderr,
+        )
+        return 2
     measurements = measure_engine_speeds(
         emulation_packets=args.packets,
         tlm_packets=max(10, args.packets // 5),
@@ -524,25 +484,34 @@ def cmd_speed(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    print(f"packets/burst  {args.metric}")
-    for ppb in (1, 2, 4, 8, 16, 32, 64):
-        platform = build_platform(
-            paper_platform_config(
+    from repro.experiments import ScenarioSpec
+    from repro.experiments.runner import run_scenario
+
+    try:
+        points = [
+            (ppb, ScenarioSpec(
+                topology="paper",
+                routing=args.routing,
                 traffic="trace",
-                max_packets=None,
-                routing_case=args.routing,
+                packets=None,
+                seed=args.seed,
                 traffic_params={
                     "n_bursts": max(2, args.budget // ppb),
                     "packets_per_burst": ppb,
                 },
-                seed=args.seed,
-            )
-        )
-        EmulationEngine(platform).run()
+            ))
+            for ppb in (1, 2, 4, 8, 16, 32, 64)
+        ]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"packets/burst  {args.metric}")
+    for ppb, spec in points:
+        metrics = run_scenario(spec).metrics
         if args.metric == "latency":
-            value = f"{platform.mean_latency():.1f}"
+            value = f"{metrics['mean_latency']:.1f}"
         else:
-            value = f"{platform.congestion_rate():.4f}"
+            value = f"{metrics['congestion_rate']:.4f}"
         print(f"{ppb:>13}  {value}")
     return 0
 
@@ -746,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser(
-        "run", help="run one emulation through the full flow"
+        "run", help="run one emulation and print its report"
     )
     _add_platform_options(run_parser)
     run_parser.add_argument(

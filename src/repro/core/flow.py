@@ -2,7 +2,7 @@
 
 Six steps::
 
-    1) Platform compilation   -- elaborate the hardware (HW, cached)
+    1) Platform compilation   -- elaborate the hardware (HW)
     2) Physical synthesis     -- FPGA map/place model   (HW, cached)
     3) Platform initialization-- write software settings over the bus
     4) Software compilation   -- build the run plan (firmware build)
@@ -12,8 +12,14 @@ Six steps::
 The central claim of the flow (Slide 13) is that it "avoids often
 hardware re-synthesis": changing traffic parameters, seeds, packet
 budgets or routing tables only repeats steps 3-6.  The flow enforces
-this by caching steps 1-2 keyed on the configuration's
+this by caching step 2's report keyed on the configuration's
 :meth:`~repro.core.config.PlatformConfig.hardware_signature`.
+
+Step 3 writes each TG's seed and packet budget over the bus, applies
+them with a TG reset and clears the statistics.  Those are values the
+platform was built with, so a flow run computes exactly what
+``EmulationEngine(build_platform(config)).run()`` does; it exercises
+the bus path without changing the model.
 """
 
 from __future__ import annotations
@@ -23,14 +29,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import PlatformConfig
-from repro.core.devices import to_q16
 from repro.core.engine import EmulationEngine, EngineResult
 from repro.core.monitor import Monitor
 from repro.core.platform import EmulationPlatform, build_platform
 from repro.core.processor import Processor
 from repro.fpga.synthesis import SynthesisReport, synthesize
-from repro.traffic.burst import BurstTraffic
-from repro.traffic.poisson import PoissonTraffic
 
 
 @dataclass
@@ -50,31 +53,29 @@ class FlowReport:
 
 
 class EmulationFlow:
-    """Runs configurations through the six-step flow with HW caching."""
+    """Runs configurations through the six-step flow, synthesising
+    each hardware signature once."""
 
     def __init__(self) -> None:
-        self._hw_cache: Dict[
-            Tuple, Tuple[EmulationPlatform, SynthesisReport]
-        ] = {}
+        self._hw_cache: Dict[Tuple, SynthesisReport] = {}
         self.synthesis_runs = 0  # how many times step 2 really ran
 
     # ------------------------------------------------------------------
-    # Steps 1-2: hardware (cached)
+    # Steps 1-2: hardware (synthesis cached)
     # ------------------------------------------------------------------
     def _hardware(
         self, config: PlatformConfig
     ) -> Tuple[EmulationPlatform, SynthesisReport, bool]:
+        """Step 1 (a fresh platform: same bitstream, new software) and
+        step 2's report, synthesised only for a new hardware
+        signature; the third item says whether it was."""
+        platform = build_platform(config)
         key = config.hardware_signature()
-        if key in self._hw_cache:
-            platform, synthesis = self._hw_cache[key]
-            # Same bitstream, new software: rebuild the platform object
-            # (the software settings differ) but do NOT re-synthesise.
-            platform = build_platform(config)
+        synthesis = self._hw_cache.get(key)
+        if synthesis is not None:
             return platform, synthesis, False
-        platform = build_platform(config)  # step 1
-        synthesis = synthesize(config)  # step 2
+        synthesis = self._hw_cache[key] = synthesize(config)
         self.synthesis_runs += 1
-        self._hw_cache[key] = (platform, synthesis)
         return platform, synthesis, True
 
     # ------------------------------------------------------------------
@@ -85,23 +86,10 @@ class EmulationFlow:
     ) -> Processor:
         processor = Processor(platform)
         for spec in config.tgs:
-            params: Dict[int, int] = {}
-            generator = next(
-                g for g in platform.generators if g.node == spec.node
-            )
-            model = generator.model
-            # Mirror the live model's probability parameters into their
-            # Q16 registers, exercising the bus path end to end.
-            if isinstance(model, BurstTraffic):
-                params[1] = to_q16(min(1.0, model.p_on))
-                params[2] = to_q16(min(1.0, model.p_off))
-            elif isinstance(model, PoissonTraffic):
-                params[1] = to_q16(min(1.0, model.rate))
             processor.initialise_generator(
                 spec.node,
                 seed=spec.seed,
                 max_packets=spec.max_packets or 0,
-                params=params,
             )
         processor.reset_statistics()
         return processor

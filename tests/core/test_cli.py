@@ -100,6 +100,81 @@ class TestCommands:
         ]
         assert len(lines) == 7  # ppb in 1..64
 
+    def test_sweep_prints_the_paper_series(self, capsys):
+        """The figure series, recorded from the paper-config builder
+        that ran each point before sweeps went through the spec."""
+        assert main([
+            "sweep", "--budget", "64", "--routing", "overlap",
+            "--metric", "congestion", "--seed", "1",
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "packets/burst  congestion\n"
+            "            1  0.1899\n"
+            "            2  0.2644\n"
+            "            4  0.3005\n"
+            "            8  0.3173\n"
+            "           16  0.3314\n"
+            "           32  0.3314\n"
+            "           64  0.3324\n"
+        )
+        assert main([
+            "sweep", "--budget", "64", "--routing", "disjoint",
+            "--metric", "latency", "--seed", "5",
+        ]) == 0
+        assert capsys.readouterr().out == "packets/burst  latency\n" + (
+            "".join(f"{ppb:>13}  16.0\n" for ppb in (1, 2, 4, 8, 16, 32, 64))
+        )
+
+    def test_sweep_bad_seed_exit_2(self, capsys):
+        code = main(["sweep", "--budget", "8", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "790de8621ae3b911"),
+            (["--traffic", "burst", "--receptors", "stochastic",
+              "--depth", "2", "--routing", "disjoint"], "df151ab952dad24b"),
+            (["--traffic", "poisson", "--receptors", "stochastic",
+              "--depth", "64"], "3c8ac65b1b11d9d1"),
+            (["--traffic", "onoff", "--depth", "2", "--routing", "split"],
+             "9ea0fbe887bdee11"),
+            (["--traffic", "trace", "--receptors", "stochastic",
+              "--depth", "64", "--routing", "split"], "6419351d307e48f1"),
+        ],
+        ids=["default", "burst-d2", "poisson-d64", "onoff-split",
+             "trace-d64-split"],
+    )
+    def test_synth_paper_report_unchanged(self, capsys, flags, digest):
+        """Paper reports built from the spec, pinned to the digests the
+        paper-config builder printed."""
+        import hashlib
+
+        code = main(["synth", *flags])
+        out = capsys.readouterr().out
+        assert code == (1 if "64" in flags else 0)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "flags", [["--depth", "0"], ["--length", "0"]], ids=" ".join
+    )
+    def test_synth_paper_malformed_flags_exit_2(self, capsys, flags):
+        code = main(["synth", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_speed_bad_budget_exit_2(self, capsys, packets):
+        code = main(["speed", "--packets", packets])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: --packets must be >= 1")
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -474,6 +549,18 @@ class TestTelemetryFlags:
         captured = capsys.readouterr()
         assert code == 2
         assert "--windows" in captured.err
+
+    @pytest.mark.parametrize("topology", ["paper", "mesh:2:2"])
+    def test_windows_zero_exit_2(self, tmp_path, capsys, topology):
+        path = tmp_path / "w.json"
+        code = main([
+            "run", "--topology", topology, "--packets", "20",
+            "--windows", "0", "--windows-out", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "window_cycles must be >= 1" in captured.err
+        assert not path.exists()
 
     def test_trace_writes_jsonl(self, tmp_path, capsys):
         import json

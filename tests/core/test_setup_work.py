@@ -112,6 +112,26 @@ def test_checkpointed_run_imports_no_sweep_machinery(run_fresh, tmp_path):
     })
 
 
+def test_paper_run_imports_no_flow_or_synthesis(run_fresh):
+    """A plain paper run takes the one spec -> engine path: no six-step
+    flow, no bus processor, no FPGA model."""
+    loaded = loaded_by(
+        run_fresh,
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'run', '--packets', '20']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n",
+    )
+    assert "repro.core.engine" in loaded
+    assert not [
+        name for name in loaded
+        if name in ("repro.core.flow", "repro.core.processor")
+        or name.startswith("repro.fpga")
+    ]
+
+
 class TestTopologyValidationMemo:
     #: ``sweep_short``'s grid document, inlined: 48 specs over two
     #: topologies.
