@@ -1,0 +1,434 @@
+"""Paired-ratio bench: every micro-level speed claim, as a ratio.
+
+Each claim compares two ways of doing the same work: the event kernel
+against the scan-everything reference, a run with windowed metrics or
+a flit tracer against a bare one, a warm-started load sweep against a
+cold one, and a cached, parallel, supervised or resumed sweep against
+its plain twin.  :func:`paired` times the two sides alternately in
+this one process and returns the quartiles of the per-pair time ratio.
+A ratio of two interleaved runs needs no host calibration, because
+both sides see the same CPU weather; an absolute cycles-per-second
+figure recorded on another day does not.  Absolute speed is gated by
+the calibrated end-to-end harness instead (``benchmarks/e2e/run.py
+compare``; its ``paper_stream`` workload is the ``saturation``
+operating point below).
+
+Every gate asserts the median ratio; q1 and q3 are printed beside it
+and written to ``benchmarks/results/ratios_<group>.txt``.  Each ratio
+sits next to the equality asserts that make it meaningful: both sides
+must compute the same result.  The three pool ratios are asserted only
+on hosts with at least :data:`WORKERS` usable cores; their equality
+asserts hold everywhere.  Run with::
+
+    PYTHONPATH=src python -m pytest -m perf benchmarks/bench_ratios.py -s
+
+Deterministic results (the warm-start ramp checkpoint, the fault
+stories, the resumed sweep hash) are pinned by tier-1 golden tests.
+"""
+
+import math
+import multiprocessing
+import os
+import shutil
+import time
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+from benchmarks.conftest import emit, format_table, usable_cores
+from repro.core.config import paper_platform_config
+from repro.core.engine import EmulationEngine
+from repro.core.platform import build_platform
+from repro.experiments import (
+    ResultCache,
+    ScenarioSpec,
+    Sweep,
+    SweepJournal,
+    SweepRunner,
+    make_ramp_checkpoint,
+    run_cold_point,
+    run_warm_point,
+)
+from repro.experiments.runner import run_scenario
+from repro.telemetry import FlitTracer, WindowedMetrics
+
+pytestmark = pytest.mark.perf
+
+#: Pairs per ratio.  Sweep-level runs last seconds each, so fewer
+#: pairs resolve them as well as five resolve a sub-second kernel run.
+PAIRS = 5
+SWEEP_PAIRS = 3
+
+
+class Ratio(NamedTuple):
+    """Quartiles of the per-pair ratios, plus each side's last value."""
+
+    q1: float
+    median: float
+    q3: float
+    a: Any
+    b: Any
+
+
+def _quartile(ordered, q):
+    """Linear-interpolated quantile ``q`` of a sorted, non-empty list."""
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    low = ordered[lo]
+    if pos == lo or ordered[lo + 1] == low:
+        return low  # also keeps inf - inf out of the interpolation
+    return low + (ordered[lo + 1] - low) * (pos - lo)
+
+
+def paired(
+    a: Callable[[], Any],
+    b: Callable[[], Any],
+    pairs: int,
+    clock: Callable[[], float] = time.process_time,
+) -> Ratio:
+    """Run ``a`` and ``b`` alternately; quartiles of ``t_a / t_b``.
+
+    A runs first on even pairs and B first on odd ones, so neither side
+    always inherits the other's warm caches.  Each run is timed with
+    ``clock``: process time by default, ``time.perf_counter`` where
+    the work happens in worker processes the parent's process time
+    does not see.  A zero-duration B gives an infinite ratio (a zero A
+    gives 0, both zero give 1), so a run too short for the clock can
+    only pass a speedup floor, never an overhead ceiling by accident.
+    """
+    funcs = (a, b)
+    last = [None, None]
+    ratios = []
+    for i in range(pairs):
+        elapsed = [0.0, 0.0]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            started = clock()
+            last[side] = funcs[side]()
+            elapsed[side] = clock() - started
+        t_a, t_b = elapsed
+        if t_b > 0:
+            ratios.append(t_a / t_b)
+        else:
+            ratios.append(math.inf if t_a > 0 else 1.0)
+    ratios.sort()
+    return Ratio(
+        _quartile(ratios, 0.25),
+        _quartile(ratios, 0.5),
+        _quartile(ratios, 0.75),
+        last[0],
+        last[1],
+    )
+
+
+def _report(group, rows):
+    """Emit one table of ratios: claim, gate, q1 / median / q3."""
+    emit(
+        f"ratios_{group}",
+        format_table(
+            ["ratio", "gate", "q1", "median", "q3"],
+            [
+                (claim, gate, f"{r.q1:.3f}", f"{r.median:.3f}",
+                 f"{r.q3:.3f}")
+                for claim, gate, r in rows
+            ],
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
+# Event kernel vs the seed-style reference loop
+# ----------------------------------------------------------------------
+KERNEL_SCENARIOS = {
+    # The paper's Slide 19 operating point: all four flows at 45%
+    # load, the two shared middle-column links at 90%.
+    "saturation": dict(traffic="uniform", load=0.45, max_packets=1500),
+    # 90% offered load everywhere: the blocked-input parking regime.
+    "saturation90": dict(traffic="uniform", load=0.9, max_packets=1500),
+    # Slide 20/22 shape: bursts separated by long idle gaps.
+    "burst": dict(
+        traffic="trace",
+        max_packets=None,
+        traffic_params={
+            "n_bursts": 40,
+            "packets_per_burst": 8,
+            "gap": 6000,
+        },
+    ),
+    # Light independent Poisson traffic.
+    "lowload": dict(traffic="poisson", load=0.01, max_packets=250),
+}
+
+#: Event-vs-reference speedup floors.  The event kernel must be at
+#: least as fast as the scan-everything reference everywhere.
+KERNEL_FLOORS = {
+    "saturation": 1.0,
+    "saturation90": 1.0,
+    "burst": 3.5,
+    "lowload": 3.5,
+}
+#: Window length of the windowed-metrics runs.
+WINDOW_CYCLES = 2000
+
+
+def run_event(kwargs, mode="off"):
+    """The event kernel, bare or observed by windows or a tracer."""
+    platform = build_platform(paper_platform_config(**kwargs))
+    telemetry = None
+    if mode == "windows":
+        telemetry = WindowedMetrics(platform, WINDOW_CYCLES)
+    elif mode == "trace":
+        sink = open(os.devnull, "w", encoding="utf-8")
+        platform.network.attach_tracer(FlitTracer(stream=sink, keep=False))
+    result = EmulationEngine(platform, telemetry=telemetry).run()
+    if mode == "trace":
+        platform.network.detach_tracer().close()
+        sink.close()
+    if mode == "windows":
+        assert result.windows and result.windows[-1].end == result.cycles
+    return result.cycles, result.packets_received
+
+
+def run_reference(kwargs):
+    """Seed-style engine loop over the scan-everything kernel.
+
+    Every generator is polled every cycle (no backpressure parking)
+    and completion is checked every 64 cycles, as the seed engine did.
+    """
+    platform = build_platform(paper_platform_config(**kwargs))
+    network = platform.network
+    generators = platform.generators
+    for generator in generators:
+        generator._clock = None
+    since = 0
+    while True:
+        now = network.cycle
+        for generator in generators:
+            generator.step(now)
+        network.step_reference()
+        since += 1
+        if since >= 64:
+            since = 0
+            if platform.generators_done and network.is_drained:
+                break
+    return network.cycle, platform.packets_received
+
+
+def test_event_kernel_vs_reference():
+    rows = []
+    for name, kwargs in KERNEL_SCENARIOS.items():
+        ratio = paired(
+            lambda: run_reference(kwargs), lambda: run_event(kwargs), PAIRS
+        )
+        (ref_cycles, ref_packets), (cycles, packets) = ratio.a, ratio.b
+        # The reference loop's completion check is quantised to 64
+        # cycles, so it may idle up to one interval past the finish.
+        assert 0 <= ref_cycles - cycles < 64, (name, cycles, ref_cycles)
+        assert ref_packets == packets, (name, packets, ref_packets)
+        rows.append(
+            (f"{name} event vs reference",
+             f">= {KERNEL_FLOORS[name]}", ratio)
+        )
+    _report("kernel", rows)
+    for name, (claim, _gate, ratio) in zip(KERNEL_SCENARIOS, rows):
+        assert ratio.median >= KERNEL_FLOORS[name], (
+            f"{claim}: median {ratio.median:.2f}x (floor"
+            f" {KERNEL_FLOORS[name]}x)"
+        )
+
+
+# ----------------------------------------------------------------------
+# Telemetry: windowed metrics and flit tracing vs a bare run
+# ----------------------------------------------------------------------
+TELEMETRY_SCENARIOS = ("saturation", "burst")
+#: Windowed metrics may cost at most 10% of the bare run.  Tracing is
+#: the expensive opt-in; its ratio is recorded with no gate.
+WINDOWS_CEILING = 1.10
+#: A ceiling 10% above parity needs more pairs than a kernel floor:
+#: at five pairs the median of two identical sub-second runs has been
+#: seen 12% apart on a loaded 2-core host.
+WINDOWS_PAIRS = 15
+
+
+def test_telemetry_overhead():
+    rows = []
+    for name in TELEMETRY_SCENARIOS:
+        kwargs = KERNEL_SCENARIOS[name]
+        for mode, gate, pairs in (
+            ("windows", f"<= {WINDOWS_CEILING:.2f}", WINDOWS_PAIRS),
+            ("trace", "recorded", PAIRS),
+        ):
+            ratio = paired(
+                lambda: run_event(kwargs, mode),
+                lambda: run_event(kwargs),
+                pairs,
+            )
+            # Observing must not change the emulation itself.
+            assert ratio.a == ratio.b, (name, mode, ratio.a, ratio.b)
+            rows.append((f"{name} {mode} vs off", gate, ratio))
+    _report("telemetry", rows)
+    for claim, gate, ratio in rows:
+        if "windows" in claim:
+            assert ratio.median <= WINDOWS_CEILING, (
+                f"{claim}: median {ratio.median:.3f}x (ceiling"
+                f" {WINDOWS_CEILING}x)"
+            )
+
+
+# ----------------------------------------------------------------------
+# Warm-started load sweep vs the cold one
+# ----------------------------------------------------------------------
+RAMP_SPEC = ScenarioSpec(load=0.45, packets=None, seed=5)
+RAMP_CYCLES = 8000
+HORIZON = 2500
+LOADS = (0.2, 0.4, 0.6, 0.8)
+
+
+def warm_sweep():
+    """Ramp once, fork every load point off the one checkpoint."""
+    checkpoint = make_ramp_checkpoint(RAMP_SPEC, ramp_cycles=RAMP_CYCLES)
+    return [
+        run_warm_point(checkpoint, load, HORIZON).metrics for load in LOADS
+    ]
+
+
+def cold_sweep():
+    """Re-emulate the ramp for every load point."""
+    return [
+        run_cold_point(RAMP_SPEC, RAMP_CYCLES, load, HORIZON).metrics
+        for load in LOADS
+    ]
+
+
+def test_warm_sweep_vs_cold():
+    ratio = paired(cold_sweep, warm_sweep, PAIRS)
+    # Resume parity: the speedup must not be bought with wrong numbers.
+    assert ratio.a == ratio.b
+    _report("checkpoint", [("warm sweep speedup", "> 1.0", ratio)])
+    assert ratio.median > 1.0, (
+        f"warm sweep only {ratio.median:.2f}x faster than cold"
+    )
+
+
+# ----------------------------------------------------------------------
+# Sweeps: cached, parallel, supervised and resumed vs their twins
+# ----------------------------------------------------------------------
+#: 12 scenarios of saturation-region uniform traffic, load x depth;
+#: uniform keeps per-scenario cost flat so pool balance stays out of
+#: the measurement.
+SWEEP_BASE = ScenarioSpec(traffic="uniform", packets=900, seed=11)
+SWEEP_GRID = dict(load=(0.15, 0.30, 0.45, 0.60), buffer_depth=(2, 4, 8))
+WORKERS = 4
+CACHE_FLOOR = 5.0
+PARALLEL_FLOOR = 2.0
+SUPERVISION_CEILING = 1.05
+RESUME_FLOOR = 1.4
+
+
+def _run_record(spec_dict):
+    """Bare-pool task: specs travel as plain dicts."""
+    return run_scenario(ScenarioSpec.from_dict(spec_dict)).record()
+
+
+def bare_pool(specs):
+    """The pre-supervision execution path: a plain ``pool.imap``."""
+    payloads = [spec.to_dict() for spec in specs]
+    with multiprocessing.Pool(processes=WORKERS) as pool:
+        return list(pool.imap(_run_record, payloads, chunksize=1))
+
+
+def test_sweep_ratios(tmp_path):
+    specs = Sweep.grid(SWEEP_BASE, **SWEEP_GRID)
+    assert len(specs) == 12
+
+    def run(**options):
+        runner = SweepRunner(**options)
+        report = runner.run(specs)
+        assert report.ok
+        return [r.record() for r in report], runner.last_stats
+
+    cache = ResultCache(str(tmp_path / "warm"))
+    serial, _ = run(workers=1, cache=cache)  # fills the cache
+
+    cached = paired(
+        lambda: run(workers=1)[0],
+        lambda: run(workers=1, cache=cache),
+        SWEEP_PAIRS,
+    )
+    cached_records, stats = cached.b
+    assert cached.a == serial and cached_records == serial
+    assert (stats.executed, stats.cached) == (0, len(specs))
+
+    parallel = paired(
+        lambda: run(workers=1)[0],
+        lambda: run(workers=WORKERS)[0],
+        SWEEP_PAIRS,
+        clock=time.perf_counter,
+    )
+    assert parallel.a == serial and parallel.b == serial
+
+    supervision = paired(
+        lambda: run(workers=WORKERS)[0],
+        lambda: bare_pool(specs),
+        SWEEP_PAIRS,
+        clock=time.perf_counter,
+    )
+    assert supervision.a == serial and supervision.b == serial
+
+    # Resume: a "crashed" first run journaled half the sweep.  Each
+    # resumed run gets its own copy of that half-done cache, made
+    # before any timing starts.
+    half = ResultCache(str(tmp_path / "half"))
+    journal = SweepJournal.for_sweep(half.root, specs)
+    SweepRunner(workers=WORKERS, cache=half, journal=journal).run(
+        specs[: len(specs) // 2]
+    )
+    copies = []
+    for i in range(SWEEP_PAIRS):
+        root = str(tmp_path / f"half{i}")
+        shutil.copytree(half.root, root)
+        copies.append(ResultCache(root))
+
+    def resume():
+        copy = copies.pop()
+        return run(
+            workers=WORKERS,
+            cache=copy,
+            journal=SweepJournal.for_sweep(copy.root, specs),
+            resume=True,
+        )
+
+    resumed = paired(
+        lambda: run(workers=WORKERS)[0],
+        resume,
+        SWEEP_PAIRS,
+        clock=time.perf_counter,
+    )
+    resumed_records, stats = resumed.b
+    assert resumed.a == serial and resumed_records == serial
+    assert (stats.executed, stats.cached) == (6, 6)
+
+    cores = usable_cores()
+    pool_note = "" if cores >= WORKERS else f" (unchecked: {cores} cores)"
+    _report(
+        "sweep",
+        [
+            ("cached vs serial", f">= {CACHE_FLOOR}", cached),
+            (f"parallel x{WORKERS} vs serial",
+             f">= {PARALLEL_FLOOR}{pool_note}", parallel),
+            ("supervised vs bare pool",
+             f"<= {SUPERVISION_CEILING}{pool_note}", supervision),
+            ("resume half vs cold",
+             f">= {RESUME_FLOOR}{pool_note}", resumed),
+        ],
+    )
+    assert cached.median >= CACHE_FLOOR, f"cache {cached.median:.1f}x"
+    if cores >= WORKERS:
+        assert parallel.median >= PARALLEL_FLOOR, (
+            f"parallel {parallel.median:.2f}x"
+        )
+        assert supervision.median <= SUPERVISION_CEILING, (
+            f"supervision {supervision.median:.3f}x"
+        )
+        assert resumed.median >= RESUME_FLOOR, (
+            f"resume {resumed.median:.2f}x"
+        )

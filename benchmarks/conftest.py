@@ -8,7 +8,6 @@ stable file regardless of pytest's output capturing.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -57,39 +56,3 @@ def usable_cores() -> int:
     except AttributeError:  # pragma: no cover - non-Linux hosts
         return os.cpu_count() or 1
 
-
-def check_no_drift(report, baseline_path, what, per_name=False):
-    """Fail before overwriting when deterministic fields changed.
-
-    Compares ``report["deterministic"]`` with the committed record's
-    block — with ``per_name``, each ``report[name]["deterministic"]``
-    with the committed ``[name]`` entry's.  A missing or unreadable
-    record, or one without the block, has nothing to guard.
-    """
-    if not os.path.exists(baseline_path):
-        return
-    try:
-        with open(baseline_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError):
-        return  # unreadable record: nothing to guard against
-    if per_name:
-        pairs = [
-            (f"{name}: ", record, committed.get(name, {}))
-            for name, record in report.items()
-        ]
-    else:
-        pairs = [("", report, committed)]
-    for prefix, record, old_record in pairs:
-        old = old_record.get("deterministic")
-        if old is None:
-            continue
-        new = record["deterministic"]
-        assert new == old, (
-            f"{prefix}deterministic {what} record drifted from the"
-            f" committed {os.path.basename(baseline_path)} —"
-            f" refusing to overwrite; investigate (or delete the"
-            f" record to re-baseline deliberately).\n"
-            f"committed: {json.dumps(old, sort_keys=True)}\n"
-            f"measured:  {json.dumps(new, sort_keys=True)}"
-        )

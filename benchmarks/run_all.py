@@ -1,21 +1,18 @@
-"""Run every perf-marked bench and collect the ``BENCH_*.json`` records.
+"""Run every perf-marked bench in one pytest session.
 
-The performance trajectory of the repo lives in the ``BENCH_*.json``
-regression records under ``benchmarks/results/``; each perf-marked
-bench refreshes its own record (and fails before overwriting it on a
-regression).  This driver makes the whole trajectory reproducible with
-a single command::
+Each perf-marked bench regenerates a table or figure of the paper, or
+(``bench_ratios.py``) asserts the emulator's paired speed ratios, and
+writes its rendered artefact to ``benchmarks/results/<name>.txt``::
 
-    PYTHONPATH=src python benchmarks/run_all.py            # lint + run + collect
+    PYTHONPATH=src python benchmarks/run_all.py            # lint + run
     PYTHONPATH=src python benchmarks/run_all.py --list     # show the plan
-    PYTHONPATH=src python benchmarks/run_all.py --only kernel,batch
-    PYTHONPATH=src python benchmarks/run_all.py --collect-only
+    PYTHONPATH=src python benchmarks/run_all.py --only ratios,table2
     PYTHONPATH=src python benchmarks/run_all.py --lint-only
 
 It is deliberately a thin wrapper over ``pytest -m perf``: the benches
-keep owning their scenarios, floors and guards; this driver only
-selects them, runs them in one pytest session and prints the combined
-record summary afterwards.
+keep owning their scenarios and gates; this script only selects them
+and runs them in one pytest session.  Absolute speed is gated by the
+end-to-end harness, ``benchmarks/e2e/run.py compare``.
 
 Before any bench runs, the driver runs the static analyzer (``repro
 lint src/repro --format json``, see ``repro.analysis``) and aborts on
@@ -29,23 +26,21 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-RESULTS_DIR = os.path.join(BENCH_DIR, "results")
+BENCHMARKS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def discover_benches(only: Optional[List[str]] = None) -> List[str]:
     """Paths of the ``bench_*.py`` files, optionally filtered.
 
     ``only`` holds substrings matched against the bench file name
-    (``kernel`` selects ``bench_kernel_speed.py``).  Unknown filters
+    (``ratios`` selects ``bench_ratios.py``).  Unknown filters
     raise so a typo cannot silently skip a bench.
     """
-    paths = sorted(glob.glob(os.path.join(BENCH_DIR, "bench_*.py")))
+    paths = sorted(glob.glob(os.path.join(BENCHMARKS_DIR, "bench_*.py")))
     if only is None:
         return paths
     selected: List[str] = []
@@ -64,47 +59,9 @@ def discover_benches(only: Optional[List[str]] = None) -> List[str]:
     return selected
 
 
-def collect_records() -> Dict[str, dict]:
-    """Load every ``BENCH_*.json`` record under benchmarks/results/."""
-    records: Dict[str, dict] = {}
-    for path in sorted(
-        glob.glob(os.path.join(RESULTS_DIR, "BENCH_*.json"))
-    ):
-        name = os.path.basename(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                records[name] = json.load(fh)
-        except (OSError, ValueError) as exc:
-            records[name] = {"error": str(exc)}
-    return records
-
-
-def render_summary(records: Dict[str, dict]) -> str:
-    """One flat line per (record, scenario, headline metric)."""
-    lines = ["collected perf records:"]
-    if not records:
-        lines.append("  (none found — did the benches run?)")
-    for name, record in records.items():
-        if "error" in record:
-            lines.append(f"  {name}: unreadable ({record['error']})")
-            continue
-        lines.append(f"  {name}:")
-        for scenario, fields in record.items():
-            if not isinstance(fields, dict):
-                lines.append(f"    {scenario}: {fields}")
-                continue
-            headline = ", ".join(
-                f"{key}={value}"
-                for key, value in fields.items()
-                if isinstance(value, (int, float))
-            )
-            lines.append(f"    {scenario}: {headline}")
-    return "\n".join(lines)
-
-
 def lint_gate() -> int:
     """``repro lint src/repro --format json``: 0 clean, 1 findings."""
-    src_root = os.path.join(os.path.dirname(BENCH_DIR), "src")
+    src_root = os.path.join(os.path.dirname(BENCHMARKS_DIR), "src")
     try:
         from repro.analysis import render_json, run_lint
     except ImportError:
@@ -119,8 +76,7 @@ def lint_gate() -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "run every perf-marked bench and collect the BENCH_*.json"
-            " regression records"
+            "run every perf-marked bench in one pytest session"
         )
     )
     parser.add_argument(
@@ -128,18 +84,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "comma-separated bench name filters, e.g."
-            " 'kernel,batch' (default: all bench_*.py files)"
+            " 'ratios,table2' (default: all bench_*.py files)"
         ),
     )
     parser.add_argument(
         "--list",
         action="store_true",
         help="print the selected bench files and exit",
-    )
-    parser.add_argument(
-        "--collect-only",
-        action="store_true",
-        help="skip running; just summarise the committed records",
     )
     parser.add_argument(
         "--lint-only",
@@ -171,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.lint_only:
         return lint_gate()
-    if not args.collect_only and not args.skip_lint:
+    if not args.skip_lint:
         lint_exit = lint_gate()
         if lint_exit:
             print(
@@ -181,28 +132,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return lint_exit
 
-    exit_code = 0
-    if not args.collect_only:
-        # The benches import ``benchmarks.conftest``; running this
-        # driver as a script puts benchmarks/ (not the repo root) on
-        # sys.path, so add the root the way ``python -m pytest`` from
-        # the repo root would.
-        root = os.path.dirname(BENCH_DIR)
-        if root not in sys.path:
-            sys.path.insert(0, root)
-        import shlex
+    # The benches import ``benchmarks.conftest``; running this file
+    # as a script puts benchmarks/ (not the repo root) on sys.path, so
+    # add the root the way ``python -m pytest`` from the repo root
+    # would.
+    root = os.path.dirname(BENCHMARKS_DIR)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    import shlex
 
-        import pytest
+    import pytest
 
-        # User-supplied options come after the driver's, so e.g. a
-        # custom -m expression overrides the default "perf".
-        extra = shlex.split(args.pytest_args) if args.pytest_args else []
-        pytest_argv = ["-m", "perf", "-s", *extra, *benches]
-        exit_code = int(pytest.main(pytest_argv))
-
-    print()
-    print(render_summary(collect_records()))
-    return exit_code
+    # User-supplied options come after this script's, so e.g. a custom
+    # -m expression overrides the default "perf".
+    extra = shlex.split(args.pytest_args) if args.pytest_args else []
+    return int(pytest.main(["-m", "perf", "-s", *extra, *benches]))
 
 
 if __name__ == "__main__":

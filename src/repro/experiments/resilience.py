@@ -169,6 +169,23 @@ class SweepReport(Sequence):
 # ----------------------------------------------------------------------
 # The sweep journal
 # ----------------------------------------------------------------------
+#: Every status :meth:`SweepJournal.write` is called with.
+_JOURNAL_STATUSES = ("done", "failed", "quarantined")
+
+
+def _well_formed(entry: Any) -> bool:
+    """A journal entry the runner can act on without a traceback."""
+    if not isinstance(entry, dict):
+        return False
+    attempts = entry.get("attempts", 0)
+    return (
+        isinstance(entry.get("key"), str)
+        and entry.get("status") in _JOURNAL_STATUSES
+        and isinstance(attempts, int)
+        and not isinstance(attempts, bool)
+    )
+
+
 class SweepJournal:
     """Append-only per-spec outcome ledger; the crash-recovery anchor.
 
@@ -212,6 +229,9 @@ class SweepJournal:
 
         Corrupt or torn lines (the tail a crash left behind) are
         skipped, not fatal — the corresponding spec simply re-runs.
+        So are entries whose ``key`` is not a string, whose ``status``
+        is not one the runner writes, or whose ``attempts`` is present
+        but not an int.
         """
         import json
 
@@ -226,11 +246,7 @@ class SweepJournal:
                         entry = json.loads(line)
                     except ValueError:
                         continue
-                    if (
-                        not isinstance(entry, dict)
-                        or "key" not in entry
-                        or "status" not in entry
-                    ):
+                    if not _well_formed(entry):
                         continue
                     entries[entry["key"]] = entry
         except FileNotFoundError:

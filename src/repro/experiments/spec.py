@@ -73,6 +73,11 @@ _MULTIPATH_RE = re.compile(r"multipath(:[1-9][0-9]*)?")
 _ARBITRATIONS = ("round_robin", "fixed_priority", "matrix")
 
 
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is an int to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _frozen_params(
     params: Optional[Mapping[str, Any]],
 ) -> Tuple[Tuple[str, Any], ...]:
@@ -137,8 +142,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.telemetry_windows is not None and (
-            not isinstance(self.telemetry_windows, int)
-            or isinstance(self.telemetry_windows, bool)
+            not _is_int(self.telemetry_windows)
             or self.telemetry_windows < 1
         ):
             raise ConfigError(
@@ -205,15 +209,23 @@ class ScenarioSpec:
                 f"unknown arbitration {self.arbitration!r}; expected"
                 f" one of {_ARBITRATIONS}"
             )
-        if self.buffer_depth < 1:
-            raise ConfigError("buffer depth must be >= 1 flit")
-        if not 0.0 < self.load <= 1.0:
+        if not _is_int(self.buffer_depth) or self.buffer_depth < 1:
             raise ConfigError(
-                f"load must be in (0, 1], got {self.load}"
+                f"buffer depth must be an int >= 1 flit, got"
+                f" {self.buffer_depth!r}"
             )
-        if self.length < 1:
+        if (
+            isinstance(self.load, bool)
+            or not isinstance(self.load, (int, float))
+            or not 0.0 < self.load <= 1.0
+        ):
             raise ConfigError(
-                f"packet length must be >= 1 flit, got {self.length}"
+                f"load must be a number in (0, 1], got {self.load!r}"
+            )
+        if not _is_int(self.length) or self.length < 1:
+            raise ConfigError(
+                f"packet length must be an int >= 1 flit, got"
+                f" {self.length!r}"
             )
         if self.switching == SwitchingMode.STORE_AND_FORWARD.value:
             # A store-and-forward switch buffers whole packets, so its
@@ -228,13 +240,17 @@ class ScenarioSpec:
                     f" {self.buffer_depth}-flit buffers cannot hold the"
                     f" {longest}-flit packets of this traffic"
                 )
-        if self.packets is not None and self.packets < 1:
+        if self.packets is not None and (
+            not _is_int(self.packets) or self.packets < 1
+        ):
             raise ConfigError(
-                f"packet budget must be >= 1 or None, got"
-                f" {self.packets}"
+                f"packet budget must be an int >= 1 or None, got"
+                f" {self.packets!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be an int >= 0, got {self.seed!r}"
+            )
         try:
             canonical_json(self.traffic_params)
         except TypeError:
@@ -243,7 +259,7 @@ class ScenarioSpec:
                 " specs are hashed and shipped to worker processes);"
                 " pass plain numbers/strings/lists, not live objects"
             ) from None
-        valid_routing = (
+        valid_routing = isinstance(self.routing, str) and (
             self.routing == "auto"
             or self.routing in _PAPER_CASES
             or self.routing in _GENERIC_ROUTINGS

@@ -15,6 +15,11 @@ import pytest
 from repro.checkpoint import Checkpoint, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments import (
+    make_ramp_checkpoint,
+    run_cold_point,
+    run_warm_point,
+)
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import FaultSchedule, flaky, link_down
 from repro.telemetry import WindowedMetrics
@@ -108,3 +113,37 @@ def test_golden_cuts_hold_parked_inputs_and_inflight_flits():
             assert injector["dead_pairs"] and injector["flaky"]
     assert parked > 0
     assert wired > 0
+
+
+#: The warm-start sweep's ramp: the paper platform at 45% uniform load,
+#: unbounded, checkpointed at cycle 8000 and forked at four loads for
+#: 2500 cycles each.  The hash and each point's metric triple are
+#: pinned, and each warm point must equal its cold twin.
+RAMP_SPEC = ScenarioSpec(load=0.45, packets=None, seed=5)
+RAMP_CYCLES = 8000
+RAMP_HASH = "c58bd96bc49d67b9"
+HORIZON = 2500
+WARM_POINTS = [
+    (0.2, 20.0, 6.4896, 2028),
+    (0.4, 20.0, 7.2832, 2276),
+    (0.6, 46.87, 7.68, 2400),
+    (0.8, 51.7875, 7.68, 2400),
+]
+
+
+def test_ramp_checkpoint_and_warm_points_are_pinned():
+    checkpoint = make_ramp_checkpoint(RAMP_SPEC, ramp_cycles=RAMP_CYCLES)
+    assert checkpoint.cycle == RAMP_CYCLES
+    assert checkpoint.content_hash == RAMP_HASH
+    measured = []
+    for load, *_ in WARM_POINTS:
+        warm = run_warm_point(checkpoint, load, HORIZON)
+        cold = run_cold_point(RAMP_SPEC, RAMP_CYCLES, load, HORIZON)
+        assert warm.metrics == cold.metrics, load
+        measured.append((
+            load,
+            warm.metrics["mean_latency"],
+            warm.metrics["accepted_flits_per_cycle"],
+            warm.metrics["packets_received"],
+        ))
+    assert measured == WARM_POINTS

@@ -385,6 +385,15 @@ class TestBatchCommand:
         )
         return str(path)
 
+    def test_batch_wrong_typed_axis_value_exit_2(self, tmp_path, capsys):
+        sweep = self.make_sweep(
+            tmp_path,
+            {"base": {"load": 0.3}, "grid": {"load": [0.1, "x"]}},
+        )
+        code = main(["batch", sweep, "--no-cache"])
+        assert code == 2
+        assert "load" in capsys.readouterr().err
+
     def test_batch_runs_grid(self, tmp_path, capsys):
         sweep = self.make_sweep(tmp_path)
         code = main(

@@ -6,6 +6,7 @@ dependency), so it raises the same ConfigError on every attempt in
 every process — a reliable stand-in for a "poisoned" scenario.
 """
 
+import hashlib
 import json
 import os
 
@@ -18,10 +19,12 @@ from repro.experiments import (
     ScenarioSpec,
     SweepJournal,
     SweepReport,
+    Sweep,
     SweepRunner,
     aggregate,
     run_sweep,
 )
+from repro.util import canonical_json_bytes
 
 GOOD = [
     ScenarioSpec(topology="mesh:3:3", packets=60, seed=s)
@@ -224,6 +227,28 @@ class TestSweepJournal:
         entries = journal.load()
         assert entries["bbb"]["status"] == "done"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"status": "quarantined", "key": ["a"]}',
+            '{"status": "quarantined", "key": 7}',
+            '{"status": "parked", "key": "aaa"}',
+            '{"status": ["done"], "key": "aaa"}',
+            '{"status": "quarantined", "key": "aaa", "attempts": "x"}',
+            '{"status": "quarantined", "key": "aaa", "attempts": 1.5}',
+        ],
+        ids=[
+            "list-key", "int-key", "unknown-status", "list-status",
+            "str-attempts", "float-attempts",
+        ],
+    )
+    def test_malformed_entry_is_skipped(self, tmp_path, line):
+        journal = SweepJournal(str(tmp_path / "sweep.journal"))
+        journal.write("bbb", "done", attempts=1)
+        with open(journal.path, "a") as fh:
+            fh.write(line + "\n")
+        assert list(journal.load()) == ["bbb"]
+
     def test_lines_are_canonical_json(self, tmp_path):
         journal = SweepJournal(str(tmp_path / "sweep.journal"))
         journal.write("aaa", "done", attempts=1)
@@ -304,6 +329,26 @@ class TestJournalResume:
         assert failure.error == "ConfigError"
         assert failure.attempts == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{{"status":"quarantined","key":"{key}","attempts":"x"}}',
+            '{{"status":"quarantined","key":["{key}"]}}',
+        ],
+        ids=["str-attempts", "list-key"],
+    )
+    def test_malformed_journal_line_re_runs_the_spec(self, tmp_path, entry):
+        cache = ResultCache(str(tmp_path / "cache"))
+        journal = SweepJournal(str(tmp_path / "cache" / "s.journal"))
+        os.makedirs(cache.root, exist_ok=True)
+        with open(journal.path, "w") as fh:
+            fh.write(entry.format(key=GOOD[0].key) + "\n")
+        runner = SweepRunner(cache=cache, journal=journal, resume=True)
+        report = runner.run(GOOD[:1])
+        assert report.ok
+        assert runner.last_stats.executed == 1
+        assert runner.last_stats.parked == 0
+
     def test_failed_specs_re_run_on_resume(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         journal = SweepJournal(str(tmp_path / "cache" / "s.journal"))
@@ -325,6 +370,29 @@ class TestJournalResume:
         assert bad["status"] == "quarantined"
         assert bad["error"] == "ConfigError"
         assert bad["attempts"] == 1
+
+    def test_resumed_grid_sweep_hash_is_pinned(self, tmp_path):
+        """A 12-spec grid, half of it journaled by a "crashed" run,
+        resumes serially to the pinned records: six specs replayed from
+        the cache, six executed."""
+        specs = Sweep.grid(
+            ScenarioSpec(traffic="uniform", packets=900, seed=11),
+            load=(0.15, 0.30, 0.45, 0.60),
+            buffer_depth=(2, 4, 8),
+        )
+        assert len(specs) == 12
+        cache = ResultCache(str(tmp_path / "cache"))
+        journal = SweepJournal.for_sweep(cache.root, specs)
+        SweepRunner(cache=cache, journal=journal).run(specs[:6])
+        runner = SweepRunner(cache=cache, journal=journal, resume=True)
+        report = runner.run(specs)
+        assert report.ok
+        assert runner.last_stats.executed == 6
+        assert runner.last_stats.cached == 6
+        digest = hashlib.sha256(
+            canonical_json_bytes(records(report))
+        ).hexdigest()[:16]
+        assert digest == "1f0c198bbbc14059"
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,32 @@ class TestScenarioSpecValidation:
         with pytest.raises(ConfigError, match="JSON"):
             ScenarioSpec(traffic_params={"dst": object()})
 
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [
+            ("load", None, "load"),
+            ("load", "0.3", "load"),
+            ("load", True, "load"),
+            ("packets", "10", "budget"),
+            ("packets", 1.5, "budget"),
+            ("packets", True, "budget"),
+            ("buffer_depth", "4", "buffer depth"),
+            ("buffer_depth", 2.5, "buffer depth"),
+            ("length", "8", "packet length"),
+            ("length", 8.0, "packet length"),
+            ("routing", 1, "routing"),
+            ("seed", True, "seed"),
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, field, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioSpec(**{field: bad})
+
+    def test_int_load_accepted_with_its_key(self):
+        spec = ScenarioSpec(load=1)
+        assert spec.to_dict()["load"] == 1
+        assert spec.key == "c1673787b833bf5d"
+
 
 class TestScenarioSpecIdentity:
     def test_key_stable(self):

@@ -10,6 +10,7 @@ from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
+    flaky,
     link_down,
     link_up,
     switch_down,
@@ -264,6 +265,120 @@ class TestDegradation:
         )
         network = platform.network
         assert network.in_flight_flits == network.scan_in_flight_flits()
+
+
+def _window(label, cycles, received, throughput):
+    return {
+        "label": label,
+        "cycles": cycles,
+        "packets_received": received,
+        "throughput": throughput,
+    }
+
+
+#: Three fault stories on the paper platform, seed 1: a hot link cut
+#: mid-run and healed later (two repairs), a lossy window on the same
+#: pair, and an unrepaired cut that degrades.  Every field below is a
+#: deterministic function of the schedule and is pinned exactly.
+FAULT_STORIES = {
+    "reroute": (
+        FaultSchedule.of(
+            link_down(3000, 1, 4),
+            link_down(3000, 4, 1),
+            link_up(9000, 1, 4),
+            link_up(9000, 4, 1),
+        ),
+        1200,
+        {
+            "cycles": 21605,
+            "packets_sent": 4800,
+            "packets_received": 4798,
+            "completed": True,
+            "degraded": False,
+            "dropped_flits": 10,
+            "dropped_packets": 2,
+            "reroutes": 4,
+            "recovery_cycles": [13, 13, None, None],
+            "windows": [
+                _window("pre-fault", 3000, 664, 0.221333),
+                _window("after link_down@3000", 6000, 1332, 0.222),
+                _window("after link_up@9000", 12605, 2802, 0.222293),
+            ],
+        },
+    ),
+    "flaky": (
+        FaultSchedule.of(
+            flaky(2000, 1, 4, until=6000, drop_p=0.1, seed=3),
+            flaky(2000, 4, 1, until=6000, drop_p=0.1, seed=4),
+        ),
+        1200,
+        {
+            "cycles": 21607,
+            "packets_sent": 4800,
+            "packets_received": 4309,
+            "completed": True,
+            "degraded": False,
+            "dropped_flits": 3652,
+            "dropped_packets": 491,
+            "reroutes": 0,
+            "recovery_cycles": [5, 5],
+            "windows": [
+                _window("pre-fault", 2000, 442, 0.221),
+                _window("after flaky@2000", 4000, 399, 0.09975),
+                _window("after flaky 4->1@6000", 15607, 3468, 0.222208),
+            ],
+        },
+    ),
+    "degraded": (
+        FaultSchedule.of(
+            link_down(3000, 1, 4), link_down(3000, 4, 1), repair=False
+        ),
+        600,
+        {
+            "cycles": 22995,
+            "packets_sent": 702,
+            "packets_received": 664,
+            "completed": False,
+            "degraded": True,
+            "dropped_flits": 10,
+            "dropped_packets": 2,
+            "reroutes": 0,
+            "recovery_cycles": [None, None],
+            "windows": [
+                _window("pre-fault", 3000, 664, 0.221333),
+                _window("after link_down@3000", 19995, 0, 0.0),
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("story", sorted(FAULT_STORIES))
+def test_fault_story_is_pinned(story):
+    schedule, packets, expected = FAULT_STORIES[story]
+    platform = paper_platform(packets=packets, seed=1)
+    result = EmulationEngine(platform, faults=schedule).run(
+        stagnation_cycles=20_000
+    )
+    report = result.faults
+    assert {
+        "cycles": result.cycles,
+        "packets_sent": result.packets_sent,
+        "packets_received": result.packets_received,
+        "completed": result.completed,
+        "degraded": report.degraded,
+        "dropped_flits": report.dropped_flits,
+        "dropped_packets": report.dropped_packets,
+        "reroutes": len(report.reroutes),
+        "recovery_cycles": [e.recovery_cycles for e in report.events],
+        "windows": [
+            _window(
+                w.label, w.cycles, w.packets_received,
+                round(w.throughput, 6),
+            )
+            for w in report.windows
+        ],
+    } == expected
 
 
 class TestMetrics:
