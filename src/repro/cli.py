@@ -329,10 +329,16 @@ def _profiled(fn, top: int, out: Optional[str] = None):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.checkpoint.errors import CheckpointError
     from repro.core.monitor import Monitor
 
     do_profile = args.profile or args.profile_out is not None
+    # Only a run that saves or restores a checkpoint can raise a
+    # checkpoint error, so only such a run imports the package.
+    reported = (ConfigError,)
+    if args.resume or args.checkpoint_out:
+        from repro.checkpoint.errors import CheckpointError
+
+        reported = (ConfigError, CheckpointError)
     try:
         spec = _scenario_from(args, args.packets)
         faults = _fault_schedule_from(args)
@@ -424,7 +430,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     trace_stream.close()
         if args.trace_perfetto:
             tracer.write_perfetto(args.trace_perfetto)
-    except (ConfigError, CheckpointError) as exc:
+    except reported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.checkpoint_out:

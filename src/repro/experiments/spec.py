@@ -72,6 +72,18 @@ _MULTIPATH_RE = re.compile(r"multipath(:[1-9][0-9]*)?")
 
 _ARBITRATIONS = ("round_robin", "fixed_priority", "matrix")
 
+#: The number-valued traffic params each model reads (see
+#: :func:`repro.core.config.make_traffic_model`).  ``length`` is
+#: checked apart: an int or an inclusive ``[min, max]`` int range.
+#: Other keys pass unchecked.
+_NUMERIC_PARAMS = {
+    "uniform": ("interval", "load"),
+    "burst": ("load", "mean_burst_packets", "p_off", "p_on"),
+    "poisson": ("load", "rate"),
+    "onoff": ("gap", "load", "packets_per_burst"),
+    "trace": ("flits_per_packet", "gap", "n_bursts", "packets_per_burst"),
+}
+
 
 def _is_int(value: Any) -> bool:
     """An ``int`` that is not a ``bool`` (``True`` is an int to Python)."""
@@ -259,6 +271,7 @@ class ScenarioSpec:
                 " specs are hashed and shipped to worker processes);"
                 " pass plain numbers/strings/lists, not live objects"
             ) from None
+        self._check_traffic_params()
         valid_routing = isinstance(self.routing, str) and (
             self.routing == "auto"
             or self.routing in _PAPER_CASES
@@ -276,6 +289,31 @@ class ScenarioSpec:
                 f"routing {self.routing!r} is a paper-platform route"
                 f" case; topology {self.topology!r} needs 'auto',"
                 f" 'shortest', 'updown' or 'multipath[:k]'"
+            )
+
+    def _check_traffic_params(self) -> None:
+        """Reject a wrong-typed value of a param the model reads, so a
+        bad spec fails here, not in the run that builds it."""
+        params = dict(self.traffic_params)
+        for key in _NUMERIC_PARAMS.get(self.traffic, ()):
+            value = params.get(key, 0)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float)
+            ):
+                raise ConfigError(
+                    f"traffic_params {key!r} of {self.traffic} traffic"
+                    f" must be a number, got {value!r}"
+                )
+        length = params.get("length", 1)
+        if self.traffic != "trace" and not (
+            _is_int(length)
+            or isinstance(length, tuple)
+            and len(length) == 2
+            and all(map(_is_int, length))
+        ):
+            raise ConfigError(
+                f"traffic_params 'length' must be an int or an"
+                f" [min, max] int range, got {length!r}"
             )
 
     # ------------------------------------------------------------------

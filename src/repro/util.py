@@ -6,10 +6,12 @@ serialized through exactly one encoding so that equal payloads are
 equal *bytes*: sorted keys, ``(",", ":")`` separators, no trailing
 whitespace.  Content hashes (spec keys, checkpoint hashes) are SHA-256
 over that byte form, so the encoder is part of the repo-wide
-bit-identity contract, not a style choice.  Flit-trace lines are the
-one record formatted by hand, from the trace's fixed schema, because
-they are written per event; a test pins every line to
-:func:`canonical_json` of its event.
+bit-identity contract, not a style choice.  Flit traces are the one
+output formatted by hand, from ``%`` templates of their fixed record
+shapes, because they are written per event: a test pins every JSONL
+line to :func:`canonical_json` of its event, and the Perfetto export
+(a viewer format, not a hashed record) to ``json.dumps`` of its
+records' dict form.
 
 The determinism lint (:mod:`repro.analysis`) enforces the funnel: any
 direct ``json.dumps``/``json.dump`` call or ``json.JSONEncoder``

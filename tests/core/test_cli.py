@@ -394,6 +394,27 @@ class TestBatchCommand:
         assert code == 2
         assert "load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            {"traffic_params": {"length": "x"}},
+            {"traffic_params": {"length": 2.5}},
+            {"traffic": "poisson", "traffic_params": {"rate": "fast"}},
+        ],
+    )
+    def test_batch_wrong_typed_traffic_param_exit_2(
+        self, tmp_path, capsys, base
+    ):
+        sweep = self.make_sweep(
+            tmp_path,
+            {"base": {"packets": 5, **base}, "grid": {"load": [0.1]}},
+        )
+        code = main(["batch", sweep, "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "traffic_params" in captured.err
+        assert "executed" not in captured.err
+
     def test_batch_runs_grid(self, tmp_path, capsys):
         sweep = self.make_sweep(tmp_path)
         code = main(

@@ -53,6 +53,19 @@ def loaded_by(run_fresh, code: str) -> set:
     return set(run_fresh(code + LOADED).splitlines()[-1].split())
 
 
+def loaded_by_cli(run_fresh, *argv: str) -> set:
+    """The ``repro`` modules loaded by a successful ``repro ARGV``."""
+    return loaded_by(
+        run_fresh,
+        "import runpy, sys\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n",
+    )
+
+
 def test_import_repro_loads_no_submodule(run_fresh):
     loaded = loaded_by(run_fresh, "import repro\n")
     assert loaded == {"repro", "repro.lazy"}
@@ -75,15 +88,7 @@ def test_batch_imports_only_what_it_runs(run_fresh, tmp_path):
         "base": {"topology": "mesh:2:2", "packets": 5, "load": 0.1},
         "grid": {"seed": [1, 2]},
     }))
-    loaded = loaded_by(
-        run_fresh,
-        "import runpy, sys\n"
-        f"sys.argv = ['repro', 'batch', {str(sweep)!r}, '--no-cache']\n"
-        "try:\n"
-        "    runpy.run_module('repro', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n",
-    )
+    loaded = loaded_by_cli(run_fresh, "batch", str(sweep), "--no-cache")
     assert "repro.experiments.runner" in loaded
     assert not [
         name for name in loaded
@@ -93,18 +98,11 @@ def test_batch_imports_only_what_it_runs(run_fresh, tmp_path):
 
 def test_checkpointed_run_imports_no_sweep_machinery(run_fresh, tmp_path):
     cp = tmp_path / "cp.json"
-    loaded = loaded_by(
-        run_fresh,
-        "import runpy, sys\n"
-        "sys.argv = ['repro', 'run', '--topology', 'mesh:2:2',"
-        " '--packets', '5', '--checkpoint-every', '50',"
-        f" '--checkpoint-out', {str(cp)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('repro', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n",
+    loaded = loaded_by_cli(
+        run_fresh, "run", "--topology", "mesh:2:2", "--packets", "5",
+        "--checkpoint-every", "50", "--checkpoint-out", str(cp),
     )
-    assert "repro.checkpoint.capture" in loaded
+    assert {"repro.checkpoint", "repro.checkpoint.capture"} <= loaded
     assert loaded.isdisjoint({
         "repro.experiments.cache",
         "repro.experiments.resilience",
@@ -115,20 +113,26 @@ def test_checkpointed_run_imports_no_sweep_machinery(run_fresh, tmp_path):
 def test_paper_run_imports_no_flow_or_synthesis(run_fresh):
     """A plain paper run takes the one spec -> engine path: no six-step
     flow, no bus processor, no FPGA model."""
-    loaded = loaded_by(
-        run_fresh,
-        "import runpy, sys\n"
-        "sys.argv = ['repro', 'run', '--packets', '20']\n"
-        "try:\n"
-        "    runpy.run_module('repro', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n",
-    )
+    loaded = loaded_by_cli(run_fresh, "run", "--packets", "20")
     assert "repro.core.engine" in loaded
     assert not [
         name for name in loaded
         if name in ("repro.core.flow", "repro.core.processor")
         or name.startswith("repro.fpga")
+    ]
+
+
+def test_traced_run_imports_no_checkpoint_package(run_fresh, tmp_path):
+    """Only ``--resume``/``--checkpoint-out`` need the checkpoint
+    package; a windowed, traced run writes no checkpoint."""
+    loaded = loaded_by_cli(
+        run_fresh, "run", "--packets", "20", "--windows", "1000",
+        "--trace", str(tmp_path / "t.jsonl"),
+        "--trace-perfetto", str(tmp_path / "t.json"),
+    )
+    assert "repro.telemetry.trace" in loaded
+    assert not [
+        name for name in loaded if name.startswith("repro.checkpoint")
     ]
 
 

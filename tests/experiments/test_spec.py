@@ -126,6 +126,47 @@ class TestScenarioSpecValidation:
         with pytest.raises(ConfigError, match=match):
             ScenarioSpec(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "traffic, params",
+        [
+            ("uniform", {"length": "x"}),
+            ("uniform", {"length": 2.5}),
+            ("uniform", {"length": [2, "8"]}),
+            ("uniform", {"length": [2, 4, 8]}),
+            ("uniform", {"length": True}),
+            ("uniform", {"interval": "10"}),
+            ("poisson", {"rate": "fast"}),
+            ("poisson", {"load": True}),
+            ("burst", {"p_on": None}),
+            ("onoff", {"gap": [4]}),
+            ("trace", {"n_bursts": "many"}),
+        ],
+    )
+    def test_wrong_typed_traffic_param_rejected(self, traffic, params):
+        key = next(iter(params))
+        with pytest.raises(ConfigError, match=f"traffic_params '{key}'"):
+            ScenarioSpec(traffic=traffic, traffic_params=params)
+
+    @pytest.mark.parametrize(
+        "traffic, params, key",
+        [
+            ("uniform", {"length": [2, 8], "interval": 20},
+             "8e69fb4a894792fd"),
+            ("poisson", {"rate": 0.01, "length": 4}, "d08c2fc6629cde80"),
+            ("burst", {"p_on": 0.1, "p_off": 1}, "aa77df1e54e7a5c1"),
+            ("onoff", {"gap": 12.5, "packets_per_burst": 4},
+             "899fe01e5eaadcfd"),
+            ("trace", {"gap": 100, "length": "unused"},
+             "d7e63df2d35eb95f"),
+            ("uniform", {"colour": "blue"}, "ad2b279d20e86af7"),
+        ],
+    )
+    def test_well_typed_traffic_params_keep_their_key(
+        self, traffic, params, key
+    ):
+        spec = ScenarioSpec(traffic=traffic, traffic_params=params)
+        assert spec.key == key
+
     def test_int_load_accepted_with_its_key(self):
         spec = ScenarioSpec(load=1)
         assert spec.to_dict()["load"] == 1

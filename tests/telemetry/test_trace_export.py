@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,6 +20,8 @@ from repro.faults import FaultSchedule, link_down
 from repro.telemetry import FlitTracer, trace
 from repro.telemetry.trace import _KIND_ORDER
 from repro.util import canonical_json
+
+from perfetto_reference import reference
 
 
 def fresh_platform(**kwargs):
@@ -285,6 +288,21 @@ class TestPerfettoBytes:
             tracer.write_perfetto(str(path))
             assert path.read_bytes() == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(HOOK_CALLS, max_size=40))
+    def test_write_matches_the_dict_reference(self, calls):
+        tracer = FlitTracer()
+        drive(tracer, calls)
+        expected = json.dumps(reference(tracer)).encode("ascii")
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            path = os.path.join(tmp, "trace.json")
+            for batch in (1, 7, 256):
+                patch.setattr(trace, "_PERFETTO_BATCH", batch)
+                tracer.write_perfetto(path)
+                with open(path, "rb") as fh:
+                    assert fh.read() == expected
+
     def test_empty_trace(self, tmp_path):
         tracer = FlitTracer()
         path = tmp_path / "empty.json"
@@ -311,17 +329,17 @@ class TestPerfettoBytes:
         _, _, tracer, _ = traced_run()
         path = tmp_path / "trace.json"
         path.write_text("previous export")
-        real_dumps = json.dumps
+        real_batch_bytes = trace._batch_bytes
         calls = []
 
-        def failing_dumps(batch):
+        def failing_batch_bytes(batch):
             calls.append(len(batch))
             if len(calls) == 3:
                 raise OSError("disk full")
-            return real_dumps(batch)
+            return real_batch_bytes(batch)
 
         monkeypatch.setattr(trace, "_PERFETTO_BATCH", 16)
-        monkeypatch.setattr(json, "dumps", failing_dumps)
+        monkeypatch.setattr(trace, "_batch_bytes", failing_batch_bytes)
         with pytest.raises(OSError, match="disk full"):
             tracer.write_perfetto(str(path))
         assert path.read_text() == "previous export"
