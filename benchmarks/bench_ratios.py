@@ -245,7 +245,9 @@ TELEMETRY_SCENARIOS = ("saturation", "burst")
 WINDOWS_CEILING = 1.10
 #: A ceiling 10% above parity needs more pairs than a kernel floor:
 #: at five pairs the median of two identical sub-second runs has been
-#: seen 12% apart on a loaded 2-core host.
+#: seen 12% apart on a loaded 2-core host.  The recorded trace ratio
+#: uses as many: at five pairs, two rounds on the same code read 2.43x
+#: and 2.09x.
 WINDOWS_PAIRS = 15
 
 
@@ -255,7 +257,7 @@ def test_telemetry_overhead():
         kwargs = KERNEL_SCENARIOS[name]
         for mode, gate, pairs in (
             ("windows", f"<= {WINDOWS_CEILING:.2f}", WINDOWS_PAIRS),
-            ("trace", "recorded", PAIRS),
+            ("trace", "recorded", WINDOWS_PAIRS),
         ):
             ratio = paired(
                 lambda: run_event(kwargs, mode),

@@ -18,6 +18,9 @@ by hand only what a field walk cannot express:
 * the switch's per-input columns, transposed into per-input records
   (park records *raw* — a snapshot never settles parked stalls, so it
   is invisible to the stall accounting) and its scan order;
+* counters the kernel derives instead of counting (a switch's
+  ``buffered`` flits, each output's ``flits_sent``, each link's
+  ``wire_count``), written under the keys they had as fields;
 * positional lists (buffer statistics, fault windows), the latency
   analyzer's per-burst accumulator, the traffic-model family tag and
   LFSR register, the injector's dead pairs and flaky/recovery indices;
@@ -99,6 +102,9 @@ def _switch_state(sw, packets: Dict[int, Any]) -> Dict[str, Any]:
             ),
         })
     record = capture(sw)
+    record["buffered"] = sw.buffered_flits
+    for out, out_record in zip(sw._outputs, record["outputs"]):
+        out_record["flits_sent"] = out.flits_sent
     record["scan"] = [entry[0] for entry in sw._scan]
     record["inputs"] = inputs
     return record
@@ -201,15 +207,23 @@ def snapshot(
 
     # --- the delivery wheels, slot by slot relative to this cycle.
     link_index = {id(link): i for i, link in enumerate(network.links)}
+    wire_count = [0] * len(network.links)
     size = network._wheel_size
     flit_wheel = []
     for offset in range(size):
         slot = network._flit_wheel[(cycle + offset) % size]
         refs = _refs([flit for _link, flit in slot], packets)
-        flit_wheel.append([
-            [link_index[id(link)], *ref]
-            for (link, _flit), ref in zip(slot, refs)
-        ])
+        entries = []
+        for (link, _flit), ref in zip(slot, refs):
+            index = link_index[id(link)]
+            wire_count[index] += 1
+            entries.append([index, *ref])
+        flit_wheel.append(entries)
+    links = []
+    for link, count in zip(network.links, wire_count):
+        record = capture(link)
+        record["wire_count"] = count
+        links.append(record)
 
     # Credit entries are structural tuples owned by the downstream
     # input's ``_input_credit`` hook — encode them as that input's
@@ -286,7 +300,7 @@ def snapshot(
             "flit_wheel": flit_wheel,
             "credit_wheel": credit_wheel,
         },
-        "links": [capture(link) for link in network.links],
+        "links": links,
         "switches": switches,
         "nis": nis,
         "rx": rx_state,

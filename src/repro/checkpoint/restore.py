@@ -11,7 +11,10 @@ dependency order:
 
 1. structural cross-checks (component counts, wheel geometry) — any
    drift between the spec's platform and the snapshot is a clean
-   :class:`CheckpointError`, never a partial restore;
+   :class:`CheckpointError`, never a partial restore.  The counters
+   the kernel derives (a switch's ``buffered``, a link's
+   ``wire_count``) must agree with the restored FIFOs and wheel, or
+   restore raises :class:`CheckpointCorruptError`;
 2. the packet registry: each pid's :class:`Packet` is materialized
    once and its eager flit list shared by every site that references
    ``(pid, seq)`` — so a parked head is *the same object* as the
@@ -126,6 +129,20 @@ def _restore_switch(sw, state: Dict[str, Any],
             None if head is None else registry.flit(head[0], head[1])
         )
     sw._scan[:] = [sw._in_tuples[i] for i in state["scan"]]
+    _derived(sw.buffered_flits, state["buffered"], f"{path}.buffered")
+    for out, out_state in zip(sw._outputs, state["outputs"]):
+        out.sent_base = out_state["flits_sent"] - (
+            0 if out.link is None else out.link.flits_carried
+        )
+
+
+def _derived(actual: int, recorded, where: str) -> None:
+    """A derived counter must match the state it is derived from."""
+    if recorded != actual:
+        raise CheckpointCorruptError(
+            f"checkpoint state is inconsistent: {where} is"
+            f" {recorded!r}, but the restored state holds {actual}"
+        )
 
 
 def _restore_injector(injector, fstate: Dict[str, Any],
@@ -217,12 +234,17 @@ def _overlay(platform: EmulationPlatform, spec,
     # Delivery wheels: resolve credit entries against the freshly
     # wired hooks *before* fault restoration detaches any of them.
     size = network._wheel_size
+    wire_count = [0] * len(network.links)
     for offset, entries in enumerate(net_state["flit_wheel"]):
         slot = network._flit_wheel[(cycle + offset) % size]
-        slot.extend(
-            (network.links[link_idx], registry.flit(pid, seq, stall))
-            for link_idx, pid, seq, stall in entries
-        )
+        for link_idx, pid, seq, stall in entries:
+            slot.append(
+                (network.links[link_idx], registry.flit(pid, seq, stall))
+            )
+            wire_count[link_idx] += 1
+    for i, count in enumerate(wire_count):
+        _derived(count, state["links"][i]["wire_count"],
+                 f"links[{i}].wire_count")
     for offset, entries in enumerate(net_state["credit_wheel"]):
         slot = network._credit_wheel[(cycle + offset) % size]
         for sw_id, port in entries:

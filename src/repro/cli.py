@@ -37,6 +37,7 @@ Robustness flags of ``batch`` (see ``repro.experiments.resilience``)::
 * ``--retries N`` — extra attempts per failing scenario (default 1).
   Worker crashes (SIGKILL, OOM) and timeouts are retried like
   exceptions; a retry that succeeds is bit-identical to a clean run.
+  A ``ConfigError`` fails the same way every time and is not retried.
 * ``--scenario-timeout SECONDS`` — per-scenario wall-clock budget:
   cooperative in-engine deadline, backed (parallel runs) by a
   watchdog that hard-kills wedged workers past the grace period.

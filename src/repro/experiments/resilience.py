@@ -20,7 +20,9 @@ SweepRunner`, in three parts:
   :class:`FailureRecord` in the report) instead of aborting the
   sweep.  Because :func:`~repro.experiments.runner.run_scenario` is a
   pure function of the spec, a retry that succeeds yields the same
-  bits the first attempt would have.
+  bits the first attempt would have.  A ``ConfigError`` (the platform
+  rejects the spec) fails the same way every time, so it is never
+  retried (:data:`NOT_RETRIED`).
 * **Sweep journal** — :class:`SweepJournal` is an append-only ledger
   of per-spec outcomes (``done`` / ``failed`` / ``quarantined``) as
   canonical-JSON lines next to the cache.  After a process-level
@@ -74,6 +76,11 @@ __all__ = [
     "WorkerCrash",
     "run_supervised",
 ]
+
+
+#: Failure types a retry cannot change: the platform rejects the spec
+#: itself, so the spec fails on its first attempt.
+NOT_RETRIED = frozenset({"ConfigError"})
 
 
 class WorkerCrash(EmulationError):
@@ -432,7 +439,8 @@ def run_supervised(
     Every task ends in exactly one of two callbacks: ``on_result(
     index, spec, ScenarioResult)`` on success, or ``on_failure(index,
     spec, error_type, message, attempts)`` after all attempts are
-    spent (``attempts = retries + 1``).  Worker death is a
+    spent (``attempts = retries + 1``, or 1 for a failure type in
+    :data:`NOT_RETRIED`).  Worker death is a
     ``WorkerCrash`` attempt; a budget overrun is a ``ScenarioTimeout``
     attempt, enforced cooperatively in-engine first and by watchdog
     SIGKILL at ``timeout + grace``.  Returns the number of task
@@ -472,7 +480,7 @@ def run_supervised(
         task_id: int, spec: Any, attempt: int, error: str, message: str
     ) -> None:
         nonlocal outstanding
-        if attempt <= retries:
+        if attempt <= retries and error not in NOT_RETRIED:
             queue.append((task_id, spec, attempt + 1))
         else:
             if on_failure is not None:

@@ -26,11 +26,12 @@ Three properties the sweeps rely on:
 
 And one property the long sweeps rely on: **robustness**.  Execution
 is supervised (:mod:`repro.experiments.resilience`): worker death,
-timeouts and per-spec exceptions are retried and then quarantined
-instead of aborting the sweep, every outcome can be journaled for
-crash-safe resumption, and :meth:`SweepRunner.run` always returns a
-structured :class:`~repro.experiments.resilience.SweepReport` of
-completed results plus failure records.
+timeouts and per-spec exceptions are retried (a ``ConfigError`` is
+not) and then quarantined instead of aborting the sweep, every
+outcome can be journaled for crash-safe resumption, and
+:meth:`SweepRunner.run` always returns a structured
+:class:`~repro.experiments.resilience.SweepReport` of completed
+results plus failure records.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
 from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
+    NOT_RETRIED,
     FailureRecord,
     SweepJournal,
     SweepReport,
@@ -291,7 +293,8 @@ class SweepRunner:
         Duplicate specs (same content hash) execute once and share the
         outcome.  With a cache attached, previously stored scenarios
         are served from disk.  A failing spec never aborts the sweep:
-        it is retried up to ``retries`` times and then recorded as a
+        it is retried up to ``retries`` times (a ``ConfigError`` never
+        is: it fails the same way every time) and then recorded as a
         :class:`~repro.experiments.resilience.FailureRecord` in
         ``report.failures`` while every other spec's result is kept.
         """
@@ -476,10 +479,14 @@ class SweepRunner:
                         if result is not None:
                             self._finish(i, spec, result, results, total)
                             break
-                        if attempt > self.retries:
+                        if (
+                            attempt > self.retries
+                            or failure[0] in NOT_RETRIED
+                        ):
                             self._fail(
                                 i, spec, *failure, attempt, failures, total
                             )
+                            break
             return executed, executed - len(pending)
 
         dispatched = run_supervised(

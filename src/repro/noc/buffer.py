@@ -38,12 +38,14 @@ class FlitBuffer:
 
     Hot-path contract: :meth:`push` and :meth:`pop` are *inlined* by
     ``Switch.receive``, the hop paths of ``switch.traverse_all`` and
-    the network's fused delivery phase, which replicate their
-    bookkeeping (``_fifo`` identity, ``_pid_counts``,
-    ``total_pushes``/``total_pops``, ``peak_occupancy``).  The
-    ``_fifo`` deque's identity is stable for the buffer's lifetime;
-    the switch's per-input scan tuples and the links' fused delivery
-    endpoints cache it.
+    the network's fused delivery phase.  A push writes ``_fifo``,
+    ``_pid_counts``, ``total_pushes`` and ``peak_occupancy``; a pop
+    writes only ``_fifo`` and ``_pid_counts``.  ``total_pops`` is not
+    counted: it is ``total_pushes - len(fifo)`` plus ``_pops_base``,
+    the base :meth:`reset_stats`, :meth:`clear` and the fault purge
+    adjust (a purge is not a pop).  The ``_fifo`` deque's identity is
+    stable for the buffer's lifetime; the switch's per-input scan
+    tuples and the links' fused delivery endpoints cache it.
     """
 
     __slots__ = (
@@ -52,7 +54,7 @@ class FlitBuffer:
         "_fifo",
         "_pid_counts",
         "total_pushes",
-        "total_pops",
+        "_pops_base",
         "peak_occupancy",
         "occupancy_cycles",
         "full_cycles",
@@ -72,7 +74,7 @@ class FlitBuffer:
         )
         # Statistics.
         self.total_pushes = 0
-        self.total_pops = 0
+        self._pops_base = 0
         self.peak_occupancy = 0
         self.occupancy_cycles = 0  # integral of occupancy over cycles
         self.full_cycles = 0  # cycles spent completely full
@@ -120,7 +122,6 @@ class FlitBuffer:
             raise BufferEmptyError(
                 f"pop from empty buffer {self.name or id(self)}"
             )
-        self.total_pops += 1
         flit = self._fifo.popleft()
         counts = self._pid_counts
         if counts is not None:
@@ -144,6 +145,7 @@ class FlitBuffer:
         return self._fifo[0] if self._fifo else None
 
     def clear(self) -> None:
+        self._pops_base -= len(self._fifo)  # dropped, not popped
         self._fifo.clear()
         if self._pid_counts is not None:
             self._pid_counts.clear()
@@ -160,6 +162,15 @@ class FlitBuffer:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
+    @property
+    def total_pops(self) -> int:
+        """Flits popped since the last :meth:`reset_stats`."""
+        return self.total_pushes - len(self._fifo) + self._pops_base
+
+    @total_pops.setter
+    def total_pops(self, value: int) -> None:
+        self._pops_base = value - self.total_pushes + len(self._fifo)
+
     def sample(self) -> None:
         """Record one cycle's occupancy (called once per cycle)."""
         self._sampled_cycles += 1
@@ -183,7 +194,7 @@ class FlitBuffer:
 
     def reset_stats(self) -> None:
         self.total_pushes = 0
-        self.total_pops = 0
+        self._pops_base = len(self._fifo)
         self.peak_occupancy = len(self._fifo)
         self.occupancy_cycles = 0
         self.full_cycles = 0

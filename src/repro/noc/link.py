@@ -37,7 +37,6 @@ class Link:
         "sink",
         "dst",
         "rx",
-        "wire_count",
         "down",
         "flits_dropped",
         "flits_carried",
@@ -59,8 +58,9 @@ class Link:
         # the network's arrival-cycle ring buffer (``wheel``, a list of
         # ``wheel_size`` slots) as ``(link, flit)`` entries — the
         # per-hop hot paths append them directly — and the delivery
-        # phase hands arrivals to ``sink``.  ``wire_count`` tracks the
-        # flits in flight on this link for the occupancy statistics.
+        # phase hands arrivals to ``sink``.  The flits in flight on
+        # this link are its entries in that wheel (``wire_count``, read
+        # by a wheel walk, never counted on the hop).
         self.wheel: Optional[List[List[Tuple["Link", Flit]]]] = None
         self.wheel_size = 0
         self.sink: Optional[Callable[[Flit, int], None]] = None
@@ -71,7 +71,6 @@ class Link:
         # reassembly buffer of an ejection link.
         self.dst: Optional[tuple] = None
         self.rx: Optional[object] = None
-        self.wire_count = 0
         # Fault state: a downed link accepts no flits.  The hot paths
         # never consult this flag — fault application zeroes the
         # upstream credits and repairs routing so no route reaches a
@@ -111,13 +110,20 @@ class Link:
             self.wheel_size = self.delay + 1
             wheel = self.wheel = [[] for _ in range(self.wheel_size)]
         wheel[(now + self.delay) % self.wheel_size].append((self, flit))
-        self.wire_count += 1
         self.flits_carried += 1
 
     @property
-    def occupancy(self) -> int:
-        """Number of flits currently in flight."""
-        return self.wire_count
+    def wire_count(self) -> int:
+        """Number of flits currently in flight: this link's entries in
+        its delivery wheel (one walk of the wheel per read)."""
+        if self.wheel is None:
+            return 0
+        return sum(
+            1 for slot in self.wheel for wired, _flit in slot
+            if wired is self
+        )
+
+    occupancy = wire_count
 
     # ------------------------------------------------------------------
     # Statistics

@@ -191,6 +191,20 @@ class Network:
         self._credit_wheel: List[List[tuple]] = [
             [] for _ in range(size)
         ]
+        # Per-phase slot views of the two wheels, indexed by delay:
+        # ``_fphase[k][d]`` is the flit-wheel slot a send at a cycle
+        # with ``now % size == k`` and delay ``d`` lands in, and
+        # ``_cphase`` the same for credit returns.  So a hop appends
+        # to ``slots[delay]`` with no modulo.  Slots are emptied in
+        # place, never replaced, so the views stay valid.
+        self._fphase = [
+            [self._flit_wheel[(k + d) % size] for d in range(size)]
+            for k in range(size)
+        ]
+        self._cphase = [
+            [self._credit_wheel[(k + d) % size] for d in range(size)]
+            for k in range(size)
+        ]
         for link, sink in zip(self.links, self._flit_sinks):
             link.wheel = self._flit_wheel
             link.wheel_size = size
@@ -424,8 +438,8 @@ class Network:
         headroom activity-proportional scheduling alone cannot reach.
         """
         now = self.cycle
-        size = self._wheel_size
-        slot = self._credit_wheel[now % size]
+        phase = now % self._wheel_size
+        slot = self._credit_wheel[phase]
         if slot:
             for out, target in slot:
                 if out is not None:
@@ -447,11 +461,11 @@ class Network:
             # switch whose scan list empties (idle, or every input
             # parked on its unblocking event) retires from the list.
             moved, retire = traverse_all(
-                active, now, self._credit_wheel, self._flit_wheel, size
+                active, now, self._cphase[phase], self._fphase[phase]
             )
             if retire:
                 active[:] = [sw for sw in active if sw._active]
-        slot = self._flit_wheel[now % size]
+        slot = self._flit_wheel[phase]
         if slot and self._tracer is not None:
             self._drain_flit_slot(now)
         elif slot:
@@ -461,7 +475,6 @@ class Network:
             # ejection links hand it to reassembly (_eject inlined).
             active = self._active_switches
             for link, flit in slot:
-                link.wire_count -= 1
                 dst = link.dst
                 if dst is None:
                     self._in_flight_flits -= 1
@@ -483,7 +496,6 @@ class Network:
                 depth = len(fifo)
                 if depth > buf.peak_occupancy:
                     buf.peak_occupancy = depth
-                sw._buffered += 1
                 if depth == 1:
                     # Previously empty input: a new head to route.
                     if not sw._in_listed[port]:
@@ -531,7 +543,7 @@ class Network:
             # NI per cycle is a hot path at saturation.  NIs on the
             # active list are never parked, and network-wired
             # injection links always share the global flit wheel.
-            fwheel = self._flit_wheel
+            fslots = self._fphase[phase]
             retire = False
             for ni in active:
                 flits = ni._flits
@@ -556,8 +568,7 @@ class Network:
                 if link._last_send_cycle == now:
                     link.send(flit, now)  # raises the protocol error
                 link._last_send_cycle = now
-                fwheel[(now + link.delay) % size].append((link, flit))
-                link.wire_count += 1
+                fslots[link.delay].append((link, flit))
                 link.flits_carried += 1
                 ni._credits -= 1
                 ni.injected_flits += 1
@@ -675,7 +686,6 @@ class Network:
             return
         tracer = self._tracer
         for link, flit in slot:
-            link.wire_count -= 1
             if tracer is None:
                 link.sink(flit, now)
             elif link.rx is None:
@@ -734,7 +744,7 @@ class Network:
         """
         total = sum(ni.pending_flits for ni in self.nis)
         total += sum(len(buf) for sw in self.switches for buf in sw.inputs)
-        total += sum(link.occupancy for link in self.links)
+        total += sum(len(slot) for slot in self._flit_wheel)
         return total
 
     def _flush_credits_until(self, target: int) -> None:
@@ -850,8 +860,9 @@ class Network:
 
         # 2. Purge switch input buffers, waking parked inputs (their
         # awaited event may never fire now) and refunding the freed
-        # slots upstream.  Purges are not pops: ``total_pops`` and the
-        # credit wire stay untouched.
+        # slots upstream.  Purges are not pops: the buffer's pop base
+        # drops with its length, so ``total_pops`` holds, and the
+        # credit wire stays untouched.
         for sw in self.switches:
             inputs = sw.inputs
             for i in range(len(inputs)):
@@ -873,7 +884,7 @@ class Network:
                 if counts is not None:
                     for pid in [p for p in counts if p in pids]:
                         del counts[pid]
-                sw._buffered -= n
+                buf._pops_base -= n
                 self._in_flight_flits -= n
                 dropped += n
                 if sw._in_parked[i]:
@@ -905,7 +916,6 @@ class Network:
                     keep.append(entry)
                     continue
                 affected.add(pid)
-                link.wire_count -= 1
                 link.flits_dropped += 1
                 name = link.name or repr(link)
                 per_link[name] = per_link.get(name, 0) + 1
@@ -1037,6 +1047,10 @@ class Network:
         for sw in self.switches:
             sw.reset_stats()
         for link in self.links:
+            up, out = self.link_upstream[link]
+            if up is not None:
+                # ``flits_sent`` outlives the link's stats window.
+                out.sent_base += link.flits_carried
             link.reset_stats(now=self.cycle)
         for ni in self.nis:
             ni.reset_stats()

@@ -92,7 +92,10 @@ class _OutputPort:
     #: arrive when a link dies mid-wormhole).  Set and cleared with
     #: ``lock`` at head-grant and tail-release.
     lock_pid: Optional[int] = None
-    flits_sent: int = 0
+    #: ``flits_sent`` minus the link's ``flits_carried``: the flits the
+    #: link's statistics resets took away, and every flit a custom
+    #: sink received (see :attr:`flits_sent`).
+    sent_base: int = 0
     #: The Link behind ``send`` when the sink is a plain link, letting
     #: the traverse fast path inline the send; None for custom sinks.
     link: Optional[object] = None
@@ -104,9 +107,19 @@ class _OutputPort:
     lock_waiters: List[int] = field(default_factory=list)
 
     #: Not checkpointed (see :mod:`repro.checkpoint.walker`): sink
-    #: wiring, topology config, and the per-cycle request scratch
-    #: (empty at every cycle boundary).
-    __rebuilt__ = ("send", "infinite_credits", "link", "requests")
+    #: wiring, topology config, the per-cycle request scratch (empty
+    #: at every cycle boundary), and ``sent_base``, which checkpoints
+    #: carry as the derived ``flits_sent``.
+    __rebuilt__ = ("send", "infinite_credits", "link", "requests",
+                   "sent_base")
+
+    @property
+    def flits_sent(self) -> int:
+        """Flits this port has sent since the switch was built."""
+        link = self.link
+        if link is None:
+            return self.sent_base
+        return self.sent_base + link.flits_carried
 
 
 class Switch:
@@ -132,7 +145,6 @@ class Switch:
         "_input_route",
         "_input_out",
         "_route_dense",
-        "_buffered",
         "_wake",
         "_clock",
         "_active",
@@ -211,11 +223,9 @@ class Switch:
         # fall back to the routing function: multipath choice or a
         # proper RoutingError for missing destinations).
         self._route_dense: Optional[List[Optional[int]]] = None
-        # Incremental flit count across all input buffers, and the
-        # network's wake-up hook fired whenever the switch needs to
+        # The network's wake-up hook fired whenever the switch needs to
         # (re)join the active set.  ``_clock`` reads the network cycle
         # for the bulk settlement of parked inputs.
-        self._buffered = 0
         self._wake: Optional[Callable[[], None]] = None
         self._clock: Optional[Callable[[], int]] = None
         self._active = False
@@ -246,9 +256,9 @@ class Switch:
         # traverse (reused across calls; the per-output ``requests``
         # lists live on the ports themselves).
         self._req_ports: List[_OutputPort] = []
-        # Delivery-wheel wiring for the fused hop (set by the
+        # Delivery-wheel wiring for :meth:`traverse` (set by the
         # network; every network link shares the two global wheels of
-        # one size, so the hop indexes them directly instead of
+        # one size, so the hop appends to them directly instead of
         # dereferencing the link's copy).
         self._cwheel: Optional[List[list]] = None
         self._fwheel: Optional[List[list]] = None
@@ -344,7 +354,6 @@ class Switch:
         buf.total_pushes += 1
         if len(fifo) > buf.peak_occupancy:
             buf.peak_occupancy = len(fifo)
-        self._buffered += 1
         if len(fifo) == 1:
             # Previously empty input: a new head to route.  (An input
             # with an empty buffer is never parked, so this is purely
@@ -426,10 +435,16 @@ class Switch:
 
     def traverse(self, now: int) -> int:
         """One cycle of this switch alone (see :func:`traverse_all`);
-        returns the number of flits forwarded."""
-        return traverse_all(
-            [self], now, self._cwheel, self._fwheel, self._wheel_size
-        )[0]
+        returns the number of flits forwarded.  The delivery-wheel
+        slots of cycle ``now`` are looked up here, per call; a
+        standalone switch may have neither wheel."""
+        size = self._wheel_size
+        slots = [
+            None if wheel is None
+            else [wheel[(now + d) % size] for d in range(size)]
+            for wheel in (self._cwheel, self._fwheel)
+        ]
+        return traverse_all([self], now, *slots)[0]
 
     def traverse_reference(self, now: int) -> int:
         """One cycle via the scan-everything discipline (parity oracle).
@@ -570,7 +585,7 @@ class Switch:
     @property
     def buffered_flits(self) -> int:
         """Flits currently sitting in this switch's input buffers."""
-        return self._buffered
+        return sum(len(buf._fifo) for buf in self.inputs)
 
     @property
     def blocked_flit_cycles(self) -> int:
@@ -637,9 +652,8 @@ class Switch:
 def traverse_all(
     active: List[Switch],
     now: int,
-    cwheel: List[list],
-    fwheel: List[list],
-    wheel_size: int,
+    cslots: Optional[List[list]],
+    fslots: Optional[List[list]],
 ) -> Tuple[int, bool]:
     """One cycle of arbitration and traversal over the given switches.
 
@@ -652,9 +666,11 @@ def traverse_all(
     streaming.  With input-granular parking a switch's scan is
     typically one or two entries, so the whole phase runs as one loop
     (no per-switch call frame) with the network's shared delivery
-    wheels hoisted to arguments.  Returns ``(flits moved, any switch
-    left without movable inputs)``; such a switch has its ``_active``
-    flag cleared.
+    wheels hoisted to arguments, indexed by delay: ``cslots[d]`` and
+    ``fslots[d]`` are the credit and flit wheel slots a return or a
+    send at ``now`` with delay ``d`` lands in.  Returns ``(flits
+    moved, any switch left without movable inputs)``; such a switch
+    has its ``_active`` flag cleared.
     """
     total_moved = 0
     retire = False
@@ -734,7 +750,6 @@ def traverse_all(
                     # hot spots); the buffer is non-empty by
                     # construction.
                     fifo.popleft()
-                    buf.total_pops += 1
                     counts = buf._pid_counts
                     if counts is not None:
                         pid = flit.packet.pid
@@ -743,23 +758,19 @@ def traverse_all(
                             counts[pid] = remaining
                         else:
                             del counts[pid]
-                    sw._buffered -= 1
                     ce = credit_entries[i]
                     if ce is not None:
-                        cwheel[(now + ce[0]) % wheel_size].append(ce[1])
+                        cslots[ce[0]].append(ce[1])
                     link = out.link
                     if link is None:
                         out.send(flit, now)
+                        out.sent_base += 1
                     else:
                         if link._last_send_cycle == now:
                             out.send(flit, now)  # raises the protocol error
                         link._last_send_cycle = now
-                        fwheel[(now + link.delay) % wheel_size].append(
-                            (link, flit)
-                        )
-                        link.wire_count += 1
+                        fslots[link.delay].append((link, flit))
                         link.flits_carried += 1
-                    out.flits_sent += 1
                     moved += 1
                     continue
             elif lock is not None:
@@ -805,7 +816,6 @@ def traverse_all(
                 buf = inputs[winner]
                 fifo = buf._fifo
                 flit = fifo.popleft()
-                buf.total_pops += 1
                 counts = buf._pid_counts
                 if counts is not None:
                     pid = flit.packet.pid
@@ -814,23 +824,19 @@ def traverse_all(
                         counts[pid] = remaining
                     else:
                         del counts[pid]
-                sw._buffered -= 1
                 ce = credit_entries[winner]
                 if ce is not None:
-                    cwheel[(now + ce[0]) % wheel_size].append(ce[1])
+                    cslots[ce[0]].append(ce[1])
                 link = out.link
                 if link is None:
                     out.send(flit, now)
+                    out.sent_base += 1
                 else:
                     if link._last_send_cycle == now:
                         out.send(flit, now)  # raises the protocol error
                     link._last_send_cycle = now
-                    fwheel[(now + link.delay) % wheel_size].append(
-                        (link, flit)
-                    )
-                    link.wire_count += 1
+                    fslots[link.delay].append((link, flit))
                     link.flits_carried += 1
-                out.flits_sent += 1
                 if not out.infinite_credits:
                     out.credits -= 1
                 moved += 1

@@ -382,7 +382,7 @@ class WindowedMetrics:
             switch_credit_stalls=tuple(credit),
             link_flits=link_flits,
             switch_buffered=tuple(
-                sw._buffered for sw in self._switches
+                sw.buffered_flits for sw in self._switches
             ),
             parked_inputs=parked,
             in_flight_flits=network._in_flight_flits,

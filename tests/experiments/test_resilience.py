@@ -24,6 +24,7 @@ from repro.experiments import (
     aggregate,
     run_sweep,
 )
+from repro.faults import FaultSchedule, link_down
 from repro.util import canonical_json_bytes
 
 GOOD = [
@@ -32,6 +33,12 @@ GOOD = [
 ]
 #: Deterministically refused at build: cyclic dependency on a ring.
 BAD = ScenarioSpec(topology="ring:6", routing="shortest", packets=60)
+#: A fault schedule naming a link ``mesh:3:3`` lacks (0 -> 8).
+MISSING_LINK = ScenarioSpec(
+    topology="mesh:3:3",
+    packets=60,
+    faults=FaultSchedule(events=(link_down(50, 0, 8),)),
+)
 
 
 def records(results):
@@ -101,12 +108,39 @@ class TestSweepReport:
 # Retry / quarantine policy
 # ----------------------------------------------------------------------
 class TestRetryQuarantine:
-    def test_attempts_equals_retries_plus_one(self):
+    def test_attempts_equals_retries_plus_one(self, monkeypatch):
+        # A failure a retry may cure is tried ``retries + 1`` times
+        # (a ConfigError is not: see the test below).
+        import repro.experiments.runner as runner_mod
+
+        def failing_drive(*args, **kwargs):
+            raise RuntimeError("fails every attempt")
+
+        monkeypatch.setattr(runner_mod, "drive", failing_drive)
         runner = SweepRunner(retries=2)
-        report = runner.run([BAD])
+        report = runner.run([GOOD[0]])
+        assert report.failures[0].error == "RuntimeError"
         assert report.failures[0].attempts == 3
         assert runner.last_stats.retried == 2
         assert runner.last_stats.executed == 3
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "supervised"])
+    @pytest.mark.parametrize(
+        "bad",
+        [BAD, MISSING_LINK],
+        ids=["refused-at-build", "fault-on-missing-link"],
+    )
+    def test_config_error_is_not_retried(self, workers, bad):
+        """A ConfigError fails the same way every time: one attempt,
+        no retry, in both the serial loop and the supervised pool."""
+        runner = SweepRunner(workers=workers, retries=2)
+        report = runner.run([GOOD[0], bad])
+        assert len(report) == 1
+        failure = report.failures[0]
+        assert failure.error == "ConfigError"
+        assert failure.attempts == 1
+        assert runner.last_stats.retried == 0
+        assert runner.last_stats.executed == 2
 
     def test_quarantine_status_default(self):
         report = SweepRunner(retries=0).run([BAD])

@@ -15,7 +15,6 @@ def arrivals(link, now):
     phase does; return the flits that arrived."""
     slot = link.wheel[now % link.wheel_size]
     flits = [flit for wired, flit in slot if wired is link]
-    link.wire_count -= len(flits)
     del slot[:]
     return flits
 
