@@ -35,13 +35,9 @@ asserted empty rather than serialized.
 
 from typing import Any, Dict, List
 
+from repro.core.config import TRAFFIC_MODELS
 from repro.core.platform import EmulationPlatform
 from repro.experiments.spec import ScenarioSpec
-from repro.traffic.burst import BurstTraffic
-from repro.traffic.onoff import OnOffTraffic
-from repro.traffic.poisson import PoissonTraffic
-from repro.traffic.trace import TraceTraffic
-from repro.traffic.uniform import UniformTraffic
 
 from .errors import CheckpointError
 from .record import Checkpoint
@@ -51,13 +47,7 @@ __all__ = ["snapshot"]
 
 #: Family tag of each checkpointable traffic model; restore checks the
 #: model the spec rebuilds against it.
-MODEL_KINDS = {
-    UniformTraffic: "uniform",
-    PoissonTraffic: "poisson",
-    BurstTraffic: "burst",
-    OnOffTraffic: "onoff",
-    TraceTraffic: "trace",
-}
+MODEL_KINDS = {cls: kind for kind, cls in TRAFFIC_MODELS.items()}
 
 
 def _refs(flits, packets: Dict[int, Any]) -> List[List[int]]:

@@ -125,14 +125,16 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.config import (
+    PAPER_CASES,
+    ROUTINGS,
+    TG_MODELS,
+    TR_KINDS,
+    parse_routing,
+)
 from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
 
-#: Route cases of the 6-switch paper platform (kept first in the
-#: --routing choices so help output leads with the paper's cases).
-_PAPER_ROUTING = ("overlap", "disjoint", "split")
-#: Generic table routings usable on any factory topology.
-_TABLE_ROUTING = ("auto", "shortest", "updown", "multipath", "multipath:3")
 
 
 def _add_platform_options(parser: argparse.ArgumentParser) -> None:
@@ -148,7 +150,7 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--traffic",
         default="uniform",
-        choices=("uniform", "burst", "poisson", "onoff", "trace"),
+        choices=TG_MODELS,
         help="traffic model family (default: uniform)",
     )
     parser.add_argument(
@@ -166,7 +168,7 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--routing",
         default="overlap",
-        choices=_PAPER_ROUTING + _TABLE_ROUTING,
+        metavar="{" + ",".join(ROUTINGS) + "}",
         help=(
             "paper route case (paper topology) or table routing for"
             " factory topologies (default: overlap; non-paper"
@@ -182,7 +184,7 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--receptors",
         default="tracedriven",
-        choices=("tracedriven", "stochastic"),
+        choices=TR_KINDS,
         help="receptor kind (default: tracedriven)",
     )
     parser.add_argument(
@@ -197,12 +199,13 @@ def _scenario_from(
     from repro.experiments import ScenarioSpec
 
     routing = args.routing
-    if args.topology != "paper" and routing in _PAPER_ROUTING:
+    family, arg = parse_routing(routing)
+    if args.topology != "paper" and family == "paper":
         # The paper route cases only exist on the paper platform; any
         # other fabric takes its deadlock-free default instead.
         routing = "auto"
-    if routing == "multipath":
-        routing = "multipath:2"
+    if family == "multipath":
+        routing = f"multipath:{arg}"
     return ScenarioSpec(
         topology=args.topology,
         routing=routing,
@@ -893,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--routing",
         default="overlap",
-        choices=("overlap", "disjoint", "split"),
+        choices=PAPER_CASES,
     )
     sweep_parser.add_argument("--budget", type=int, default=512)
     sweep_parser.add_argument("--seed", type=int, default=1)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigError
 from repro.noc.routing import (
+    PAPER_CASES,
     RoutingFunction,
     build_multipath_tables,
     build_shortest_path_tables,
@@ -48,23 +49,65 @@ from repro.traffic.base import (
     FixedDestination,
     TrafficModel,
     UniformRandomDestination,
-    interval_for_load,
 )
 from repro.traffic.burst import BurstTraffic
 from repro.traffic.onoff import OnOffTraffic
 from repro.traffic.poisson import PoissonTraffic
-from repro.traffic.trace import (
-    Trace,
-    TraceTraffic,
-    synthetic_burst_trace,
-)
+from repro.traffic.trace import TraceTraffic
 from repro.traffic.uniform import UniformTraffic
 
-#: Traffic-model type tags accepted in :class:`TGSpec`.
-TG_MODELS = ("uniform", "burst", "poisson", "onoff", "trace")
+#: Traffic-model type tags accepted in :class:`TGSpec`, each naming
+#: the model class whose ``PARAMS``/``FORMS`` declare its params.
+TRAFFIC_MODELS = {
+    "uniform": UniformTraffic,
+    "burst": BurstTraffic,
+    "poisson": PoissonTraffic,
+    "onoff": OnOffTraffic,
+    "trace": TraceTraffic,
+}
+TG_MODELS = tuple(TRAFFIC_MODELS)
 
 #: Receptor type tags accepted in :class:`TRSpec`.
 TR_KINDS = ("stochastic", "tracedriven")
+
+#: The routing spec grammar, in help order: the paper platform's route
+#: cases, then the table routings any topology takes.
+ROUTINGS = PAPER_CASES + ("auto", "shortest", "updown", "multipath[:k]")
+
+
+def parse_routing(spec: Any) -> Tuple[str, Any]:
+    """The one reader of a routing spec (grammar: :data:`ROUTINGS`).
+
+    Returns ``("paper", case)`` (also spelled ``paper_<case>``, as
+    paper platform configs store it), ``("multipath", k)`` (``k`` = 2
+    if omitted), or ``(spec, None)`` for the other table routings.
+    """
+    if isinstance(spec, str):
+        case = spec[len("paper_"):] if spec.startswith("paper_") else spec
+        if case in PAPER_CASES:
+            return "paper", case
+        family, colon, k = spec.partition(":")
+        if not colon and spec in ROUTINGS:
+            return spec, None
+        if family == "multipath" and (
+            not colon or k.isascii() and k.isdigit() and k[0] != "0"
+        ):
+            return family, int(k) if colon else 2
+    raise ConfigError(
+        f"unknown routing spec {spec!r}; expected one of {ROUTINGS}"
+    )
+
+
+def auto_routing(topology: Topology) -> str:
+    """The deadlock-free table family ``auto`` picks for a fabric:
+    up*/down* on the cyclic ones (ring, spidergon, torus), where BFS
+    shortest paths close a channel-dependency cycle (on the torus all
+    but the smallest grids, e.g. ``torus:4:5``), else shortest paths.
+    """
+    family = topology.name.rstrip("0123456789x")
+    if family in ("ring", "spidergon", "torus"):
+        return "updown"
+    return "shortest"
 
 
 @dataclass
@@ -85,11 +128,7 @@ class TGSpec:
     queue_limit: int = 64
 
     def __post_init__(self) -> None:
-        if self.model not in TG_MODELS:
-            raise ConfigError(
-                f"unknown traffic model {self.model!r}; expected one of"
-                f" {TG_MODELS}"
-            )
+        _traffic_model(self.model)
         if self.node < 0:
             raise ConfigError(f"TG node must be >= 0, got {self.node}")
 
@@ -166,33 +205,38 @@ class PlatformConfig:
         """Materialise the topology (string specs name factories)."""
         return resolve_topology_spec(self.topology)
 
-    def resolve_routing(self, topology: Topology) -> RoutingFunction:
-        """Materialise the routing function for ``topology``."""
+    def resolve_routing(
+        self,
+        topology: Topology,
+        avoid_links: FrozenSet[Tuple[int, int]] = frozenset(),
+    ) -> RoutingFunction:
+        """Materialise the routing function for ``topology``, built
+        around the down ``avoid_links`` (directed switch pairs) if any;
+        paper tables and routing objects then repair to shortest paths
+        (the paper's own repair story)."""
         if isinstance(self.routing, RoutingFunction):
-            return self.routing
-        spec = self.routing
-        if spec.startswith("paper_"):
+            if not avoid_links:
+                return self.routing
+            family, arg = "shortest", None
+        else:
+            family, arg = parse_routing(self.routing)
+        if family == "auto":
+            family = auto_routing(topology)
+        if family == "paper":
             if topology.name != "paper6":
                 raise ConfigError(
-                    f"routing {spec!r} only applies to the paper"
+                    f"routing {self.routing!r} only applies to the paper"
                     f" topology, not {topology.name!r}"
                 )
-            return paper_routing(topology, case=spec[len("paper_"):])
-        if spec == "shortest":
-            return build_shortest_path_tables(topology)
-        if spec == "updown":
-            return build_updown_tables(topology)
-        if spec.startswith("multipath"):
-            max_paths = 2
-            if ":" in spec:
-                try:
-                    max_paths = int(spec.split(":", 1)[1])
-                except ValueError:
-                    raise ConfigError(
-                        f"malformed routing spec {spec!r}"
-                    ) from None
-            return build_multipath_tables(topology, max_paths=max_paths)
-        raise ConfigError(f"unknown routing spec {spec!r}")
+            if not avoid_links:
+                return paper_routing(topology, case=arg)
+        if family == "updown":
+            return build_updown_tables(topology, avoid_links=avoid_links)
+        if family == "multipath":
+            return build_multipath_tables(
+                topology, max_paths=arg, avoid_links=avoid_links
+            )
+        return build_shortest_path_tables(topology, avoid_links=avoid_links)
 
     # ------------------------------------------------------------------
     # Flow support: what forces hardware re-synthesis?
@@ -224,52 +268,9 @@ class PlatformConfig:
             tuple(sorted((tr.node, tr.kind) for tr in self.trs)),
         )
 
-    def software_signature(self) -> Tuple:
-        """Everything the initialisation step writes over the bus."""
-        routing = (
-            self.routing
-            if isinstance(self.routing, str)
-            else type(self.routing).__name__
-        )
-        return (
-            routing,
-            tuple(
-                (
-                    tg.node,
-                    tg.model,
-                    tuple(sorted(_normalise(tg.params).items())),
-                    tg.max_packets,
-                    tg.seed,
-                    tg.queue_limit,
-                )
-                for tg in self.tgs
-            ),
-            tuple(
-                (
-                    tr.node,
-                    tr.kind,
-                    tuple(sorted(_normalise(tr.params).items())),
-                )
-                for tr in self.trs
-            ),
-        )
-
     def with_software(self, **changes) -> "PlatformConfig":
         """A copy with software-level fields replaced (flow convenience)."""
         return replace(self, **changes)
-
-
-def _normalise(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Make parameter dicts hashable for signatures."""
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        if isinstance(value, Trace):
-            out[key] = f"trace:{value.name}:{len(value)}"
-        elif isinstance(value, (list, tuple)):
-            out[key] = tuple(value)
-        else:
-            out[key] = value
-    return out
 
 
 #: Topology spec grammar: ``family:dim[:dim][:nodes_per_switch]``.
@@ -327,25 +328,37 @@ def resolve_topology_spec(spec: Union[str, Topology]) -> Topology:
     )
 
 
+@dataclass(frozen=True)
+class TopologyShape:
+    """What a scenario spec checks against: sizes and switch links."""
+
+    n_nodes: int
+    n_switches: int
+    #: Every directed switch-to-switch pair ``(a, b)`` with a link.
+    links: FrozenSet[Tuple[int, int]]
+
+
 @lru_cache(maxsize=None)
-def check_topology_spec(spec: str) -> int:
-    """Validate a topology spec string once per process; its node count.
+def check_topology_spec(spec: str) -> TopologyShape:
+    """Validate a topology spec string once per process; its shape.
 
     Scenario specs call this instead of building a :class:`Topology`
-    they would throw away.  Only the count is memoised: every platform
+    they would throw away.  Only the shape is memoised: every platform
     still resolves its own fresh graph, and a malformed spec raises
     its :class:`ConfigError` on every call (exceptions are not cached).
     """
-    return resolve_topology_spec(spec).n_nodes
+    topo = resolve_topology_spec(spec)
+    return TopologyShape(
+        topo.n_nodes,
+        topo.n_switches,
+        frozenset((a, b) for a, b, _delay in topo.switch_edges()),
+    )
 
 
 # ----------------------------------------------------------------------
 # Traffic model factory
 # ----------------------------------------------------------------------
-def _destination_from(params: Dict[str, Any]) -> DestinationChooser:
-    dst = params.get("dst")
-    if dst is None:
-        raise ConfigError("traffic params must include 'dst'")
+def _destination_from(dst: Any) -> DestinationChooser:
     if isinstance(dst, DestinationChooser):
         return dst
     if isinstance(dst, int):
@@ -353,133 +366,87 @@ def _destination_from(params: Dict[str, Any]) -> DestinationChooser:
     return UniformRandomDestination(tuple(dst))
 
 
+def _traffic_model(name: str) -> Any:
+    try:
+        return TRAFFIC_MODELS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown traffic model {name!r}; expected one of {TG_MODELS}"
+        ) from None
+
+
 def make_traffic_model(spec: TGSpec) -> TrafficModel:
     """Instantiate the traffic process of one TG spec.
 
-    Parameter conventions per model (all dicts also take ``dst``):
-
-    * ``uniform``: ``length`` plus either ``interval`` or ``load``.
-    * ``burst``: ``length`` plus either (``p_on``, ``p_off``) or
-      (``load``, ``mean_burst_packets``).
-    * ``poisson``: ``length`` plus either ``rate`` or ``load``.
-    * ``onoff``: ``length``, ``packets_per_burst`` plus either ``gap``
-      or ``load``.
-    * ``trace``: either a ``trace`` object or the synthetic-burst
-      parameters (``n_bursts``, ``packets_per_burst``,
-      ``flits_per_packet``, ``gap``).
+    The model class declares its params (``PARAMS``) and constructors
+    (``FORMS``), see :class:`repro.traffic.base.TrafficModel`.
+    ``spec.params`` may name only those params and ``dst``; a param
+    the selected form takes and they omit gets its constant default.
     """
-    p = dict(spec.params)
-    if spec.model == "trace":
-        trace = p.get("trace")
-        if trace is None:
-            try:
-                trace = synthetic_burst_trace(
-                    n_bursts=p["n_bursts"],
-                    packets_per_burst=p["packets_per_burst"],
-                    flits_per_packet=p["flits_per_packet"],
-                    gap=p.get("gap", 0),
-                    dst=p["dst"],
-                    seed=spec.seed,
-                )
-            except KeyError as missing:
-                raise ConfigError(
-                    f"trace TG needs 'trace' or synthetic parameters;"
-                    f" missing {missing}"
-                ) from None
-        return TraceTraffic(trace, seed=spec.seed)
+    model = _traffic_model(spec.model)
+    params = spec.params
+    declared = model.PARAMS
+    for key, value in params.items():
+        if key == "dst":
+            continue
+        if key not in declared:
+            import difflib
 
-    destination = _destination_from(p)
-    try:
-        if spec.model == "uniform":
-            length = p["length"]
-            if "interval" in p:
-                interval = p["interval"]
-            else:
-                interval = interval_for_load(
-                    length if isinstance(length, int) else length[1],
-                    p["load"],
-                )
-            return UniformTraffic(
-                length, interval, destination, seed=spec.seed
+            known = sorted([*declared, "dst"])
+            raise ConfigError(
+                f"unknown traffic_params key {key!r} for {spec.model}"
+                f" traffic; did you mean"
+                f" {difflib.get_close_matches(key, known, n=1) or known}?"
             )
-        if spec.model == "burst":
-            if "p_on" in p or "p_off" in p:
-                return BurstTraffic(
-                    p["p_on"],
-                    p["p_off"],
-                    p["length"],
-                    destination,
-                    seed=spec.seed,
-                )
-            return BurstTraffic.for_load(
-                p["load"],
-                p.get("mean_burst_packets", 8.0),
-                p["length"],
-                destination,
-                seed=spec.seed,
+        problem = declared[key].problem(value)
+        if problem is not None:
+            raise ConfigError(
+                f"traffic_params {key!r} of {spec.model} traffic {problem}"
             )
-        if spec.model == "poisson":
-            if "rate" in p:
-                return PoissonTraffic(
-                    p["rate"], p["length"], destination, seed=spec.seed
-                )
-            return PoissonTraffic.for_load(
-                p["load"], p["length"], destination, seed=spec.seed
-            )
-        if spec.model == "onoff":
-            if "gap" in p:
-                return OnOffTraffic(
-                    p["packets_per_burst"],
-                    p["gap"],
-                    p["length"],
-                    destination,
-                    seed=spec.seed,
-                )
-            return OnOffTraffic.for_load(
-                p["load"],
-                p["packets_per_burst"],
-                p["length"],
-                destination,
-                seed=spec.seed,
-            )
-    except KeyError as missing:
+    factory, args = model.form_for(params)
+    kwargs = {}
+    missing = []
+    for arg in args:
+        key = "dst" if arg == "destination" else arg
+        if key in params:
+            kwargs[arg] = params[key]
+        elif key != "dst" and not callable(declared[key].default):
+            kwargs[arg] = declared[key].default
+        if kwargs.get(arg) is None:
+            missing.append(key)
+    if missing:
         raise ConfigError(
-            f"traffic model {spec.model!r} is missing parameter"
-            f" {missing}"
-        ) from None
-    raise ConfigError(f"unknown traffic model {spec.model!r}")
+            f"traffic model {spec.model!r} is missing parameter(s)"
+            f" {', '.join(map(repr, missing))}"
+        )
+    try:
+        if "destination" in kwargs:
+            kwargs["destination"] = _destination_from(kwargs["destination"])
+        return factory(**kwargs, seed=spec.seed)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{spec.model} traffic: {exc}") from None
 
 
 # ----------------------------------------------------------------------
 # The paper's canonical setup (Slide 19) and the generic fabric sweep
 # ----------------------------------------------------------------------
-def _tg_params_for(
+def tg_params(
     traffic: str,
     load: float,
     length: int,
     dst: Any,
     overrides: Optional[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Per-model default TG parameters shared by the config builders."""
-    params: Dict[str, Any] = {"dst": dst, "length": length}
-    if traffic in ("uniform", "poisson"):
-        params["load"] = load
-    elif traffic == "burst":
-        params["load"] = load
-        params["mean_burst_packets"] = 8.0
-    elif traffic == "onoff":
-        params["load"] = load
-        params["packets_per_burst"] = 8
-    elif traffic == "trace":
-        params.update(
-            n_bursts=256,
-            packets_per_burst=8,
-            flits_per_packet=length,
-            gap=round(8 * length * (1.0 - load) / load),
-        )
-        params.pop("length")
-    else:
-        raise ConfigError(f"unknown traffic family {traffic!r}")
+    """One TG's params: the declared defaults of its model's default
+    form for this ``load`` and ``length``, then the overrides."""
+    model = _traffic_model(traffic)
+    params: Dict[str, Any] = {"dst": dst}
+    for arg in model.form_for(())[1]:
+        if arg != "destination":
+            default = model.PARAMS[arg].default
+            params[arg] = (
+                default(length, load) if callable(default) else default
+            )
     if overrides:
         params.update(overrides)
     return params
@@ -515,7 +482,7 @@ def paper_platform_config(
         )
     tgs: List[TGSpec] = []
     for i, (src, dst) in enumerate(flows):
-        params = _tg_params_for(traffic, load, length, dst, traffic_params)
+        params = tg_params(traffic, load, length, dst, traffic_params)
         tgs.append(
             TGSpec(
                 node=src,
@@ -564,13 +531,8 @@ def generic_platform_config(
     destinations (all other nodes) *and* one receptor, the standard
     synthetic-workload setup for fabric comparisons.
 
-    ``routing="auto"`` picks a deadlock-free default per family: the
-    cyclic fabrics (ring, spidergon, torus) take up*/down* tables —
-    plain BFS shortest paths close a channel-dependency cycle there
-    (for the torus the wrap-around channels do it: shortest-path
-    tables pass the dependency check only on the smallest grids, and
-    e.g. ``torus:4:5`` or ``torus:5:5`` cycle) — and everything else
-    takes shortest paths.  Explicit ``routing`` specs (``shortest``,
+    ``routing="auto"`` picks a deadlock-free default per family
+    (:func:`auto_routing`).  Explicit ``routing`` specs (``shortest``,
     ``updown``, ``multipath[:k]``) override the choice; the
     platform's channel-dependency check still vets the result.
 
@@ -589,12 +551,7 @@ def generic_platform_config(
             f" traffic needs at least 2"
         )
     if routing == "auto":
-        family = topo.name.rstrip("0123456789x")
-        routing = (
-            "updown"
-            if family in ("ring", "spidergon", "torus")
-            else "shortest"
-        )
+        routing = auto_routing(topo)
     if seeds is not None and len(seeds) != n_nodes:
         raise ConfigError(
             f"expected {n_nodes} TG seeds, got {len(seeds)}"
@@ -606,7 +563,7 @@ def generic_platform_config(
     nodes = tuple(range(n_nodes))
     for node in range(n_nodes):
         others = nodes[:node] + nodes[node + 1:]
-        params = _tg_params_for(
+        params = tg_params(
             traffic, load, length, others, traffic_params
         )
         tgs.append(

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import re
 from dataclasses import dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
@@ -44,16 +43,28 @@ from typing import (
 from repro.core.config import (
     PlatformConfig,
     TG_MODELS,
+    TGSpec,
     TR_KINDS,
     check_topology_spec,
     generic_platform_config,
+    make_traffic_model,
     paper_platform_config,
+    parse_routing,
     resolve_topology_spec,
+    tg_params,
 )
 from repro.core.errors import ConfigError
+from repro.noc.arbiter import ARBITERS
 from repro.noc.switch import SwitchingMode
+from repro.traffic.base import LENGTH, LOAD
 from repro.traffic.rng import derive_stream_seed
-from repro.util import canonical_json, canonical_json_bytes
+from repro.util import (
+    Param,
+    canonical_json,
+    canonical_json_bytes,
+    check_declared,
+    declared,
+)
 
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
@@ -61,33 +72,6 @@ if TYPE_CHECKING:
 #: Bump when the spec schema or its semantics change incompatibly;
 #: part of the content hash, so stale cache entries never resurface.
 SPEC_SCHEMA = 1
-
-#: Routing specs a scenario accepts.  The paper route cases apply to
-#: the 6-switch platform only; the table builders apply everywhere.
-_PAPER_CASES = ("overlap", "disjoint", "split")
-_GENERIC_ROUTINGS = ("shortest", "updown")
-#: "multipath" (2 paths) or "multipath:<k>"; anything else — e.g. the
-#: typo "multipath4" — must be rejected, not silently run as k=2.
-_MULTIPATH_RE = re.compile(r"multipath(:[1-9][0-9]*)?")
-
-_ARBITRATIONS = ("round_robin", "fixed_priority", "matrix")
-
-#: The number-valued traffic params each model reads (see
-#: :func:`repro.core.config.make_traffic_model`).  ``length`` is
-#: checked apart: an int or an inclusive ``[min, max]`` int range.
-#: Other keys pass unchecked.
-_NUMERIC_PARAMS = {
-    "uniform": ("interval", "load"),
-    "burst": ("load", "mean_burst_packets", "p_off", "p_on"),
-    "poisson": ("load", "rate"),
-    "onoff": ("gap", "load", "packets_per_burst"),
-    "trace": ("flits_per_packet", "gap", "n_bursts", "packets_per_burst"),
-}
-
-
-def _is_int(value: Any) -> bool:
-    """An ``int`` that is not a ``bool`` (``True`` is an int to Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _frozen_params(
@@ -114,28 +98,40 @@ class ScenarioSpec:
     ``arbitration``, ``buffer_depth``) and software (``routing``,
     ``traffic``, ``load``, ``length``, ``packets``, ``receptors``,
     ``seed``, ``traffic_params``).  ``packets`` is the budget *per
-    generator*; ``traffic_params`` overrides the per-model defaults
-    (accepts a dict, stored as a sorted tuple so the spec stays
-    hashable).
+    generator*; ``traffic_params`` overrides the defaults the traffic
+    model declares (accepts a dict, stored as a sorted tuple so the
+    spec stays hashable).  A field's :class:`~repro.util.Param`
+    declares its type and range.
 
     ``routing="auto"`` resolves per topology: the paper platform takes
-    its overlapping route case, cyclic fabrics (ring, spidergon,
-    torus — the torus wrap-around channels cycle under BFS shortest
-    paths) take deadlock-free up*/down* tables, everything else
-    shortest paths.
+    its overlapping route case, every other fabric the deadlock-free
+    family of :func:`~repro.core.config.auto_routing`.
+
+    Construction checks each field and traffic param against its
+    declaration, then the fields against each other: fault targets
+    and ``dst`` nodes must exist in the topology, and store-and-forward
+    buffers must hold the longest packet.
     """
 
-    topology: str = "paper"
+    topology: str = declared(Param(str, label="topology spec string"), "paper")
     routing: str = "auto"
-    switching: str = "wormhole"
-    arbitration: str = "round_robin"
-    buffer_depth: int = 4
-    traffic: str = "uniform"
-    load: float = 0.45
-    length: int = 8
-    packets: Optional[int] = 1000
-    receptors: str = "tracedriven"
-    seed: int = 1
+    switching: str = declared(
+        Param(str, choices=tuple(m.value for m in SwitchingMode)), "wormhole"
+    )
+    arbitration: str = declared(
+        Param(str, choices=tuple(ARBITERS)), "round_robin"
+    )
+    buffer_depth: int = declared(Param(int, 1, label="buffer depth"), 4)
+    traffic: str = declared(
+        Param(str, choices=TG_MODELS, label="traffic model"), "uniform"
+    )
+    load: float = declared(LOAD, 0.45)
+    length: int = declared(LENGTH, 8)
+    packets: Optional[int] = declared(
+        Param(int, 1, optional=True, label="packet budget"), 1000
+    )
+    receptors: str = declared(Param(str, choices=TR_KINDS), "tracedriven")
+    seed: int = declared(Param(int, 0), 1)
     traffic_params: Tuple[Tuple[str, Any], ...] = field(
         default_factory=tuple
     )
@@ -150,17 +146,11 @@ class ScenarioSpec:
     #: (deterministic) window series as ``window_series``.  None keeps
     #: the run — and the spec's canonical form / cache key —
     #: byte-identical to pre-telemetry specs.
-    telemetry_windows: Optional[int] = None
+    telemetry_windows: Optional[int] = declared(
+        Param(int, 1, optional=True), None
+    )
 
     def __post_init__(self) -> None:
-        if self.telemetry_windows is not None and (
-            not _is_int(self.telemetry_windows)
-            or self.telemetry_windows < 1
-        ):
-            raise ConfigError(
-                f"telemetry_windows must be an int >= 1 or None, got"
-                f" {self.telemetry_windows!r}"
-            )
         if self.faults is not None:
             from repro.faults.schedule import FaultSchedule
 
@@ -178,91 +168,30 @@ class ScenarioSpec:
                 # An empty schedule is a healthy run: normalise so the
                 # content hash (and hence the cache key) is identical.
                 object.__setattr__(self, "faults", None)
-        if isinstance(self.traffic_params, Mapping):
-            object.__setattr__(
-                self, "traffic_params", _frozen_params(self.traffic_params)
-            )
-        else:
-            object.__setattr__(
-                self,
-                "traffic_params",
-                _frozen_params(dict(self.traffic_params)),
-            )
-        if not isinstance(self.topology, str):
+        object.__setattr__(
+            self, "traffic_params", _frozen_params(dict(self.traffic_params))
+        )
+        check_declared(self)
+        shape = check_topology_spec(self.topology)
+        if shape.n_nodes < 2:
             raise ConfigError(
-                "ScenarioSpec.topology must be a spec string (specs"
-                " must stay serialisable); got"
-                f" {type(self.topology).__name__}"
-            )
-        n_nodes = check_topology_spec(self.topology)
-        if n_nodes < 2:
-            raise ConfigError(
-                f"topology {self.topology!r} has {n_nodes} node(s);"
+                f"topology {self.topology!r} has {shape.n_nodes} node(s);"
                 f" uniform traffic needs at least 2"
             )
-        if self.traffic not in TG_MODELS:
-            raise ConfigError(
-                f"unknown traffic model {self.traffic!r}; expected one"
-                f" of {TG_MODELS}"
-            )
-        if self.receptors not in TR_KINDS:
-            raise ConfigError(
-                f"unknown receptor kind {self.receptors!r}; expected"
-                f" one of {TR_KINDS}"
-            )
-        try:
-            SwitchingMode(self.switching)
-        except ValueError:
-            raise ConfigError(
-                f"unknown switching mode {self.switching!r}"
-            ) from None
-        if self.arbitration not in _ARBITRATIONS:
-            raise ConfigError(
-                f"unknown arbitration {self.arbitration!r}; expected"
-                f" one of {_ARBITRATIONS}"
-            )
-        if not _is_int(self.buffer_depth) or self.buffer_depth < 1:
-            raise ConfigError(
-                f"buffer depth must be an int >= 1 flit, got"
-                f" {self.buffer_depth!r}"
-            )
-        if (
-            isinstance(self.load, bool)
-            or not isinstance(self.load, (int, float))
-            or not 0.0 < self.load <= 1.0
+        if parse_routing(self.routing)[0] == "paper" and (
+            self.topology != "paper"
         ):
             raise ConfigError(
-                f"load must be a number in (0, 1], got {self.load!r}"
+                f"routing {self.routing!r} is a paper-platform route"
+                f" case; topology {self.topology!r} needs table routing"
             )
-        if not _is_int(self.length) or self.length < 1:
-            raise ConfigError(
-                f"packet length must be an int >= 1 flit, got"
-                f" {self.length!r}"
-            )
-        if self.switching == SwitchingMode.STORE_AND_FORWARD.value:
-            # A store-and-forward switch buffers whole packets, so its
-            # buffers must hold the longest packet the traffic emits.
-            key = "flits_per_packet" if self.traffic == "trace" else "length"
-            longest = dict(self.traffic_params).get(key, self.length)
-            if isinstance(longest, tuple) and len(longest) == 2:
-                longest = longest[1]  # an inclusive (min, max) range
-            if isinstance(longest, int) and longest > self.buffer_depth:
-                raise ConfigError(
-                    f"store-and-forward switches buffer whole packets:"
-                    f" {self.buffer_depth}-flit buffers cannot hold the"
-                    f" {longest}-flit packets of this traffic"
-                )
-        if self.packets is not None and (
-            not _is_int(self.packets) or self.packets < 1
-        ):
-            raise ConfigError(
-                f"packet budget must be an int >= 1 or None, got"
-                f" {self.packets!r}"
-            )
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(
-                f"seed must be an int >= 0, got {self.seed!r}"
-            )
+        if self.faults is not None:
+            self.faults.check_targets(shape.links, shape.n_switches)
+        self._check_traffic(shape.n_nodes)
+
+    def _check_traffic(self, n_nodes: int) -> None:
+        """Build one generator's traffic model: every param check, the
+        constructors' own included, runs here, not at platform build."""
         try:
             canonical_json(self.traffic_params)
         except TypeError:
@@ -271,49 +200,36 @@ class ScenarioSpec:
                 " specs are hashed and shipped to worker processes);"
                 " pass plain numbers/strings/lists, not live objects"
             ) from None
-        self._check_traffic_params()
-        valid_routing = isinstance(self.routing, str) and (
-            self.routing == "auto"
-            or self.routing in _PAPER_CASES
-            or self.routing in _GENERIC_ROUTINGS
-            or _MULTIPATH_RE.fullmatch(self.routing) is not None
-        )
-        if not valid_routing:
-            raise ConfigError(
-                f"unknown routing spec {self.routing!r}; expected"
-                f" 'auto', a paper case {_PAPER_CASES}, one of"
-                f" {_GENERIC_ROUTINGS} or 'multipath[:k]'"
+        try:
+            params = tg_params(
+                self.traffic, self.load, self.length, 1,
+                dict(self.traffic_params),
             )
-        if self.topology != "paper" and self.routing in _PAPER_CASES:
-            raise ConfigError(
-                f"routing {self.routing!r} is a paper-platform route"
-                f" case; topology {self.topology!r} needs 'auto',"
-                f" 'shortest', 'updown' or 'multipath[:k]'"
-            )
-
-    def _check_traffic_params(self) -> None:
-        """Reject a wrong-typed value of a param the model reads, so a
-        bad spec fails here, not in the run that builds it."""
-        params = dict(self.traffic_params)
-        for key in _NUMERIC_PARAMS.get(self.traffic, ()):
-            value = params.get(key, 0)
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
+        except ArithmeticError as exc:  # a gap too long for a float
+            raise ConfigError(f"{self.traffic} traffic: {exc}") from None
+        dst = params["dst"]
+        node = Param(int, 0, n_nodes - 1)
+        for d in dst if isinstance(dst, tuple) and dst else (dst,):
+            problem = node.problem(d)
+            if problem:
                 raise ConfigError(
-                    f"traffic_params {key!r} of {self.traffic} traffic"
-                    f" must be a number, got {value!r}"
+                    f"traffic_params 'dst' node {problem}: the topology"
+                    f" has {n_nodes} nodes"
                 )
-        length = params.get("length", 1)
-        if self.traffic != "trace" and not (
-            _is_int(length)
-            or isinstance(length, tuple)
-            and len(length) == 2
-            and all(map(_is_int, length))
+        make_traffic_model(TGSpec(0, self.traffic, params))
+        longest = params.get("flits_per_packet", params.get("length"))
+        if isinstance(longest, tuple):
+            longest = longest[1]  # an inclusive (min, max) range
+        if (
+            self.switching == SwitchingMode.STORE_AND_FORWARD.value
+            and longest > self.buffer_depth
         ):
+            # A store-and-forward switch buffers whole packets, so its
+            # buffers must hold the longest packet the traffic emits.
             raise ConfigError(
-                f"traffic_params 'length' must be an int or an"
-                f" [min, max] int range, got {length!r}"
+                f"store-and-forward switches buffer whole packets:"
+                f" {self.buffer_depth}-flit buffers cannot hold the"
+                f" {longest}-flit packets of this traffic"
             )
 
     # ------------------------------------------------------------------
@@ -322,28 +238,17 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON-serialisable form (round-trips via from_dict).
 
-        The ``faults`` key is omitted for healthy runs so every
-        pre-existing spec — and every cache entry keyed on one — keeps
-        its byte-identical canonical form.
+        ``faults`` and ``telemetry_windows`` are omitted while None, so
+        every spec from before those fields existed — and every cache
+        entry keyed on one — keeps its byte-identical canonical form.
         """
-        payload = {
-            "topology": self.topology,
-            "routing": self.routing,
-            "switching": self.switching,
-            "arbitration": self.arbitration,
-            "buffer_depth": self.buffer_depth,
-            "traffic": self.traffic,
-            "load": self.load,
-            "length": self.length,
-            "packets": self.packets,
-            "receptors": self.receptors,
-            "seed": self.seed,
-            "traffic_params": {k: v for k, v in self.traffic_params},
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["traffic_params"] = dict(self.traffic_params)
         if self.faults is not None:
             payload["faults"] = self.faults.to_dict()
-        if self.telemetry_windows is not None:
-            payload["telemetry_windows"] = self.telemetry_windows
+        for name in ("faults", "telemetry_windows"):
+            if payload[name] is None:
+                del payload[name]
         return payload
 
     @classmethod
@@ -356,11 +261,7 @@ class ScenarioSpec:
                 f"unknown ScenarioSpec field(s) {sorted(unknown)};"
                 f" expected a subset of {sorted(known)}"
             )
-        kwargs = dict(payload)
-        params = kwargs.get("traffic_params")
-        if params is not None and not isinstance(params, Mapping):
-            kwargs["traffic_params"] = dict(params)
-        return cls(**kwargs)
+        return cls(**payload)
 
     @property
     def key(self) -> str:
@@ -407,28 +308,25 @@ class ScenarioSpec:
     def to_platform_config(self) -> PlatformConfig:
         """Elaborate into a :class:`~repro.core.config.PlatformConfig`."""
         params = {k: v for k, v in self.traffic_params} or None
-        if self.topology == "paper":
-            routing = self.routing
-            if routing == "auto":
-                routing = "overlap"
-            if routing in _PAPER_CASES:
-                config = paper_platform_config(
-                    traffic=self.traffic,
-                    load=self.load,
-                    length=self.length,
-                    max_packets=self.packets,
-                    routing_case=routing,
-                    receptor_kind=self.receptors,
-                    buffer_depth=self.buffer_depth,
-                    seed=self.seed,
-                    traffic_params=params,
-                    seeds=self._stream_seeds(range(4)),
-                )
-                config.arbitration = self.arbitration
-                config.switching = SwitchingMode(self.switching)
-                return config
-            # Paper topology with generic table routing: fall through
-            # to the all-node builder on the paper switch graph.
+        family, case = parse_routing(self.routing)
+        if self.topology == "paper" and family in ("auto", "paper"):
+            config = paper_platform_config(
+                traffic=self.traffic,
+                load=self.load,
+                length=self.length,
+                max_packets=self.packets,
+                routing_case=case or "overlap",
+                receptor_kind=self.receptors,
+                buffer_depth=self.buffer_depth,
+                seed=self.seed,
+                traffic_params=params,
+                seeds=self._stream_seeds(range(4)),
+            )
+            config.arbitration = self.arbitration
+            config.switching = SwitchingMode(self.switching)
+            return config
+        # Table routing (on the paper switch graph too): every node
+        # hosts a generator.
         topo = resolve_topology_spec(self.topology)
         return generic_platform_config(
             topology=topo,
@@ -450,24 +348,6 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # Sweep expansion
 # ----------------------------------------------------------------------
-def _with_axis(spec: ScenarioSpec, key: str, value: Any) -> ScenarioSpec:
-    """One axis assignment; dotted keys reach into traffic_params."""
-    if key.startswith("traffic_params."):
-        sub = key[len("traffic_params."):]
-        if not sub:
-            raise ConfigError(f"malformed axis name {key!r}")
-        params = {k: v for k, v in spec.traffic_params}
-        params[sub] = value
-        return replace(spec, traffic_params=params)
-    known = {f.name for f in fields(ScenarioSpec)}
-    if key not in known:
-        raise ConfigError(
-            f"unknown sweep axis {key!r}; expected a ScenarioSpec"
-            f" field or 'traffic_params.<name>'"
-        )
-    return replace(spec, **{key: value})
-
-
 def _as_base(base: Any) -> ScenarioSpec:
     if isinstance(base, ScenarioSpec):
         return base
@@ -477,6 +357,37 @@ def _as_base(base: Any) -> ScenarioSpec:
         f"sweep base must be a ScenarioSpec or mapping, got"
         f" {type(base).__name__}"
     )
+
+
+def _expand(
+    base: Any, axes: Mapping[str, Any], combos: Iterable[Tuple[Any, ...]]
+) -> List[ScenarioSpec]:
+    """One spec per combination of axis values over ``base``, made (and
+    checked) once with all of them; ``traffic_params.<name>`` axes
+    reach into the traffic params."""
+    spec = _as_base(base if base is not None else ScenarioSpec())
+    known = {f.name for f in fields(ScenarioSpec)}
+    dotted = "traffic_params."
+    for name in axes:
+        if name not in known and not (
+            name.startswith(dotted) and name != dotted
+        ):
+            raise ConfigError(
+                f"unknown sweep axis {name!r}; expected a ScenarioSpec"
+                f" field or 'traffic_params.<name>'"
+            )
+    specs = []
+    for combo in combos if axes else [()]:
+        changes: Dict[str, Any] = {}
+        for name, value in zip(axes, combo):
+            field_name, _, sub = name.partition(".")
+            if sub:
+                params = dict(changes.get(field_name, spec.traffic_params))
+                params[sub] = value
+                value = params
+            changes[field_name] = value
+        specs.append(replace(spec, **changes) if changes else spec)
+    return specs
 
 
 class Sweep:
@@ -490,47 +401,27 @@ class Sweep:
         fastest, so the expansion order — and therefore result order
         and cache layout — is deterministic.
         """
-        spec = _as_base(base if base is not None else ScenarioSpec())
-        if not axes:
-            return [spec]
-        names = list(axes)
-        value_lists = []
-        for name in names:
-            values = list(axes[name])
+        value_lists = {name: list(values) for name, values in axes.items()}
+        for name, values in value_lists.items():
             if not values:
                 raise ConfigError(f"sweep axis {name!r} is empty")
-            value_lists.append(values)
-        specs = []
-        for combo in itertools.product(*value_lists):
-            out = spec
-            for name, value in zip(names, combo):
-                out = _with_axis(out, name, value)
-            specs.append(out)
-        return specs
+        return _expand(
+            base, value_lists, itertools.product(*value_lists.values())
+        )
 
     @staticmethod
     def zip(base: Any = None, **axes: Iterable[Any]) -> List[ScenarioSpec]:
         """Element-wise pairing of equal-length axes over a base spec."""
-        spec = _as_base(base if base is not None else ScenarioSpec())
-        if not axes:
-            return [spec]
-        names = list(axes)
-        value_lists = [list(axes[name]) for name in names]
-        lengths = {len(v) for v in value_lists}
-        if len(lengths) != 1:
+        value_lists = {name: list(values) for name, values in axes.items()}
+        lengths = {len(v) for v in value_lists.values()}
+        if len(lengths) > 1:
             raise ConfigError(
                 f"zip axes must have equal lengths, got"
-                f" { {n: len(v) for n, v in zip(names, value_lists)} }"
+                f" { {n: len(v) for n, v in value_lists.items()} }"
             )
         if 0 in lengths:
             raise ConfigError("zip axes are empty")
-        specs = []
-        for combo in zip(*value_lists):
-            out = spec
-            for name, value in zip(names, combo):
-                out = _with_axis(out, name, value)
-            specs.append(out)
-        return specs
+        return _expand(base, value_lists, zip(*value_lists.values()))
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> List[ScenarioSpec]:

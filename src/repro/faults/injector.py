@@ -19,7 +19,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.errors import ConfigError, UnroutableError
+from repro.core.errors import UnroutableError
 from repro.faults.report import (
     FaultEventRecord,
     FaultReport,
@@ -28,8 +28,6 @@ from repro.faults.report import (
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.noc.deadlock import is_deadlock_free
 from repro.noc.routing import (
-    build_multipath_tables,
-    build_shortest_path_tables,
     build_updown_tables,
     compile_dense_route_table,
     unrouted_destinations,
@@ -75,22 +73,7 @@ class FaultInjector:
         self._boundary_cycle = 0
         self._boundary_packets = 0
         self._boundary_label = "pre-fault"
-        # Static validation against the elaborated network.
-        for e in self._events:
-            if e.a is not None and not network.switch_links.get(
-                (e.a, e.b)
-            ):
-                raise ConfigError(
-                    f"fault schedule names link {e.a}->{e.b}, which"
-                    f" does not exist in the topology"
-                )
-            if e.switch is not None and not (
-                0 <= e.switch < topo.n_switches
-            ):
-                raise ConfigError(
-                    f"fault schedule names switch {e.switch}, out of"
-                    f" range [0, {topo.n_switches})"
-                )
+        schedule.check_targets(network.switch_links, topo.n_switches)
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -425,38 +408,19 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Online repair
     # ------------------------------------------------------------------
-    def _build_tables(self, avoid):
-        """Rebuild routing in the platform's configured family."""
-        topo = self.platform.topology
-        spec = self.platform.config.routing
-        if isinstance(spec, str):
-            if spec == "updown":
-                return build_updown_tables(topo, avoid_links=avoid)
-            if spec.startswith("multipath"):
-                max_paths = 2
-                if ":" in spec:
-                    max_paths = int(spec.split(":", 1)[1])
-                return build_multipath_tables(
-                    topo, max_paths=max_paths, avoid_links=avoid
-                )
-        # Paper table variants, "shortest", and explicit routing
-        # objects all repair to shortest-path tables on the surviving
-        # fabric (the paper's own repair story).
-        return build_shortest_path_tables(topo, avoid_links=avoid)
-
     def repaired_routes(self):
         """Vetted tables for the surviving fabric.
 
-        Builds the configured family around every dead pair and
-        re-vets deadlock freedom against the TGs' destinations,
-        falling back to up*/down*, which is deadlock-free by
-        construction: the repaired shortest/multipath tables can close
-        a channel cycle the originals did not.  Nothing is installed
-        until :meth:`install_routes`.
+        The configured routing built around every dead pair (itself
+        once none is left), re-vetted for deadlock freedom against the
+        TGs' destinations, falling back to up*/down*, which is
+        deadlock-free by construction: the repaired shortest/multipath
+        tables can close a channel cycle the originals did not.
+        Nothing is installed until :meth:`install_routes`.
         """
         topo = self.platform.topology
         avoid = frozenset(self._dead_pairs)
-        routing = self._build_tables(avoid)
+        routing = self.platform.config.resolve_routing(topo, avoid)
         destinations = set()
         for spec in self.platform.config.tgs:
             destinations.update(spec.destinations())

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigError
-from repro.util import canonical_json_bytes
+from repro.util import Param, canonical_json_bytes, check_declared, declared
 
 #: Bump when the canonical dict layout changes incompatibly.
 FAULT_SCHEMA = 1
@@ -51,32 +51,25 @@ _REQUIRED = {
     "switch_down": ("switch",),
 }
 _OPTIONAL_FIELDS = ("a", "b", "switch", "until", "drop_p", "seed")
+#: A switch id, a cycle or a seed, where the event's kind takes one.
+_COUNT = Param(int, 0, optional=True)
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One timed fault event (see the module docstring for kinds)."""
 
-    kind: str
-    cycle: int
-    a: Optional[int] = None
-    b: Optional[int] = None
-    switch: Optional[int] = None
-    until: Optional[int] = None
-    drop_p: Optional[float] = None
-    seed: Optional[int] = None
+    kind: str = declared(Param(str, choices=_KINDS))
+    cycle: int = declared(Param(int, 0))
+    a: Optional[int] = declared(_COUNT, None)
+    b: Optional[int] = declared(_COUNT, None)
+    switch: Optional[int] = declared(_COUNT, None)
+    until: Optional[int] = declared(_COUNT, None)
+    drop_p: Optional[float] = declared(Param(float, 0, 1, optional=True), None)
+    seed: Optional[int] = declared(_COUNT, None)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigError(
-                f"unknown fault kind {self.kind!r};"
-                f" expected one of {_KINDS}"
-            )
-        if not isinstance(self.cycle, int) or self.cycle < 0:
-            raise ConfigError(
-                f"fault cycle must be a non-negative int,"
-                f" got {self.cycle!r}"
-            )
+        check_declared(self, "fault ")
         required = _REQUIRED[self.kind]
         for name in _OPTIONAL_FIELDS:
             value = getattr(self, name)
@@ -89,34 +82,15 @@ class FaultEvent:
                 raise ConfigError(
                     f"{self.kind} event does not take {name!r}"
                 )
-        if self.a is not None:
-            if self.a < 0 or self.b < 0 or self.a == self.b:
-                raise ConfigError(
-                    f"fault link endpoints must be distinct"
-                    f" non-negative switch ids, got"
-                    f" {self.a} -> {self.b}"
-                )
-        if self.switch is not None and self.switch < 0:
+        if self.a is not None and self.a == self.b:
             raise ConfigError(
-                f"fault switch id must be non-negative,"
-                f" got {self.switch}"
+                f"fault link endpoints must be distinct switch ids,"
+                f" got {self.a} -> {self.b}"
             )
         if self.until is not None and self.until <= self.cycle:
             raise ConfigError(
                 f"flaky window must end after it starts:"
                 f" until={self.until} <= cycle={self.cycle}"
-            )
-        if self.drop_p is not None and not 0.0 <= self.drop_p <= 1.0:
-            raise ConfigError(
-                f"drop probability must be in [0, 1],"
-                f" got {self.drop_p}"
-            )
-        if self.seed is not None and (
-            not isinstance(self.seed, int) or self.seed < 0
-        ):
-            raise ConfigError(
-                f"fault seed must be a non-negative int,"
-                f" got {self.seed!r}"
             )
 
     def sort_key(self) -> tuple:
@@ -187,7 +161,7 @@ class FaultSchedule:
     """
 
     events: Tuple[FaultEvent, ...] = ()
-    repair: bool = True
+    repair: bool = declared(Param(bool), True)
 
     def __post_init__(self) -> None:
         events = tuple(
@@ -196,10 +170,7 @@ class FaultSchedule:
         )
         events = tuple(sorted(events, key=FaultEvent.sort_key))
         object.__setattr__(self, "events", events)
-        if not isinstance(self.repair, bool):
-            raise ConfigError(
-                f"repair must be a bool, got {self.repair!r}"
-            )
+        check_declared(self)
         # Per directed link, down and up must alternate starting down;
         # a switch may die at most once and its links must not be
         # faulted afterwards.
@@ -238,6 +209,21 @@ class FaultSchedule:
 
     def __bool__(self) -> bool:
         return bool(self.events)
+
+    def check_targets(self, links, n_switches: int) -> None:
+        """Raise :class:`ConfigError` unless every link named is in
+        ``links`` and every switch in ``range(n_switches)``."""
+        for e in self.events:
+            if e.a is not None and (e.a, e.b) not in links:
+                raise ConfigError(
+                    f"fault schedule names link {e.a}->{e.b}, which"
+                    f" does not exist in the topology"
+                )
+            if e.switch is not None and not 0 <= e.switch < n_switches:
+                raise ConfigError(
+                    f"fault schedule names switch {e.switch}, out of"
+                    f" range [0, {n_switches})"
+                )
 
     def to_dict(self) -> dict:
         return {

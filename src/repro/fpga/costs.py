@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.config import make_traffic_model
+
 #: Physical flit width on the emulated links: 32 data bits + 2 type bits.
 FLIT_BITS = 34
 
@@ -130,6 +132,15 @@ def tg_cost(
     raise ValueError(f"unknown traffic model {model!r}")
 
 
+def tg_spec_cost(tg) -> ResourceEstimate:
+    """:func:`tg_cost` of one configured TG (a ``TGSpec``), whose trace
+    memory holds the trace its model replays."""
+    records = 0
+    if tg.model == "trace":
+        records = len(make_traffic_model(tg).trace)
+    return tg_cost(tg.model, queue_limit=tg.queue_limit, trace_records=records)
+
+
 def tr_cost(
     kind: str,
     histogram_counters: int = DEFAULT_TR_HIST_COUNTERS,
@@ -184,20 +195,7 @@ def platform_cost(config) -> ResourceEstimate:
             config.buffer_depth,
         ).slices
     for tg in config.tgs:
-        trace_records = 0
-        if tg.model == "trace":
-            trace = tg.params.get("trace")
-            if trace is not None:
-                trace_records = len(trace)
-            else:
-                trace_records = tg.params.get(
-                    "n_bursts", 1
-                ) * tg.params.get("packets_per_burst", 1)
-        estimate = tg_cost(
-            tg.model,
-            queue_limit=tg.queue_limit,
-            trace_records=trace_records,
-        )
+        estimate = tg_spec_cost(tg)
         total_slices += estimate.slices
         total_bram += estimate.bram_blocks
     for tr in config.trs:

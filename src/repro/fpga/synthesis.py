@@ -17,7 +17,7 @@ from repro.fpga.costs import (
     ResourceEstimate,
     control_cost,
     switch_cost,
-    tg_cost,
+    tg_spec_cost,
     tr_cost,
 )
 from repro.fpga.device import (
@@ -111,20 +111,7 @@ def synthesize(
             )
 
     for tg in config.tgs:
-        trace_records = 0
-        if tg.model == "trace":
-            trace = tg.params.get("trace")
-            if trace is not None:
-                trace_records = len(trace)
-            else:
-                trace_records = tg.params.get(
-                    "n_bursts", 1
-                ) * tg.params.get("packets_per_burst", 1)
-        estimate = tg_cost(
-            tg.model,
-            queue_limit=tg.queue_limit,
-            trace_records=trace_records,
-        )
+        estimate = tg_spec_cost(tg)
         row = (
             "TG trace driven" if tg.model == "trace" else "TG stochastic"
         )

@@ -159,7 +159,8 @@ class MatrixArbiter(Arbiter):
         self._beats = [[j > i for j in range(n)] for i in range(n)]
 
 
-_ARBITERS = {
+#: Arbitration policy names, each with its arbiter class.
+ARBITERS = {
     "round_robin": RoundRobinArbiter,
     "fixed_priority": FixedPriorityArbiter,
     "matrix": MatrixArbiter,
@@ -173,10 +174,10 @@ def make_arbiter(policy: str, n_requesters: int) -> Arbiter:
     ``fixed_priority`` and ``matrix``.
     """
     try:
-        cls = _ARBITERS[policy]
+        cls = ARBITERS[policy]
     except KeyError:
         raise ValueError(
             f"unknown arbitration policy {policy!r}; "
-            f"expected one of {sorted(_ARBITERS)}"
+            f"expected one of {sorted(ARBITERS)}"
         ) from None
     return cls(n_requesters)

@@ -636,6 +636,10 @@ _PAPER_PATHS_DISJOINT: Dict[Tuple[int, int], Tuple[int, ...]] = {
 }
 
 
+#: The paper platform's route cases, in the order help texts list them.
+PAPER_CASES = ("overlap", "disjoint", "split")
+
+
 def paper_routing(topo: Topology, case: str = "overlap") -> RoutingFunction:
     """Routing tables for the paper's experimental setup.
 
@@ -668,6 +672,6 @@ def paper_routing(topo: Topology, case: str = "overlap") -> RoutingFunction:
                     row[dst] = None
         return MultiPathTableRouting(rows, choices)
     raise RoutingError(
-        f"unknown paper routing case {case!r}; expected 'overlap',"
-        f" 'disjoint' or 'split'"
+        f"unknown paper routing case {case!r}; expected one of"
+        f" {PAPER_CASES}"
     )

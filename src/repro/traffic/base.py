@@ -11,9 +11,20 @@ patterns.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.traffic.rng import LfsrRandom
+from repro.util import Param
+
+
+#: Params several models share.  ``length`` and ``load`` default to
+#: the scenario's own, which declares them with these same ranges.
+LENGTH = Param(
+    int, 1, default=lambda length, load: length, label="packet length"
+)
+LOAD = Param(float, 0, 1, lo_open=True, default=lambda length, load: load)
+GAP = Param(int, 0)
+PACKETS_PER_BURST = Param(int, 1, default=8, label="packets per burst")
 
 
 def interval_for_load(length: int, load: float) -> int:
@@ -26,11 +37,17 @@ def interval_for_load(length: int, load: float) -> int:
     The interval is rounded up so the realised load never exceeds the
     target.
     """
-    if length < 1:
-        raise ValueError(f"packet length must be >= 1, got {length}")
-    if not 0.0 < load <= 1.0:
-        raise ValueError(f"load must be in (0, 1], got {load}")
+    _check({"length": LENGTH, "load": LOAD}, length=length, load=load)
     return max(length, math.ceil(length / load))
+
+
+def _check(params: Dict[str, Param], **values: Any) -> None:
+    """Raise ``ValueError`` for the first value its param rejects."""
+    for name, value in values.items():
+        param = params[name]
+        problem = param.problem(value)
+        if problem is not None:
+            raise ValueError(f"{param.label or name} {problem}")
 
 
 class DestinationChooser:
@@ -119,6 +136,38 @@ class TrafficModel:
     #: the LFSR, whose register checkpoint code saves, and its seed.
     #: Subclasses add their construction parameters.
     __rebuilt__ = ("rng", "_seed")
+
+    #: The model's params, declared once; every check and default of a
+    #: param (constructors, scenario specs, TG params) reads this.
+    PARAMS: Dict[str, Param] = {}
+    #: Its two constructors, an explicit form then the default form;
+    #: each takes params, ``destination`` (from ``dst``) and ``seed``.
+    FORMS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._forms = []
+        for name in cls.FORMS:
+            code = getattr(cls, name).__code__
+            args = code.co_varnames[1:code.co_argcount]  # past self/cls
+            cls._forms.append((
+                cls if name == "__init__" else getattr(cls, name),
+                [arg for arg in args if arg != "seed"],
+            ))
+
+    @classmethod
+    def check(cls, **values: Any) -> None:
+        """Raise ``ValueError`` for a value outside its declared param."""
+        _check(cls.PARAMS, **values)
+
+    @classmethod
+    def form_for(cls, params: Any) -> Tuple[Any, List[str]]:
+        """The constructor ``params`` select, and its arguments: the
+        explicit form if they name a param only it takes."""
+        (factory, args), default = cls._forms
+        if any(arg in params and arg not in default[1] for arg in args):
+            return factory, args
+        return default
 
     def __init__(self, seed: int = 1) -> None:
         self.rng = LfsrRandom(seed)

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.traffic.base import DestinationChooser, TrafficModel
+from repro.traffic.base import LENGTH, LOAD, DestinationChooser, TrafficModel
+from repro.util import Param
 
 _OFF, _ON = 0, 1
+
+#: A per-slot transition probability.
+_PROBABILITY = Param(float, 0, 1, lo_open=True)
 
 
 class BurstTraffic(TrafficModel):
@@ -45,6 +49,17 @@ class BurstTraffic(TrafficModel):
 
     __rebuilt__ = ("p_on", "p_off", "length", "destination")
 
+    PARAMS = {
+        "p_on": _PROBABILITY,
+        "p_off": _PROBABILITY,
+        "length": LENGTH,
+        "load": LOAD,
+        "mean_burst_packets": Param(
+            float, 1, default=8.0, label="mean burst length"
+        ),
+    }
+    FORMS = ("__init__", "for_load")
+
     def __init__(
         self,
         p_on: float,
@@ -54,12 +69,7 @@ class BurstTraffic(TrafficModel):
         seed: int = 1,
     ) -> None:
         super().__init__(seed)
-        if not 0.0 < p_on <= 1.0:
-            raise ValueError(f"p_on must be in (0, 1], got {p_on}")
-        if not 0.0 < p_off <= 1.0:
-            raise ValueError(f"p_off must be in (0, 1], got {p_off}")
-        if length < 1:
-            raise ValueError(f"packet length must be >= 1, got {length}")
+        self.check(p_on=p_on, p_off=p_off, length=length)
         self.p_on = p_on
         self.p_off = p_off
         self.length = length
@@ -130,18 +140,12 @@ class BurstTraffic(TrafficModel):
         ``p_on = load * p_off / (1 - load)``; the paper's 45% TG load
         with a chosen packets-per-burst maps directly onto this.
         """
-        if not 0.0 < load < 1.0:
-            raise ValueError(f"load must be in (0, 1), got {load}")
-        if mean_burst_packets < 1.0:
-            raise ValueError(
-                f"mean burst length must be >= 1 packet, got"
-                f" {mean_burst_packets}"
-            )
+        cls.check(load=load, mean_burst_packets=mean_burst_packets)
         p_off = 1.0 / mean_burst_packets
-        p_on = load * p_off / (1.0 - load)
-        if p_on > 1.0:
+        if load * p_off > 1.0 - load:  # p_on > 1, or ON for ever
             raise ValueError(
                 f"load {load} with {mean_burst_packets} packets/burst"
                 f" needs p_on > 1; increase the burst length"
             )
+        p_on = load * p_off / (1.0 - load)
         return cls(p_on, p_off, length, destination, seed)

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.traffic.base import DestinationChooser, TrafficModel
+from repro.traffic.base import (
+    GAP,
+    LENGTH,
+    LOAD,
+    PACKETS_PER_BURST,
+    DestinationChooser,
+    TrafficModel,
+)
 
 
 class OnOffTraffic(TrafficModel):
@@ -31,6 +38,14 @@ class OnOffTraffic(TrafficModel):
 
     __rebuilt__ = ("packets_per_burst", "gap", "length", "destination")
 
+    PARAMS = {
+        "packets_per_burst": PACKETS_PER_BURST,
+        "gap": GAP,
+        "length": LENGTH,
+        "load": LOAD,
+    }
+    FORMS = ("__init__", "for_load")
+
     def __init__(
         self,
         packets_per_burst: int,
@@ -40,14 +55,9 @@ class OnOffTraffic(TrafficModel):
         seed: int = 1,
     ) -> None:
         super().__init__(seed)
-        if packets_per_burst < 1:
-            raise ValueError(
-                f"packets per burst must be >= 1, got {packets_per_burst}"
-            )
-        if gap < 0:
-            raise ValueError(f"gap must be >= 0 cycles, got {gap}")
-        if length < 1:
-            raise ValueError(f"packet length must be >= 1, got {length}")
+        self.check(
+            packets_per_burst=packets_per_burst, gap=gap, length=length
+        )
         self.packets_per_burst = packets_per_burst
         self.gap = gap
         self.length = length
@@ -98,8 +108,9 @@ class OnOffTraffic(TrafficModel):
         seed: int = 1,
     ) -> "OnOffTraffic":
         """Choose the gap so the duty cycle equals ``load``."""
-        if not 0.0 < load <= 1.0:
-            raise ValueError(f"load must be in (0, 1], got {load}")
+        cls.check(
+            load=load, packets_per_burst=packets_per_burst, length=length
+        )
         on = packets_per_burst * length
         gap = round(on * (1.0 - load) / load)
         return cls(packets_per_burst, gap, length, destination, seed)

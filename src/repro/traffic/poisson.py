@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.traffic.base import DestinationChooser, TrafficModel
+from repro.traffic.base import LENGTH, LOAD, DestinationChooser, TrafficModel
+from repro.util import Param
 
 
 class PoissonTraffic(TrafficModel):
@@ -29,6 +30,13 @@ class PoissonTraffic(TrafficModel):
 
     __rebuilt__ = ("rate", "length", "destination")
 
+    PARAMS = {
+        "rate": Param(float, 0, 1, lo_open=True, label="rate"),
+        "length": LENGTH,
+        "load": LOAD,
+    }
+    FORMS = ("__init__", "for_load")
+
     def __init__(
         self,
         rate: float,
@@ -37,10 +45,7 @@ class PoissonTraffic(TrafficModel):
         seed: int = 1,
     ) -> None:
         super().__init__(seed)
-        if not 0.0 < rate <= 1.0:
-            raise ValueError(f"rate must be in (0, 1], got {rate}")
-        if length < 1:
-            raise ValueError(f"packet length must be >= 1, got {length}")
+        self.check(rate=rate, length=length)
         self.rate = rate
         self.length = length
         self.destination = destination
@@ -83,6 +88,5 @@ class PoissonTraffic(TrafficModel):
         seed: int = 1,
     ) -> "PoissonTraffic":
         """Poisson process whose offered load is ``load`` flits/cycle."""
-        if not 0.0 < load <= 1.0:
-            raise ValueError(f"load must be in (0, 1], got {load}")
+        cls.check(load=load, length=length)
         return cls(load / length, length, destination, seed)

@@ -13,11 +13,18 @@ recording (see DESIGN.md §2 for the substitution rationale).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.traffic.base import DestinationChooser, TrafficModel
+from repro.traffic.base import (
+    GAP,
+    LENGTH,
+    PACKETS_PER_BURST,
+    DestinationChooser,
+    TrafficModel,
+)
 from repro.traffic.rng import LfsrRandom
+from repro.util import Param
 
 
 @dataclass(frozen=True)
@@ -94,10 +101,40 @@ class TraceTraffic(TrafficModel):
 
     __rebuilt__ = ("trace",)
 
+    PARAMS = {
+        "trace": Param(Trace),
+        "n_bursts": Param(int, 1, default=256, label="burst count"),
+        "packets_per_burst": PACKETS_PER_BURST,
+        "flits_per_packet": replace(LENGTH, label="flits per packet"),
+        # Paces bursts of the default size to the scenario's load.
+        "gap": replace(GAP, default=lambda length, load: round(
+            PACKETS_PER_BURST.default * length * (1.0 - load) / load
+        )),
+    }
+    FORMS = ("__init__", "for_bursts")
+
     def __init__(self, trace: Trace, seed: int = 1) -> None:
         super().__init__(seed)
         self.trace = trace
         self._cursor = 0
+
+    @classmethod
+    def for_bursts(
+        cls,
+        n_bursts: int,
+        packets_per_burst: int,
+        flits_per_packet: int,
+        gap: int,
+        destination: DestinationChooser,
+        seed: int = 1,
+    ) -> "TraceTraffic":
+        """Replay a :func:`synthetic_burst_trace` whose bursts each go
+        to one of ``destination``'s nodes."""
+        trace = synthetic_burst_trace(
+            n_bursts, packets_per_burst, flits_per_packet, gap,
+            dst=destination.destinations(), seed=seed,
+        )
+        return cls(trace, seed=seed)
 
     def reset(self, seed: Optional[int] = None) -> None:
         super().reset(seed)
@@ -204,14 +241,12 @@ def synthetic_burst_trace(
     ``dst`` is a sequence, each burst picks its destination uniformly
     (whole bursts stay on one destination, like a DMA transfer).
     """
-    if n_bursts < 1:
-        raise ValueError(f"need >= 1 burst, got {n_bursts}")
-    if packets_per_burst < 1:
-        raise ValueError(
-            f"packets per burst must be >= 1, got {packets_per_burst}"
-        )
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
+    TraceTraffic.check(
+        n_bursts=n_bursts,
+        packets_per_burst=packets_per_burst,
+        flits_per_packet=flits_per_packet,
+        gap=gap,
+    )
     rng = LfsrRandom(seed)
     dsts: Sequence[int] = (dst,) if isinstance(dst, int) else tuple(dst)
     records: List[TraceRecord] = []

@@ -8,9 +8,17 @@ number of cycles.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Tuple
 
-from repro.traffic.base import DestinationChooser, TrafficModel
+from repro.traffic.base import (
+    LENGTH,
+    LOAD,
+    DestinationChooser,
+    TrafficModel,
+    interval_for_load,
+)
+from repro.util import Param
 
 
 class UniformTraffic(TrafficModel):
@@ -32,6 +40,13 @@ class UniformTraffic(TrafficModel):
 
     __rebuilt__ = ("_length_range", "_interval_range", "destination")
 
+    PARAMS = {
+        "length": replace(LENGTH, span=True),
+        "interval": Param(int, 1, span=True, label="inter-packet interval"),
+        "load": LOAD,
+    }
+    FORMS = ("__init__", "for_load")
+
     def __init__(
         self,
         length,
@@ -40,23 +55,34 @@ class UniformTraffic(TrafficModel):
         seed: int = 1,
     ) -> None:
         super().__init__(seed)
-        self._length_range = self._as_range(length, "length")
-        self._interval_range = self._as_range(interval, "interval")
-        if self._length_range[0] < 1:
-            raise ValueError("packet length must be >= 1 flit")
-        if self._interval_range[0] < 1:
-            raise ValueError("inter-packet interval must be >= 1 cycle")
+        self.check(length=length, interval=interval)
+        self._length_range = self._as_range(length)
+        self._interval_range = self._as_range(interval)
         self.destination = destination
         self._next_emission = 0
 
     @staticmethod
-    def _as_range(value, what: str) -> Tuple[int, int]:
+    def _as_range(value) -> Tuple[int, int]:
         if isinstance(value, int):
             return (value, value)
         lo, hi = value
-        if lo > hi:
-            raise ValueError(f"empty {what} range ({lo}, {hi})")
         return (int(lo), int(hi))
+
+    @classmethod
+    def for_load(
+        cls,
+        load: float,
+        length,
+        destination: DestinationChooser,
+        seed: int = 1,
+    ) -> "UniformTraffic":
+        """Emission every :func:`interval_for_load` cycles of the
+        longest packet, so the offered load never exceeds ``load``."""
+        cls.check(load=load, length=length)
+        longest = length if isinstance(length, int) else length[1]
+        return cls(
+            length, interval_for_load(longest, load), destination, seed
+        )
 
     def reset(self, seed: Optional[int] = None) -> None:
         super().reset(seed)

@@ -21,17 +21,30 @@ encoding.
 
 :func:`atomic_write` is the shared writer of the artefacts that
 replace an earlier copy in place: cache records, checkpoints and
-Perfetto exports.
+Perfetto exports.  :class:`Param` declares one input value (scenario
+spec fields, fault event fields, traffic-model params) once, and
+every check of that value derives from the declaration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from typing import Any, Iterable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Iterable, Optional, Tuple
 
-__all__ = ["atomic_write", "canonical_json", "canonical_json_bytes"]
+from repro.core.errors import ConfigError
+
+__all__ = [
+    "Param",
+    "atomic_write",
+    "canonical_json",
+    "canonical_json_bytes",
+    "check_declared",
+    "declared",
+]
 
 
 def canonical_json(payload: Any) -> str:
@@ -72,3 +85,77 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         except OSError:
             pass
         raise
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared parameter: its type, range and default.
+
+    A number (``kind`` ``int``, or ``float``, which takes ints too)
+    lies in ``[lo, hi]``, or in ``(lo, hi]`` when ``lo_open``.
+    Another ``kind`` is a class the value must be an instance of, and
+    ``choices`` the set it must come from.  ``span`` also admits an
+    inclusive ``[min, max]`` pair, ``optional`` admits ``None``.
+    ``default`` is a value, a function of the scenario's ``(length,
+    load)``, or ``None`` for a required param.
+    """
+
+    kind: type = int
+    lo: float = 0
+    hi: float = math.inf
+    lo_open: bool = False
+    default: Any = None
+    span: bool = False
+    optional: bool = False
+    choices: Tuple[Any, ...] = ()
+    label: str = ""
+
+    def _holds(self, value: Any) -> bool:
+        if self.choices:
+            return isinstance(value, str) and value in self.choices
+        if self.kind not in (int, float):
+            return isinstance(value, self.kind)
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if self.kind is float else int
+        ):
+            return False
+        above = self.lo < value if self.lo_open else self.lo <= value
+        return above and value <= self.hi
+
+    def problem(self, value: Any) -> Optional[str]:
+        """Why ``value`` breaks this declaration, or ``None``."""
+        if self.span and isinstance(value, (tuple, list)) and len(value) == 2:
+            if all(map(self._holds, value)) and value[0] <= value[1]:
+                return None
+        elif self._holds(value) or value is None and self.optional:
+            return None
+        if self.choices:
+            want = f"one of {self.choices}"
+        elif self.kind not in (int, float):
+            want = f"a {self.kind.__name__}"
+        else:
+            want = "an int" if self.kind is int else "a number"
+            want += (
+                f" in {'(' if self.lo_open else '['}{self.lo:g},"
+                f" {self.hi:g}{']' if self.hi < math.inf else ')'}"
+            )
+        if self.span:
+            want += " or an inclusive [min, max] pair of them"
+        if self.optional:
+            want += " or None"
+        return f"must be {want}, got {value!r}"
+
+
+def declared(param: Param, default: Any = MISSING) -> Any:
+    """A dataclass field whose type and range ``param`` declares."""
+    return field(default=default, metadata={"param": param})
+
+
+def check_declared(record: Any, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` for the first :func:`declared` field
+    of the dataclass ``record`` whose value its param rejects."""
+    for f in fields(record):
+        param = f.metadata.get("param")
+        problem = param and param.problem(getattr(record, f.name))
+        if problem:
+            raise ConfigError(f"{prefix}{param.label or f.name} {problem}")

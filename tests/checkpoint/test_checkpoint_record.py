@@ -56,7 +56,7 @@ FULL_SPEC = ScenarioSpec(
     packets=50,
     receptors="stochastic",
     seed=42,
-    traffic_params={"packets_per_burst": 4},
+    traffic_params={"mean_burst_packets": 4},
     faults=FaultSchedule(
         events=(link_down(200, 0, 1), link_up(600, 0, 1))
     ),

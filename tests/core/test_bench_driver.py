@@ -3,11 +3,13 @@
 Running the perf benches themselves stays out of tier-1 (they are
 ``-m perf``); these tests cover the runner's selection logic
 (``benchmarks/run_all.py``), the one timer every speed ratio goes
-through (``benchmarks/bench_ratios.paired``), and the marker that keeps
-each bench out of tier-1.
+through (``benchmarks/bench_ratios.paired``), the marker that keeps
+each bench out of tier-1, and the traffic params the benches (and the
+examples and sources, which tier-1 does not execute either) spell.
 """
 
 import ast
+import glob
 import math
 import os
 
@@ -15,6 +17,9 @@ import pytest
 
 from benchmarks import run_all
 from benchmarks.bench_ratios import paired
+from repro.core.config import TRAFFIC_MODELS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
 class TestDiscovery:
@@ -145,6 +150,62 @@ def test_every_bench_is_perf_marked(path):
         f"{os.path.basename(path)} lacks a module-level"
         f" 'pytestmark = pytest.mark.perf'"
     )
+
+
+def _literal(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _spelled_params(tree):
+    """``(key, traffic model or None, line)`` of every literal
+    ``traffic_params`` key (a keyword or a dict entry, with the model
+    of a literal ``traffic`` beside it) and ``traffic_params.<key>``
+    axis name in ``tree``."""
+    for node in ast.walk(tree):
+        pairs = []
+        if isinstance(node, ast.Call):
+            pairs = [(kw.arg, kw.value) for kw in node.keywords]
+        elif isinstance(node, ast.Dict):
+            pairs = [(_literal(k), v) for k, v in zip(node.keys, node.values)]
+        values = dict(pairs)
+        params = values.get("traffic_params")
+        if isinstance(params, ast.Dict):
+            model = _literal(values.get("traffic"))
+            for key in params.keys:
+                yield _literal(key), model, key.lineno
+        axis = _literal(node)
+        if isinstance(axis, str) and axis.startswith("traffic_params."):
+            name = axis[len("traffic_params."):]
+            if name:
+                yield name, None, node.lineno
+
+
+SPELLING_FILES = sorted(
+    glob.glob(os.path.join(ROOT, "src", "repro", "**", "*.py"), recursive=True)
+    + glob.glob(os.path.join(ROOT, "examples", "*.py"))
+    + glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))
+)
+
+
+@pytest.mark.parametrize(
+    "path", SPELLING_FILES, ids=lambda p: os.path.relpath(p, ROOT)
+)
+def test_every_spelled_traffic_param_is_declared(path):
+    """Each traffic param a bench, example or source file spells must be
+    declared by its model (``PARAMS``) or be ``dst``."""
+    declared = {
+        name: {*cls.PARAMS, "dst"} for name, cls in TRAFFIC_MODELS.items()
+    }
+    anywhere = set().union(*declared.values())
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for key, model, line in _spelled_params(tree):
+        known = declared.get(model, anywhere)
+        assert key in known, (
+            f"{os.path.relpath(path, ROOT)}:{line}: traffic param"
+            f" {key!r} is not declared for"
+            f" {model or 'any'} traffic"
+        )
 
 
 class TestMain:

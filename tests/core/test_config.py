@@ -143,7 +143,6 @@ class TestSignatures:
         a = paper_platform_config(max_packets=100, seed=1)
         b = paper_platform_config(max_packets=9_999, seed=42)
         assert a.hardware_signature() == b.hardware_signature()
-        assert a.software_signature() != b.software_signature()
 
     def test_buffer_depth_changes_hardware_signature(self):
         a = paper_platform_config(buffer_depth=4)
@@ -154,7 +153,6 @@ class TestSignatures:
         a = paper_platform_config(routing_case="overlap")
         b = paper_platform_config(routing_case="disjoint")
         assert a.hardware_signature() == b.hardware_signature()
-        assert a.software_signature() != b.software_signature()
 
     def test_receptor_kind_changes_hardware(self):
         a = paper_platform_config(receptor_kind="stochastic")
@@ -241,7 +239,7 @@ class TestTrafficModelFactory:
             node=0, model="trace",
             params={
                 "dst": 1, "n_bursts": 3, "packets_per_burst": 2,
-                "flits_per_packet": 4,
+                "flits_per_packet": 4, "gap": 0,
             },
         )
         model = make_traffic_model(spec)

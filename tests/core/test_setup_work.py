@@ -178,8 +178,8 @@ class TestTopologyValidationMemo:
         assert len(factory_calls) <= 2
 
     def test_memo_holds_counts_not_topologies(self, factory_calls):
-        assert check_topology_spec("mesh:4:4") == 16
-        assert check_topology_spec("mesh:4:4") == 16
+        assert check_topology_spec("mesh:4:4").n_nodes == 16
+        assert check_topology_spec("mesh:4:4").n_nodes == 16
         assert factory_calls == ["mesh"]
         spec = ScenarioSpec(topology="mesh:4:4", packets=5)
         first = spec.to_platform_config().topology

@@ -61,9 +61,9 @@ class TestRows:
 
     def test_traffic_params_become_columns(self):
         rows = rows_from_results(
-            [result_for({"cycles": 1}, traffic_params={"gap": 9})]
+            [result_for({"cycles": 1}, traffic_params={"interval": 9})]
         )
-        assert rows[0]["traffic_params.gap"] == 9
+        assert rows[0]["traffic_params.interval"] == 9
 
 
 class TestAggregate:

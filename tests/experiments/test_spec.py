@@ -154,11 +154,10 @@ class TestScenarioSpecValidation:
              "8e69fb4a894792fd"),
             ("poisson", {"rate": 0.01, "length": 4}, "d08c2fc6629cde80"),
             ("burst", {"p_on": 0.1, "p_off": 1}, "aa77df1e54e7a5c1"),
-            ("onoff", {"gap": 12.5, "packets_per_burst": 4},
-             "899fe01e5eaadcfd"),
-            ("trace", {"gap": 100, "length": "unused"},
-             "d7e63df2d35eb95f"),
-            ("uniform", {"colour": "blue"}, "ad2b279d20e86af7"),
+            ("onoff", {"gap": 12, "packets_per_burst": 4},
+             "25b37b9376a2ef82"),
+            ("trace", {"gap": 100, "n_bursts": 4}, "8de89af73666aca3"),
+            ("uniform", {"dst": [1, 2]}, "3b637ff755f0ed3b"),
         ],
     )
     def test_well_typed_traffic_params_keep_their_key(
@@ -192,14 +191,14 @@ class TestScenarioSpecIdentity:
             ScenarioSpec(topology="mesh:2:2"),
             ScenarioSpec(routing="shortest"),
             ScenarioSpec(packets=999),
-            ScenarioSpec(traffic_params={"mean_burst_packets": 4}),
+            ScenarioSpec(traffic_params={"interval": 20}),
         ):
             keys.add(variant.key)
         assert len(keys) == 9
 
     def test_traffic_params_order_irrelevant(self):
-        a = ScenarioSpec(traffic_params={"a": 1, "b": 2})
-        b = ScenarioSpec(traffic_params={"b": 2, "a": 1})
+        a = ScenarioSpec(traffic_params={"interval": 20, "length": 4})
+        b = ScenarioSpec(traffic_params={"length": 4, "interval": 20})
         assert a.key == b.key
 
     def test_round_trip_via_dict(self):
@@ -214,7 +213,7 @@ class TestScenarioSpecIdentity:
         assert clone.key == spec.key
 
     def test_dict_is_json_serialisable(self):
-        spec = ScenarioSpec(traffic_params={"gap": 100})
+        spec = ScenarioSpec(traffic_params={"interval": 100})
         json.dumps(spec.to_dict())
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -332,6 +331,18 @@ class TestSweepExpanders:
     def test_base_accepts_mapping(self):
         specs = Sweep.grid({"traffic": "burst"}, load=(0.1,))
         assert specs[0].traffic == "burst"
+
+    def test_each_spec_is_checked_with_all_its_axis_values(self):
+        """A store-and-forward spec is valid only with the deeper
+        buffer of a later axis; no half-assigned spec is checked."""
+        specs = Sweep.grid(
+            ScenarioSpec(length=8),
+            switching=("store_and_forward",),
+            buffer_depth=(8,),
+        )
+        assert [(s.switching, s.buffer_depth) for s in specs] == [
+            ("store_and_forward", 8)
+        ]
 
     def test_invalid_axis_value_surfaces_config_error(self):
         with pytest.raises(ConfigError, match="load"):

@@ -138,6 +138,37 @@ class TestLinkDown:
         )
 
 
+class TestHealedLink:
+    """Once the last dead pair is back up, repair reinstalls the
+    platform's configured routing, so the healed link carries its
+    flows again (the paper cases route nodes 6 and 7 over 1->4)."""
+
+    @staticmethod
+    def hot_link_and_row(schedule, cycles):
+        platform = paper_platform(packets=None, load=0.9, seed=2)
+        EmulationEngine(platform, faults=schedule).run(
+            max_cycles=cycles, finalize=False
+        )
+        network = platform.network
+        return (
+            network.switch_links[(1, 4)][0].flits_carried,
+            list(network.switches[1]._route_dense),
+        )
+
+    def test_healed_link_carries_flits_on_the_configured_row(self):
+        schedule = FaultSchedule.of(
+            link_down(300, 1, 4),
+            link_down(300, 4, 1),
+            link_up(700, 1, 4),
+            link_up(700, 4, 1),
+        )
+        at_heal, _ = self.hot_link_and_row(schedule, 700)
+        carried, row = self.hot_link_and_row(schedule, 3000)
+        _, healthy_row = self.hot_link_and_row(None, 3000)
+        assert carried > at_heal
+        assert row == healthy_row
+
+
 class TestSwitchDown:
     def test_nodeless_switch_death_completes(self):
         # Paper switches 1 and 4 host no nodes: killing one reroutes
