@@ -321,7 +321,7 @@ FAULT_STORIES = {
         ),
         1200,
         {
-            "cycles": 21605,
+            "cycles": 21607,
             "packets_sent": 4800,
             "packets_received": 4798,
             "completed": True,
@@ -333,7 +333,7 @@ FAULT_STORIES = {
             "windows": [
                 _window("pre-fault", 3000, 664, 0.221333),
                 _window("after link_down@3000", 6000, 1332, 0.222),
-                _window("after link_up@9000", 12605, 2802, 0.222293),
+                _window("after link_up@9000", 12607, 2802, 0.222257),
             ],
         },
     ),
