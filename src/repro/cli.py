@@ -123,48 +123,43 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
-from repro.core.config import (
-    PAPER_CASES,
-    ROUTINGS,
-    TG_MODELS,
-    TR_KINDS,
-    parse_routing,
-)
+from repro.core.config import PAPER_CASES, ROUTINGS, parse_routing
 from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
+from repro.experiments.spec import ScenarioSpec
 
 
 
 def _add_platform_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    """The scenario flags; each takes its type, choices and default
+    from its ScenarioSpec field's declaration, except ``--routing``,
+    whose default ``overlap`` is the CLI's own."""
+    declared = {f.name: f for f in fields(ScenarioSpec)}
+
+    def option(flag: str, name: str, help: str) -> None:
+        spec_field = declared[name]
+        param = spec_field.metadata["param"]
+        parser.add_argument(
+            flag,
+            type=param.kind,
+            choices=param.choices or None,
+            default=spec_field.default,
+            help=f"{help} (default: {spec_field.default})",
+        )
+
+    option(
         "--topology",
-        default="paper",
-        help=(
-            "platform topology: 'paper' (6-switch platform) or a"
-            " factory spec like mesh:3:3, torus:4:4, ring:6, star:4,"
-            " spidergon:8, tree:2:3, full:4 (default: paper)"
-        ),
+        "topology",
+        "platform topology: 'paper' (6-switch platform) or a factory"
+        " spec like mesh:3:3, torus:4:4, ring:6, star:4, spidergon:8,"
+        " tree:2:3, full:4",
     )
-    parser.add_argument(
-        "--traffic",
-        default="uniform",
-        choices=TG_MODELS,
-        help="traffic model family (default: uniform)",
-    )
-    parser.add_argument(
-        "--load",
-        type=float,
-        default=0.45,
-        help="offered load per generator (default: 0.45, the paper's)",
-    )
-    parser.add_argument(
-        "--length",
-        type=int,
-        default=8,
-        help="packet length in flits (default: 8)",
-    )
+    option("--traffic", "traffic", "traffic model family")
+    option("--load", "load", "offered load per generator")
+    option("--length", "length", "packet length in flits")
     parser.add_argument(
         "--routing",
         default="overlap",
@@ -175,29 +170,15 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
             " topologies fall back to a deadlock-free default)"
         ),
     )
-    parser.add_argument(
-        "--depth",
-        type=int,
-        default=4,
-        help="switch buffer depth in flits (default: 4)",
-    )
-    parser.add_argument(
-        "--receptors",
-        default="tracedriven",
-        choices=TR_KINDS,
-        help="receptor kind (default: tracedriven)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="LFSR seed (default: 1)"
-    )
+    option("--depth", "buffer_depth", "switch buffer depth in flits")
+    option("--receptors", "receptors", "receptor kind")
+    option("--seed", "seed", "LFSR seed")
 
 
 def _scenario_from(
     args: argparse.Namespace, max_packets: Optional[int]
 ):
     """The ScenarioSpec the platform options describe."""
-    from repro.experiments import ScenarioSpec
-
     routing = args.routing
     family, arg = parse_routing(routing)
     if args.topology != "paper" and family == "paper":
@@ -494,7 +475,6 @@ def cmd_speed(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import ScenarioSpec
     from repro.experiments.runner import run_scenario
 
     try:

@@ -55,6 +55,7 @@ from repro.traffic.onoff import OnOffTraffic
 from repro.traffic.poisson import PoissonTraffic
 from repro.traffic.trace import TraceTraffic
 from repro.traffic.uniform import UniformTraffic
+from repro.util import Param, check_declared, declared
 
 #: Traffic-model type tags accepted in :class:`TGSpec`, each naming
 #: the model class whose ``PARAMS``/``FORMS`` declare its params.
@@ -70,6 +71,11 @@ TG_MODELS = tuple(TRAFFIC_MODELS)
 #: Receptor type tags accepted in :class:`TRSpec`.
 TR_KINDS = ("stochastic", "tracedriven")
 
+#: Declarations scenario specs share with the platform records.
+TRAFFIC_MODEL = Param(str, choices=TG_MODELS, label="traffic model")
+RECEPTOR_KIND = Param(str, choices=TR_KINDS, label="receptor kind")
+BUFFER_DEPTH = Param(int, 1, label="buffer depth")
+
 #: The routing spec grammar, in help order: the paper platform's route
 #: cases, then the table routings any topology takes.
 ROUTINGS = PAPER_CASES + ("auto", "shortest", "updown", "multipath[:k]")
@@ -78,14 +84,12 @@ ROUTINGS = PAPER_CASES + ("auto", "shortest", "updown", "multipath[:k]")
 def parse_routing(spec: Any) -> Tuple[str, Any]:
     """The one reader of a routing spec (grammar: :data:`ROUTINGS`).
 
-    Returns ``("paper", case)`` (also spelled ``paper_<case>``, as
-    paper platform configs store it), ``("multipath", k)`` (``k`` = 2
-    if omitted), or ``(spec, None)`` for the other table routings.
+    Returns ``("paper", case)``, ``("multipath", k)`` (``k`` = 2 if
+    omitted), or ``(spec, None)`` for the other routings.
     """
     if isinstance(spec, str):
-        case = spec[len("paper_"):] if spec.startswith("paper_") else spec
-        if case in PAPER_CASES:
-            return "paper", case
+        if spec in PAPER_CASES:
+            return "paper", spec
         family, colon, k = spec.partition(":")
         if not colon and spec in ROUTINGS:
             return spec, None
@@ -120,17 +124,15 @@ class TGSpec:
     random-initialisation register.
     """
 
-    node: int
-    model: str = "uniform"
+    node: int = declared(Param(int, 0, label="TG node"))
+    model: str = declared(TRAFFIC_MODEL, "uniform")
     params: Dict[str, Any] = field(default_factory=dict)
     max_packets: Optional[int] = None
     seed: int = 1
     queue_limit: int = 64
 
     def __post_init__(self) -> None:
-        _traffic_model(self.model)
-        if self.node < 0:
-            raise ConfigError(f"TG node must be >= 0, got {self.node}")
+        check_declared(self)
 
     def destinations(self) -> Tuple[int, ...]:
         """Every node this TG can address, decoded from ``params["dst"]``
@@ -151,18 +153,12 @@ class TGSpec:
 class TRSpec:
     """One traffic receptor of the platform."""
 
-    node: int
-    kind: str = "tracedriven"
+    node: int = declared(Param(int, 0, label="TR node"))
+    kind: str = declared(RECEPTOR_KIND, "tracedriven")
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in TR_KINDS:
-            raise ConfigError(
-                f"unknown receptor kind {self.kind!r}; expected one of"
-                f" {TR_KINDS}"
-            )
-        if self.node < 0:
-            raise ConfigError(f"TR node must be >= 0, got {self.node}")
+        check_declared(self)
 
 
 @dataclass
@@ -171,12 +167,14 @@ class PlatformConfig:
 
     topology: Union[str, Topology] = "paper"
     routing: Union[str, RoutingFunction] = "paper_overlap"
-    buffer_depth: int = 4
+    buffer_depth: int = declared(BUFFER_DEPTH, 4)
     arbitration: str = "round_robin"
     switching: Union[str, SwitchingMode] = SwitchingMode.WORMHOLE
     tgs: List[TGSpec] = field(default_factory=list)
     trs: List[TRSpec] = field(default_factory=list)
-    f_clk_hz: float = 50e6
+    f_clk_hz: float = declared(
+        Param(float, 0, lo_open=True, label="clock frequency"), 50e6
+    )
     sample_buffers: bool = False
     #: Verify at platform-compilation time that the routing tables
     #: cannot wormhole-deadlock (channel-dependency-graph check); the
@@ -186,10 +184,7 @@ class PlatformConfig:
     name: str = "platform"
 
     def __post_init__(self) -> None:
-        if self.buffer_depth < 1:
-            raise ConfigError("buffer depth must be >= 1 flit")
-        if self.f_clk_hz <= 0:
-            raise ConfigError("clock frequency must be positive")
+        check_declared(self)
         if isinstance(self.switching, str):
             try:
                 self.switching = SwitchingMode(self.switching)
@@ -213,15 +208,24 @@ class PlatformConfig:
         """Materialise the routing function for ``topology``, built
         around the down ``avoid_links`` (directed switch pairs) if any;
         paper tables and routing objects then repair to shortest paths
-        (the paper's own repair story)."""
+        (the paper's own repair story).  A platform stores a paper case
+        as ``paper_<case>`` and never ``auto``, which the builders
+        resolve first."""
         if isinstance(self.routing, RoutingFunction):
             if not avoid_links:
                 return self.routing
             family, arg = "shortest", None
         else:
-            family, arg = parse_routing(self.routing)
-        if family == "auto":
-            family = auto_routing(topology)
+            spec = self.routing
+            prefixed = spec.startswith("paper_")
+            family, arg = parse_routing(
+                spec[len("paper_"):] if prefixed else spec
+            )
+            if family == "auto" or prefixed != (family == "paper"):
+                raise ConfigError(
+                    f"unknown platform routing {spec!r}; expected"
+                    f" 'paper_<case>' or a table routing"
+                )
         if family == "paper":
             if topology.name != "paper6":
                 raise ConfigError(
@@ -375,8 +379,13 @@ def _traffic_model(name: str) -> Any:
         ) from None
 
 
-def make_traffic_model(spec: TGSpec) -> TrafficModel:
-    """Instantiate the traffic process of one TG spec.
+def make_traffic_model(
+    spec: TGSpec, check_only: bool = False
+) -> Optional[TrafficModel]:
+    """Instantiate the traffic process of one TG spec, or with
+    ``check_only`` only check that it would build: the declared pass
+    below, then the model class's :meth:`~repro.traffic.base.
+    TrafficModel.check_form`.
 
     The model class declares its params (``PARAMS``) and constructors
     (``FORMS``), see :class:`repro.traffic.base.TrafficModel`.
@@ -420,6 +429,8 @@ def make_traffic_model(spec: TGSpec) -> TrafficModel:
             f" {', '.join(map(repr, missing))}"
         )
     try:
+        if check_only:
+            return model.check_form(factory, kwargs)
         if "destination" in kwargs:
             kwargs["destination"] = _destination_from(kwargs["destination"])
         return factory(**kwargs, seed=spec.seed)

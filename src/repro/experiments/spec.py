@@ -30,7 +30,6 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -41,10 +40,11 @@ from typing import (
 )
 
 from repro.core.config import (
+    BUFFER_DEPTH,
+    RECEPTOR_KIND,
+    TRAFFIC_MODEL,
     PlatformConfig,
-    TG_MODELS,
     TGSpec,
-    TR_KINDS,
     check_topology_spec,
     generic_platform_config,
     make_traffic_model,
@@ -54,6 +54,7 @@ from repro.core.config import (
     tg_params,
 )
 from repro.core.errors import ConfigError
+from repro.faults.schedule import FaultSchedule
 from repro.noc.arbiter import ARBITERS
 from repro.noc.switch import SwitchingMode
 from repro.traffic.base import LENGTH, LOAD
@@ -64,10 +65,8 @@ from repro.util import (
     canonical_json_bytes,
     check_declared,
     declared,
+    from_fields,
 )
-
-if TYPE_CHECKING:
-    from repro.faults.schedule import FaultSchedule
 
 #: Bump when the spec schema or its semantics change incompatibly;
 #: part of the content hash, so stale cache entries never resurface.
@@ -121,16 +120,14 @@ class ScenarioSpec:
     arbitration: str = declared(
         Param(str, choices=tuple(ARBITERS)), "round_robin"
     )
-    buffer_depth: int = declared(Param(int, 1, label="buffer depth"), 4)
-    traffic: str = declared(
-        Param(str, choices=TG_MODELS, label="traffic model"), "uniform"
-    )
+    buffer_depth: int = declared(BUFFER_DEPTH, 4)
+    traffic: str = declared(TRAFFIC_MODEL, "uniform")
     load: float = declared(LOAD, 0.45)
     length: int = declared(LENGTH, 8)
     packets: Optional[int] = declared(
         Param(int, 1, optional=True, label="packet budget"), 1000
     )
-    receptors: str = declared(Param(str, choices=TR_KINDS), "tracedriven")
+    receptors: str = declared(RECEPTOR_KIND, "tracedriven")
     seed: int = declared(Param(int, 0), 1)
     traffic_params: Tuple[Tuple[str, Any], ...] = field(
         default_factory=tuple
@@ -139,7 +136,9 @@ class ScenarioSpec:
     #: FaultSchedule or its dict form; None = healthy run).  A
     #: first-class spec field, so sweeps, cache keys and aggregation
     #: cover faulted scenarios exactly like healthy ones.
-    faults: Optional[FaultSchedule] = None
+    faults: Optional[FaultSchedule] = declared(
+        Param(FaultSchedule, optional=True), None
+    )
     #: Optional windowed-telemetry window length in cycles.  When set,
     #: the runner attaches a :class:`~repro.telemetry.windows.
     #: WindowedMetrics` collector and the scenario record embeds the
@@ -151,27 +150,18 @@ class ScenarioSpec:
     )
 
     def __post_init__(self) -> None:
-        if self.faults is not None:
-            from repro.faults.schedule import FaultSchedule
-
-            if isinstance(self.faults, Mapping):
-                object.__setattr__(
-                    self, "faults", FaultSchedule.from_dict(self.faults)
-                )
-            elif not isinstance(self.faults, FaultSchedule):
-                raise ConfigError(
-                    "ScenarioSpec.faults must be a FaultSchedule, its"
-                    " dict form, or None; got"
-                    f" {type(self.faults).__name__}"
-                )
-            if not self.faults.events:
-                # An empty schedule is a healthy run: normalise so the
-                # content hash (and hence the cache key) is identical.
-                object.__setattr__(self, "faults", None)
+        if isinstance(self.faults, Mapping):
+            object.__setattr__(
+                self, "faults", FaultSchedule.from_dict(self.faults)
+            )
         object.__setattr__(
             self, "traffic_params", _frozen_params(dict(self.traffic_params))
         )
         check_declared(self)
+        if self.faults is not None and not self.faults.events:
+            # An empty schedule is a healthy run: normalise so the
+            # content hash (and hence the cache key) is identical.
+            object.__setattr__(self, "faults", None)
         shape = check_topology_spec(self.topology)
         if shape.n_nodes < 2:
             raise ConfigError(
@@ -190,8 +180,8 @@ class ScenarioSpec:
         self._check_traffic(shape.n_nodes)
 
     def _check_traffic(self, n_nodes: int) -> None:
-        """Build one generator's traffic model: every param check, the
-        constructors' own included, runs here, not at platform build."""
+        """Run one generator's traffic-model checks here, not at
+        platform build, without building a trace model's trace."""
         try:
             canonical_json(self.traffic_params)
         except TypeError:
@@ -216,7 +206,7 @@ class ScenarioSpec:
                     f"traffic_params 'dst' node {problem}: the topology"
                     f" has {n_nodes} nodes"
                 )
-        make_traffic_model(TGSpec(0, self.traffic, params))
+        make_traffic_model(TGSpec(0, self.traffic, params), check_only=True)
         longest = params.get("flits_per_packet", params.get("length"))
         if isinstance(longest, tuple):
             longest = longest[1]  # an inclusive (min, max) range
@@ -254,14 +244,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Build a spec from a plain dict, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown ScenarioSpec field(s) {sorted(unknown)};"
-                f" expected a subset of {sorted(known)}"
-            )
-        return cls(**payload)
+        return from_fields(cls, payload, "ScenarioSpec")
 
     @property
     def key(self) -> str:

@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigError
-from repro.util import Param, canonical_json_bytes, check_declared, declared
+from repro.util import (
+    Param,
+    canonical_json_bytes,
+    check_declared,
+    declared,
+    from_fields,
+)
 
 #: Bump when the canonical dict layout changes incompatibly.
 FAULT_SCHEMA = 1
@@ -94,17 +100,11 @@ class FaultEvent:
             )
 
     def sort_key(self) -> tuple:
-        """Canonical event order: time first, then content."""
-        return (
-            self.cycle,
-            self.kind,
-            -1 if self.a is None else self.a,
-            -1 if self.b is None else self.b,
-            -1 if self.switch is None else self.switch,
-            -1 if self.until is None else self.until,
-            -1.0 if self.drop_p is None else self.drop_p,
-            -1 if self.seed is None else self.seed,
-        )
+        """Canonical event order: time first, then content (an unset
+        field sorts before every set one)."""
+        values = [getattr(self, name) for name in _OPTIONAL_FIELDS]
+        content = [-1 if value is None else value for value in values]
+        return (self.cycle, self.kind, *content)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "cycle": self.cycle}
@@ -116,13 +116,7 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultEvent":
-        known = {"kind", "cycle", *_OPTIONAL_FIELDS}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown fault event fields: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
+        return from_fields(cls, data, "fault event")
 
 
 def link_down(cycle: int, a: int, b: int) -> FaultEvent:
@@ -233,18 +227,7 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultSchedule":
-        unknown = set(data) - {"repair", "events"}
-        if unknown:
-            raise ConfigError(
-                f"unknown fault schedule fields: {sorted(unknown)}"
-            )
-        return cls(
-            events=tuple(
-                FaultEvent.from_dict(e) if isinstance(e, Mapping) else e
-                for e in data.get("events", ())
-            ),
-            repair=data.get("repair", True),
-        )
+        return from_fields(cls, data, "fault schedule")
 
     @classmethod
     def of(

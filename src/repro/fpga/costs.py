@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.config import make_traffic_model
+from repro.traffic.trace import TraceTraffic
 
 #: Physical flit width on the emulated links: 32 data bits + 2 type bits.
 FLIT_BITS = 34
@@ -134,10 +134,16 @@ def tg_cost(
 
 def tg_spec_cost(tg) -> ResourceEstimate:
     """:func:`tg_cost` of one configured TG (a ``TGSpec``), whose trace
-    memory holds the trace its model replays."""
+    memory holds the trace its model replays: the one given, else
+    ``n_bursts * packets_per_burst`` synthetic records."""
     records = 0
     if tg.model == "trace":
-        records = len(make_traffic_model(tg).trace)
+        params = {n: p.default for n, p in TraceTraffic.PARAMS.items()}
+        params.update(tg.params)
+        if params["trace"] is not None:
+            records = len(params["trace"])
+        else:
+            records = params["n_bursts"] * params["packets_per_burst"]
     return tg_cost(tg.model, queue_limit=tg.queue_limit, trace_records=records)
 
 

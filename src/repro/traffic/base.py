@@ -161,6 +161,15 @@ class TrafficModel:
         _check(cls.PARAMS, **values)
 
     @classmethod
+    def check_form(cls, factory: Any, kwargs: Dict[str, Any]) -> None:
+        """Raise ``ValueError`` or ``ArithmeticError`` unless the form
+        ``factory`` takes ``kwargs``, values that each pass their
+        declaration: the value a form derives from several (an
+        interval, rate or gap from the load) can still fail.  Builds
+        the model, which takes microseconds for a stochastic one."""
+        factory(**dict(kwargs, destination=FixedDestination(0)))
+
+    @classmethod
     def form_for(cls, params: Any) -> Tuple[Any, List[str]]:
         """The constructor ``params`` select, and its arguments: the
         explicit form if they name a param only it takes."""

@@ -119,6 +119,11 @@ class TraceTraffic(TrafficModel):
         self._cursor = 0
 
     @classmethod
+    def check_form(cls, factory, kwargs) -> None:
+        """Nothing to check: a trace form derives no value beyond its
+        declared ones, and building one generates its whole trace."""
+
+    @classmethod
     def for_bursts(
         cls,
         n_bursts: int,

@@ -33,7 +33,8 @@ import math
 import os
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Iterable, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigError
 
@@ -44,6 +45,7 @@ __all__ = [
     "canonical_json_bytes",
     "check_declared",
     "declared",
+    "from_fields",
 ]
 
 
@@ -151,11 +153,32 @@ def declared(param: Param, default: Any = MISSING) -> Any:
     return field(default=default, metadata={"param": param})
 
 
+@lru_cache(maxsize=None)
+def _declared_fields(cls: type) -> Tuple[Tuple[str, Param], ...]:
+    return tuple(
+        (f.name, f.metadata["param"])
+        for f in fields(cls)
+        if "param" in f.metadata
+    )
+
+
 def check_declared(record: Any, prefix: str = "") -> None:
     """Raise :class:`ConfigError` for the first :func:`declared` field
     of the dataclass ``record`` whose value its param rejects."""
-    for f in fields(record):
-        param = f.metadata.get("param")
-        problem = param and param.problem(getattr(record, f.name))
+    for name, param in _declared_fields(type(record)):
+        problem = param.problem(getattr(record, name))
         if problem:
-            raise ConfigError(f"{prefix}{param.label or f.name} {problem}")
+            raise ConfigError(f"{prefix}{param.label or name} {problem}")
+
+
+def from_fields(cls: Any, payload: Mapping[str, Any], what: str) -> Any:
+    """``cls(**payload)`` for the dataclass ``cls``, refusing a key of
+    ``payload`` that names none of its fields."""
+    known = {f.name for f in fields(cls)}
+    unknown = set(payload) - known
+    if unknown:
+        raise ConfigError(
+            f"unknown {what} field(s) {sorted(unknown)}; expected a"
+            f" subset of {sorted(known)}"
+        )
+    return cls(**payload)

@@ -90,6 +90,16 @@ class TestRoutingResolution:
         with pytest.raises(ConfigError):
             cfg.resolve_routing(cfg.resolve_topology())
 
+    @pytest.mark.parametrize(
+        "routing", ["auto", "overlap", "paper_shortest", "paper_auto"]
+    )
+    def test_spec_only_spellings_rejected(self, routing):
+        """A platform stores ``paper_<case>`` or a table routing; the
+        builders resolve ``auto`` before a platform holds it."""
+        cfg = PlatformConfig(topology="paper", routing=routing)
+        with pytest.raises(ConfigError, match="platform routing"):
+            cfg.resolve_routing(cfg.resolve_topology())
+
 
 class TestAutoRouting:
     """routing="auto" must pick a deadlock-free family default."""

@@ -89,6 +89,12 @@ class TestScenarioSpecValidation:
         with pytest.raises(ConfigError, match="routing"):
             ScenarioSpec(routing="scenic")
 
+    def test_platform_spelling_of_a_paper_case_rejected(self):
+        """``paper_<case>`` is how a PlatformConfig stores a case; a
+        spec names the case alone, so each run has one key."""
+        with pytest.raises(ConfigError, match="routing"):
+            ScenarioSpec(routing="paper_overlap")
+
     def test_paper_case_needs_paper_topology(self):
         with pytest.raises(ConfigError, match="paper-platform"):
             ScenarioSpec(topology="mesh:3:3", routing="overlap")

@@ -23,6 +23,7 @@ from repro.core.config import TRAFFIC_MODELS
 from repro.core.engine import build_engine
 from repro.core.errors import ConfigError
 from repro.experiments import ScenarioSpec, Sweep
+from repro.traffic import trace
 
 #: Malformed specs that used to pass the spec check and fail (or run
 #: silently) later.  Each must now raise ConfigError when it is made.
@@ -67,6 +68,32 @@ def test_burst_probability_needs_its_partner():
         ScenarioSpec(traffic="burst", traffic_params={"p_on": 0.5})
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(traffic="burst", load=1.0), "p_on > 1"),
+        (dict(load=5e-324), "uniform traffic"),  # an infinite interval
+    ],
+    ids=["burst-on-for-ever", "uniform-interval-overflows"],
+)
+def test_values_that_only_fail_together_fail_when_made(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        ScenarioSpec(**kwargs)
+
+
+def test_trace_spec_is_checked_without_generating_its_trace(monkeypatch):
+    """A trace spec is made again on every cache hit and in every
+    worker; only the platform build generates its trace."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace was generated at spec time")
+
+    monkeypatch.setattr(trace, "synthetic_burst_trace", refuse)
+    ScenarioSpec(traffic="trace", packets=20)
+    with pytest.raises(ConfigError, match="flits_per_packet"):
+        ScenarioSpec(traffic="trace", traffic_params={"flits_per_packet": 0})
+
+
 def test_batch_rejects_missing_fault_link_before_running(
     tmp_path, capsys
 ):
@@ -101,9 +128,12 @@ SMALL = 6
 
 
 def valid_values(param):
-    """A strategy of values ``param`` admits."""
+    """A strategy of values ``param`` admits (of a class-typed one,
+    such as ``faults``, only None)."""
     if param.choices:
         return st.sampled_from(param.choices)
+    if param.kind not in (int, float):
+        return st.none()
     lo = param.lo + (1 if param.lo_open and param.kind is int else 0)
     hi = min(param.hi, param.lo + SMALL)
     if param.kind is int:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cli import main
+from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
 from repro.experiments.spec import ScenarioSpec, Sweep
 from repro.faults import (
@@ -168,3 +170,32 @@ class TestSpecIntegration:
         faulted = [s for s in specs if s.faults is not None]
         assert len(faulted) == 2
         assert len({s.key for s in specs}) == 4
+
+
+class TestInjectorTargets:
+    """A schedule handed to the engine beside its spec (``repro run
+    --fail-link``, ``build_engine(spec, faults)``) skips the spec's
+    target check; the injector checks it against the built fabric
+    when the run starts."""
+
+    SPEC = ScenarioSpec(topology="mesh:3:3", packets=60)
+
+    @pytest.mark.parametrize(
+        "event, named",
+        [(link_down(50, 0, 8), "0->8"), (switch_down(50, 9), "switch 9")],
+        ids=["missing-link", "missing-switch"],
+    )
+    def test_missing_target_refused(self, event, named):
+        _platform, engine = build_engine(
+            self.SPEC, FaultSchedule.of(event)
+        )
+        with pytest.raises(ConfigError, match=named):
+            drive(engine)
+
+    def test_run_with_missing_fail_link_exits_2(self, capsys):
+        code = main([
+            "run", "--topology", "mesh:3:3", "--packets", "60",
+            "--fail-link", "0:8@50",
+        ])
+        assert code == 2
+        assert "0->8" in capsys.readouterr().err

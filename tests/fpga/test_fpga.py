@@ -18,6 +18,7 @@ from repro.fpga.costs import (
     platform_cost,
     switch_cost,
     tg_cost,
+    tg_spec_cost,
     tr_cost,
 )
 from repro.fpga.device import (
@@ -32,6 +33,7 @@ from repro.fpga.timing import (
     critical_path_ns,
     platform_clock_hz,
 )
+from repro.traffic import trace
 
 
 class TestPartDatabase:
@@ -150,6 +152,22 @@ class TestPlatformCost:
         assert report.part.name == "XC2VP20"
         assert report.utilisation == pytest.approx(0.80, abs=0.01)
         assert report.fits
+
+    def test_trace_memory_counted_without_generating_the_trace(
+        self, monkeypatch
+    ):
+        cfg = paper_platform_config(
+            traffic="trace",
+            traffic_params={"n_bursts": 30, "packets_per_burst": 50},
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cost model generated a trace")
+
+        monkeypatch.setattr(trace, "synthetic_burst_trace", refuse)
+        assert tg_spec_cost(cfg.tgs[0]) == tg_cost(
+            "trace", trace_records=30 * 50
+        )
 
 
 class TestSynthesisReport:
