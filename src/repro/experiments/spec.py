@@ -30,6 +30,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -54,7 +55,6 @@ from repro.core.config import (
     tg_params,
 )
 from repro.core.errors import ConfigError
-from repro.faults.schedule import FaultSchedule
 from repro.noc.arbiter import ARBITERS
 from repro.noc.switch import SwitchingMode
 from repro.traffic.base import LENGTH, LOAD
@@ -68,6 +68,9 @@ from repro.util import (
     from_fields,
 )
 
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
+
 #: Bump when the spec schema or its semantics change incompatibly;
 #: part of the content hash, so stale cache entries never resurface.
 SPEC_SCHEMA = 1
@@ -77,8 +80,6 @@ def _frozen_params(
     params: Optional[Mapping[str, Any]],
 ) -> Tuple[Tuple[str, Any], ...]:
     """Normalise a traffic-params mapping into a hashable tuple."""
-    if not params:
-        return ()
     items = []
     for key in sorted(params):
         value = params[key]
@@ -136,9 +137,7 @@ class ScenarioSpec:
     #: FaultSchedule or its dict form; None = healthy run).  A
     #: first-class spec field, so sweeps, cache keys and aggregation
     #: cover faulted scenarios exactly like healthy ones.
-    faults: Optional[FaultSchedule] = declared(
-        Param(FaultSchedule, optional=True), None
-    )
+    faults: Optional[FaultSchedule] = None
     #: Optional windowed-telemetry window length in cycles.  When set,
     #: the runner attaches a :class:`~repro.telemetry.windows.
     #: WindowedMetrics` collector and the scenario record embeds the
@@ -150,18 +149,28 @@ class ScenarioSpec:
     )
 
     def __post_init__(self) -> None:
-        if isinstance(self.faults, Mapping):
-            object.__setattr__(
-                self, "faults", FaultSchedule.from_dict(self.faults)
-            )
+        if self.faults is not None:
+            # Imported here: a healthy run never loads the fault code.
+            from repro.faults.schedule import FaultSchedule
+
+            if isinstance(self.faults, Mapping):
+                object.__setattr__(
+                    self, "faults", FaultSchedule.from_dict(self.faults)
+                )
+            elif not isinstance(self.faults, FaultSchedule):
+                raise ConfigError(
+                    "ScenarioSpec.faults must be a FaultSchedule, its"
+                    " dict form, or None; got"
+                    f" {type(self.faults).__name__}"
+                )
+            if not self.faults.events:
+                # An empty schedule is a healthy run: normalise so the
+                # content hash (and hence the cache key) is identical.
+                object.__setattr__(self, "faults", None)
         object.__setattr__(
             self, "traffic_params", _frozen_params(dict(self.traffic_params))
         )
         check_declared(self)
-        if self.faults is not None and not self.faults.events:
-            # An empty schedule is a healthy run: normalise so the
-            # content hash (and hence the cache key) is identical.
-            object.__setattr__(self, "faults", None)
         shape = check_topology_spec(self.topology)
         if shape.n_nodes < 2:
             raise ConfigError(
@@ -290,20 +299,22 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def to_platform_config(self) -> PlatformConfig:
         """Elaborate into a :class:`~repro.core.config.PlatformConfig`."""
-        params = {k: v for k, v in self.traffic_params} or None
+        common = dict(
+            traffic=self.traffic,
+            load=self.load,
+            length=self.length,
+            max_packets=self.packets,
+            receptor_kind=self.receptors,
+            buffer_depth=self.buffer_depth,
+            seed=self.seed,
+            traffic_params={k: v for k, v in self.traffic_params} or None,
+        )
         family, case = parse_routing(self.routing)
         if self.topology == "paper" and family in ("auto", "paper"):
             config = paper_platform_config(
-                traffic=self.traffic,
-                load=self.load,
-                length=self.length,
-                max_packets=self.packets,
                 routing_case=case or "overlap",
-                receptor_kind=self.receptors,
-                buffer_depth=self.buffer_depth,
-                seed=self.seed,
-                traffic_params=params,
                 seeds=self._stream_seeds(range(4)),
+                **common,
             )
             config.arbitration = self.arbitration
             config.switching = SwitchingMode(self.switching)
@@ -313,18 +324,11 @@ class ScenarioSpec:
         topo = resolve_topology_spec(self.topology)
         return generic_platform_config(
             topology=topo,
-            traffic=self.traffic,
-            load=self.load,
-            length=self.length,
-            max_packets=self.packets,
             routing=self.routing,
-            receptor_kind=self.receptors,
-            buffer_depth=self.buffer_depth,
             arbitration=self.arbitration,
             switching=SwitchingMode(self.switching),
-            seed=self.seed,
-            traffic_params=params,
             seeds=self._stream_seeds(range(topo.n_nodes)),
+            **common,
         )
 
 

@@ -33,7 +33,6 @@ import math
 import os
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigError
@@ -153,22 +152,14 @@ def declared(param: Param, default: Any = MISSING) -> Any:
     return field(default=default, metadata={"param": param})
 
 
-@lru_cache(maxsize=None)
-def _declared_fields(cls: type) -> Tuple[Tuple[str, Param], ...]:
-    return tuple(
-        (f.name, f.metadata["param"])
-        for f in fields(cls)
-        if "param" in f.metadata
-    )
-
-
 def check_declared(record: Any, prefix: str = "") -> None:
     """Raise :class:`ConfigError` for the first :func:`declared` field
     of the dataclass ``record`` whose value its param rejects."""
-    for name, param in _declared_fields(type(record)):
-        problem = param.problem(getattr(record, name))
+    for f in record.__dataclass_fields__.values():
+        param = f.metadata.get("param")
+        problem = param and param.problem(getattr(record, f.name))
         if problem:
-            raise ConfigError(f"{prefix}{param.label or name} {problem}")
+            raise ConfigError(f"{prefix}{param.label or f.name} {problem}")
 
 
 def from_fields(cls: Any, payload: Mapping[str, Any], what: str) -> Any:

@@ -128,12 +128,9 @@ SMALL = 6
 
 
 def valid_values(param):
-    """A strategy of values ``param`` admits (of a class-typed one,
-    such as ``faults``, only None)."""
+    """A strategy of values ``param`` admits."""
     if param.choices:
         return st.sampled_from(param.choices)
-    if param.kind not in (int, float):
-        return st.none()
     lo = param.lo + (1 if param.lo_open and param.kind is int else 0)
     hi = min(param.hi, param.lo + SMALL)
     if param.kind is int:
