@@ -48,7 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "ResultCache": ".experiments",
     "ScenarioResult": ".experiments",
     "SweepRunner": ".experiments",
-    "run_sweep": ".experiments",
     "ScenarioSpec": ".experiments",
     "Sweep": ".experiments",
     "Network": ".noc",

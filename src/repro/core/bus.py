@@ -213,7 +213,3 @@ class BusFabric:
         device = self.device_at(bus, slot)
         self.writes[bus] += 1
         device.bank.write(offset, value)
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(self.reads) + sum(self.writes)

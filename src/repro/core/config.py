@@ -24,13 +24,13 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import ConfigError
 from repro.noc.routing import (
     PAPER_CASES,
-    RoutingFunction,
+    TableRouting,
     build_multipath_tables,
     build_shortest_path_tables,
     build_updown_tables,
     paper_routing,
 )
-from repro.noc.switch import SwitchingMode
+from repro.noc.switch import SwitchConfig, SwitchingMode
 from repro.noc.topology import (
     PAPER_TG_LOAD,
     Topology,
@@ -75,6 +75,8 @@ TR_KINDS = ("stochastic", "tracedriven")
 TRAFFIC_MODEL = Param(str, choices=TG_MODELS, label="traffic model")
 RECEPTOR_KIND = Param(str, choices=TR_KINDS, label="receptor kind")
 BUFFER_DEPTH = Param(int, 1, label="buffer depth")
+#: Packet length in flits of a scenario or platform that names none.
+PACKET_LENGTH = 8
 
 #: The routing spec grammar, in help order: the paper platform's route
 #: cases, then the table routings any topology takes.
@@ -166,9 +168,9 @@ class PlatformConfig:
     """Complete description of one emulation platform instance."""
 
     topology: Union[str, Topology] = "paper"
-    routing: Union[str, RoutingFunction] = "paper_overlap"
-    buffer_depth: int = declared(BUFFER_DEPTH, 4)
-    arbitration: str = "round_robin"
+    routing: Union[str, TableRouting] = "paper_overlap"
+    buffer_depth: int = declared(BUFFER_DEPTH, SwitchConfig.buffer_depth)
+    arbitration: str = SwitchConfig.arbitration
     switching: Union[str, SwitchingMode] = SwitchingMode.WORMHOLE
     tgs: List[TGSpec] = field(default_factory=list)
     trs: List[TRSpec] = field(default_factory=list)
@@ -204,14 +206,14 @@ class PlatformConfig:
         self,
         topology: Topology,
         avoid_links: FrozenSet[Tuple[int, int]] = frozenset(),
-    ) -> RoutingFunction:
-        """Materialise the routing function for ``topology``, built
+    ) -> TableRouting:
+        """Materialise the routing tables for ``topology``, built
         around the down ``avoid_links`` (directed switch pairs) if any;
         paper tables and routing objects then repair to shortest paths
         (the paper's own repair story).  A platform stores a paper case
         as ``paper_<case>`` and never ``auto``, which the builders
         resolve first."""
-        if isinstance(self.routing, RoutingFunction):
+        if isinstance(self.routing, TableRouting):
             if not avoid_links:
                 return self.routing
             family, arg = "shortest", None
@@ -466,11 +468,11 @@ def tg_params(
 def paper_platform_config(
     traffic: str = "uniform",
     load: float = PAPER_TG_LOAD,
-    length: int = 8,
+    length: int = PACKET_LENGTH,
     max_packets: Optional[int] = 10_000,
     routing_case: str = "overlap",
     receptor_kind: str = "tracedriven",
-    buffer_depth: int = 4,
+    buffer_depth: int = SwitchConfig.buffer_depth,
     seed: int = 1,
     traffic_params: Optional[Dict[str, Any]] = None,
     seeds: Optional[Sequence[int]] = None,
@@ -521,12 +523,12 @@ def generic_platform_config(
     topology: Union[str, Topology] = "mesh:3:3",
     traffic: str = "uniform",
     load: float = 0.2,
-    length: int = 8,
+    length: int = PACKET_LENGTH,
     max_packets: Optional[int] = 1000,
     routing: str = "auto",
     receptor_kind: str = "tracedriven",
-    buffer_depth: int = 4,
-    arbitration: str = "round_robin",
+    buffer_depth: int = SwitchConfig.buffer_depth,
+    arbitration: str = SwitchConfig.arbitration,
     switching: Union[str, SwitchingMode] = SwitchingMode.WORMHOLE,
     seed: int = 1,
     traffic_params: Optional[Dict[str, Any]] = None,

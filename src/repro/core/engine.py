@@ -17,13 +17,11 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from repro.core.errors import EmulationError, ScenarioTimeout
 from repro.core.platform import EmulationPlatform, build_platform
 from repro.noc.network import format_parked_report
+from repro.traffic.generator import NEVER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.report import FaultReport
     from repro.faults.schedule import FaultSchedule
-
-#: Sentinel "never" cycle, past any emulated horizon.
-_NEVER = 1 << 62
 
 #: Cycles between cooperative wall-clock checks of a deadlined run.
 #: Reading the host clock every cycle would dominate the hot loop; at
@@ -238,7 +236,7 @@ class EmulationEngine:
         # unresolved recovery watch); healthy runs pay one comparison
         # per cycle.
         injector = self._injector
-        fault_next = _NEVER
+        fault_next = NEVER
         if injector is not None:
             # Resuming (a later chunk of a finalize=False run, or a
             # restored checkpoint): re-derive the wake register from
@@ -258,11 +256,11 @@ class EmulationEngine:
         # once per cycle, so disabled telemetry costs one comparison
         # and enabled telemetry costs nothing between boundaries.
         telemetry = self.telemetry
-        tel_next = _NEVER
+        tel_next = NEVER
         if telemetry is not None:
             tel_next = telemetry.begin(start_cycle)
         meter = self._meter
-        prog_next = _NEVER
+        prog_next = NEVER
         if meter is not None:
             prog_next = meter.next_cycle
         elif progress is not None:
@@ -278,7 +276,7 @@ class EmulationEngine:
         # Cooperative wall-clock budget: same one-comparison register
         # shape as faults/telemetry; disabled runs never read the
         # clock.
-        wall_next = _NEVER
+        wall_next = NEVER
         wall_deadline = 0.0
         if max_wall_seconds is not None:
             if max_wall_seconds < 0:
@@ -341,12 +339,18 @@ class EmulationEngine:
                 if gens_done and network.is_drained:
                     break
                 ff_limit = limit_cycle
-                if fault_next < _NEVER and (
+                if fault_next < NEVER and (
                     ff_limit is None or fault_next < ff_limit
                 ):
                     # Never jump the clock over a pending fault event.
                     ff_limit = fault_next
-                if tel_next < _NEVER:
+                if (
+                    ff_limit is None
+                    and not gens_done
+                    and platform._next_gen_poll >= NEVER
+                ):
+                    raise _idle_to_the_horizon(platform)
+                if tel_next < NEVER:
                     # Telemetry on: land the jump on a window boundary
                     # so the advance() at the landing cycle emits the
                     # fully-skipped windows as zero-delta records; the
@@ -447,6 +451,24 @@ class EmulationEngine:
             )
             self._meter = None
         return replace(result, faults=fault_report, windows=windows)
+
+
+def _idle_to_the_horizon(platform: EmulationPlatform) -> EmulationError:
+    """The error of a run with an idle fabric, no cycle limit and no
+    generator that can poll before :data:`NEVER`: stepping on would
+    spin until the horizon."""
+    waiting = ", ".join(
+        f"TG {g.node} ({g.packets_sent} of"
+        f" {'unlimited' if g.max_packets is None else g.max_packets}"
+        f" packets sent{'' if g.enabled else ', disabled'})"
+        for g in platform.generators
+        if not g.done
+    )
+    return EmulationError(
+        f"run cannot end: at cycle {platform.cycle} the fabric is idle"
+        f" and no generator can emit before the horizon, cycle {NEVER};"
+        f" generators with budget left: {waiting}"
+    )
 
 
 def build_engine(

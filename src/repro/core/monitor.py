@@ -84,12 +84,6 @@ class Monitor:
 
         return OccupancyReport(self.platform.network).render()
 
-    def power_section(self) -> str:
-        """Activity-based power estimate for the run so far."""
-        from repro.fpga.power import estimate_power
-
-        return estimate_power(self.platform).render()
-
     def faults_section(self, result: EngineResult) -> str:
         """Render ``EngineResult.faults`` (degradation record).
 

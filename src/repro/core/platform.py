@@ -30,7 +30,7 @@ from repro.receptors.base import TrafficReceptor
 from repro.receptors.stochastic import StochasticReceptor
 from repro.receptors.tracedriven import TraceDrivenReceptor
 from repro.stats.congestion import network_congestion_rate
-from repro.traffic.generator import NEVER_POLL, TrafficGenerator
+from repro.traffic.generator import NEVER, TrafficGenerator
 
 
 def _build_receptor(spec: TRSpec, n_nodes: int) -> TrafficReceptor:
@@ -228,9 +228,12 @@ class EmulationPlatform:
         When no flit is queued, buffered or on a wire, nothing can
         happen until a traffic model's next emission: the platform
         jumps ``network.cycle`` straight there (clamped to
-        ``limit_cycle``) instead of spinning empty cycles.  Returns the
-        number of cycles skipped (0 when the fabric is busy, an
-        emission is due now, or nothing will ever emit again).  Cycle
+        ``limit_cycle``) instead of spinning empty cycles.  When no
+        generator can poll before the horizon
+        (:data:`~repro.traffic.generator.NEVER`), the jump goes to
+        ``limit_cycle``.  Returns the number of cycles skipped (0 when
+        the fabric is busy, an emission is due now, or no generator can
+        poll before the horizon and no ``limit_cycle`` is given).  Cycle
         accuracy is preserved because every skipped cycle is one where
         all generator polls are contractually silent (see
         :meth:`~repro.traffic.base.TrafficModel.next_emission_cycle`)
@@ -250,8 +253,10 @@ class EmulationPlatform:
         # With the fabric quiescent there is no backpressure, so the
         # next generator poll cycle *is* the next possible emission.
         target = self._next_gen_poll
-        if target >= NEVER_POLL:
-            return 0  # no generator will ever emit again
+        if target >= NEVER:
+            if limit_cycle is None:
+                return 0
+            target = limit_cycle
         now = network.cycle
         if limit_cycle is not None and target > limit_cycle:
             target = limit_cycle

@@ -24,14 +24,14 @@ configurations" from hand-rolled loops into data:
 
 Quickstart::
 
-    from repro.experiments import ScenarioSpec, Sweep, run_sweep
+    from repro.experiments import ScenarioSpec, Sweep, SweepRunner
 
     specs = Sweep.grid(
         ScenarioSpec(traffic="burst", packets=500),
         load=(0.15, 0.30, 0.45),
         buffer_depth=(2, 4, 8),
     )
-    results = run_sweep(specs, workers=4)
+    results = SweepRunner(workers=4).run(specs)
 
 The ``python -m repro batch <sweep.json>`` subcommand drives the same
 machinery from the command line.
@@ -59,7 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "make_ramp_checkpoint": ".runner",
     "run_cold_point": ".runner",
     "run_scenario": ".runner",
-    "run_sweep": ".runner",
     "run_warm_point": ".runner",
     "warm_point_key": ".runner",
     "ScenarioSpec": ".spec",

@@ -568,24 +568,6 @@ class SweepRunner:
         return results
 
 
-def run_sweep(
-    specs: Sequence[ScenarioSpec],
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[Callable[[int, int, Any], None]] = None,
-    **supervision: Any,
-) -> SweepReport:
-    """One-shot convenience wrapper around :class:`SweepRunner`.
-
-    ``supervision`` forwards the robustness knobs (``retries``,
-    ``timeout``, ``quarantine``, ``journal``, ``resume``, ...) to the
-    runner.
-    """
-    return SweepRunner(
-        workers=workers, cache=cache, progress=progress, **supervision
-    ).run(specs)
-
-
 # ----------------------------------------------------------------------
 # Warm-started sweeps
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import (
 
 from repro.core.config import (
     BUFFER_DEPTH,
+    PACKET_LENGTH,
     RECEPTOR_KIND,
     TRAFFIC_MODEL,
     PlatformConfig,
@@ -56,7 +57,7 @@ from repro.core.config import (
 )
 from repro.core.errors import ConfigError
 from repro.noc.arbiter import ARBITERS
-from repro.noc.switch import SwitchingMode
+from repro.noc.switch import SwitchConfig, SwitchingMode
 from repro.traffic.base import LENGTH, LOAD
 from repro.traffic.rng import derive_stream_seed
 from repro.util import (
@@ -119,12 +120,12 @@ class ScenarioSpec:
         Param(str, choices=tuple(m.value for m in SwitchingMode)), "wormhole"
     )
     arbitration: str = declared(
-        Param(str, choices=tuple(ARBITERS)), "round_robin"
+        Param(str, choices=tuple(ARBITERS)), SwitchConfig.arbitration
     )
-    buffer_depth: int = declared(BUFFER_DEPTH, 4)
+    buffer_depth: int = declared(BUFFER_DEPTH, SwitchConfig.buffer_depth)
     traffic: str = declared(TRAFFIC_MODEL, "uniform")
     load: float = declared(LOAD, 0.45)
-    length: int = declared(LENGTH, 8)
+    length: int = declared(LENGTH, PACKET_LENGTH)
     packets: Optional[int] = declared(
         Param(int, 1, optional=True, label="packet budget"), 1000
     )

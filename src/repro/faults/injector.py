@@ -32,10 +32,8 @@ from repro.noc.routing import (
     compile_dense_route_table,
     unrouted_destinations,
 )
+from repro.traffic.generator import NEVER
 from repro.traffic.rng import derive_stream_seed
-
-#: Sentinel "no further work" cycle, matching the engine's never-poll.
-NEVER = 1 << 62
 
 
 class FaultInjector:

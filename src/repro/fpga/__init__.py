@@ -18,7 +18,6 @@ from repro.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "ResourceEstimate": ".costs",
     "control_cost": ".costs",
-    "platform_cost": ".costs",
     "switch_cost": ".costs",
     "tg_cost": ".costs",
     "tr_cost": ".costs",

@@ -183,30 +183,3 @@ def tr_cost(
 def control_cost() -> ResourceEstimate:
     """The control module (Table 1: 18 slices)."""
     return ResourceEstimate(name="control", slices=CONTROL_SLICES)
-
-
-def platform_cost(config) -> ResourceEstimate:
-    """Total slice/BRAM cost of a platform configuration.
-
-    Accepts a :class:`~repro.core.config.PlatformConfig`; resolves its
-    topology to price every switch at its actual port counts.
-    """
-    topology = config.resolve_topology()
-    total_slices = 0
-    total_bram = 0
-    for s in range(topology.n_switches):
-        total_slices += switch_cost(
-            topology.n_inputs(s),
-            topology.n_outputs(s),
-            config.buffer_depth,
-        ).slices
-    for tg in config.tgs:
-        estimate = tg_spec_cost(tg)
-        total_slices += estimate.slices
-        total_bram += estimate.bram_blocks
-    for tr in config.trs:
-        total_slices += tr_cost(tr.kind).slices
-    total_slices += control_cost().slices
-    return ResourceEstimate(
-        name=config.name, slices=total_slices, bram_blocks=total_bram
-    )

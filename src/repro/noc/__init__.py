@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "FlitBuffer": ".buffer",
     "DeadlockError": ".deadlock",
     "assert_deadlock_free": ".deadlock",
-    "channel_dependency_graph": ".deadlock",
     "is_deadlock_free": ".deadlock",
     "Flit": ".flit",
     "FlitType": ".flit",
@@ -31,9 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "ReassemblyBuffer": ".ni",
     "MultiPathTableRouting": ".routing",
     "RoutingError": ".routing",
-    "RoutingFunction": ".routing",
     "TableRouting": ".routing",
-    "XYRouting": ".routing",
     "build_multipath_tables": ".routing",
     "build_shortest_path_tables": ".routing",
     "Switch": ".switch",

@@ -7,8 +7,8 @@ A -> B, and a cyclic chain of such dependencies can stall forever.
 
 The emulation platform loads routing tables at initialisation time
 (software!), so a bad table can deadlock the emulated NoC without any
-hardware bug.  This module builds the CDG of any
-:class:`~repro.noc.routing.RoutingFunction` over a topology and checks
+hardware bug.  This module builds the CDG of a routing table
+(:class:`~repro.noc.routing.TableRouting`) over a topology and checks
 it for cycles, so the platform-initialisation step can refuse unsafe
 tables before a multi-hour emulation hangs.
 
@@ -39,7 +39,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.noc.routing import RoutingFunction
+from repro.noc.routing import TableRouting
 from repro.noc.topology import Topology
 
 Channel = Tuple[int, int]  # directed switch pair (a, b)
@@ -57,12 +57,12 @@ _ZEROS = b"0" * 256
 
 
 def _encoded_row(
-    row: Optional[Sequence[Optional[int]]], n_nodes: int, n_ports: int
+    row: Sequence[Optional[int]], n_nodes: int, n_ports: int
 ) -> Optional[bytes]:
     """``row``'s first ``n_nodes`` entries as one byte each (``None`` as
     :data:`_NO_PORT`), or ``None`` when a byte cannot hold the row:
-    no row, too many ports, or an entry that is not one of the ports."""
-    if row is None or n_ports >= _NO_PORT or not 0 < n_nodes <= len(row):
+    too many ports, or an entry that is not one of the ports."""
+    if n_ports >= _NO_PORT or not 0 < n_nodes <= len(row):
         return None
     if len(row) > n_nodes:
         row = row[:n_nodes]
@@ -82,7 +82,7 @@ def _encoded_row(
 
 def _channel_graph(
     topology: Topology,
-    routing: RoutingFunction,
+    routing: TableRouting,
     destinations: Optional[Sequence[int]],
 ) -> Tuple[List[Channel], List[Set[int]]]:
     """The dependency graph over integer channel ids.
@@ -92,13 +92,13 @@ def _channel_graph(
     whose packets occupy it, and ``c -> c'`` exists exactly when ``c'``
     leaves the switch ``c`` enters and the two masks intersect.  A
     switch's masks come from its dense ``dst -> port`` row
-    (:meth:`RoutingFunction.dense_row`), encoded once as bytes: per
+    (:meth:`TableRouting.dense_row`), encoded once as bytes: per
     output port, ``translate`` maps the port's byte to ``"1"`` and every
     other byte to ``"0"``, and ``int(..., 2)`` reads that as the mask
     (destination ``d`` is bit ``n_nodes - 1 - d``).  Only ``None``
     entries (multipath choices, missing routes), destinations outside
     ``[0, n_nodes)`` and rows a byte cannot hold ask
-    :meth:`RoutingFunction.ports_for`, destination by destination.
+    :meth:`TableRouting.ports_for`, destination by destination.
     """
     n_switches = topology.n_switches
     n_nodes = topology.n_nodes
@@ -178,27 +178,6 @@ def _channel_graph(
     return channels, succ
 
 
-def channel_dependency_graph(
-    topology: Topology,
-    routing: RoutingFunction,
-    destinations: Optional[Sequence[int]] = None,
-) -> Dict[Channel, Set[Channel]]:
-    """All channel dependencies the routing function can create.
-
-    For every destination and every switch, each input channel that a
-    packet toward that destination can occupy depends on every output
-    channel the routing function may pick next.  Multi-path functions
-    contribute all their candidate ports.  Channels without any
-    dependency are left out.
-    """
-    channels, succ = _channel_graph(topology, routing, destinations)
-    return {
-        channels[c]: {channels[d] for d in deps}
-        for c, deps in enumerate(succ)
-        if deps
-    }
-
-
 def find_dependency_cycle(
     graph: Dict[Node, Set[Node]]
 ) -> Optional[List[Node]]:
@@ -252,7 +231,7 @@ def find_dependency_cycle(
 
 def _channel_cycle(
     topology: Topology,
-    routing: RoutingFunction,
+    routing: TableRouting,
     destinations: Optional[Sequence[int]],
 ) -> Optional[List[Channel]]:
     """One channel dependency cycle of ``routing``, or ``None``."""
@@ -263,7 +242,7 @@ def _channel_cycle(
 
 def is_deadlock_free(
     topology: Topology,
-    routing: RoutingFunction,
+    routing: TableRouting,
     destinations: Optional[Sequence[int]] = None,
 ) -> bool:
     """True when the routing function's CDG is acyclic."""
@@ -272,7 +251,7 @@ def is_deadlock_free(
 
 def assert_deadlock_free(
     topology: Topology,
-    routing: RoutingFunction,
+    routing: TableRouting,
     destinations: Optional[Sequence[int]] = None,
 ) -> None:
     """Raise :class:`DeadlockError` naming a cycle if one exists."""

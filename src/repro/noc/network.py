@@ -41,7 +41,7 @@ from repro.noc.buffer import BufferFullError
 from repro.noc.flit import Flit, Packet
 from repro.noc.link import Link
 from repro.noc.ni import NetworkInterface, ReassemblyBuffer
-from repro.noc.routing import RoutingError, RoutingFunction
+from repro.noc.routing import RoutingError, TableRouting
 from repro.noc.switch import (
     Switch,
     SwitchConfig,
@@ -100,9 +100,9 @@ class Network:
     def __init__(
         self,
         topology: Topology,
-        routing: RoutingFunction,
-        buffer_depth: int = 4,
-        arbitration: str = "round_robin",
+        routing: TableRouting,
+        buffer_depth: int = SwitchConfig.buffer_depth,
+        arbitration: str = SwitchConfig.arbitration,
         mode: SwitchingMode = SwitchingMode.WORMHOLE,
         sample_buffers: bool = False,
     ) -> None:

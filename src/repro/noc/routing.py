@@ -1,14 +1,15 @@
-"""Routing functions.
+"""Routing tables.
 
 The emulated switches route per packet: when a HEAD flit reaches the
-head of an input buffer, the switch consults its routing function to
-pick an output port; BODY and TAIL flits follow the wormhole channel the
-head opened.  Routing is table-based in the hardware platform (the
-processor writes the tables through the configuration bus), so the
-primary implementations here are :class:`TableRouting` and its
-multi-path variant, plus builders that fill tables from a topology
-(shortest path, equal-cost multi-path) and the explicit route cases of
-the paper's experimental setup (:func:`paper_routing`).
+head of an input buffer, the switch looks up an output port; BODY and
+TAIL flits follow the wormhole channel the head opened.  Every routing
+is a table, as in the hardware platform, where the processor writes
+each switch's table through the configuration bus at initialisation.
+:class:`TableRouting` holds one row per switch and its multi-path
+variant adds candidate lists; the builders fill tables from a topology
+(shortest path, equal-cost multi-path, up*/down*) and from the
+explicit route cases of the paper's experimental setup
+(:func:`paper_routing`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.noc.flit import Flit
 from repro.noc.topology import (
     PAPER_FLOWS,
     Topology,
-    TopologyError,
     paper_flow_pairs,
 )
 
@@ -44,37 +44,36 @@ Row = List[Optional[int]]
 
 
 def compile_dense_route_table(
-    routing: "RoutingFunction", switch_id: int, n_nodes: int
-) -> Optional[Row]:
+    routing: "TableRouting", switch_id: int, n_nodes: int
+) -> Row:
     """One switch's dense ``dst -> port`` row, as the switch indexes it.
 
-    Table routings store their routes as these rows, so for them this
-    is a lookup: the switch indexes the routing's own list, never a
-    copy.  Entries are ``None`` — falling back to
-    :meth:`RoutingFunction.output_port` per head flit — when the
-    decision is not a single static port: multipath candidates (the
-    per-packet hash must keep choosing) and missing destinations (the
-    fallback raises the proper :class:`RoutingError`).  Routing
-    functions without tables compute the row here (XY) or give
-    ``None``: the switch then routes every head through the function.
+    A lookup: the switch indexes the routing's own list, never a copy.
+    Entries are ``None`` — falling back to
+    :meth:`TableRouting.output_port` per head flit — when the decision
+    is not a single static port: multipath candidates (the per-packet
+    hash must keep choosing) and missing destinations (the fallback
+    raises the proper :class:`RoutingError`).  Switches and fault
+    repair fetch rows through this one function, so the end-to-end
+    benchmark's layer trace counts each route compile here.
     """
     return routing.dense_row(switch_id, n_nodes)
 
 
 def unrouted_destinations(
-    routing: "RoutingFunction",
-    row: Optional[Row],
+    routing: "TableRouting",
+    row: Row,
     switch: int,
     destinations: Sequence[int],
 ) -> List[int]:
     """The ``destinations`` that have no route at ``switch``.
 
-    ``row`` is the switch's compiled dense array (or ``None``); only its
-    ``None`` entries — multipath choices, missing routes, destinations
-    outside the array — consult :meth:`RoutingFunction.ports_for`, the
-    same fallback rule the switch applies per head flit.
+    ``row`` is the switch's compiled dense array; only its ``None``
+    entries — multipath choices, missing routes, destinations outside
+    the array — consult :meth:`TableRouting.ports_for`, the same
+    fallback rule the switch applies per head flit.
     """
-    n = len(row) if row is not None else 0
+    n = len(row)
     return [
         dst
         for dst in destinations
@@ -90,34 +89,7 @@ def _mix(value: int) -> int:
     return (value ^ (value >> 16)) & 0xFFFFFFFF
 
 
-class RoutingFunction:
-    """Base class: map (switch, head flit) to an output port index."""
-
-    def output_port(self, switch: int, flit: Flit) -> int:
-        raise NotImplementedError
-
-    def ports_for(self, switch: int, dst: int) -> List[int]:
-        """All output ports this function may pick for ``dst`` at ``switch``.
-
-        Used by validation and by the FPGA cost model (routing-table
-        width).  The base implementation reports a single port obtained
-        from a probe flit, which subclasses override when they hold real
-        tables.
-        """
-        raise NotImplementedError
-
-    def dense_row(self, switch: int, n_nodes: int) -> Optional[Row]:
-        """``switch``'s single static port per destination node.
-
-        Entries are ``None`` where the decision is not one fixed port
-        (see :func:`compile_dense_route_table`); the whole row is
-        ``None`` when the function cannot enumerate its routes, which
-        is the base class's answer.
-        """
-        return None
-
-
-class TableRouting(RoutingFunction):
+class TableRouting:
     """Deterministic table-based routing.
 
     ``rows[switch][dst_node]`` is the output port to take at ``switch``
@@ -141,6 +113,7 @@ class TableRouting(RoutingFunction):
         return None
 
     def output_port(self, switch: int, flit: Flit) -> int:
+        """The output port a head flit takes at ``switch``."""
         port = self._port(switch, flit.dst)
         if port is None:
             raise RoutingError(
@@ -150,10 +123,15 @@ class TableRouting(RoutingFunction):
         return port
 
     def ports_for(self, switch: int, dst: int) -> List[int]:
+        """All output ports a packet for ``dst`` may take at ``switch``
+        (the deadlock vet and fault repair read these)."""
         port = self._port(switch, dst)
         return [] if port is None else [port]
 
     def dense_row(self, switch: int, n_nodes: int) -> Row:
+        """``switch``'s row, at least ``n_nodes`` long: the single
+        static port per destination node, ``None`` where the decision
+        is not one fixed port (see :func:`compile_dense_route_table`)."""
         row = self.rows[switch] if 0 <= switch < len(self.rows) else []
         if len(row) < n_nodes:
             # Only hand-written tables are short: pad a copy.
@@ -214,70 +192,6 @@ class MultiPathTableRouting(TableRouting):
             for t in self.choices.values()
             for ports in t.values()
         )
-
-
-class XYRouting(RoutingFunction):
-    """Dimension-ordered routing for 2D meshes (X first, then Y).
-
-    Deadlock-free on meshes and used as the deterministic baseline in
-    the routing ablation.  Requires the mesh dimensions because switch
-    ids encode grid coordinates as ``id = y * width + x``.
-    """
-
-    def __init__(self, topology: Topology, width: int, height: int) -> None:
-        if width * height != topology.n_switches:
-            raise RoutingError(
-                f"grid {width}x{height} does not match"
-                f" {topology.n_switches} switches"
-            )
-        self.topology = topology
-        self.width = width
-        self.height = height
-
-    def _next_switch(self, switch: int, dst_switch: int) -> int:
-        x, y = switch % self.width, switch // self.width
-        dx, dy = dst_switch % self.width, dst_switch // self.width
-        if x != dx:
-            return y * self.width + (x + 1 if dx > x else x - 1)
-        return (y + 1 if dy > y else y - 1) * self.width + x
-
-    def output_port(self, switch: int, flit: Flit) -> int:
-        dst_switch = self.topology.switch_of_node(flit.dst)
-        if dst_switch == switch:
-            return self.topology.output_port_to_node(switch, flit.dst)
-        nxt = self._next_switch(switch, dst_switch)
-        try:
-            return self.topology.output_port_to_switch(switch, nxt)
-        except TopologyError:
-            raise RoutingError(
-                f"XY routing needs link {switch} -> {nxt}, which the"
-                f" topology lacks"
-            ) from None
-
-    def ports_for(self, switch: int, dst: int) -> List[int]:
-        dst_switch = self.topology.switch_of_node(dst)
-        if dst_switch == switch:
-            return [self.topology.output_port_to_node(switch, dst)]
-        nxt = self._next_switch(switch, dst_switch)
-        try:
-            return [self.topology.output_port_to_switch(switch, nxt)]
-        except TopologyError:
-            return []
-
-    def dense_row(self, switch: int, n_nodes: int) -> List[Optional[int]]:
-        topo = self.topology
-        port_to: Dict[Tuple[str, int], int] = {}
-        for port, ep in enumerate(topo.switch_outputs[switch]):
-            port_to.setdefault((ep.kind, ep.target), port)
-        row: List[Optional[int]] = []
-        for dst in range(n_nodes):
-            dst_switch = topo.node_switch[dst]
-            if dst_switch == switch:
-                row.append(port_to.get(("node", dst)))
-            else:
-                nxt = self._next_switch(switch, dst_switch)
-                row.append(port_to.get(("switch", nxt)))
-        return row
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +554,7 @@ _PAPER_PATHS_DISJOINT: Dict[Tuple[int, int], Tuple[int, ...]] = {
 PAPER_CASES = ("overlap", "disjoint", "split")
 
 
-def paper_routing(topo: Topology, case: str = "overlap") -> RoutingFunction:
+def paper_routing(topo: Topology, case: str = "overlap") -> TableRouting:
     """Routing tables for the paper's experimental setup.
 
     ``case`` selects among the two routing possibilities of each flow:

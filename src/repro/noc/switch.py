@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.noc.arbiter import Arbiter, make_arbiter
 from repro.noc.buffer import BufferFullError, FlitBuffer
 from repro.noc.flit import Flit
-from repro.noc.routing import RoutingFunction, compile_dense_route_table
+from repro.noc.routing import TableRouting, compile_dense_route_table
 
 
 class SwitchingMode(enum.Enum):
@@ -49,7 +49,9 @@ class SwitchConfig:
 
     ``buffer_depth`` is the per-input FIFO capacity in flits.
     ``arbitration`` names a policy understood by
-    :func:`repro.noc.arbiter.make_arbiter`.
+    :func:`repro.noc.arbiter.make_arbiter`.  Their defaults here are
+    the platform's: the network, the platform config, the scenario
+    spec and the config builders read them from this class.
     """
 
     n_inputs: int
@@ -184,7 +186,7 @@ class Switch:
         self,
         switch_id: int,
         config: SwitchConfig,
-        routing: RoutingFunction,
+        routing: TableRouting,
     ) -> None:
         self.switch_id = switch_id
         self.config = config

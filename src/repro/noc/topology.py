@@ -139,15 +139,6 @@ class Topology:
                 return port
         raise TopologyError(f"node {node} is not attached to switch {switch}")
 
-    def neighbors(self, switch: int) -> List[int]:
-        """Downstream switches reachable in one hop (with duplicates)."""
-        self._check_switch(switch)
-        return [
-            ep.target
-            for ep in self.switch_outputs[switch]
-            if ep.kind == "switch"
-        ]
-
     def switch_edges(self) -> List[Tuple[int, int, int]]:
         """All directed switch-to-switch links as ``(a, b, delay)``."""
         edges = []

@@ -66,11 +66,6 @@ class CongestionCounter:
         return self.total_stall_cycles / self.packets if self.packets else 0.0
 
     @property
-    def mean_stall_per_flit(self) -> float:
-        """Average blocked cycles accumulated per flit."""
-        return self.total_stall_cycles / self.flits if self.flits else 0.0
-
-    @property
     def congested_fraction(self) -> float:
         """Fraction of packets that experienced any blocking."""
         return self.congested_packets / self.packets if self.packets else 0.0

@@ -103,17 +103,6 @@ class LatencyAnalyzer:
             return 0.0
         return self.total_network / self.decomposed_count
 
-    @property
-    def queueing_fraction(self) -> float:
-        """Share of total latency spent queueing at the source.
-
-        Under congestion this tends toward 1: the network saturates
-        and additional latency accumulates in the TG queue, which is
-        the mechanism behind Slide 22's latency ceiling.
-        """
-        total = self.total_queueing + self.total_network
-        return self.total_queueing / total if total else 0.0
-
     # ------------------------------------------------------------------
     # Per-burst aggregates (packets/burst sweeps)
     # ------------------------------------------------------------------

@@ -77,13 +77,6 @@ class WindowRecord:
     def cycles(self) -> int:
         return self.end - self.start
 
-    def link_utilization(self, name: str) -> float:
-        """Fraction of this window's cycles ``name`` carried a flit."""
-        cycles = self.cycles
-        if cycles <= 0:
-            return 0.0
-        return min(1.0, self.link_flits.get(name, 0) / cycles)
-
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form (sorted link keys, lists for tuples)."""
         return {

@@ -14,7 +14,6 @@ from repro.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "DestinationChooser": ".base",
     "FixedDestination": ".base",
-    "HotspotDestination": ".base",
     "TrafficModel": ".base",
     "UniformRandomDestination": ".base",
     "interval_for_load": ".base",

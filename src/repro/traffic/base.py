@@ -4,8 +4,7 @@ A :class:`TrafficModel` is polled once per cycle by its traffic
 generator and decides when to emit a packet and how long it should be.
 Destination selection is factored into :class:`DestinationChooser`
 objects so the same stochastic process can drive fixed-pair flows (the
-paper's experimental setup), uniformly random destinations or hotspot
-patterns.
+paper's experimental setup) or uniformly random destinations.
 """
 
 from __future__ import annotations
@@ -89,37 +88,6 @@ class UniformRandomDestination(DestinationChooser):
 
     def destinations(self) -> Tuple[int, ...]:
         return self.candidates
-
-
-class HotspotDestination(DestinationChooser):
-    """One hotspot destination with elevated probability, rest uniform."""
-
-    def __init__(
-        self,
-        hotspot: int,
-        others: Sequence[int],
-        hotspot_fraction: float = 0.5,
-    ) -> None:
-        if not 0.0 < hotspot_fraction <= 1.0:
-            raise ValueError(
-                f"hotspot fraction must be in (0, 1], got"
-                f" {hotspot_fraction}"
-            )
-        if not others and hotspot_fraction < 1.0:
-            raise ValueError(
-                "non-hotspot probability mass but no other destinations"
-            )
-        self.hotspot = hotspot
-        self.others = tuple(others)
-        self.hotspot_fraction = hotspot_fraction
-
-    def next_destination(self, rng: LfsrRandom) -> int:
-        if rng.bernoulli(self.hotspot_fraction) or not self.others:
-            return self.hotspot
-        return rng.choice(self.others)
-
-    def destinations(self) -> Tuple[int, ...]:
-        return (self.hotspot,) + self.others
 
 
 class TrafficModel:

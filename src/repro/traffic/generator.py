@@ -20,8 +20,11 @@ from repro.noc.ni import NetworkInterface
 from repro.traffic.base import TrafficModel
 from repro.traffic.trace import Trace, TraceRecord
 
-#: Sentinel poll cycle for generators that can never act again.
-NEVER_POLL = 1 << 62
+#: The emulation horizon: the sentinel cycle of a generator that can
+#: never act again, and of every engine register (fault, telemetry,
+#: progress, wall clock) with nothing scheduled.  An emission due at or
+#: past it reads as never.
+NEVER = 1 << 62
 
 
 class TrafficGenerator:
@@ -217,17 +220,17 @@ class TrafficGenerator:
         hot path while preserving every statistic bit-for-bit.
         """
         if not self.enabled or self.done:
-            return NEVER_POLL
+            return NEVER
         if self._bp_since is not None:
             # Backpressure-parked: the NI drain watch (or a control
             # operation) wakes us; until then no poll can observe
             # anything that bulk settlement does not already account.
-            return NEVER_POLL
+            return NEVER
         if self.ni.pending_flits >= self.queue_limit:
             return after  # backpressure accounting is per-cycle
         t = self.model.next_emission_cycle(after)
         if t is None:
-            return NEVER_POLL
+            return NEVER
         return t if t > after else after
 
     # ------------------------------------------------------------------
@@ -255,7 +258,7 @@ class TrafficGenerator:
         if emission is None:
             nxt = self.model.next_emission_cycle(now + 1)
             # None = never again; park the cache past any realistic run.
-            self._silent_until = NEVER_POLL if nxt is None else nxt
+            self._silent_until = NEVER if nxt is None else nxt
             return None
         length, dst, burst_id = emission
         packet = Packet(

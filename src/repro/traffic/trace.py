@@ -82,12 +82,6 @@ class Trace:
         span = self.span_cycles
         return self.total_flits / span if span else 0.0
 
-    def burst_count(self) -> int:
-        """Number of distinct burst ids (0 when the trace is unbursty)."""
-        return len(
-            {r.burst_id for r in self.records if r.burst_id is not None}
-        )
-
 
 class TraceTraffic(TrafficModel):
     """Replay a trace through the standard traffic-model interface.

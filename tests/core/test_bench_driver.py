@@ -4,14 +4,16 @@ Running the perf benches themselves stays out of tier-1 (they are
 ``-m perf``); these tests cover the runner's selection logic
 (``benchmarks/run_all.py``), the one timer every speed ratio goes
 through (``benchmarks/bench_ratios.paired``), the marker that keeps
-each bench out of tier-1, and the traffic params the benches (and the
-examples and sources, which tier-1 does not execute either) spell.
+each bench out of tier-1, the traffic params the benches (and the
+examples and sources, which tier-1 does not execute either) spell, and
+that every source definition is reached by something besides tests.
 """
 
 import ast
 import glob
 import math
 import os
+import re
 
 import pytest
 
@@ -150,6 +152,174 @@ def test_every_bench_is_perf_marked(path):
         f"{os.path.basename(path)} lacks a module-level"
         f" 'pytestmark = pytest.mark.perf'"
     )
+
+
+#: ``src/repro`` definitions that only tests reach, each with the reason
+#: it stays.  :func:`test_every_definition_is_reached_outside_tests`
+#: fails on any other such definition and on a stale entry here.
+TEST_ONLY = {
+    # Test oracles.
+    "repro.noc.network.Network.scan_in_flight_flits":
+        "oracle: full scan the O(1) in-flight counter is checked against",
+    "repro.telemetry.trace.FlitTracer.to_perfetto":
+        "oracle: the Perfetto document parsed back from the written bytes",
+    "repro.experiments.spec.ScenarioSpec.stream_seed":
+        "oracle: one generator's seed, against the batched derivation",
+    **{
+        f"repro.traffic.{module}.{cls}.expected_load":
+            "oracle: the analytic load measured load is compared against"
+        for module, cls in (
+            ("base", "TrafficModel"), ("burst", "BurstTraffic"),
+            ("onoff", "OnOffTraffic"), ("poisson", "PoissonTraffic"),
+            ("trace", "TraceTraffic"), ("uniform", "UniformTraffic"),
+        )
+    },
+    # Read-only accessors tests observe state through.
+    "repro.noc.network.Network.link_between": "read-only accessor",
+    "repro.noc.network.Network.quiescent": "read-only accessor",
+    "repro.noc.switch.Switch.output_credits": "read-only accessor",
+    "repro.noc.buffer.FlitBuffer.free_slots": "read-only accessor",
+    "repro.noc.link.Link.busy_cycles": "read-only accessor",
+    "repro.noc.ni.NetworkInterface.idle": "read-only accessor",
+    "repro.stats.runtime.SpeedReport.modes": "read-only accessor",
+    "repro.fpga.power.PowerReport.row_for": "read-only accessor",
+    "repro.fpga.synthesis.SynthesisReport.row_for": "read-only accessor",
+    # Decided by open ROADMAP items.
+    "repro.core.processor.Processor.read_generator_counters":
+        "item 6 (register reads) decides the processor",
+    "repro.core.processor.Processor.read_receptor_counters":
+        "item 6 (register reads) decides the processor",
+    "repro.core.processor.Processor.drain_histogram":
+        "item 6 (register reads) decides the processor",
+    "repro.core.flow.FlowReport.hardware_steps_skipped":
+        "item 6 (register reads) decides the flow",
+    "repro.stats.latency.LatencyAnalyzer.bursts_seen":
+        "item 1: its _burst_acc is checkpoint state (schema 2)",
+    "repro.stats.latency.LatencyAnalyzer.mean_latency_per_burst":
+        "item 1: its _burst_acc is checkpoint state (schema 2)",
+    "repro.stats.latency.LatencyAnalyzer.mean_burst_size":
+        "item 1: its _burst_acc is checkpoint state (schema 2)",
+    "repro.analysis.baseline.render_baseline":
+        "item 9: writer of the lint baseline format; no command yet",
+    "repro.traffic.generator.TrafficGenerator.recorded_trace":
+        "item 9: goes with the generator's record option",
+    "repro.traffic.rng.LfsrRandom.geometric":
+        "item 9: an RNG draw no traffic model makes",
+}
+
+#: A string that names a definition by dotted path, as ``getattr``
+#: targets and the benchmark's wrapped layers do.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _python_files(top):
+    for folder, _dirs, files in os.walk(os.path.join(ROOT, top)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(folder, name)
+
+
+def _export_map_nodes(tree):
+    """The nodes of ``__all__`` lists and ``lazy_exports`` name maps,
+    which list names without reaching them."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            skip.update(map(id, ast.walk(node.value)))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+        ):
+            for arg in node.args[1:]:
+                skip.update(map(id, ast.walk(arg)))
+    return skip
+
+
+def _names_used(tree):
+    """``(name, line)`` of every name the code in ``tree`` refers to:
+    names, attributes, imports and dotted-path strings."""
+    skip = _export_map_nodes(tree)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
+def _definitions(module, tree):
+    """``(dotted name, name, first line, last line)`` of every
+    top-level function and class and every non-dunder method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield f"{module}.{node.name}", node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds[:2]) and not (
+                    member.name.startswith("__")
+                    and member.name.endswith("__")
+                ):
+                    yield (
+                        f"{module}.{node.name}.{member.name}", member.name,
+                        member.lineno, member.end_lineno,
+                    )
+
+
+def test_every_definition_is_reached_outside_tests():
+    """Each definition in ``src/repro`` is named by code in ``src/``
+    outside its own body, or in ``benchmarks/`` or ``examples/``; a
+    definition only tests reach is dead code, or belongs in
+    :data:`TEST_ONLY` with its reason."""
+    uses = {}  # name -> [(path, line)]; line 0: outside src/
+    definitions = []
+    for top in ("src", "benchmarks", "examples"):
+        for path in _python_files(top):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            in_src = top == "src"
+            for name, line in _names_used(tree):
+                uses.setdefault(name, []).append(
+                    (path, line) if in_src else (None, 0)
+                )
+            if in_src:
+                rel = os.path.relpath(path, os.path.join(ROOT, "src"))
+                module = rel[:-3].replace(os.sep, ".")
+                module = module.removesuffix(".__init__")
+                definitions.extend(
+                    (path, *found) for found in _definitions(module, tree)
+                )
+    unreached = {
+        dotted: f"{os.path.relpath(path, ROOT)}:{first}"
+        for path, dotted, name, first, last in definitions
+        if not any(
+            where != path or not first <= line <= last
+            for where, line in uses.get(name, ())
+        )
+    }
+    unexpected = sorted(
+        f"{where} {dotted}"
+        for dotted, where in unreached.items()
+        if dotted not in TEST_ONLY
+    )
+    assert not unexpected, (
+        "reached by no command, bench or example (delete it with its"
+        " tests, or list it in TEST_ONLY with a reason): "
+        + ", ".join(unexpected)
+    )
+    stale = sorted(set(TEST_ONLY) - set(unreached))
+    assert not stale, f"TEST_ONLY entries now reached or gone: {stale}"
 
 
 def _literal(node):

@@ -138,7 +138,6 @@ class TestAccess:
         fabric.write(base, 1)
         assert fabric.reads[0] == 2
         assert fabric.writes[0] == 1
-        assert fabric.total_accesses == 3
 
     def test_register_address_helper(self):
         fabric = BusFabric()

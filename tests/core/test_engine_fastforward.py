@@ -12,8 +12,10 @@ import pytest
 
 from repro.core.config import PlatformConfig, TGSpec, TRSpec
 from repro.core.engine import EmulationEngine
-from repro.core.errors import EmulationError
+from repro.core.errors import EmulationError, ScenarioTimeout
 from repro.core.platform import build_platform
+from repro.experiments.runner import run_scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.routing import build_tables_from_paths
 from repro.noc.topology import ring
 
@@ -164,3 +166,27 @@ class TestIdleFastForward:
         assert result.completed
         # After completion nothing remains to jump to.
         assert platform.idle_fast_forward() == 0
+
+
+class TestHorizon:
+    """An emission due at or past the horizon (``1 << 62``) reads as
+    never: an idle run waiting for one ends instead of stepping idle
+    cycles one at a time."""
+
+    SPEC = dict(topology="mesh:2:2", traffic="poisson", seed=3)
+
+    def test_idle_run_with_no_limit_raises(self):
+        spec = ScenarioSpec(load=1e-17, packets=40, **self.SPEC)
+        with pytest.raises(EmulationError, match="horizon") as info:
+            run_scenario(spec, timeout=5)
+        assert not isinstance(info.value, ScenarioTimeout)
+        assert "TG 0 (" in str(info.value)
+
+    def test_idle_run_jumps_to_its_cycle_limit(self):
+        spec = ScenarioSpec(load=1e-100, packets=2, **self.SPEC)
+        platform = build_platform(spec.to_platform_config())
+        result = EmulationEngine(platform).run(
+            max_cycles=10**9, max_wall_seconds=5
+        )
+        assert result.cycles == 10**9
+        assert result.packets_sent == 0

@@ -1,4 +1,4 @@
-"""Tests for the monitor's occupancy and power sections."""
+"""Tests for the monitor's occupancy section."""
 
 import pytest
 
@@ -37,15 +37,6 @@ class TestOccupancySection:
         platform, result = run_platform(sample_buffers=False)
         text = Monitor(platform).final_report(result)
         assert "buffer occupancy:" not in text
-
-
-class TestPowerSection:
-    def test_power_section_renders(self):
-        platform, _ = run_platform()
-        text = Monitor(platform).power_section()
-        assert "Power estimate" in text
-        assert "switch0" in text
-        assert "control" in text
 
 
 class TestFaultsSection:

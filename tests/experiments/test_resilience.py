@@ -22,7 +22,6 @@ from repro.experiments import (
     Sweep,
     SweepRunner,
     aggregate,
-    run_sweep,
 )
 from repro.util import canonical_json_bytes
 
@@ -62,7 +61,7 @@ class TestPartialResults:
         assert records(report) == records(serial)
 
     def test_failure_never_raises_mid_sweep(self):
-        report = run_sweep([BAD], retries=0)
+        report = SweepRunner(retries=0).run([BAD])
         assert len(report) == 0
         assert not report.ok
 

@@ -13,7 +13,6 @@ from repro.experiments import (
     Sweep,
     SweepRunner,
     run_scenario,
-    run_sweep,
 )
 from repro.experiments import runner as runner_mod
 
@@ -180,10 +179,6 @@ class TestDeterminism:
         serial = SweepRunner(workers=1).run(SPECS)
         assert records(parallel) == records(serial)
         assert len(cache) == len(SPECS)
-
-    def test_run_sweep_wrapper(self):
-        results = run_sweep(SPECS[:2], workers=2)
-        assert records(results) == records(SweepRunner().run(SPECS[:2]))
 
 
 class TestLiveProgress:

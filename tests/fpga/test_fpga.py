@@ -15,7 +15,6 @@ from repro.fpga.costs import (
     TR_STOCHASTIC_SLICES,
     TR_TRACE_SLICES,
     control_cost,
-    platform_cost,
     switch_cost,
     tg_cost,
     tg_spec_cost,
@@ -142,9 +141,9 @@ class TestSwitchCost:
 class TestPlatformCost:
     def test_paper_platform_total(self):
         cfg = paper_platform_config(receptor_kind="stochastic")
-        estimate = platform_cost(cfg)
+        report = synthesize(cfg)
         # Paper: 7387 slices. Accept <1% deviation.
-        assert estimate.slices == pytest.approx(7387, rel=0.01)
+        assert report.total_slices == pytest.approx(7387, rel=0.01)
 
     def test_utilisation_near_80_percent(self):
         cfg = paper_platform_config(receptor_kind="stochastic")

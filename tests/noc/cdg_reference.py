@@ -12,23 +12,22 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.noc.deadlock import Channel
-from repro.noc.routing import RoutingFunction
+from repro.noc.routing import TableRouting
 from repro.noc.topology import Topology
 
 
 def reference_channel_graph(
     topology: Topology,
-    routing: RoutingFunction,
+    routing: TableRouting,
     destinations: Optional[Sequence[int]],
 ) -> Tuple[List[Channel], List[Set[int]]]:
     """The dependency graph over integer channel ids.
 
     Returns the channels (id -> ``(a, b)``) and, per id, the ids it
     depends on.  Each switch's routes are read from its dense
-    ``dst -> port`` row (:meth:`RoutingFunction.dense_row`), which for
-    table routings is the table itself, not a copy; only ``None``
-    entries — multipath choices, missing routes — ask
-    :meth:`RoutingFunction.ports_for`.
+    ``dst -> port`` row (:meth:`TableRouting.dense_row`), which is the
+    table itself, not a copy; only ``None`` entries — multipath
+    choices, missing routes — ask :meth:`TableRouting.ports_for`.
     """
     n_switches = topology.n_switches
     n_nodes = topology.n_nodes

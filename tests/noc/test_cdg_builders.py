@@ -21,27 +21,14 @@ from repro.noc.deadlock import (
 )
 from repro.noc.routing import (
     RoutingError,
-    RoutingFunction,
-    XYRouting,
     build_multipath_tables,
     build_shortest_path_tables,
     build_updown_tables,
     paper_routing,
 )
-from repro.noc.topology import Topology, mesh, paper_topology
+from repro.noc.topology import Topology, paper_topology
 
 PROFILE = settings(max_examples=60, derandomize=True, deadline=None)
-
-
-class ProbedOnly(RoutingFunction):
-    """A routing that answers only ``ports_for``: its ``dense_row`` is
-    the base class's ``None``, so every route is probed."""
-
-    def __init__(self, inner: RoutingFunction) -> None:
-        self.inner = inner
-
-    def ports_for(self, switch, dst):
-        return self.inner.ports_for(switch, dst)
 
 
 def _outcome(build, *args):
@@ -130,54 +117,34 @@ BUILDERS = {
 @given(
     topo=fabrics(),
     builder=st.sampled_from(sorted(BUILDERS)),
-    probed=st.booleans(),
     data=st.data(),
 )
-def test_table_routings_on_random_fabrics(topo, builder, probed, data):
+def test_table_routings_on_random_fabrics(topo, builder, data):
     avoid = avoided_links(data.draw, topo)
     try:
         routing = BUILDERS[builder](topo, avoid, data)
     except RoutingError:
         assume(False)
-    if probed:
-        routing = ProbedOnly(routing)
     destinations = data.draw(destination_lists(topo.n_nodes))
     assert_same_graph(topo, routing, destinations)
 
 
 @PROFILE
 @given(
-    width=st.integers(min_value=1, max_value=4),
-    height=st.integers(min_value=1, max_value=4),
-    nodes=st.integers(min_value=1, max_value=2),
-    data=st.data(),
-)
-def test_xy_routing(width, height, nodes, data):
-    topo = mesh(width, height, nodes_per_switch=nodes)
-    routing = XYRouting(topo, width, height)
-    assert_same_graph(
-        topo, routing, data.draw(destination_lists(topo.n_nodes))
-    )
-
-
-@PROFILE
-@given(
     case=st.sampled_from(["overlap", "disjoint", "split"]),
-    probed=st.booleans(),
     data=st.data(),
 )
-def test_paper_cases(case, probed, data):
+def test_paper_cases(case, data):
     topo = paper_topology()
     routing = paper_routing(topo, case)
-    if probed:
-        routing = ProbedOnly(routing)
     assert_same_graph(
         topo, routing, data.draw(destination_lists(topo.n_nodes))
     )
 
 
 def test_paper_split_rows_hold_none():
-    """The split case reaches the probed path of the new builder."""
+    """The split case's ``None`` entries are read through
+    ``ports_for``, destination by destination."""
     topo = paper_topology()
     routing = paper_routing(topo, "split")
     assert any(
@@ -200,7 +167,8 @@ def test_named_fabrics(spec, builder):
 
 
 class TestWideSwitch:
-    """A hub with 255 or more ports does not fit the byte-coded rows."""
+    """A hub with 255 or more ports does not fit the byte-coded rows,
+    so its every entry is read one by one."""
 
     def test_star_300_graph_equals_the_reference(self):
         topo = resolve_topology_spec("star:300")

@@ -21,12 +21,11 @@ from repro.core.config import resolve_topology_spec
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.noc import routing as routing_mod
-from repro.noc.deadlock import assert_deadlock_free, channel_dependency_graph
+from repro.noc.deadlock import _channel_graph, assert_deadlock_free
 from repro.noc.network import Network
 from repro.noc.routing import (
     MultiPathTableRouting,
     TableRouting,
-    XYRouting,
     build_multipath_tables,
     build_shortest_path_tables,
     build_updown_tables,
@@ -44,7 +43,9 @@ PAPER_CASES = ("overlap", "disjoint", "split")
 
 def _avoid(topo):
     """Both directions of switch 1's first inter-switch link."""
-    b = topo.neighbors(1)[0]
+    b = next(
+        ep.target for ep in topo.switch_outputs[1] if ep.kind == "switch"
+    )
     return frozenset({(1, b), (b, 1)})
 
 
@@ -90,11 +91,11 @@ def route_digests(topology: str, name: str, avoided: bool):
     tables = _table_entries(routing)
     network = Network(topo, routing)
     dense = [sw._route_dense for sw in network.switches]
-    graph = channel_dependency_graph(topo, routing)
+    channels, succ = _channel_graph(topo, routing, None)
     edges = sorted(
-        [a, b, c, d]
-        for (a, b), deps in graph.items()
-        for (c, d) in deps
+        [*channels[c], *channels[e]]
+        for c, deps in enumerate(succ)
+        for e in deps
     )
     return _digest(tables), _digest(dense), _digest(edges)
 
@@ -238,11 +239,10 @@ class TestWorkCounts:
     "topology,make",
     [
         ("mesh:3:3", build_multipath_tables),
-        ("mesh:3:3", lambda topo: XYRouting(topo, 3, 3)),
         ("paper", lambda topo: paper_routing(topo, "split")),
         ("paper", lambda topo: paper_routing(topo, "overlap")),
     ],
-    ids=["multipath", "xy", "paper_split", "paper_overlap"],
+    ids=["multipath", "paper_split", "paper_overlap"],
 )
 def test_dense_rows_agree_with_ports_for(topology, make):
     """A row holds the single static port, ``None`` wherever the

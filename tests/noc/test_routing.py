@@ -7,7 +7,6 @@ from repro.noc.routing import (
     MultiPathTableRouting,
     RoutingError,
     TableRouting,
-    XYRouting,
     build_multipath_tables,
     build_shortest_path_tables,
     build_tables_from_paths,
@@ -83,56 +82,6 @@ class TestMultiPathRouting:
             [[None] * 6, [None] * 5 + [0]], {0: {5: [1, 2]}}
         )
         assert r.entries() == 3
-
-
-class TestXYRouting:
-    def test_routes_reach_destination(self):
-        topo = mesh(3, 3)
-        r = XYRouting(topo, 3, 3)
-        # Walk a packet from node 0 (switch 0) to node 8 (switch 8).
-        flit = head_flit(0, 8)
-        switch = 0
-        hops = 0
-        while True:
-            port = r.output_port(switch, flit)
-            ep = topo.switch_outputs[switch][port]
-            if ep.kind == "node":
-                assert ep.target == 8
-                break
-            switch = ep.target
-            hops += 1
-            assert hops < 10
-        assert hops == 4  # manhattan distance in the 3x3 mesh
-
-    def test_x_before_y(self):
-        topo = mesh(3, 3)
-        r = XYRouting(topo, 3, 3)
-        port = r.output_port(0, head_flit(0, 8))
-        ep = topo.switch_outputs[0][port]
-        assert ep.target == 1  # move in x first
-
-    def test_local_delivery(self):
-        topo = mesh(2, 2)
-        r = XYRouting(topo, 2, 2)
-        port = r.output_port(0, head_flit(1, 0))
-        assert topo.switch_outputs[0][port].kind == "node"
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(RoutingError):
-            XYRouting(mesh(2, 2), 3, 3)
-
-    def test_missing_mesh_link(self):
-        # A 1x2 "mesh" missing its forward link: XY routing needs
-        # 0 -> 1 and must report it as unroutable.
-        from repro.noc.topology import Topology
-
-        topo = Topology(2)
-        topo.add_edge(1, 0)  # only the reverse direction exists
-        topo.attach(0)
-        topo.attach(1)
-        r = XYRouting(topo, 2, 1)
-        with pytest.raises(RoutingError):
-            r.output_port(0, head_flit(0, 1))
 
 
 class TestShortestPathBuilder:

@@ -97,7 +97,6 @@ class TestCongestionCounter:
         assert con.record(p, flits) == 3
         assert con.total_stall_cycles == 3
         assert con.mean_stall_per_packet == pytest.approx(3.0)
-        assert con.mean_stall_per_flit == pytest.approx(1.0)
 
     def test_congested_fraction(self):
         con = CongestionCounter()

@@ -9,7 +9,6 @@ from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.telemetry import (
     WindowedMetrics,
-    WindowRecord,
     format_window_table,
 )
 
@@ -181,31 +180,6 @@ class TestRecord:
         assert list(d["link_flits"]) == sorted(d["link_flits"])
         # Deterministic record: no wall-clock anywhere.
         assert not any("wall" in k or "seconds" in k for k in d)
-
-    def test_link_utilization(self):
-        rec = WindowRecord(
-            index=0,
-            start=0,
-            end=100,
-            injected_flits=0,
-            injected_packets=0,
-            ejected_flits=0,
-            ejected_packets=0,
-            forwarded_flits=0,
-            blocked_flit_cycles=0,
-            credit_stall_cycles=0,
-            ni_stall_cycles=0,
-            backpressure_cycles=0,
-            fault_dropped_flits=0,
-            switch_forwarded=(),
-            switch_blocked=(),
-            switch_credit_stalls=(),
-            link_flits={"sw0->sw1": 25},
-        )
-        assert rec.link_utilization("sw0->sw1") == 0.25
-        assert rec.link_utilization("sw1->sw0") == 0.0
-        assert rec.cycles == 100
-
 
 class TestFormatting:
     def test_table_lists_all_rows_when_short(self):

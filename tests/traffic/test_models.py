@@ -9,7 +9,6 @@ import pytest
 
 from repro.traffic.base import (
     FixedDestination,
-    HotspotDestination,
     UniformRandomDestination,
     interval_for_load,
 )
@@ -77,20 +76,6 @@ class TestDestinationChoosers:
     def test_uniform_random_empty_rejected(self):
         with pytest.raises(ValueError):
             UniformRandomDestination([])
-
-    def test_hotspot_skew(self):
-        rng = LfsrRandom(3)
-        d = HotspotDestination(9, [1, 2], hotspot_fraction=0.8)
-        hits = sum(
-            d.next_destination(rng) == 9 for _ in range(5_000)
-        )
-        assert 3_700 < hits < 4_300
-
-    def test_hotspot_validation(self):
-        with pytest.raises(ValueError):
-            HotspotDestination(9, [], hotspot_fraction=0.5)
-        with pytest.raises(ValueError):
-            HotspotDestination(9, [1], hotspot_fraction=0.0)
 
 
 class TestUniformTraffic:

@@ -47,18 +47,6 @@ class TestTrace:
         t = Trace([])
         assert t.span_cycles == 0
         assert t.offered_load == 0.0
-        assert t.burst_count() == 0
-
-    def test_burst_count(self):
-        t = Trace(
-            [
-                TraceRecord(0, 0, 1, burst_id=0),
-                TraceRecord(1, 0, 1, burst_id=0),
-                TraceRecord(2, 0, 1, burst_id=1),
-                TraceRecord(3, 0, 1),
-            ]
-        )
-        assert t.burst_count() == 2
 
 
 class TestReplay:
@@ -133,8 +121,7 @@ class TestSyntheticBurstTrace:
             gap=10,
             dst=5,
         )
-        assert len(t) == 6
-        assert t.burst_count() == 2
+        assert [r.burst_id for r in t] == [0, 0, 0, 1, 1, 1]
         # Back-to-back packets inside a burst, then the gap.
         cycles = [r.cycle for r in t]
         assert cycles == [0, 4, 8, 22, 26, 30]
