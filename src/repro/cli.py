@@ -16,7 +16,9 @@ host-side tooling for the Python reproduction::
 ``run`` turns its flags into one scenario spec
 (:class:`~repro.experiments.ScenarioSpec`), builds its platform (or
 restores it with ``--resume``), drives it to the end and prints the
-monitor's final report.  Every topology, the paper platform included,
+monitor's final report; a bad flag or spec exits 2, and a run that
+fails (the drain guard, or no emission due before the horizon) prints
+a one-line ``error:`` and exits 1.  Every topology, the paper platform included,
 takes this one path: each TG's seed is the spec's stream seed
 (``ScenarioSpec.stream_seed``), and the observer flags (``--windows``,
 ``--progress``, ``--trace``, ``--checkpoint-out``, ``--profile``) never
@@ -128,7 +130,7 @@ from typing import List, Optional
 
 from repro.core.config import PAPER_CASES, ROUTINGS, parse_routing
 from repro.core.engine import build_engine, drive
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, EmulationError
 from repro.experiments.spec import ScenarioSpec
 
 
@@ -418,6 +420,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except reported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EmulationError as exc:
+        # The run itself failed (a drain timeout, or no emission due
+        # before the horizon): a one-line error, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.checkpoint_out:
         print(f"wrote {args.checkpoint_out}", file=sys.stderr)
     print(Monitor(platform).final_report(result))

@@ -453,6 +453,23 @@ class EmulationEngine:
         return replace(result, faults=fault_report, windows=windows)
 
 
+def _waits_for_the_horizon(engine: EmulationEngine) -> bool:
+    """Whether ``engine``'s run, stopped between chunks, has an idle
+    fabric, generators with budget left, and neither an emission nor
+    a fault event due before :data:`NEVER`."""
+    platform = engine.platform
+    injector = engine._injector
+    return (
+        platform.network._in_flight_flits == 0
+        and platform._next_gen_poll >= NEVER
+        and not platform.generators_done
+        and (
+            injector is None
+            or injector._wake_cycle(platform.cycle - 1) >= NEVER
+        )
+    )
+
+
 def _idle_to_the_horizon(platform: EmulationPlatform) -> EmulationError:
     """The error of a run with an idle fabric, no cycle limit and no
     generator that can poll before :data:`NEVER`: stepping on would
@@ -536,6 +553,9 @@ def drive(
             or isinstance(result, DegradedResult)
         ):
             break
+        if _waits_for_the_horizon(engine):
+            # Each chunk would jump to its own end: no chunk ends it.
+            raise _idle_to_the_horizon(platform)
     return engine.finalize_run(
         replace(
             result, cycles=platform.cycle - start_cycle, wall_seconds=wall

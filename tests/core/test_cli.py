@@ -71,6 +71,34 @@ class TestCommands:
         assert "profile: top 5 by cumulative time" in out
         assert "cumtime" in out
 
+    @pytest.mark.parametrize(
+        "chunking",
+        [[], ["--checkpoint-out", "cp.json", "--checkpoint-every", "800"]],
+        ids=["one-run", "checkpointed"],
+    )
+    def test_run_that_cannot_end_is_a_clean_error(
+        self, tmp_path, monkeypatch, capsys, chunking
+    ):
+        # Load 1e-100: every generator's first emission lies past the
+        # horizon, so the engine refuses to idle towards it.
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "run",
+                "--topology", "mesh:2:2",
+                "--traffic", "poisson",
+                "--load", "1e-100",
+                "--packets", "2",
+                "--seed", "3",
+            ]
+            + chunking
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run cannot end")
+        assert "horizon" in err
+        assert "Traceback" not in err
+
     def test_synth_prints_table(self, capsys):
         code = main(["synth", "--receptors", "stochastic"])
         out = capsys.readouterr().out

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from repro.core.config import PlatformConfig, TGSpec, TRSpec
-from repro.core.engine import EmulationEngine
+from repro.core.engine import EmulationEngine, build_engine, drive
 from repro.core.errors import EmulationError, ScenarioTimeout
 from repro.core.platform import build_platform
 from repro.experiments.runner import run_scenario
@@ -190,3 +190,39 @@ class TestHorizon:
         )
         assert result.cycles == 10**9
         assert result.packets_sent == 0
+
+    @pytest.mark.parametrize("every", [1, 800])
+    def test_chunked_drive_raises(self, every):
+        """``drive``'s chunks are bounded runs, each jumping to its
+        own end; the chunk loop ends the run instead of looping."""
+        spec = ScenarioSpec(load=1e-100, packets=2, **self.SPEC)
+        platform, engine = build_engine(spec)
+        chunks = []
+        run = engine.run
+
+        def counted(**kwargs):
+            chunks.append(kwargs["max_cycles"])
+            assert len(chunks) <= 3, "the chunk loop does not end"
+            return run(**kwargs)
+
+        engine.run = counted
+        with pytest.raises(EmulationError, match="horizon") as info:
+            drive(engine, every=every, max_wall_seconds=5)
+        assert not isinstance(info.value, ScenarioTimeout)
+        assert chunks == [every]
+        assert platform.cycle == every
+        assert f"at cycle {every} " in str(info.value)
+
+    def test_idle_windows_run_to_the_limit(self):
+        """With telemetry on, the jump lands on window boundaries: the
+        bounded run still ends at its limit, every window empty."""
+        spec = ScenarioSpec(
+            load=1e-100, packets=2, telemetry_windows=1000, **self.SPEC
+        )
+        platform, engine = build_engine(spec)
+        result = engine.run(max_cycles=10_500, max_wall_seconds=5)
+        assert result.cycles == platform.cycle == 10_500
+        assert [(w.start, w.end) for w in result.windows] == [
+            (k * 1000, min(k * 1000 + 1000, 10_500)) for k in range(11)
+        ]
+        assert not any(w.injected_flits for w in result.windows)

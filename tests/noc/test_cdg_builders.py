@@ -26,7 +26,7 @@ from repro.noc.routing import (
     build_updown_tables,
     paper_routing,
 )
-from repro.noc.topology import Topology, paper_topology
+from repro.noc.topology import Topology, mesh, paper_topology
 
 PROFILE = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -127,6 +127,28 @@ def test_table_routings_on_random_fabrics(topo, builder, data):
         assume(False)
     destinations = data.draw(destination_lists(topo.n_nodes))
     assert_same_graph(topo, routing, destinations)
+
+
+@PROFILE
+@given(
+    width=st.integers(min_value=1, max_value=4),
+    height=st.integers(min_value=1, max_value=4),
+    nodes=st.integers(min_value=1, max_value=2),
+    builder=st.sampled_from(sorted(BUILDERS)),
+    data=st.data(),
+)
+def test_mesh_tables(width, height, nodes, builder, data):
+    """Meshes up to 4x4 with one or two nodes per switch: larger
+    regular fabrics than :func:`fabrics` draws."""
+    topo = mesh(width, height, nodes_per_switch=nodes)
+    avoid = avoided_links(data.draw, topo)
+    try:
+        routing = BUILDERS[builder](topo, avoid, data)
+    except RoutingError:
+        assume(False)
+    assert_same_graph(
+        topo, routing, data.draw(destination_lists(topo.n_nodes))
+    )
 
 
 @PROFILE

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import auto_routing, resolve_topology_spec
 from repro.noc.deadlock import (
     DeadlockError,
     _channel_graph,
@@ -13,6 +14,7 @@ from repro.noc.routing import (
     TableRouting,
     build_shortest_path_tables,
     build_tables_from_paths,
+    build_updown_tables,
     paper_routing,
 )
 from repro.noc.topology import Topology, mesh, paper_topology, ring
@@ -49,10 +51,27 @@ class TestCycleFinder:
 
 class TestKnownRoutings:
     def test_shortest_path_on_mesh_is_deadlock_free(self):
-        # Lowest-port tie-breaking on our meshes yields x-then-y
-        # preference, which is dimension-ordered and safe.
+        # The BFS tables with lowest-port ties are not all x-then-y
+        # on this mesh, but they close no dependency cycle.
         topo = mesh(3, 3)
         assert is_deadlock_free(topo, build_shortest_path_tables(topo))
+
+    @pytest.mark.parametrize(
+        "spec", ["mesh:4:4", "torus:4:5", "ring:6", "spidergon:8"]
+    )
+    def test_auto_routing_is_deadlock_free(self, spec):
+        topo = resolve_topology_spec(spec)
+        build = {
+            "shortest": build_shortest_path_tables,
+            "updown": build_updown_tables,
+        }[auto_routing(topo)]
+        assert_deadlock_free(topo, build(topo))
+
+    def test_shortest_path_on_torus_closes_a_cycle(self):
+        # Why ``auto`` picks up*/down* on cyclic fabrics.
+        topo = resolve_topology_spec("torus:4:5")
+        assert auto_routing(topo) == "updown"
+        assert not is_deadlock_free(topo, build_shortest_path_tables(topo))
 
     @pytest.mark.parametrize("case", ["overlap", "disjoint", "split"])
     def test_paper_routing_cases_are_deadlock_free(self, case):

@@ -107,6 +107,52 @@ class TestShortestPathBuilder:
             hops += 1
         assert hops == 4
 
+    @pytest.mark.parametrize(
+        "width, height, nodes", [(3, 3, 1), (4, 2, 2), (1, 4, 1)]
+    )
+    def test_every_route_is_minimal(self, width, height, nodes):
+        # Every switch reaches every node in its Manhattan distance.
+        topo = mesh(width, height, nodes_per_switch=nodes)
+        r = build_shortest_path_tables(topo)
+        for dst in range(topo.n_nodes):
+            home = topo.node_switch[dst]
+            for src in range(topo.n_switches):
+                flit = head_flit(0, dst)
+                switch, hops = src, 0
+                while True:
+                    ep = topo.switch_outputs[switch][
+                        r.output_port(switch, flit)
+                    ]
+                    if ep.kind == "node":
+                        assert ep.target == dst
+                        break
+                    switch = ep.target
+                    hops += 1
+                assert hops == (
+                    abs(src % width - home % width)
+                    + abs(src // width - home // width)
+                )
+
+    def test_local_delivery(self):
+        topo = mesh(2, 2)
+        r = build_shortest_path_tables(topo)
+        port = r.output_port(0, head_flit(1, 0))
+        assert topo.switch_outputs[0][port].kind == "node"
+
+    def test_cut_off_switch_has_no_entry(self):
+        # Only the 1 -> 0 link exists: switch 0 cannot reach node 1.
+        from repro.noc.topology import Topology
+
+        topo = Topology(2)
+        topo.add_edge(1, 0)
+        topo.attach(0)
+        topo.attach(1)
+        r = build_shortest_path_tables(topo)
+        assert r.ports_for(0, 1) == []
+        assert r.ports_for(1, 0)
+        with pytest.raises(RoutingError):
+            r.output_port(0, head_flit(0, 1))
+
     def test_subset_of_destinations(self):
         topo = mesh(2, 2)
         r = build_shortest_path_tables(topo, destinations=[3])
