@@ -19,7 +19,7 @@ Layout
     ``description`` and a ``check(project)`` generator of findings.
 :mod:`~repro.analysis.engine`
     :func:`~repro.analysis.engine.run_lint` — load, check, suppress
-    (pragmas + baseline), and return a :class:`LintResult`.
+    (pragmas), and return a :class:`LintResult`.
 :mod:`~repro.analysis.reporters`
     Text and stable-schema JSON rendering.
 
@@ -28,9 +28,8 @@ Suppression
 A finding on line *N* is suppressed by ``# repro: allow[rule-id]
 reason`` on line *N* itself, or on a comment-only line directly above
 it.  The reason is mandatory — an allow without a justification is
-itself a ``pragma-hygiene`` finding.  Findings that cannot carry a
-pragma (cross-file coverage gaps during a migration) go in a checked-in
-baseline file instead; see :mod:`~repro.analysis.baseline`.
+itself a ``pragma-hygiene`` finding.  A pragma is the only
+suppression.
 """
 
 from repro.lazy import lazy_exports

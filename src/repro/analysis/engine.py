@@ -2,28 +2,21 @@
 
 :func:`run_lint` is the one entry point — the CLI subcommand, the
 tier-1 gate and the unit tests all call it.  Suppression has exactly
-two mechanisms, applied in order:
-
-1. **Pragmas** — ``# repro: allow[rule-id] reason`` on the finding's
-   line (or a comment-only line directly above it).
-2. **Baseline** — a checked-in JSON file of accepted
-   ``(rule, path, message)`` triples, for exceptions that cannot sit
-   next to the code.
+one mechanism: a pragma, ``# repro: allow[rule-id] reason``, on the
+finding's line (or a comment-only line directly above it).
 
 Whatever survives is a failure.  Hygiene problems — malformed
-pragmas, missing reasons, pragmas naming unknown rules, stale
-baseline entries — surface as findings of the built-in
-``pragma-hygiene`` rule, so the suppression machinery cannot rot
-silently.  Unparseable files are findings too (``parse-error``),
-never silent skips.
+pragmas, missing reasons, pragmas naming unknown rules — surface as
+findings of the built-in ``pragma-hygiene`` rule, so the suppression
+machinery cannot rot silently.  Unparseable files are findings too
+(``parse-error``), never silent skips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, load_project
 from repro.analysis.rules import ALL_RULES, HYGIENE_RULE_ID, RULES_BY_ID
@@ -39,7 +32,7 @@ class LintResult:
 
     #: Unsuppressed findings, canonically sorted.  Non-empty = fail.
     findings: List[Finding]
-    #: ``(finding, how)`` pairs removed by a pragma or the baseline.
+    #: ``(finding, how)`` pairs removed by a pragma.
     suppressed: List[Tuple[Finding, str]] = field(default_factory=list)
     #: Rule ids that ran, sorted.
     rules: List[str] = field(default_factory=list)
@@ -110,7 +103,6 @@ def _hygiene_findings(project: Project) -> List[Finding]:
 def run_lint(
     paths: Iterable[str],
     rule_ids: Optional[Iterable[str]] = None,
-    baseline: Union[Baseline, str, None] = None,
     overlay: Optional[Dict[str, str]] = None,
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths``.
@@ -122,10 +114,6 @@ def run_lint(
     rule_ids:
         Run only these rules (default: all).  Hygiene checks always
         run.  Unknown ids raise ``ValueError``.
-    baseline:
-        A :class:`~repro.analysis.baseline.Baseline` or the path of a
-        baseline file; matching findings are suppressed, stale
-        entries are reported.
     overlay:
         ``{path: source_text}`` substitutions (see
         :func:`~repro.analysis.project.load_project`) so callers can
@@ -133,8 +121,6 @@ def run_lint(
     """
     project = load_project(paths, overlay=overlay)
     rules = _select_rules(rule_ids)
-    if isinstance(baseline, str):
-        baseline = load_baseline(baseline)
 
     raw: List[Finding] = _hygiene_findings(project)
     for rule in rules:
@@ -151,21 +137,7 @@ def run_lint(
             reason = module.pragmas.allow[finding.line][finding.rule]
             suppressed.append((finding, f"pragma: {reason}"))
             continue
-        if baseline is not None and baseline.matches(finding):
-            suppressed.append((finding, "baseline"))
-            continue
         findings.append(finding)
-
-    if baseline is not None:
-        for entry, description in baseline.stale_entries():
-            findings.append(
-                Finding(
-                    rule=HYGIENE_RULE_ID,
-                    path=entry["path"],
-                    line=0,
-                    message=description,
-                )
-            )
 
     findings.sort(key=Finding.sort_key)
     suppressed.sort(key=lambda pair: pair[0].sort_key())

@@ -148,5 +148,5 @@ ALL_RULES: Tuple[Rule, ...] = (
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
-#: The id the engine's built-in pragma/baseline hygiene findings use.
+#: The id the engine's built-in pragma hygiene findings use.
 HYGIENE_RULE_ID = "pragma-hygiene"

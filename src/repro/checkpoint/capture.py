@@ -148,9 +148,9 @@ def snapshot(
 
     Raises :class:`CheckpointError` when the platform is not at a
     clean cycle boundary or holds state the checkpoint layer does not
-    model (packet-record mode, an unknown traffic-model family, a
-    mid-run faulted platform snapshotted without its engine, a field
-    that is neither plain data nor declared in ``__rebuilt__``).
+    model (an unknown traffic-model family, a mid-run faulted platform
+    snapshotted without its engine, a field that is neither plain data
+    nor declared in ``__rebuilt__``).
     """
     network = platform.network
     cycle = network.cycle
@@ -171,13 +171,6 @@ def snapshot(
             " per-cycle canonical ordering makes the concatenated"
             " streams bit-identical)"
         )
-    for gen in platform.generators:
-        if gen._records is not None:
-            raise CheckpointError(
-                "generator packet-record mode (record=True) is not"
-                " checkpointable"
-            )
-
     switches = [_switch_state(sw, packets) for sw in network.switches]
 
     nis = []

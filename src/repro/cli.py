@@ -109,16 +109,14 @@ e.g. an unknown rule id).  Flags:
   (``repro.analysis.reporters.LINT_REPORT_SCHEMA``).
 * ``--rule ID`` — run only the named rule (repeatable); see
   ``--list-rules`` for the catalogue.
-* ``--baseline FILE`` — accept the findings recorded in a checked-in
-  baseline (stale entries are themselves reported).
 * ``--list-rules`` — print every rule id with its description.
 * ``--verbose`` — also print suppressed findings and what suppressed
-  them (pragma reason or baseline).
+  them (the pragma's reason).
 
 Findings are suppressed in code with ``# repro: allow[rule-id]
 reason`` on the offending line (or a comment-only line directly
 above); see ``ROADMAP.md``'s "Static analysis" section for the rule
-catalogue and the pragma/baseline policy.
+catalogue and the pragma policy.
 """
 
 from __future__ import annotations
@@ -686,11 +684,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     try:
-        result = run_lint(
-            paths,
-            rule_ids=args.rule or None,
-            baseline=args.baseline,
-        )
+        result = run_lint(paths, rule_ids=args.rule or None)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1026,12 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="ID",
         help="run only this rule (repeatable; see --list-rules)",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="accept findings recorded in this baseline file",
     )
     lint_parser.add_argument(
         "--list-rules",

@@ -137,22 +137,18 @@ class BusFabric:
         self,
         device: Device,
         bus: Optional[int] = 0,
-        slot: Optional[int] = None,
     ) -> int:
         """Attach a device; return its base address.
 
-        With ``slot=None`` the lowest free device index on ``bus`` is
-        allocated.  With ``bus=None`` as well, the lowest free
-        ``(bus, slot)`` is: bus 0 first, spilling to buses 1-3 once it
-        is full (the platform-compilation step assigns addresses this
-        way, in instantiation order).
+        The device takes the lowest free device index on ``bus``.  With
+        ``bus=None``, it takes the lowest free ``(bus, slot)``: bus 0
+        first, spilling to buses 1-3 once it is full (the
+        platform-compilation step assigns addresses this way, in
+        instantiation order).
         """
         if bus is None:
-            if slot is not None:
-                raise AddressError("an explicit slot needs a bus index")
             for bus in range(N_BUSES):
-                slot = self._lowest_free(bus)
-                if slot < DEVICES_PER_BUS:
+                if self._lowest_free(bus) < DEVICES_PER_BUS:
                     break
             else:
                 raise AddressError(
@@ -163,23 +159,16 @@ class BusFabric:
             raise AddressError(
                 f"bus index {bus} out of range [0, {N_BUSES})"
             )
-        slots = self._devices[bus]
-        if slot is None:
-            slot = self._lowest_free(bus)
+        slot = self._lowest_free(bus)
         if slot >= DEVICES_PER_BUS:
             raise AddressError(
                 f"bus {bus} is full ({DEVICES_PER_BUS} devices)"
-            )
-        if slot in slots:
-            raise AddressError(
-                f"device slot {slot} on bus {bus} is already occupied"
-                f" by {slots[slot].name!r}"
             )
         if device.base_address is not None:
             raise AddressError(
                 f"device {device.name!r} is already attached"
             )
-        slots[slot] = device
+        self._devices[bus][slot] = device
         device.base_address = make_address(bus, slot, 0)
         return device.base_address
 

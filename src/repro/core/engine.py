@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: cycle (the same register discipline as faults and telemetry).
 _WALL_CHECK_CYCLES = 4096
 
+#: Cycles the fabric may hold flits without delivering a packet before
+#: the deadlock guard trips.  Read once per ``run()``.
+STAGNATION_CYCLES = 100_000
+
 
 @dataclass
 class EngineResult:
@@ -37,10 +41,8 @@ class EngineResult:
 
     ``completed`` is True only when the traffic budget is exhausted
     *and* the network drained — it is always ``budget_done and
-    drained``.  A ``drain=False`` run that stops at emission end with
-    flits still in flight therefore reports ``budget_done=True,
-    drained=False, completed=False``; a run cut short by
-    ``max_cycles``/``max_packets`` reports ``budget_done=False``.
+    drained``; a run cut short by ``max_cycles``/``max_packets``
+    reports ``budget_done=False``.
 
     ``faults`` carries the degradation record of a run driven with a
     fault schedule (None on healthy runs).  ``windows`` carries the
@@ -142,11 +144,8 @@ class EmulationEngine:
         self,
         max_cycles: Optional[int] = None,
         max_packets: Optional[int] = None,
-        drain: bool = True,
         fast_forward: bool = True,
-        stagnation_cycles: int = 100_000,
         progress=None,
-        progress_interval: float = 0.5,
         finalize: bool = True,
         max_wall_seconds: Optional[float] = None,
     ) -> EngineResult:
@@ -164,24 +163,25 @@ class EmulationEngine:
         quiescent stretches (see
         :meth:`~repro.core.platform.EmulationPlatform.idle_fast_forward`);
         bursty and low-load workloads skip the idle majority of
-        emulated time with bit-identical results.  ``stagnation_cycles``
-        bounds how long the drain phase may go without a single packet
-        delivery before the deadlock guard trips; its progress clock
-        is engine state that carries across ``run()`` calls.
+        emulated time with bit-identical results.
+        :data:`STAGNATION_CYCLES` bounds how long the drain phase may
+        go without a single packet delivery before the deadlock guard
+        trips; its progress clock is engine state that carries across
+        ``run()`` calls.
 
         ``progress`` is an optional callback fired with live
         :class:`~repro.telemetry.progress.ProgressSample` readings
-        roughly every ``progress_interval`` wall-clock seconds (plus a
-        final sample when the run is finalized); it is observational
-        only and never perturbs the emulated schedule.  A chunk's
-        meter lives on to the next chunk and, not knowing where the
-        run ends, measures the budget fraction against the packet
-        budget.  With a telemetry collector attached, window
-        boundaries are checked with the same one-comparison-per-cycle
-        discipline as fault events, and an idle fast-forward lands on
-        a window boundary so the skipped windows emit as zero-delta
-        records (parking and fast-forward stay fully engaged — nothing
-        is sampled per cycle).
+        roughly every half wall-clock second (plus a final sample when
+        the run is finalized); it is observational only and never
+        perturbs the emulated schedule.  A chunk's meter lives on to
+        the next chunk and, not knowing where the run ends, measures
+        the budget fraction against the packet budget.  With a
+        telemetry collector attached, window boundaries are checked
+        with the same one-comparison-per-cycle discipline as fault
+        events, and an idle fast-forward lands on a window boundary so
+        the skipped windows emit as zero-delta records (parking and
+        fast-forward stay fully engaged — nothing is sampled per
+        cycle).
 
         ``max_wall_seconds`` arms the cooperative timeout: the loop
         re-reads the host clock every few thousand cycles and raises a
@@ -225,6 +225,7 @@ class EmulationEngine:
         last_received = self._last_received
         last_progress_cycle = self._last_progress_cycle
         skip_idle = fast_forward and not network.sample_buffers
+        stagnation_cycles = STAGNATION_CYCLES
         # The loop body inlines platform.step (generator round + one
         # network cycle): at hundreds of thousands of cycles per
         # second, even one spare call per cycle is measurable.
@@ -269,7 +270,6 @@ class EmulationEngine:
             meter = self._meter = ProgressMeter(
                 platform,
                 progress,
-                interval_seconds=progress_interval,
                 limit_cycle=limit_cycle if finalize else None,
             )
             prog_next = meter.start(start_cycle)
@@ -321,15 +321,6 @@ class EmulationEngine:
             ):
                 break
             received = platform._packets_received
-            if not drain:
-                # Emission-phase timing: stop the moment the budgets
-                # are exhausted, drained or not.  Generators cannot
-                # un-finish during a run, so the scan stops paying once
-                # it has returned True.
-                if not gens_done:
-                    gens_done = platform.generators_done
-                if gens_done:
-                    break
             if network._in_flight_flits == 0:
                 # Quiescent fabric: the (rare) slow-path checks.
                 last_received = received

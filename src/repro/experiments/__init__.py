@@ -20,7 +20,7 @@ configurations" from hand-rolled loops into data:
   store keyed by spec hash so re-runs only execute changed scenarios
   (corrupt entries are quarantined aside, never re-trusted).
 * :mod:`~repro.experiments.report` — group-by aggregation with
-  mean/percentile statistics, CSV/JSON export, table rendering.
+  mean/min/max statistics, CSV/JSON export, table rendering.
 
 Quickstart::
 
@@ -47,7 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "SweepReport": ".resilience",
     "WorkerCrash": ".resilience",
     "aggregate": ".report",
-    "percentile": ".report",
     "render_table": ".report",
     "rows_from_results": ".report",
     "to_csv": ".report",

@@ -5,12 +5,12 @@ latency vs packets-per-burst, congestion vs routing case (Slides
 20-22).  This module turns a list of
 :class:`~repro.experiments.runner.ScenarioResult` into exactly that
 kind of series: flat rows (spec fields + metrics), group-by
-aggregation with mean/min/max/percentile statistics, CSV/JSON export
-for external plotting, and a fixed-width table renderer for the CLI.
+aggregation with mean/min/max statistics, CSV/JSON export for
+external plotting, and a fixed-width table renderer for the CLI.
 
-Everything here is deterministic: rows keep sweep order, groups sort
-by their key, and percentiles interpolate linearly (so the same
-results always render the same report).
+Everything here is deterministic: rows keep sweep order and groups
+sort by their key (so the same results always render the same
+report).
 """
 
 from __future__ import annotations
@@ -40,24 +40,13 @@ DEFAULT_METRICS = (
     "congestion_rate",
 )
 
-#: Aggregate statistics computed per group.
-DEFAULT_STATS = ("mean", "min", "max")
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (deterministic, numpy-free)."""
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+#: Aggregate statistics computed per group: each column suffix and
+#: the function of a group's values it holds.
+STATS = (
+    ("mean", lambda values: sum(values) / len(values)),
+    ("min", min),
+    ("max", max),
+)
 
 
 def _spec_row(spec) -> Dict[str, Any]:
@@ -107,7 +96,6 @@ def aggregate(
     results: Sequence[ScenarioResult],
     by: Sequence[str],
     metrics: Optional[Sequence[str]] = None,
-    stats: Sequence[str] = DEFAULT_STATS,
 ) -> List[Dict[str, Any]]:
     """Group results by spec fields and aggregate metric statistics.
 
@@ -116,10 +104,9 @@ def aggregate(
     carries a numeric value in *any* result (first-seen order across
     the sweep — a metric that is ``None`` in some scenarios, e.g.
     ``p50_latency`` without a latency histogram, still aggregates
-    over the scenarios that do report it); ``stats`` picks from
-    ``mean``, ``min``, ``max``, ``count`` and ``pNN`` percentiles
-    (``p50``, ``p95``, ...).  Output rows are sorted by group key and
-    carry columns ``<metric>.<stat>``.
+    over the scenarios that do report it).  Output rows are sorted by
+    group key and carry columns ``<metric>.<stat>`` for each of
+    :data:`STATS`.
 
     A :class:`~repro.experiments.resilience.SweepReport` aggregates
     over its completed results and adds a ``missing`` column: how
@@ -185,32 +172,12 @@ def aggregate(
                 if isinstance(m.get(metric), (int, float))
                 and not isinstance(m.get(metric), bool)
             ]
-            for stat in stats:
+            for stat, function in STATS:
                 agg[f"{metric}.{stat}"] = (
-                    _stat(values, stat) if values else None
+                    function(values) if values else None
                 )
         out.append(agg)
     return out
-
-
-def _stat(values: Sequence[float], stat: str) -> float:
-    if stat == "mean":
-        return sum(values) / len(values)
-    if stat == "min":
-        return min(values)
-    if stat == "max":
-        return max(values)
-    if stat == "count":
-        return len(values)
-    if stat.startswith("p"):
-        try:
-            q = int(stat[1:]) / 100.0
-        except ValueError:
-            raise ConfigError(f"unknown statistic {stat!r}") from None
-        return percentile(values, q)
-    raise ConfigError(
-        f"unknown statistic {stat!r}; expected mean/min/max/count/pNN"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +217,6 @@ def to_json(rows: Sequence[Mapping[str, Any]], path: str) -> str:
 def render_table(
     rows: Sequence[Mapping[str, Any]],
     columns: Optional[Sequence[str]] = None,
-    float_format: str = "{:.4g}",
 ) -> str:
     """Fixed-width text table of selected columns (CLI output)."""
     if not rows:
@@ -261,7 +227,7 @@ def render_table(
         if isinstance(value, bool) or value is None:
             return str(value)
         if isinstance(value, float):
-            return float_format.format(value)
+            return f"{value:.4g}"
         return str(value)
 
     cells = [[fmt(row.get(c)) for c in columns] for row in rows]

@@ -298,7 +298,7 @@ class SweepJournal:
 #: hard-kills a worker: the cooperative in-engine timeout gets first
 #: shot (its error message names the cycle reached); the kill is the
 #: backstop for code wedged outside the engine loop.
-DEFAULT_GRACE = 1.0
+GRACE_SECONDS = 1.0
 
 
 def _apply_memory_limit(limit_mb: int) -> None:
@@ -426,7 +426,6 @@ def run_supervised(
     workers: int,
     retries: int = 1,
     timeout: Optional[float] = None,
-    grace: float = DEFAULT_GRACE,
     memory_limit_mb: Optional[int] = None,
     chaos: Optional[Mapping[str, Any]] = None,
     on_result: Optional[Callable[[int, Any, Any], None]] = None,
@@ -443,9 +442,9 @@ def run_supervised(
     :data:`NOT_RETRIED`).  Worker death is a
     ``WorkerCrash`` attempt; a budget overrun is a ``ScenarioTimeout``
     attempt, enforced cooperatively in-engine first and by watchdog
-    SIGKILL at ``timeout + grace``.  Returns the number of task
-    executions dispatched (retries included) — the sweep-level retry
-    count is that minus ``len(tasks)``.
+    SIGKILL at ``timeout`` plus :data:`GRACE_SECONDS`.  Returns the
+    number of task executions dispatched (retries included) — the
+    sweep-level retry count is that minus ``len(tasks)``.
     """
     import multiprocessing
     from multiprocessing.connection import wait as conn_wait
@@ -460,7 +459,7 @@ def run_supervised(
         "memory_limit_mb": memory_limit_mb,
         "chaos": dict(chaos) if chaos else None,
     }
-    budget = None if timeout is None else timeout + grace
+    budget = None if timeout is None else timeout + GRACE_SECONDS
 
     # task_id -> (spec, next attempt).  One task in flight per worker,
     # so a dead worker's task is always known and its timeout is
@@ -570,7 +569,7 @@ def run_supervised(
                         attempt,
                         "ScenarioTimeout",
                         f"worker hard-killed after exceeding the"
-                        f" {timeout}s scenario budget (+{grace}s"
+                        f" {timeout}s scenario budget (+{GRACE_SECONDS}s"
                         f" grace) on {spec.label()}"
                         f" (attempt {attempt})",
                     )

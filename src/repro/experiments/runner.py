@@ -230,7 +230,7 @@ class SweepRunner:
     timeout:
         Per-scenario wall-clock budget in seconds: cooperative
         in-engine deadline plus (pool runs only) a watchdog hard-kill
-        at ``timeout + grace``.
+        at ``timeout`` plus the supervisor's grace.
     memory_limit_mb:
         Optional per-worker address-space ceiling (pool runs only);
         overruns fail the attempt as MemoryError or WorkerCrash.

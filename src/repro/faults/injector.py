@@ -127,12 +127,32 @@ class FaultInjector:
         return self.report
 
     def _wake_cycle(self, now: int) -> int:
-        """Next cycle this injector must run before."""
-        if self._flaky or self._awaiting:
+        """Next cycle this injector must run before.
+
+        A flaky window ticks every cycle.  A recovery watch waits for
+        the next delivered packet, so it ticks every cycle while flits
+        are in the fabric.  On an empty fabric no packet can arrive
+        before the generators next poll: the watch sleeps until then,
+        or until the next event.  A delivery its tick has not seen yet
+        (a resumed run derives this cycle from the one before the cut)
+        still wakes it at ``now + 1``.
+        """
+        if self._flaky:
             return now + 1
+        wake = NEVER
         if self._next_idx < len(self._events):
-            return self._events[self._next_idx].cycle
-        return NEVER
+            wake = self._events[self._next_idx].cycle
+        if self._awaiting:
+            platform = self.platform
+            if platform.network._in_flight_flits:
+                return now + 1
+            received = platform.packets_received
+            if any(received > then for _record, then in self._awaiting):
+                return now + 1
+            poll = max(now + 1, platform._next_gen_poll)
+            if poll < wake:
+                wake = poll
+        return wake
 
     # ------------------------------------------------------------------
     # Event application

@@ -11,7 +11,7 @@ can sweep it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,15 @@ def part_by_name(name: str) -> FpgaPart:
 
 
 def smallest_fitting_part(
-    used_slices: int,
-    used_bram: int = 0,
-    require_ppc: bool = True,
-    parts: Optional[Sequence[FpgaPart]] = None,
+    used_slices: int, used_bram: int = 0
 ) -> Optional[FpgaPart]:
     """Smallest family member that fits the design, or None.
 
-    ``require_ppc`` defaults to True because the platform needs the
-    embedded PowerPC that orchestrates the emulation (Slide 8).
+    Only parts with an embedded PowerPC qualify: the platform needs the
+    one that orchestrates the emulation (Slide 8).
     """
-    for part in parts if parts is not None else VIRTEX2PRO_PARTS:
-        if require_ppc and not part.has_ppc:
+    for part in VIRTEX2PRO_PARTS:
+        if not part.has_ppc:
             continue
         if part.fits(used_slices, used_bram):
             return part

@@ -23,7 +23,7 @@ buffer-depth ablation trades slices (static power) against congestion
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fpga.costs import control_cost, switch_cost, tg_cost, tr_cost
 
@@ -107,18 +107,12 @@ def _dynamic_mw(slices: int, activity: float, clock_hz: float) -> float:
     )
 
 
-def estimate_power(platform, elapsed_cycles: Optional[int] = None):
-    """Power report for a run of an :class:`EmulationPlatform`.
-
-    ``elapsed_cycles`` defaults to the platform's current cycle count;
-    pass a window length when statistics were reset mid-run.
-    """
+def estimate_power(platform):
+    """Power report for a run of an :class:`EmulationPlatform`, over
+    the platform's cycles so far."""
     config = platform.config
     clock = config.f_clk_hz
-    cycles = (
-        elapsed_cycles if elapsed_cycles is not None else platform.cycle
-    )
-    cycles = max(1, cycles)
+    cycles = max(1, platform.cycle)
     rows: List[PowerRow] = []
 
     for switch in platform.network.switches:

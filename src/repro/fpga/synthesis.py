@@ -11,7 +11,7 @@ caching of hardware steps has something real to save.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fpga.costs import (
     ResourceEstimate,
@@ -80,17 +80,13 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def synthesize(
-    config,
-    part: Optional[FpgaPart] = None,
-    auto_part: bool = False,
-) -> SynthesisReport:
+def synthesize(config, auto_part: bool = False) -> SynthesisReport:
     """Run the synthesis model on a platform configuration.
 
-    ``part`` pins the target device (default: the paper's XC2VP20);
-    ``auto_part=True`` instead picks the smallest family member that
-    fits, which is how the capacity-planning bench explores the
-    "larger FPGAs -> tens of switches" claim of the conclusion.
+    The target device is the paper's XC2VP20; ``auto_part=True``
+    instead picks the smallest family member that fits, which is how
+    the capacity-planning bench explores the "larger FPGAs -> tens of
+    switches" claim of the conclusion.
     """
     topology = config.resolve_topology()
     # Per-type aggregation: one row per device *type* as in the paper,
@@ -143,7 +139,7 @@ def synthesize(
         if chosen is None:
             chosen = part_by_name("XC2VP100")
     else:
-        chosen = part if part is not None else part_by_name(PAPER_PART_NAME)
+        chosen = part_by_name(PAPER_PART_NAME)
     rows = [
         (name, est.slices, 100.0 * est.slices / chosen.slices)
         for name, est in type_totals.items()

@@ -12,7 +12,6 @@ switches, depth-4 buffers, 9 devices) lands in the 50 MHz speed grade.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 #: Standard speed grades the platform clock is quantised down to (MHz).
 CLOCK_GRID_MHZ = (25, 33, 40, 50, 66, 75, 100)
@@ -43,17 +42,16 @@ def achievable_clock_hz(
     max_switch_inputs: int,
     buffer_depth: int,
     n_devices: int,
-    grid_mhz: Sequence[int] = CLOCK_GRID_MHZ,
 ) -> float:
     """Platform clock: critical-path f_max quantised down to the grid.
 
-    Returns the highest grid frequency whose period covers the critical
-    path; falls back to the raw f_max when even the lowest grid entry
-    is too fast (tiny grids in tests).
+    Returns the highest :data:`CLOCK_GRID_MHZ` frequency whose period
+    covers the critical path; falls back to the raw f_max when even the
+    lowest grid entry is too fast (deep buffers).
     """
     path = critical_path_ns(max_switch_inputs, buffer_depth, n_devices)
     f_max_mhz = 1000.0 / path
-    feasible = [f for f in grid_mhz if f <= f_max_mhz]
+    feasible = [f for f in CLOCK_GRID_MHZ if f <= f_max_mhz]
     if not feasible:
         return f_max_mhz * 1e6
     return max(feasible) * 1e6

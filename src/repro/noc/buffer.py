@@ -18,10 +18,6 @@ class BufferFullError(RuntimeError):
     """Raised on a push into a full buffer (a flow-control violation)."""
 
 
-class BufferEmptyError(RuntimeError):
-    """Raised on a pop/peek from an empty buffer."""
-
-
 class FlitBuffer:
     """A bounded FIFO of flits with occupancy accounting.
 
@@ -36,14 +32,15 @@ class FlitBuffer:
     parking that question is asked once per arrival wake-up, not per
     cycle).
 
-    Hot-path contract: :meth:`push` and :meth:`pop` are *inlined* by
-    ``Switch.receive``, the hop paths of ``switch.traverse_all`` and
-    the network's fused delivery phase.  A push writes ``_fifo``,
-    ``_pid_counts``, ``total_pushes`` and ``peak_occupancy``; a pop
-    writes only ``_fifo`` and ``_pid_counts``.  ``total_pops`` is not
-    counted: it is ``total_pushes - len(fifo)`` plus ``_pops_base``,
-    the base :meth:`reset_stats`, :meth:`clear` and the fault purge
-    adjust (a purge is not a pop).  The ``_fifo`` deque's identity is
+    The buffer has no push or pop method: the push rule is written in
+    ``Switch.receive`` (and inlined in the network's fused delivery
+    phase), the pop rule in the hop paths of ``switch.traverse_all``.
+    A push writes ``_fifo``, ``_pid_counts``, ``total_pushes`` and
+    ``peak_occupancy``; a pop writes only ``_fifo`` and
+    ``_pid_counts``.  ``total_pops`` is not counted: it is
+    ``total_pushes - len(fifo)`` plus ``_pops_base``, the base
+    :meth:`reset_stats`, :meth:`clear` and the fault purge adjust (a
+    purge is not a pop).  The ``_fifo`` deque's identity is
     stable for the buffer's lifetime; the switch's per-input scan
     tuples and the links' fused delivery endpoints cache it.
     """
@@ -101,47 +98,8 @@ class FlitBuffer:
     def free_slots(self) -> int:
         return self.capacity - len(self._fifo)
 
-    def push(self, flit: Flit) -> None:
-        fifo = self._fifo
-        if len(fifo) >= self.capacity:
-            raise BufferFullError(
-                f"push into full buffer {self.name or id(self)} "
-                f"(capacity {self.capacity})"
-            )
-        fifo.append(flit)
-        counts = self._pid_counts
-        if counts is not None:
-            pid = flit.packet.pid
-            counts[pid] = counts.get(pid, 0) + 1
-        self.total_pushes += 1
-        if len(fifo) > self.peak_occupancy:
-            self.peak_occupancy = len(fifo)
-
-    def pop(self) -> Flit:
-        if not self._fifo:
-            raise BufferEmptyError(
-                f"pop from empty buffer {self.name or id(self)}"
-            )
-        flit = self._fifo.popleft()
-        counts = self._pid_counts
-        if counts is not None:
-            pid = flit.packet.pid
-            remaining = counts[pid] - 1
-            if remaining:
-                counts[pid] = remaining
-            else:
-                del counts[pid]
-        return flit
-
-    def peek(self) -> Flit:
-        if self.is_empty:
-            raise BufferEmptyError(
-                f"peek into empty buffer {self.name or id(self)}"
-            )
-        return self._fifo[0]
-
     def head(self) -> Optional[Flit]:
-        """Head flit or ``None`` when empty (non-raising peek)."""
+        """Head flit or ``None`` when empty."""
         return self._fifo[0] if self._fifo else None
 
     def clear(self) -> None:

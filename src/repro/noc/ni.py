@@ -131,11 +131,6 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Network-facing interface
     # ------------------------------------------------------------------
-    def credit(self, count: int = 1) -> None:
-        self._credits += count
-        if self._parked:
-            self._credit_unpark()
-
     def _credit_unpark(self) -> None:
         """Wake from parked: the starved-for credit arrived.
 
@@ -190,9 +185,10 @@ class NetworkInterface:
         """Leave the active set after a credit-starved inject at ``now``.
 
         While parked the head flit and the stall counter would tick
-        identically every cycle (credits only arrive through
-        :meth:`credit`, flits only leave through :meth:`inject`), so
-        the whole stretch settles in one step on wake-up.
+        identically every cycle (credits only arrive through the
+        network's credit wheel, flits only leave through
+        :meth:`inject`), so the whole stretch settles in one step on
+        wake-up.
         """
         self._parked = True
         self._park_cycle = now
@@ -309,17 +305,14 @@ class ReassemblyBuffer:
         "_last_flits",
     )
 
-    def __init__(
-        self,
-        node: int,
-        on_packet: Optional[
-            Callable[[Packet, int, List[Flit]], None]
-        ] = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, node: int, name: str = "") -> None:
         self.node = node
         self.name = name or f"rx{node}"
-        self.on_packet = on_packet
+        #: Called with ``(packet, now, flits)`` per completed packet;
+        #: the network sets it.
+        self.on_packet: Optional[
+            Callable[[Packet, int, List[Flit]], None]
+        ] = None
         self._partial: Dict[int, List[Flit]] = {}
         # One-packet cache over ``_partial``: wormhole switching
         # delivers each packet's flits contiguously, so the list the

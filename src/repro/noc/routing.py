@@ -138,10 +138,6 @@ class TableRouting:
             return row + [None] * (n_nodes - len(row))
         return row
 
-    def entries(self) -> int:
-        """Total number of table entries (FPGA cost model input)."""
-        return sum(len(row) - row.count(None) for row in self.rows)
-
 
 _NO_CHOICES: Mapping[int, Sequence[int]] = {}
 
@@ -163,7 +159,6 @@ class MultiPathTableRouting(TableRouting):
         self,
         rows: List[Row],
         choices: Optional[Mapping[int, Mapping[int, Sequence[int]]]] = None,
-        salt: int = 0,
     ) -> None:
         super().__init__(rows)
         self.choices = choices or {}
@@ -174,24 +169,16 @@ class MultiPathTableRouting(TableRouting):
                         f"empty candidate port list at switch {s} for"
                         f" destination {dst}"
                     )
-        self.salt = salt
 
     def output_port(self, switch: int, flit: Flit) -> int:
         ports = self.choices.get(switch, _NO_CHOICES).get(flit.dst)
         if ports is None:
             return super().output_port(switch, flit)
-        return ports[_mix(flit.packet.pid + self.salt) % len(ports)]
+        return ports[_mix(flit.packet.pid) % len(ports)]
 
     def ports_for(self, switch: int, dst: int) -> List[int]:
         ports = self.choices.get(switch, _NO_CHOICES).get(dst)
         return super().ports_for(switch, dst) if ports is None else list(ports)
-
-    def entries(self) -> int:
-        return super().entries() + sum(
-            len(ports)
-            for t in self.choices.values()
-            for ports in t.values()
-        )
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +243,7 @@ def _reverse_bfs_distances(
 
 
 def _rows_by_destination_switch(
-    topo: Topology,
-    destinations: Optional[Sequence[int]],
-    column: Callable[[int], Column],
+    topo: Topology, column: Callable[[int], Column]
 ) -> Tuple[List[Row], Dict[int, Dict[int, List[int]]]]:
     """Every switch's ``n_nodes``-long row, filled with one ``column``
     per destination switch, and the several-candidate entries as
@@ -267,10 +252,8 @@ def _rows_by_destination_switch(
     Every node on a switch shares that switch's routes everywhere but
     at the switch itself, where the node's ejection port applies — so
     each destination switch's BFS runs once, however many nodes it
-    hosts.  Nodes outside ``destinations`` keep ``None`` entries.
+    hosts.
     """
-    if destinations is None:
-        destinations = range(topo.n_nodes)
     node_port = [0] * topo.n_nodes
     for s in range(topo.n_switches):
         for port, ep in enumerate(topo.switch_outputs[s]):
@@ -281,7 +264,7 @@ def _rows_by_destination_switch(
     ]
     choices: Dict[int, Dict[int, List[int]]] = {}
     columns: Dict[int, Column] = {}
-    for dst in destinations:
+    for dst in range(topo.n_nodes):
         dst_switch = topo.switch_of_node(dst)
         if dst_switch not in columns:
             columns[dst_switch] = column(dst_switch)
@@ -300,10 +283,9 @@ def _rows_by_destination_switch(
 
 def build_shortest_path_tables(
     topo: Topology,
-    destinations: Optional[Sequence[int]] = None,
     avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
 ) -> TableRouting:
-    """Deterministic shortest-path tables for the given destination nodes.
+    """Deterministic shortest-path tables for every destination node.
 
     Ties are broken toward the lowest-indexed output port, which makes
     the tables reproducible across runs (the platform initialisation
@@ -317,16 +299,12 @@ def build_shortest_path_tables(
     def column(dst_switch: int) -> Column:
         return _reverse_bfs_distances(preds, dst_switch)[1], {}
 
-    return TableRouting(
-        _rows_by_destination_switch(topo, destinations, column)[0]
-    )
+    return TableRouting(_rows_by_destination_switch(topo, column)[0])
 
 
 def build_multipath_tables(
     topo: Topology,
-    destinations: Optional[Sequence[int]] = None,
     max_paths: int = 2,
-    salt: int = 0,
     avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
 ) -> MultiPathTableRouting:
     """Equal-cost multi-path tables: all minimal next hops, truncated.
@@ -354,14 +332,12 @@ def build_multipath_tables(
                     hop[s] = None
         return hop, several
 
-    rows, choices = _rows_by_destination_switch(topo, destinations, column)
-    return MultiPathTableRouting(rows, choices, salt=salt)
+    rows, choices = _rows_by_destination_switch(topo, column)
+    return MultiPathTableRouting(rows, choices)
 
 
 def build_updown_tables(
     topo: Topology,
-    destinations: Optional[Sequence[int]] = None,
-    root: Optional[int] = None,
     avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
 ) -> TableRouting:
     """Deadlock-free up*/down* tables for any connected topology.
@@ -395,20 +371,15 @@ def build_updown_tables(
     entries (the router raises on use), mirroring the degraded
     behaviour of :func:`build_shortest_path_tables`.
 
-    ``root`` defaults to the lowest-id switch that still has a live
-    link out — switch 0 whenever it is alive — so a fault that kills
-    switch 0 re-roots the ranking on the surviving fabric instead of
-    severing all of it.
+    The root is the lowest-id switch that still has a live link out —
+    switch 0 whenever it is alive — so a fault that kills switch 0
+    re-roots the ranking on the surviving fabric instead of severing
+    all of it.
     """
     avoid = frozenset(avoid_links or ())
     n = topo.n_switches
     outs, _preds = _live_links(topo, avoid)
-    if root is None:
-        root = next((s for s in range(n) if outs[s]), 0)
-    if not 0 <= root < n:
-        raise RoutingError(
-            f"up*/down* root {root} out of range [0, {n})"
-        )
+    root = next((s for s in range(n) if outs[s]), 0)
     # Rank switches by (BFS level from the root, id); "up" edges point
     # toward strictly lower rank.  ``pos`` is each switch's place in
     # that order (-1 = outside the root's component).
@@ -478,9 +449,7 @@ def build_updown_tables(
             col[s] = best_port
         return col, {}
 
-    return TableRouting(
-        _rows_by_destination_switch(topo, destinations, column)[0]
-    )
+    return TableRouting(_rows_by_destination_switch(topo, column)[0])
 
 
 def build_tables_from_paths(

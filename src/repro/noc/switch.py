@@ -128,8 +128,9 @@ class Switch:
     """One input-buffered switch of the emulation platform.
 
     The network drives the switch with :meth:`receive` (flit arrival
-    from a link or a network interface), :meth:`credit` (flow-control
-    credit returned by a downstream buffer) and :func:`traverse_all`
+    from a link or a network interface), its credit wheel (flow-control
+    credit returned by a downstream buffer, see
+    ``Network._drain_credit_slot``) and :func:`traverse_all`
     (one cycle of arbitration and flit movement over every active
     switch; :meth:`traverse` applies it to this switch alone).  Parked
     inputs settle their stalls against ``_clock``, which the network
@@ -338,8 +339,8 @@ class Switch:
 
         ``now`` is accepted (and ignored) so the network can bind this
         method directly as a link delivery sink via ``partial``.  The
-        body is :meth:`FlitBuffer.push` inlined — this is one of the
-        two per-flit-hop hot spots of the whole simulator.
+        body is the buffer's push rule — this is one of the two
+        per-flit-hop hot spots of the whole simulator.
         """
         buf = self.inputs[port]
         fifo = buf._fifo
@@ -377,27 +378,14 @@ class Switch:
             # either switching mode, changes nothing: stay parked.)
             self._unpark_input(port)
 
-    def credit(self, port: int, count: int = 1) -> None:
-        """Downstream freed ``count`` buffer slots behind output ``port``."""
-        out = self._outputs[port]
-        assert out is not None
-        if not out.infinite_credits:
-            out.credits += count
-        if out.credit_waiters:
-            self._credit_wake_port(out)
-
-    def _credit_wake_port(
-        self, out: _OutputPort, now: Optional[int] = None
-    ) -> None:
-        """A credit returned on a port with parked waiters.  Credits
-        land in the network's first phase, before this cycle's
-        traverse, so settlement stops at the previous cycle and the
-        inputs re-enter the scan in time to move this cycle.  Stale
-        entries (inputs woken through another path since they
-        registered) are skipped.  ``now`` is the delivery cycle when
-        the caller knows it (the network's credit drain); otherwise
-        the switch clock provides it."""
-        until = (self._clock() if now is None else now) - 1
+    def _credit_wake_port(self, out: _OutputPort, now: int) -> None:
+        """A credit returned at cycle ``now`` on a port with parked
+        waiters.  Credits land in the network's first phase, before
+        this cycle's traverse, so settlement stops at the previous
+        cycle and the inputs re-enter the scan in time to move this
+        cycle.  Stale entries (inputs woken through another path since
+        they registered) are skipped."""
+        until = now - 1
         parked = self._in_parked
         waiters = out.credit_waiters
         for i in waiters:
@@ -747,8 +735,8 @@ def traverse_all(
                         out.credit_waiters.append(i)
                         compact = True
                         continue
-                    # Fused hop: FlitBuffer.pop, the upstream credit
-                    # schedule and Link.send inlined (the per-flit-hop
+                    # Fused hop: the buffer's pop rule, the upstream
+                    # credit schedule and Link.send inlined (the per-flit-hop
                     # hot spots); the buffer is non-empty by
                     # construction.
                     fifo.popleft()

@@ -20,7 +20,7 @@ links (the middle-column links) carry two 45% flows each, i.e. 90% load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class TopologyError(ValueError):
@@ -323,9 +323,7 @@ PAPER_TG_LOAD = 0.45
 PAPER_HOT_LINK_LOAD = 0.90
 
 
-def paper_topology(
-    buffer_hint: Optional[int] = None, link_delay: int = 1
-) -> Topology:
+def paper_topology(link_delay: int = 1) -> Topology:
     """The 6-switch, 4-TG, 4-TR platform of the paper's evaluation.
 
     Returns a 2x3 mesh with eight attached nodes.  Nodes 0-3 are the
@@ -340,12 +338,7 @@ def paper_topology(
     those two links to 2 x 45% = 90% exactly as Slide 19 states, and a
     *disjoint* dimension-ordered case where no link carries more than
     one flow.
-
-    ``buffer_hint`` is accepted for signature compatibility with the
-    platform builder and ignored here (buffer depth is a switch
-    parameter, not a topology property).
     """
-    del buffer_hint  # topology does not own buffer sizing
     width, height = PAPER_GRID
     topo = Topology(width * height, name="paper6")
     for y in range(height):

@@ -47,25 +47,23 @@ class Histogram:
     # ------------------------------------------------------------------
     # Accumulation
     # ------------------------------------------------------------------
-    def add(self, value: int, count: int = 1) -> None:
-        """Record ``count`` occurrences of ``value``."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self.total += count
-        self._sum += value * count
+    def add(self, value: int) -> None:
+        """Record one occurrence of ``value``."""
+        self.total += 1
+        self._sum += value
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
         offset = value - self.origin
         if offset < 0:
-            self.underflow += count
+            self.underflow += 1
             return
         index = offset // self.bin_width
         if index >= self.n_bins:
-            self.overflow += count
+            self.overflow += 1
         else:
-            self.counts[index] += count
+            self.counts[index] += 1
 
     def merge(self, other: "Histogram") -> None:
         """Accumulate another histogram of identical geometry."""

@@ -74,10 +74,10 @@ class OccupancyReport:
         depth that would have sufficed for this run)."""
         return max((s.peak for s in self.stats), default=0)
 
-    def suggested_depth(self, slack: int = 1) -> int:
-        """Peak depth used plus slack — a sizing suggestion for the
-        next platform compilation."""
-        return self.peak_depth_used() + max(0, slack)
+    def suggested_depth(self) -> int:
+        """Peak depth used plus one flit of slack — a sizing suggestion
+        for the next platform compilation."""
+        return self.peak_depth_used() + 1
 
     def mean_pressure(self) -> float:
         """Average occupancy fraction across all buffers."""

@@ -3,7 +3,7 @@
 The engine's loop runs hundreds of thousands of emulated cycles per
 second; a long run or sweep is otherwise a black box until the final
 report.  :class:`ProgressMeter` fires a user callback roughly every
-``interval_seconds`` of *wall clock* with a :class:`ProgressSample` —
+half a second of *wall clock* with a :class:`ProgressSample` —
 cycles/sec, packets in flight, fraction of the run budget, fault state
 — while costing the hot loop a single integer comparison per cycle:
 the meter converts its wall-clock interval into a cycle count from the
@@ -50,8 +50,6 @@ class ProgressMeter:
         The running :class:`~repro.core.platform.EmulationPlatform`.
     callback:
         Called with each :class:`ProgressSample`.
-    interval_seconds:
-        Target wall-clock spacing between samples.
     limit_cycle:
         The run's absolute cycle limit, if any (used for
         ``budget_fraction``).
@@ -61,6 +59,8 @@ class ProgressMeter:
     #: the cycles/sec estimate early, long enough to be free on short
     #: runs.
     INITIAL_CYCLES = 256
+    #: Target wall-clock spacing between samples.
+    INTERVAL_SECONDS = 0.5
     MIN_CYCLES = 64
     MAX_CYCLES = 10_000_000
 
@@ -68,16 +68,10 @@ class ProgressMeter:
         self,
         platform,
         callback: Callable[[ProgressSample], None],
-        interval_seconds: float = 0.5,
         limit_cycle: Optional[int] = None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be > 0, got {interval_seconds}"
-            )
         self.platform = platform
         self.callback = callback
-        self.interval_seconds = interval_seconds
         self.limit_cycle = limit_cycle
         self.samples_emitted = 0
         self._start_cycle = 0
@@ -112,8 +106,8 @@ class ProgressMeter:
         """Emit a sample at cycle ``now``; return the next check cycle.
 
         Also re-tunes the cycle interval so the next callback lands
-        about ``interval_seconds`` of wall clock away at the currently
-        measured emulation speed.
+        about :attr:`INTERVAL_SECONDS` of wall clock away at the
+        currently measured emulation speed.
         """
         self._emit(now, faulted, final=False)
         self.next_cycle = now + self._interval_cycles
@@ -130,7 +124,7 @@ class ProgressMeter:
         dc = now - self._last_cycle
         cps = dc / dt if dt > 0 else 0.0
         if not final and dt > 0 and dc > 0:
-            target = int(dc * self.interval_seconds / dt)
+            target = int(dc * self.INTERVAL_SECONDS / dt)
             self._interval_cycles = min(
                 self.MAX_CYCLES, max(self.MIN_CYCLES, target)
             )

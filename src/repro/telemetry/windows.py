@@ -382,14 +382,13 @@ class WindowedMetrics:
         )
 
 
-def format_window_table(
-    records: List[WindowRecord], limit: int = 12
-) -> str:
+def format_window_table(records: List[WindowRecord]) -> str:
     """Render a window series as an aligned text table.
 
     Shows the first and last rows when the series is longer than
-    ``limit``, with an ellipsis row in between.
+    twelve, with an ellipsis row in between.
     """
+    limit = 12
     headers = (
         "win",
         "cycles",

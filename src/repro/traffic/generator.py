@@ -13,12 +13,11 @@ memory-mapped configuration interface.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.noc.flit import Packet, next_packet_id
 from repro.noc.ni import NetworkInterface
 from repro.traffic.base import TrafficModel
-from repro.traffic.trace import Trace, TraceRecord
 
 #: The emulation horizon: the sentinel cycle of a generator that can
 #: never act again, and of every engine register (fault, telemetry,
@@ -47,16 +46,13 @@ class TrafficGenerator:
         hardware.  Finite queues are what make the average latency
         saturate at high congestion (Slide 22) instead of growing
         without bound.
-    record:
-        When True, every emission is also recorded so the run can be
-        saved as a trace (:meth:`recorded_trace`).
     """
 
     #: Not checkpointed (see :mod:`repro.checkpoint.walker`): identity,
-    #: config and platform hooks; record mode refuses checkpoints.
+    #: config and platform hooks.
     __rebuilt__ = (
         "node", "ni", "max_packets", "queue_limit", "_clock",
-        "new_pid", "on_count", "on_wake", "_records",
+        "new_pid", "on_count", "on_wake",
     )
 
     def __init__(
@@ -66,7 +62,6 @@ class TrafficGenerator:
         ni: NetworkInterface,
         max_packets: Optional[int] = None,
         queue_limit: int = 64,
-        record: bool = False,
     ) -> None:
         if max_packets is not None and max_packets < 0:
             raise ValueError(
@@ -112,7 +107,6 @@ class TrafficGenerator:
         self.packets_sent = 0
         self.flits_sent = 0
         self._backpressure_cycles = 0
-        self._records: Optional[List[TraceRecord]] = [] if record else None
 
     # ------------------------------------------------------------------
     # Control (driven by the platform's TG device registers)
@@ -180,8 +174,6 @@ class TrafficGenerator:
         # Pre-reset backpressure (settled or parked) is discarded.
         self._bp_since = None
         self._backpressure_cycles = 0
-        if self._records is not None:
-            self._records = []
         self.wake()
 
     @property
@@ -274,19 +266,4 @@ class TrafficGenerator:
         self.flits_sent += length
         if self.on_count is not None:
             self.on_count(1)
-        if self._records is not None:
-            self._records.append(TraceRecord(now, dst, length, burst_id))
         return packet
-
-    # ------------------------------------------------------------------
-    # Trace recording
-    # ------------------------------------------------------------------
-    def recorded_trace(self, name: Optional[str] = None) -> Trace:
-        """The emissions of this run as a replayable trace."""
-        if self._records is None:
-            raise RuntimeError(
-                "generator was constructed with record=False"
-            )
-        return Trace(
-            list(self._records), name=name or f"tg{self.node}_recorded"
-        )

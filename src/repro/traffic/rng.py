@@ -5,8 +5,8 @@ shift registers seeded through the "random initialization" registers of
 the TG register bench (Slide 10).  This module reproduces that
 behaviour: :class:`Lfsr32` is a maximal-length 32-bit Galois LFSR, and
 :class:`LfsrRandom` layers the distributions the stochastic traffic
-models need (uniform integers, Bernoulli trials, geometric and
-exponential variates) on top of it.
+models need (uniform integers, Bernoulli trials and exponential
+variates) on top of it.
 
 Using an LFSR instead of Python's Mersenne Twister keeps the software
 emulation bit-compatible with what a hardware TG would produce from the
@@ -211,21 +211,6 @@ class LfsrRandom:
         if p == 1.0:
             return True
         return self.random() < p
-
-    def geometric(self, p: float) -> int:
-        """Number of Bernoulli(p) trials up to and including first success.
-
-        Sampled by inversion (single uniform draw), support {1, 2, ...}.
-        """
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {p}")
-        if p == 1.0:
-            return 1
-        u = self.random()
-        # Guard u == 0, where log would diverge.
-        u = max(u, 2.0 ** -33)
-        # log1p: for tiny p, 1.0 - p rounds to 1.0 and log() to 0.
-        return 1 + int(math.log(u) / math.log1p(-p))
 
     def expovariate(self, rate: float) -> float:
         """Exponential variate with the given rate (mean ``1/rate``)."""

@@ -267,44 +267,39 @@ def synthetic_burst_trace(
 #: Relative frame sizes of an MPEG-like group of pictures.
 _GOP_PATTERN = ("I", "B", "B", "P", "B", "B", "P", "B", "B", "P", "B", "B")
 _FRAME_PACKETS = {"I": 12, "P": 5, "B": 2}
+#: Cycles between frame arrivals.
+_FRAME_INTERVAL = 512
+#: Relative spread of a frame's packet count around its type's size.
+_SIZE_JITTER = 0.25
 
 
 def synthetic_mpeg_trace(
     n_frames: int,
     dst: int,
     flits_per_packet: int = 8,
-    frame_interval: int = 512,
-    size_jitter: float = 0.25,
     start: int = 0,
     seed: int = 7,
 ) -> Trace:
     """An MPEG-decoder-like frame trace (substitute "real application").
 
-    Frames arrive every ``frame_interval`` cycles following an IBBP
-    group-of-pictures pattern; each frame is a burst whose packet count
-    scales with the frame type (I ≫ P > B) with multiplicative jitter.
+    Frames arrive every 512 cycles following an IBBP group-of-pictures
+    pattern; each frame is a burst whose packet count scales with the
+    frame type (I ≫ P > B) with multiplicative jitter.
     This reproduces the heavy-tailed, periodic-burst structure of a
     recorded multimedia trace, which is what the paper's trace-driven
     experiments feed the platform.
     """
     if n_frames < 1:
         raise ValueError(f"need >= 1 frame, got {n_frames}")
-    if not 0.0 <= size_jitter < 1.0:
-        raise ValueError(
-            f"size jitter must be in [0, 1), got {size_jitter}"
-        )
     rng = LfsrRandom(seed)
     records: List[TraceRecord] = []
     for frame in range(n_frames):
         kind = _GOP_PATTERN[frame % len(_GOP_PATTERN)]
         base = _FRAME_PACKETS[kind]
-        if size_jitter:
-            lo = max(1, round(base * (1.0 - size_jitter)))
-            hi = max(lo, round(base * (1.0 + size_jitter)))
-            packets = rng.uniform_int(lo, hi)
-        else:
-            packets = base
-        cycle = start + frame * frame_interval
+        lo = max(1, round(base * (1.0 - _SIZE_JITTER)))
+        hi = max(lo, round(base * (1.0 + _SIZE_JITTER)))
+        packets = rng.uniform_int(lo, hi)
+        cycle = start + frame * _FRAME_INTERVAL
         for _ in range(packets):
             records.append(
                 TraceRecord(cycle, dst, flits_per_packet, frame)

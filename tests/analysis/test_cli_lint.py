@@ -58,12 +58,6 @@ def test_lint_unknown_rule_exits_two(capsys):
     assert "wall-clock" in err  # the known-rule list is printed
 
 
-def test_lint_missing_baseline_exits_two(tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    assert main(["lint", SRC, "--baseline", missing]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out

@@ -5,8 +5,9 @@ Running the perf benches themselves stays out of tier-1 (they are
 (``benchmarks/run_all.py``), the one timer every speed ratio goes
 through (``benchmarks/bench_ratios.paired``), the marker that keeps
 each bench out of tier-1, the traffic params the benches (and the
-examples and sources, which tier-1 does not execute either) spell, and
-that every source definition is reached by something besides tests.
+examples and sources, which tier-1 does not execute either) spell,
+that every source definition is reached by something besides tests,
+and that every defaulted parameter is set by something besides tests.
 """
 
 import ast
@@ -179,11 +180,15 @@ TEST_ONLY = {
     "repro.noc.network.Network.quiescent": "read-only accessor",
     "repro.noc.switch.Switch.output_credits": "read-only accessor",
     "repro.noc.buffer.FlitBuffer.free_slots": "read-only accessor",
+    "repro.noc.buffer.FlitBuffer.is_empty": "read-only accessor",
     "repro.noc.link.Link.busy_cycles": "read-only accessor",
     "repro.noc.ni.NetworkInterface.idle": "read-only accessor",
     "repro.stats.runtime.SpeedReport.modes": "read-only accessor",
     "repro.fpga.power.PowerReport.row_for": "read-only accessor",
     "repro.fpga.synthesis.SynthesisReport.row_for": "read-only accessor",
+    # Stepping helpers for bare networks.
+    "repro.noc.network.Network.drain":
+        "steps a bare network (no engine) until it drains",
     # Decided by open ROADMAP items.
     "repro.core.processor.Processor.read_generator_counters":
         "item 6 (register reads) decides the processor",
@@ -199,12 +204,32 @@ TEST_ONLY = {
         "item 1: its _burst_acc is checkpoint state (schema 2)",
     "repro.stats.latency.LatencyAnalyzer.mean_burst_size":
         "item 1: its _burst_acc is checkpoint state (schema 2)",
-    "repro.analysis.baseline.render_baseline":
-        "item 9: writer of the lint baseline format; no command yet",
-    "repro.traffic.generator.TrafficGenerator.recorded_trace":
-        "item 9: goes with the generator's record option",
-    "repro.traffic.rng.LfsrRandom.geometric":
-        "item 9: an RNG draw no traffic model makes",
+}
+
+#: Defaulted ``src/repro`` parameters that only tests set, each with the
+#: reason it stays.  :func:`test_every_parameter_is_set_outside_tests`
+#: fails on any other such parameter and on a stale entry here.
+TEST_ONLY_PARAMS = {
+    "repro.analysis.engine.run_lint(overlay)":
+        "tests inject fixture modules through it",
+    "repro.core.engine.EmulationEngine.run(fast_forward)":
+        "parity tests compare against the un-skipped run",
+    **{
+        f"repro.noc.topology.{factory}(link_delay)":
+            "tests build multi-cycle links through it"
+        for factory in ("paper_topology", "spidergon", "star")
+    },
+    **{
+        f"repro.baselines.{name}":
+            "item 8 rebuilds the baseline engines behind one spec"
+        for name in (
+            "rtl.RtlPlatformSim.__init__(depth)",
+            "tlm.TlmPlatformSim.__init__(depth)",
+            "vcd.VcdTracer.__init__(timescale)",
+            "speed.speed_report(cycles_per_packet)",
+            "speed.speed_report(include_paper_rows)",
+        )
+    },
 }
 
 #: A string that names a definition by dotted path, as ``getattr``
@@ -238,74 +263,84 @@ def _export_map_nodes(tree):
 
 
 def _names_used(tree):
-    """``(name, line)`` of every name the code in ``tree`` refers to:
-    names, attributes, imports and dotted-path strings."""
+    """``(name, line, bare)`` of every name the code in ``tree`` refers
+    to: names (``bare``), attributes, imports and dotted-path strings."""
     skip = _export_map_nodes(tree)
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED.fullmatch(node.value):
                 for part in node.value.split("."):
-                    yield part, node.lineno
+                    yield part, node.lineno, False
 
 
 def _definitions(module, tree):
-    """``(dotted name, name, first line, last line)`` of every
-    top-level function and class and every non-dunder method."""
+    """``(dotted name, name, node, is method)`` of every top-level
+    function and class and every method, dunders included."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        yield f"{module}.{node.name}", node.name, node.lineno, node.end_lineno
+        yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, kinds[:2]) and not (
-                    member.name.startswith("__")
-                    and member.name.endswith("__")
-                ):
+                if isinstance(member, kinds[:2]):
                     yield (
                         f"{module}.{node.name}.{member.name}", member.name,
-                        member.lineno, member.end_lineno,
+                        member, True,
                     )
+
+
+def _module_trees():
+    """``(path, module or None, tree)`` of every Python file in ``src/``,
+    ``benchmarks/`` and ``examples/``; the module is None outside src."""
+    for top in ("src", "benchmarks", "examples"):
+        for path in _python_files(top):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            module = None
+            if top == "src":
+                rel = os.path.relpath(path, os.path.join(ROOT, "src"))
+                module = rel[:-3].replace(os.sep, ".")
+                module = module.removesuffix(".__init__")
+            yield path, module, tree
 
 
 def test_every_definition_is_reached_outside_tests():
     """Each definition in ``src/repro`` is named by code in ``src/``
     outside its own body, or in ``benchmarks/`` or ``examples/``; a
     definition only tests reach is dead code, or belongs in
-    :data:`TEST_ONLY` with its reason."""
-    uses = {}  # name -> [(path, line)]; line 0: outside src/
+    :data:`TEST_ONLY` with its reason.  A method is reached only
+    through an attribute, an import or a dotted-path string: a bare
+    name is a local or a module-level function, never a method."""
+    uses = {}  # name -> [(path, line, bare)]; line 0: outside src/
     definitions = []
-    for top in ("src", "benchmarks", "examples"):
-        for path in _python_files(top):
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            in_src = top == "src"
-            for name, line in _names_used(tree):
-                uses.setdefault(name, []).append(
-                    (path, line) if in_src else (None, 0)
-                )
-            if in_src:
-                rel = os.path.relpath(path, os.path.join(ROOT, "src"))
-                module = rel[:-3].replace(os.sep, ".")
-                module = module.removesuffix(".__init__")
-                definitions.extend(
-                    (path, *found) for found in _definitions(module, tree)
-                )
+    for path, module, tree in _module_trees():
+        for name, line, bare in _names_used(tree):
+            uses.setdefault(name, []).append(
+                (path, line, bare) if module else (None, 0, bare)
+            )
+        if module:
+            definitions.extend(
+                (path, dotted, name, node, method)
+                for dotted, name, node, method in _definitions(module, tree)
+                if not (name.startswith("__") and name.endswith("__"))
+            )
     unreached = {
-        dotted: f"{os.path.relpath(path, ROOT)}:{first}"
-        for path, dotted, name, first, last in definitions
+        dotted: f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+        for path, dotted, name, node, method in definitions
         if not any(
-            where != path or not first <= line <= last
-            for where, line in uses.get(name, ())
+            (where != path or not node.lineno <= line <= node.end_lineno)
+            and not (method and bare)
+            for where, line, bare in uses.get(name, ())
         )
     }
     unexpected = sorted(
@@ -320,6 +355,120 @@ def test_every_definition_is_reached_outside_tests():
     )
     stale = sorted(set(TEST_ONLY) - set(unreached))
     assert not stale, f"TEST_ONLY entries now reached or gone: {stale}"
+
+
+def _defaulted_params(node, method):
+    """``(name, call position or None)`` of each parameter of function
+    ``node`` that has a default; the position counts the arguments a
+    call passes, so a method's ``self`` takes none."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    skip = 1 if method and not any(
+        getattr(d, "id", None) == "staticmethod"
+        for d in node.decorator_list
+    ) else 0
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - skip
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _callee(func, bases):
+    """The name a call to ``func`` calls, and how many of its
+    positional arguments fill ``self``.  A constructor is called by its
+    class name, so ``super().__init__`` calls the enclosing class's
+    base and ``Base.__init__(self, ...)`` calls ``Base``."""
+    if isinstance(func, ast.Name):
+        return func.id, 0
+    if func.attr == "__init__":
+        owner = func.value
+        if isinstance(owner, ast.Call) and (
+            getattr(owner.func, "id", None) == "super"
+        ):
+            return (bases[0] if bases else None), 0
+        return getattr(owner, "id", None) or getattr(owner, "attr", None), 1
+    return func.attr, 0
+
+
+def _calls(tree):
+    """``(callee name, keywords, positional count, starred, line)`` of
+    every call in ``tree``; ``starred`` when it passes ``*`` or ``**``."""
+    bases = {}  # id(call) -> base class names of the enclosing class
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = [
+                getattr(b, "id", None) or getattr(b, "attr", None)
+                for b in node.bases
+            ]
+            for inner in ast.walk(node):
+                bases[id(inner)] = names
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(
+            node.func, (ast.Name, ast.Attribute)
+        ):
+            continue
+        callee, skipped = _callee(node.func, bases.get(id(node), []))
+        keywords = {kw.arg for kw in node.keywords} - {None}
+        starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        )
+        yield callee, keywords, len(node.args) - skipped, starred, node.lineno
+
+
+def test_every_parameter_is_set_outside_tests():
+    """Each defaulted parameter of a function or method in ``src/repro``
+    is set by code in ``src/`` outside that function, or in
+    ``benchmarks/`` or ``examples/``: a call passes a keyword of its
+    name, or calls the function's name with an argument in its position
+    or with ``*``/``**``.  A parameter only tests set is an option
+    nothing uses (make it a constant), or belongs in
+    :data:`TEST_ONLY_PARAMS` with its reason."""
+    calls = []  # (path or None outside src/, callee, kws, n, starred, line)
+    functions = []
+    for path, module, tree in _module_trees():
+        calls.extend(
+            (path if module else None, *call) for call in _calls(tree)
+        )
+        if not module:
+            continue
+        for dotted, name, node, method in _definitions(module, tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            callees = {name}
+            if name == "__init__":
+                callees = {dotted.rsplit(".", 2)[-2]}
+            functions.extend(
+                (path, dotted, callees, node, param, position)
+                for param, position in _defaulted_params(node, method)
+            )
+    unset = {}
+    for path, dotted, callees, node, param, position in functions:
+        outside = [
+            call for call in calls
+            if call[0] != path or not node.lineno <= call[5] <= node.end_lineno
+        ]
+        if not any(
+            param in kws
+            or callee in callees
+            and (starred or position is not None and n > position)
+            for _where, callee, kws, n, starred, _line in outside
+        ):
+            unset[f"{dotted}({param})"] = (
+                f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+            )
+    unexpected = sorted(
+        f"{where} {name}"
+        for name, where in unset.items()
+        if name not in TEST_ONLY_PARAMS
+    )
+    assert not unexpected, (
+        "set by no command, bench or example (make it a constant or"
+        " delete it with its tests, or list it in TEST_ONLY_PARAMS with"
+        " a reason): " + ", ".join(unexpected)
+    )
+    stale = sorted(set(TEST_ONLY_PARAMS) - set(unset))
+    assert not stale, f"TEST_ONLY_PARAMS entries now set or gone: {stale}"
 
 
 def _literal(node):

@@ -58,17 +58,11 @@ class TestAttachment:
         assert split_address(base_a)[1] == 0
         assert split_address(base_b)[1] == 1
 
-    def test_explicit_slot(self):
+    def test_slots_count_per_bus(self):
         fabric = BusFabric()
-        d = Dummy()
-        base = fabric.attach(d, bus=1, slot=7)
-        assert split_address(base) == (1, 7, 0)
-
-    def test_occupied_slot_rejected(self):
-        fabric = BusFabric()
-        fabric.attach(Dummy("a"), slot=0)
-        with pytest.raises(AddressError, match="occupied"):
-            fabric.attach(Dummy("b"), slot=0)
+        fabric.attach(Dummy("a"), bus=0)
+        base = fabric.attach(Dummy("b"), bus=1)
+        assert split_address(base) == (1, 0, 0)
 
     def test_double_attach_rejected(self):
         fabric = BusFabric()
@@ -91,18 +85,17 @@ class TestAttachment:
 
     def test_any_bus_takes_lowest_free_slot_then_spills(self):
         fabric = BusFabric()
-        fabric.attach(Dummy("pinned"), bus=0, slot=1)
+        fabric.attach(Dummy("first"), bus=0)
+        fabric.attach(Dummy("second"), bus=1)
         bases = [
             fabric.attach(Dummy(f"d{i}"), bus=None)
-            for i in range(DEVICES_PER_BUS + 1)
+            for i in range(DEVICES_PER_BUS)
         ]
-        assert split_address(bases[0])[:2] == (0, 0)
-        assert split_address(bases[1])[:2] == (0, 2)
+        assert split_address(bases[0])[:2] == (0, 1)
         assert split_address(bases[DEVICES_PER_BUS - 2])[:2] == (
             0, DEVICES_PER_BUS - 1
         )
-        assert split_address(bases[DEVICES_PER_BUS - 1])[:2] == (1, 0)
-        assert split_address(bases[DEVICES_PER_BUS])[:2] == (1, 1)
+        assert split_address(bases[DEVICES_PER_BUS - 1])[:2] == (1, 1)
 
     def test_every_bus_full_rejected(self):
         fabric = BusFabric()
@@ -110,10 +103,6 @@ class TestAttachment:
             fabric.attach(Dummy(f"d{i}"), bus=None)
         with pytest.raises(AddressError, match="all 4 buses are full"):
             fabric.attach(Dummy("extra"), bus=None)
-
-    def test_any_bus_with_explicit_slot_rejected(self):
-        with pytest.raises(AddressError, match="needs a bus"):
-            BusFabric().attach(Dummy(), bus=None, slot=3)
 
 
 class TestAccess:

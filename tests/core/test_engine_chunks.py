@@ -31,17 +31,20 @@ SPECS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def stagnation(monkeypatch):
+    monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", STAGNATION)
+
+
 def single(spec):
     platform, engine = build_engine(spec)
-    return platform, engine.run(stagnation_cycles=STAGNATION)
+    return platform, engine.run()
 
 
 def chunked(spec, k):
     platform, engine = build_engine(spec)
     while True:
-        result = engine.run(
-            max_cycles=k, finalize=False, stagnation_cycles=STAGNATION
-        )
+        result = engine.run(max_cycles=k, finalize=False)
         if (
             result.completed
             or isinstance(result, DegradedResult)

@@ -56,17 +56,23 @@ def wedging_ring_config(max_packets=20):
 
 
 class TestDeadlockGuard:
-    def test_stagnation_detector_fires_with_fast_forward_active(self):
+    def test_stagnation_detector_fires_with_fast_forward_active(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 3000)
         platform = build_platform(wedging_ring_config())
         engine = EmulationEngine(platform)
         with pytest.raises(EmulationError, match="routing deadlock"):
-            engine.run(stagnation_cycles=3000, fast_forward=True)
+            engine.run(fast_forward=True)
 
-    def test_detector_reports_the_incremental_in_flight_counter(self):
+    def test_detector_reports_the_incremental_in_flight_counter(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 3000)
         platform = build_platform(wedging_ring_config())
         engine = EmulationEngine(platform)
         with pytest.raises(EmulationError) as excinfo:
-            engine.run(stagnation_cycles=3000)
+            engine.run()
         reported = int(
             re.search(r"(\d+) flits stuck", str(excinfo.value)).group(1)
         )
@@ -76,15 +82,19 @@ class TestDeadlockGuard:
         assert reported == network.scan_in_flight_flits()
         assert reported > 0
 
-    def test_detector_fires_without_fast_forward_too(self):
+    def test_detector_fires_without_fast_forward_too(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 3000)
         platform = build_platform(wedging_ring_config())
         engine = EmulationEngine(platform)
         with pytest.raises(EmulationError, match="flits stuck"):
-            engine.run(stagnation_cycles=3000, fast_forward=False)
+            engine.run(fast_forward=False)
 
-    def test_healthy_low_load_run_does_not_trip_the_guard(self):
+    def test_healthy_low_load_run_does_not_trip_the_guard(
+        self, monkeypatch
+    ):
         """Fast-forward jumps longer than the stagnation window must
         not read as stagnation (progress clock follows quiescence)."""
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 2000)
         from repro.core.config import paper_platform_config
 
         platform = build_platform(
@@ -92,7 +102,7 @@ class TestDeadlockGuard:
                 traffic="poisson", load=0.001, max_packets=20
             )
         )
-        result = EmulationEngine(platform).run(stagnation_cycles=2000)
+        result = EmulationEngine(platform).run()
         assert result.completed
         assert result.packets_received == 80
 

@@ -1,4 +1,4 @@
-"""Report tests: rows, aggregation, percentiles, export."""
+"""Report tests: rows, aggregation, export."""
 
 import csv
 import json
@@ -9,7 +9,6 @@ from repro.core.errors import ConfigError
 from repro.experiments import (
     ScenarioSpec,
     aggregate,
-    percentile,
     render_table,
     rows_from_results,
     to_csv,
@@ -29,25 +28,6 @@ RESULTS = [
     result_for({"cycles": 200, "mean_latency": 30.0}, load=0.1, seed=2),
     result_for({"cycles": 400, "mean_latency": 50.0}, load=0.2, seed=1),
 ]
-
-
-class TestPercentile:
-    def test_interpolates(self):
-        assert percentile([0, 10], 0.5) == 5.0
-        assert percentile([1, 2, 3, 4], 1.0) == 4.0
-        assert percentile([1, 2, 3, 4], 0.0) == 1.0
-
-    def test_single_value(self):
-        assert percentile([7], 0.95) == 7.0
-
-    def test_unsorted_input(self):
-        assert percentile([30, 10, 20], 0.5) == 20.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-        with pytest.raises(ValueError):
-            percentile([1], 1.5)
 
 
 class TestRows:
@@ -76,15 +56,6 @@ class TestAggregate:
         assert first["cycles.min"] == 100
         assert first["cycles.max"] == 200
 
-    def test_percentile_stat(self):
-        agg = aggregate(
-            RESULTS,
-            by=("load",),
-            metrics=("mean_latency",),
-            stats=("p50",),
-        )
-        assert agg[0]["mean_latency.p50"] == 20.0
-
     def test_default_metrics_are_numeric(self):
         agg = aggregate(RESULTS, by=("load",))
         assert "cycles.mean" in agg[0]
@@ -92,12 +63,6 @@ class TestAggregate:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="group-by"):
             aggregate(RESULTS, by=("flux",))
-
-    def test_unknown_stat_rejected(self):
-        with pytest.raises(ConfigError, match="statistic"):
-            aggregate(
-                RESULTS, by=("load",), metrics=("cycles",), stats=("mode",)
-            )
 
     def test_empty_by_rejected(self):
         with pytest.raises(ConfigError, match="group-by"):

@@ -238,26 +238,24 @@ class TestPartitionRegression:
             EmulationEngine(platform, faults=schedule).run()
         assert excinfo.value.flows == ((0, 1),)
 
-    def test_without_structured_check_it_would_stagnate(self):
+    def test_without_structured_check_it_would_stagnate(self, monkeypatch):
         """The pre-fix behaviour (repair disabled approximates it):
         the flow parks forever and only the watchdog notices."""
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 2000)
         platform = build_platform(self.two_node_config())
         schedule = FaultSchedule.of(link_down(200, 0, 1), repair=False)
-        result = EmulationEngine(platform, faults=schedule).run(
-            stagnation_cycles=2000
-        )
+        result = EmulationEngine(platform, faults=schedule).run()
         assert isinstance(result, DegradedResult)
 
 
 class TestDegradation:
-    def test_unrepaired_fault_degrades_instead_of_raising(self):
+    def test_unrepaired_fault_degrades_instead_of_raising(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 3000)
         platform = paper_platform()
         schedule = FaultSchedule.of(
             link_down(300, 1, 4), link_down(300, 4, 1), repair=False
         )
-        result = EmulationEngine(platform, faults=schedule).run(
-            stagnation_cycles=3000
-        )
+        result = EmulationEngine(platform, faults=schedule).run()
         assert isinstance(result, DegradedResult)
         assert not result.completed
         assert "after fault injection" in result.degraded_reason
@@ -269,9 +267,12 @@ class TestDegradation:
         assert report.degraded
         assert report.degraded_reason == result.degraded_reason
 
-    def test_healthy_stagnation_still_raises_with_parked_detail(self):
+    def test_healthy_stagnation_still_raises_with_parked_detail(
+        self, monkeypatch
+    ):
         """The deadlock guard's error now enumerates parked inputs and
         their awaited wake events."""
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 2000)
         platform = paper_platform()
         # Kill the hot links outside any engine-managed schedule: the
         # engine sees a healthy run that stops making progress.
@@ -282,18 +283,17 @@ class TestDegradation:
         injector.begin(0)
         injector.tick(0)
         with pytest.raises(EmulationError) as excinfo:
-            EmulationEngine(platform).run(stagnation_cycles=2000)
+            EmulationEngine(platform).run()
         message = str(excinfo.value)
         assert "failed to drain" in message
         assert "parked" in message
         assert "awaits" in message
 
-    def test_degraded_run_keeps_counters_consistent(self):
+    def test_degraded_run_keeps_counters_consistent(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 2000)
         platform = paper_platform()
         schedule = FaultSchedule.of(link_down(300, 1, 4), repair=False)
-        EmulationEngine(platform, faults=schedule).run(
-            stagnation_cycles=2000
-        )
+        EmulationEngine(platform, faults=schedule).run()
         network = platform.network
         assert network.in_flight_flits == network.scan_in_flight_flits()
 
@@ -385,12 +385,11 @@ FAULT_STORIES = {
 
 
 @pytest.mark.parametrize("story", sorted(FAULT_STORIES))
-def test_fault_story_is_pinned(story):
+def test_fault_story_is_pinned(story, monkeypatch):
+    monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 20_000)
     schedule, packets, expected = FAULT_STORIES[story]
     platform = paper_platform(packets=packets, seed=1)
-    result = EmulationEngine(platform, faults=schedule).run(
-        stagnation_cycles=20_000
-    )
+    result = EmulationEngine(platform, faults=schedule).run()
     report = result.faults
     assert {
         "cycles": result.cycles,

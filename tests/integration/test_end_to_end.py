@@ -121,11 +121,12 @@ class TestFigureShapes:
 
 
 class TestTorusSaturation:
-    def test_saturated_torus_completes_without_deadlock(self):
+    def test_saturated_torus_completes_without_deadlock(self, monkeypatch):
         """Regression for the routing="auto" torus default: under BFS
         shortest paths a saturated torus either failed the build-time
         channel-dependency check or wormhole-deadlocked mid-run; the
         up*/down* default must complete and drain at full load."""
+        monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 20_000)
         from repro.core.config import generic_platform_config
 
         platform = build_platform(
@@ -136,9 +137,7 @@ class TestTorusSaturation:
                 seed=3,
             )
         )
-        result = EmulationEngine(platform).run(
-            stagnation_cycles=20_000
-        )
+        result = EmulationEngine(platform).run()
         assert result.completed
         assert platform.packets_sent == platform.packets_received
         assert platform.packets_received == 16 * 40

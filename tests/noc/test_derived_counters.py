@@ -265,8 +265,6 @@ HOP_PATHS = [
     ("noc/switch.py", "Switch", "receive"),
     ("noc/network.py", "Network", "step"),
     ("noc/link.py", "Link", "send"),
-    ("noc/buffer.py", "FlitBuffer", "push"),
-    ("noc/buffer.py", "FlitBuffer", "pop"),
 ]
 
 

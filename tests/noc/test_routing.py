@@ -42,10 +42,6 @@ class TestTableRouting:
         assert r.ports_for(0, 5) == [2]
         assert r.ports_for(0, 9) == []
 
-    def test_entry_count(self):
-        r = TableRouting([[None] * 5 + [2, 1], [None] * 5 + [0]])
-        assert r.entries() == 3
-
 
 class TestMultiPathRouting:
     def test_single_candidate_is_deterministic(self):
@@ -76,12 +72,6 @@ class TestMultiPathRouting:
         r = MultiPathTableRouting([[None] * 5 + [1]])
         with pytest.raises(RoutingError):
             r.output_port(0, head_flit(0, 7))
-
-    def test_entries_counts_all_ports(self):
-        r = MultiPathTableRouting(
-            [[None] * 6, [None] * 5 + [0]], {0: {5: [1, 2]}}
-        )
-        assert r.entries() == 3
 
 
 class TestShortestPathBuilder:
@@ -152,12 +142,6 @@ class TestShortestPathBuilder:
         assert r.ports_for(1, 0)
         with pytest.raises(RoutingError):
             r.output_port(0, head_flit(0, 1))
-
-    def test_subset_of_destinations(self):
-        topo = mesh(2, 2)
-        r = build_shortest_path_tables(topo, destinations=[3])
-        assert r.ports_for(0, 3)
-        assert not r.ports_for(0, 1)
 
 
 class TestMultipathBuilder:
@@ -333,12 +317,6 @@ class TestUpDownRouting:
                     s = topo.switch_of_node(src)
                     assert r.ports_for(s, dst) == shortest.ports_for(s, dst)
 
-    def test_bad_root_rejected(self):
-        from repro.noc.routing import build_updown_tables
-
-        with pytest.raises(RoutingError, match="root"):
-            build_updown_tables(ring(4), root=9)
-
     @pytest.mark.parametrize("factory", [torus, mesh])
     def test_repair_around_dead_switch_zero_reroots(self, factory):
         # Regression: the ranking always rooted at switch 0, so with
@@ -366,9 +344,12 @@ class TestUpDownRouting:
     def test_live_switch_zero_stays_the_root(self):
         from repro.noc.routing import build_updown_tables
 
+        # Every route out of the root descends, and every route into
+        # it climbs, along a shortest path: the rows of switch 0 and
+        # the column of its node match the shortest-path tables.
         topo = torus(4, 4)
         avoid = {(1, 2), (2, 1)}
-        assert (
-            build_updown_tables(topo, avoid_links=avoid).rows
-            == build_updown_tables(topo, root=0, avoid_links=avoid).rows
-        )
+        rows = build_updown_tables(topo, avoid_links=avoid).rows
+        shortest = build_shortest_path_tables(topo, avoid_links=avoid).rows
+        assert rows[0] == shortest[0]
+        assert [row[0] for row in rows] == [row[0] for row in shortest]

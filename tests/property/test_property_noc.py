@@ -2,14 +2,14 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.buffer import FlitBuffer
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.routing import (
+    TableRouting,
     build_multipath_tables,
     build_shortest_path_tables,
 )
-from repro.noc.switch import SwitchingMode
+from repro.noc.switch import Switch, SwitchConfig, SwitchingMode
 from repro.noc.topology import mesh, ring, torus
 
 
@@ -36,18 +36,33 @@ def test_segmentation_is_lossless(length):
     ops=st.lists(st.booleans(), max_size=100),
 )
 def test_fifo_order_preserved(capacity, ops):
-    """Pushes (True) and pops (False) in any legal order keep FIFO order."""
-    buf = FlitBuffer(capacity)
+    """Pushes (True) and pops (False) in any legal order keep FIFO order.
+
+    A push is a flit arriving at a one-port switch (``Switch.receive``),
+    a pop one cycle of it: its output has unlimited credits, so each
+    traverse moves the head flit out."""
+    sw = Switch(
+        0,
+        SwitchConfig(n_inputs=1, n_outputs=1, buffer_depth=capacity),
+        TableRouting([[0, 0]]),
+    )
+    cycle = [0]
+    sw._clock = lambda: cycle[0]
+    popped = []
+    sw.connect_output(0, lambda flit, now: popped.append(flit), credits=None)
+    buf = sw.inputs[0]
     source = iter(Packet(src=0, dst=1, length=200).flits())
-    pushed, popped = [], []
+    pushed = []
     for push in ops:
         if push and not buf.is_full:
             f = next(source)
-            buf.push(f)
+            sw.receive(0, f)
             pushed.append(f)
         elif not push and not buf.is_empty:
-            popped.append(buf.pop())
+            assert sw.traverse(cycle[0]) == 1
+            cycle[0] += 1
     assert popped == pushed[: len(popped)]
+    assert buf.total_pops == len(popped)
     assert len(buf) == len(pushed) - len(popped)
     assert len(buf) <= capacity
 

@@ -31,17 +31,6 @@ class TestAccumulation:
         h.add(3)
         assert h.underflow == 1
 
-    def test_weighted_add(self):
-        h = Histogram(n_bins=2, bin_width=1, origin=0)
-        h.add(1, count=5)
-        assert h.counts[1] == 5
-        assert h.total == 5
-
-    def test_count_validation(self):
-        h = Histogram(2)
-        with pytest.raises(ValueError):
-            h.add(0, count=0)
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             Histogram(0)

@@ -65,11 +65,7 @@ class TestAnalysis:
     def test_suggested_depth(self):
         platform = sampled_paper_platform()
         report = OccupancyReport(platform.network)
-        assert (
-            report.suggested_depth(slack=1)
-            == report.peak_depth_used() + 1
-        )
-        assert report.suggested_depth(slack=0) == report.peak_depth_used()
+        assert report.suggested_depth() == report.peak_depth_used() + 1
 
     def test_pressure_increases_with_congestion(self):
         overlap = sampled_paper_platform(routing_case="overlap")

@@ -1,7 +1,5 @@
 """Progress meter: sampling, adaptive interval, budget fraction."""
 
-import pytest
-
 import repro.telemetry.progress as progress_mod
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
@@ -30,11 +28,6 @@ class FakeClock:
 
 
 class TestMeter:
-    def test_rejects_nonpositive_interval(self):
-        platform = fresh_platform()
-        with pytest.raises(ValueError):
-            ProgressMeter(platform, lambda s: None, interval_seconds=0)
-
     def test_engine_run_emits_samples_with_final(self):
         platform = fresh_platform()
         samples = []
@@ -53,15 +46,14 @@ class TestMeter:
         clock = FakeClock()
         monkeypatch.setattr(progress_mod.time, "perf_counter", clock)
         platform = fresh_platform()
-        meter = ProgressMeter(
-            platform, lambda s: None, interval_seconds=1.0
-        )
+        meter = ProgressMeter(platform, lambda s: None)
         check = meter.start(0)
         assert check == ProgressMeter.INITIAL_CYCLES
-        # 256 cycles took 0.1s -> ~2560 cycles per second target.
+        # 256 cycles took 0.1s: 2560 cycles per second, so half a
+        # second is 1280 cycles.
         clock.now = 0.1
         check = meter.tick(256)
-        assert check == 256 + 2560
+        assert check == 256 + 1280
         # A crawling stretch shrinks the interval down to the floor.
         clock.now = 10.1
         check = meter.tick(320)
@@ -112,13 +104,6 @@ class TestMeter:
             assert meter._packet_budget is not None
         else:
             assert meter._packet_budget is None
-
-    def test_engine_progress_interval_validated(self):
-        platform = fresh_platform()
-        with pytest.raises(ValueError):
-            EmulationEngine(platform).run(
-                progress=lambda s: None, progress_interval=-1
-            )
 
 
 class TestFormatting:

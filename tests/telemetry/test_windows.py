@@ -197,7 +197,7 @@ class TestFormatting:
         _, result = run_with_windows(bursty_spec(), 100)
         records = list(result.windows)
         assert len(records) > 12
-        table = format_window_table(records, limit=12)
+        table = format_window_table(records)
         lines = table.splitlines()
         assert len(lines) == 1 + 12 + 1  # header + rows + ellipsis
         assert any(line.strip().startswith("...") for line in lines)

@@ -10,7 +10,7 @@ from repro.traffic.trace import TraceTraffic, synthetic_burst_trace
 from repro.traffic.uniform import UniformTraffic
 
 
-def make_generator(max_packets=None, queue_limit=64, record=False):
+def make_generator(max_packets=None, queue_limit=64):
     ni = NetworkInterface(0)
     ni.connect(Link(), credits=1_000_000)
     model = UniformTraffic(
@@ -22,7 +22,6 @@ def make_generator(max_packets=None, queue_limit=64, record=False):
         ni,
         max_packets=max_packets,
         queue_limit=queue_limit,
-        record=record,
     )
     return gen, ni
 
@@ -104,27 +103,6 @@ class TestControl:
         gen.reset()
         assert gen.packets_sent == 0
         assert gen.step(0) is not None  # model rewound to cycle 0
-
-
-class TestRecording:
-    def test_recorded_trace_replays_identically(self):
-        gen, _ = make_generator(max_packets=5, record=True)
-        for now in range(40):
-            gen.step(now)
-        trace = gen.recorded_trace()
-        assert len(trace) == 5
-        replay = TraceTraffic(trace)
-        replayed = []
-        for now in range(40):
-            e = replay.poll(now)
-            if e:
-                replayed.append((now, e))
-        assert [now for now, _ in replayed] == [0, 4, 8, 12, 16]
-
-    def test_recording_disabled_by_default(self):
-        gen, _ = make_generator()
-        with pytest.raises(RuntimeError, match="record=False"):
-            gen.recorded_trace()
 
 
 class TestTraceDrivenGenerator:

@@ -1,7 +1,5 @@
 """Unit tests for the LFSR random number generator."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,34 +190,6 @@ class TestLfsrRandom:
         rng = LfsrRandom(10)
         hits = sum(rng.bernoulli(0.25) for _ in range(20_000))
         assert 4_400 < hits < 5_600
-
-    def test_geometric_support(self):
-        rng = LfsrRandom(6)
-        for _ in range(1_000):
-            assert rng.geometric(0.3) >= 1
-
-    def test_geometric_mean(self):
-        rng = LfsrRandom(8)
-        n = 20_000
-        mean = sum(rng.geometric(0.25) for _ in range(n)) / n
-        assert 3.6 < mean < 4.4  # E = 1/p = 4
-
-    def test_geometric_p_one(self):
-        assert LfsrRandom(1).geometric(1.0) == 1
-
-    def test_geometric_tiny_p(self):
-        # 1.0 - 1e-17 rounds to 1.0, whose log is 0.
-        assert LfsrRandom(3).geometric(1e-17) > 10**15
-        # Same uniform draw, so the variate is exactly log(u) / log1p(-p).
-        p = 1e-12
-        u = LfsrRandom(3).random()
-        assert LfsrRandom(3).geometric(p) == 1 + int(
-            math.log(u) / math.log1p(-p)
-        )
-
-    def test_geometric_validation(self):
-        with pytest.raises(ValueError):
-            LfsrRandom(1).geometric(0.0)
 
     def test_expovariate_mean(self):
         rng = LfsrRandom(15)

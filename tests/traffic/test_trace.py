@@ -154,19 +154,17 @@ class TestSyntheticBurstTrace:
 
 class TestSyntheticMpegTrace:
     def test_frame_periodicity(self):
-        t = synthetic_mpeg_trace(
-            n_frames=6, dst=2, frame_interval=100, size_jitter=0.0
-        )
+        t = synthetic_mpeg_trace(n_frames=6, dst=2)
         frame_starts = sorted(
             {
                 min(r.cycle for r in t if r.burst_id == f)
                 for f in range(6)
             }
         )
-        assert frame_starts == [0, 100, 200, 300, 400, 500]
+        assert frame_starts == [0, 512, 1024, 1536, 2048, 2560]
 
     def test_i_frames_are_largest(self):
-        t = synthetic_mpeg_trace(n_frames=12, dst=2, size_jitter=0.0)
+        t = synthetic_mpeg_trace(n_frames=12, dst=2)
         sizes = {}
         for r in t:
             sizes[r.burst_id] = sizes.get(r.burst_id, 0) + 1
@@ -175,17 +173,13 @@ class TestSyntheticMpegTrace:
         assert sizes[0] > sizes[1]  # B frame much smaller
 
     def test_jitter_varies_sizes(self):
-        t = synthetic_mpeg_trace(
-            n_frames=24, dst=2, size_jitter=0.5, seed=3
-        )
+        t = synthetic_mpeg_trace(n_frames=24, dst=2, seed=3)
         sizes = {}
         for r in t:
             sizes[r.burst_id] = sizes.get(r.burst_id, 0) + 1
-        b_sizes = {sizes[f] for f in (1, 2, 4, 5, 7, 8, 10, 11)}
-        assert len(b_sizes) > 1
+        p_sizes = {sizes[f] for f in (3, 6, 9, 15, 18, 21)}
+        assert len(p_sizes) > 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             synthetic_mpeg_trace(0, dst=1)
-        with pytest.raises(ValueError):
-            synthetic_mpeg_trace(1, dst=1, size_jitter=1.0)
