@@ -15,6 +15,7 @@ import glob
 import math
 import os
 import re
+import textwrap
 
 import pytest
 
@@ -314,16 +315,13 @@ def _module_trees():
             yield path, module, tree
 
 
-def test_every_definition_is_reached_outside_tests():
-    """Each definition in ``src/repro`` is named by code in ``src/``
-    outside its own body, or in ``benchmarks/`` or ``examples/``; a
-    definition only tests reach is dead code, or belongs in
-    :data:`TEST_ONLY` with its reason.  A method is reached only
-    through an attribute, an import or a dotted-path string: a bare
-    name is a local or a module-level function, never a method."""
+def _unreached(trees):
+    """``{dotted name: "path:line"}`` of each ``src`` definition in
+    ``trees`` (``(path, module or None, tree)``, as from
+    :func:`_module_trees`) that no code outside its own body names."""
     uses = {}  # name -> [(path, line, bare)]; line 0: outside src/
     definitions = []
-    for path, module, tree in _module_trees():
+    for path, module, tree in trees:
         for name, line, bare in _names_used(tree):
             uses.setdefault(name, []).append(
                 (path, line, bare) if module else (None, 0, bare)
@@ -334,7 +332,7 @@ def test_every_definition_is_reached_outside_tests():
                 for dotted, name, node, method in _definitions(module, tree)
                 if not (name.startswith("__") and name.endswith("__"))
             )
-    unreached = {
+    return {
         dotted: f"{os.path.relpath(path, ROOT)}:{node.lineno}"
         for path, dotted, name, node, method in definitions
         if not any(
@@ -343,6 +341,16 @@ def test_every_definition_is_reached_outside_tests():
             for where, line, bare in uses.get(name, ())
         )
     }
+
+
+def test_every_definition_is_reached_outside_tests():
+    """Each definition in ``src/repro`` is named by code in ``src/``
+    outside its own body, or in ``benchmarks/`` or ``examples/``; a
+    definition only tests reach is dead code, or belongs in
+    :data:`TEST_ONLY` with its reason.  A method is reached only
+    through an attribute, an import or a dotted-path string: a bare
+    name is a local or a module-level function, never a method."""
+    unreached = _unreached(_module_trees())
     unexpected = sorted(
         f"{where} {dotted}"
         for dotted, where in unreached.items()
@@ -416,17 +424,13 @@ def _calls(tree):
         yield callee, keywords, len(node.args) - skipped, starred, node.lineno
 
 
-def test_every_parameter_is_set_outside_tests():
-    """Each defaulted parameter of a function or method in ``src/repro``
-    is set by code in ``src/`` outside that function, or in
-    ``benchmarks/`` or ``examples/``: a call passes a keyword of its
-    name, or calls the function's name with an argument in its position
-    or with ``*``/``**``.  A parameter only tests set is an option
-    nothing uses (make it a constant), or belongs in
-    :data:`TEST_ONLY_PARAMS` with its reason."""
+def _unset_params(trees):
+    """``{"dotted(param)": "path:line"}`` of each defaulted parameter
+    of a ``src`` function in ``trees`` (as for :func:`_unreached`) that
+    no call outside that function sets."""
     calls = []  # (path or None outside src/, callee, kws, n, starred, line)
     functions = []
-    for path, module, tree in _module_trees():
+    for path, module, tree in trees:
         calls.extend(
             (path if module else None, *call) for call in _calls(tree)
         )
@@ -457,6 +461,18 @@ def test_every_parameter_is_set_outside_tests():
             unset[f"{dotted}({param})"] = (
                 f"{os.path.relpath(path, ROOT)}:{node.lineno}"
             )
+    return unset
+
+
+def test_every_parameter_is_set_outside_tests():
+    """Each defaulted parameter of a function or method in ``src/repro``
+    is set by code in ``src/`` outside that function, or in
+    ``benchmarks/`` or ``examples/``: a call passes a keyword of its
+    name, or calls the function's name with an argument in its position
+    or with ``*``/``**``.  A parameter only tests set is an option
+    nothing uses (make it a constant), or belongs in
+    :data:`TEST_ONLY_PARAMS` with its reason."""
+    unset = _unset_params(_module_trees())
     unexpected = sorted(
         f"{where} {name}"
         for name, where in unset.items()
@@ -469,6 +485,179 @@ def test_every_parameter_is_set_outside_tests():
     )
     stale = sorted(set(TEST_ONLY_PARAMS) - set(unset))
     assert not stale, f"TEST_ONLY_PARAMS entries now set or gone: {stale}"
+
+
+def _fixture_trees(sources):
+    """:func:`_module_trees` rows for ``{relative path: source}``; a
+    path under ``src/`` is a module of that dotted name."""
+    for rel, text in sources.items():
+        module = None
+        if rel.startswith("src/"):
+            module = rel[len("src/"):-len(".py")].replace("/", ".")
+        tree = ast.parse(textwrap.dedent(text), filename=rel)
+        yield os.path.join(ROOT, rel), module, tree
+
+
+#: ``(case, {path: source}, dotted names the reachability rule flags)``.
+REACH_CASES = [
+    (
+        "function imported elsewhere",
+        {"src/pkg/a.py": "def f(): pass",
+         "src/pkg/b.py": "from pkg.a import f"},
+        set(),
+    ),
+    (
+        "function named only in its own body",
+        {"src/pkg/a.py": "def f():\n    return f()"},
+        {"pkg.a.f"},
+    ),
+    (
+        "function called by bare name in its module",
+        {"src/pkg/a.py": "def f(): pass\n\nf()"},
+        set(),
+    ),
+    (
+        "method reached through an attribute",
+        {"src/pkg/a.py": "class C:\n    def m(self): pass",
+         "src/pkg/b.py": "from pkg.a import C\nC().m()"},
+        set(),
+    ),
+    (
+        "method shadowed by a bare local name",
+        {"src/pkg/a.py": "class C:\n    def m(self): pass",
+         "src/pkg/b.py": "from pkg.a import C\nm = C\nm()"},
+        {"pkg.a.C.m"},
+    ),
+    (
+        "method named by a dotted-path string",
+        {"src/pkg/a.py": "class C:\n    def m(self): pass",
+         "benchmarks/b.py": "LAYERS = ['pkg.a.C.m']"},
+        set(),
+    ),
+    (
+        "names listed in __all__ reach nothing",
+        {"src/pkg/a.py": "__all__ = ['f']\n\ndef f(): pass"},
+        {"pkg.a.f"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sources,flagged", [case[1:] for case in REACH_CASES],
+    ids=[case[0] for case in REACH_CASES],
+)
+def test_reachability_rule_on_fixtures(sources, flagged):
+    assert set(_unreached(_fixture_trees(sources))) == flagged
+
+
+_DEF_F = "def f(a=0, x=1):\n    return a + x"
+_CLASS_C = """\
+class C:
+    def __init__(self, x=1):
+        self.x = x
+
+    def m(self, x=1):
+        return x
+
+    @staticmethod
+    def s(x=1):
+        return x
+"""
+_ALL_OF_C = {"pkg.a.C.__init__(x)", "pkg.a.C.m(x)", "pkg.a.C.s(x)"}
+
+#: ``(case, {path: source}, parameters the parameter rule flags)``.
+PARAM_CASES = [
+    (
+        "no caller",
+        {"src/pkg/a.py": _DEF_F},
+        {"pkg.a.f(a)", "pkg.a.f(x)"},
+    ),
+    (
+        "keyword from another module",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "f(a=1, x=2)"},
+        set(),
+    ),
+    (
+        "keyword from a bench",
+        {"src/pkg/a.py": _DEF_F, "benchmarks/b.py": "f(x=2)"},
+        {"pkg.a.f(a)"},
+    ),
+    (
+        "own recursive call",
+        {"src/pkg/a.py": "def f(x=1):\n    return f(x=x)"},
+        {"pkg.a.f(x)"},
+    ),
+    (
+        "positional argument in the position",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "f(1, 2)"},
+        set(),
+    ),
+    (
+        "positional arguments short of the position",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "f(1)"},
+        {"pkg.a.f(x)"},
+    ),
+    (
+        "starred call",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "f(*args)"},
+        set(),
+    ),
+    (
+        "double-starred call",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "f(**kwargs)"},
+        set(),
+    ),
+    (
+        "keyword-only parameter passed positionally",
+        {"src/pkg/a.py": "def f(*, x=1): pass", "src/pkg/b.py": "f(2)"},
+        {"pkg.a.f(x)"},
+    ),
+    (
+        "method call fills no self",
+        {"src/pkg/a.py": _CLASS_C, "src/pkg/b.py": "C().m(2)"},
+        _ALL_OF_C - {"pkg.a.C.m(x)"},
+    ),
+    (
+        "static method fills from the first argument",
+        {"src/pkg/a.py": _CLASS_C, "src/pkg/b.py": "C.s(2)"},
+        _ALL_OF_C - {"pkg.a.C.s(x)"},
+    ),
+    (
+        "constructor sets __init__",
+        {"src/pkg/a.py": _CLASS_C, "src/pkg/b.py": "C(2)"},
+        _ALL_OF_C - {"pkg.a.C.__init__(x)"},
+    ),
+    (
+        "super().__init__ sets the base constructor",
+        {"src/pkg/a.py": "class B:\n    def __init__(self, x=1): pass",
+         "src/pkg/b.py": (
+             "class D(B):\n"
+             "    def __init__(self):\n"
+             "        super().__init__(2)"
+         )},
+        set(),
+    ),
+    (
+        "Base.__init__(self) fills only self",
+        {"src/pkg/a.py": "class B:\n    def __init__(self, x=1): pass",
+         "src/pkg/b.py": "B.__init__(obj)"},
+        {"pkg.a.B.__init__(x)"},
+    ),
+    (
+        "Base.__init__(self, value) sets the parameter",
+        {"src/pkg/a.py": "class B:\n    def __init__(self, x=1): pass",
+         "src/pkg/b.py": "B.__init__(obj, 2)"},
+        set(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sources,flagged", [case[1:] for case in PARAM_CASES],
+    ids=[case[0] for case in PARAM_CASES],
+)
+def test_parameter_rule_on_fixtures(sources, flagged):
+    assert set(_unset_params(_fixture_trees(sources))) == flagged
 
 
 def _literal(node):

@@ -97,6 +97,17 @@ class TestAttachment:
         )
         assert split_address(bases[DEVICES_PER_BUS - 1])[:2] == (1, 1)
 
+    def test_full_named_bus_rejected_without_spilling(self):
+        fabric = BusFabric()
+        for i in range(DEVICES_PER_BUS):
+            fabric.attach(Dummy(f"d{i}"), bus=2)
+        extra = Dummy("extra")
+        with pytest.raises(AddressError, match="bus 2 is full"):
+            fabric.attach(extra, bus=2)
+        # The failed attach left the device free for another bus.
+        assert extra.base_address is None
+        assert split_address(fabric.attach(extra, bus=None))[:2] == (0, 0)
+
     def test_every_bus_full_rejected(self):
         fabric = BusFabric()
         for i in range(N_BUSES * DEVICES_PER_BUS):

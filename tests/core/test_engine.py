@@ -42,6 +42,22 @@ class TestRun:
         assert result.packets_received >= 100
         assert result.packets_received - 100 < 4
 
+    def test_completed_semantics_are_honest(self):
+        """A run stopped in the cycle its emission ends has its budget
+        done but flits in flight: it is not completed (the
+        EngineResult contract: budget exhausted *and* drained)."""
+        engine = engine_for(max_packets=100, load=0.9)
+        platform = engine.platform
+        while not platform.generators_done:
+            result = engine.run(max_cycles=1)
+        assert result.budget_done
+        assert platform.network.in_flight_flits > 0
+        assert not result.drained
+        assert not result.completed
+        # Running on drains the fabric and completes the run.
+        result = engine.run()
+        assert result.budget_done and result.drained and result.completed
+
     def test_completed_flags_on_full_run(self):
         result = engine_for(max_packets=50).run()
         assert result.budget_done and result.drained and result.completed

@@ -56,6 +56,13 @@ class TestAggregate:
         assert first["cycles.min"] == 100
         assert first["cycles.max"] == 200
 
+    def test_columns_are_the_group_key_count_and_fixed_stats(self):
+        agg = aggregate(RESULTS, by=("load",), metrics=("cycles",))
+        assert list(agg[1]) == [
+            "load", "n", "cycles.mean", "cycles.min", "cycles.max",
+        ]
+        assert [agg[1][k] for k in list(agg[1])[1:]] == [1, 400.0, 400, 400]
+
     def test_default_metrics_are_numeric(self):
         agg = aggregate(RESULTS, by=("load",))
         assert "cycles.mean" in agg[0]

@@ -263,7 +263,14 @@ DERIVED = {"_buffered", "wire_count", "flits_sent", "total_pops"}
 HOP_PATHS = [
     ("noc/switch.py", None, "traverse_all"),
     ("noc/switch.py", "Switch", "receive"),
+    ("noc/switch.py", "Switch", "traverse_reference"),
+    ("noc/switch.py", "Switch", "_credit_wake_port"),
     ("noc/network.py", "Network", "step"),
+    ("noc/network.py", "Network", "step_reference"),
+    ("noc/network.py", "Network", "_drain_credit_slot"),
+    ("noc/network.py", "Network", "_drain_flit_slot"),
+    ("noc/ni.py", "NetworkInterface", "inject"),
+    ("noc/ni.py", "ReassemblyBuffer", "receive"),
     ("noc/link.py", "Link", "send"),
 ]
 

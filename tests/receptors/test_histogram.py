@@ -31,6 +31,13 @@ class TestAccumulation:
         h.add(3)
         assert h.underflow == 1
 
+    def test_each_add_counts_one_sample(self):
+        h = Histogram(n_bins=2, bin_width=1, origin=0)
+        for _ in range(5):
+            h.add(1)
+        assert h.counts == [0, 5]
+        assert h.total == 5
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             Histogram(0)
