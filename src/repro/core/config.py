@@ -77,6 +77,8 @@ RECEPTOR_KIND = Param(str, choices=TR_KINDS, label="receptor kind")
 BUFFER_DEPTH = Param(int, 1, label="buffer depth")
 #: Packet length in flits of a scenario or platform that names none.
 PACKET_LENGTH = 8
+#: The platform clock: the FPGA platform runs at 50 MHz (Slide 18).
+F_CLK_HZ = 50e6
 
 #: The routing spec grammar, in help order: the paper platform's route
 #: cases, then the table routings any topology takes.
@@ -174,15 +176,7 @@ class PlatformConfig:
     switching: Union[str, SwitchingMode] = SwitchingMode.WORMHOLE
     tgs: List[TGSpec] = field(default_factory=list)
     trs: List[TRSpec] = field(default_factory=list)
-    f_clk_hz: float = declared(
-        Param(float, 0, lo_open=True, label="clock frequency"), 50e6
-    )
     sample_buffers: bool = False
-    #: Verify at platform-compilation time that the routing tables
-    #: cannot wormhole-deadlock (channel-dependency-graph check); the
-    #: initialisation step of the real flow would load a bad table
-    #: into hardware and hang the emulation, so we refuse it early.
-    check_deadlock: bool = True
     name: str = "platform"
 
     def __post_init__(self) -> None:

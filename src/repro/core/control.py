@@ -34,8 +34,8 @@ class ControlDevice(Device):
 
     kind = "control"
 
-    def __init__(self, name: str = "control") -> None:
-        super().__init__(name)
+    def __init__(self) -> None:
+        super().__init__("control")
         self.running = False
         # Platform-provided probes, wired by the platform builder.
         self.get_cycles: Callable[[], int] = lambda: 0

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.core.config import F_CLK_HZ
 from repro.core.errors import EmulationError, ScenarioTimeout
 from repro.core.platform import EmulationPlatform, build_platform
 from repro.noc.network import format_parked_report
@@ -58,7 +59,6 @@ class EngineResult:
     packets_sent: int
     packets_received: int
     wall_seconds: float
-    f_clk_hz: float
     completed: bool  # budget_done and drained
     budget_done: bool = False  # every TG budget/trace exhausted
     drained: bool = False  # no flit queued, buffered or in flight
@@ -68,7 +68,7 @@ class EngineResult:
     @property
     def emulated_seconds(self) -> float:
         """Time the run would take on the 50 MHz FPGA platform."""
-        return self.cycles / self.f_clk_hz
+        return self.cycles / F_CLK_HZ
 
     @property
     def engine_cycles_per_sec(self) -> float:
@@ -396,7 +396,6 @@ class EmulationEngine:
             packets_sent=platform.packets_sent,
             packets_received=platform.packets_received,
             wall_seconds=wall,
-            f_clk_hz=platform.config.f_clk_hz,
             completed=budget_done and drained,
             budget_done=budget_done,
             drained=drained,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.config import F_CLK_HZ
 from repro.core.engine import EngineResult
 from repro.core.platform import EmulationPlatform
 from repro.receptors.stochastic import StochasticReceptor
@@ -141,7 +142,7 @@ class Monitor:
             [
                 "timing:",
                 f"  emulated cycles : {result.cycles}",
-                f"  @ {result.f_clk_hz / 1e6:.0f} MHz platform clock:"
+                f"  @ {F_CLK_HZ / 1e6:.0f} MHz platform clock:"
                 f" {format_duration(result.emulated_seconds)}",
                 f"  engine speed    :"
                 f" {result.engine_cycles_per_sec:,.0f} cycles/sec"

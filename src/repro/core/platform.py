@@ -405,15 +405,16 @@ def build_platform(config: PlatformConfig) -> EmulationPlatform:
         receptor.attach(network.rx[spec.node])
         receptors.append(receptor)
     _validate_routes(network, config)
-    if config.check_deadlock:
-        _validate_deadlock_freedom(topology, routing, config)
+    _validate_deadlock_freedom(topology, routing, config)
     return EmulationPlatform(
         config, topology, network, generators, receptors
     )
 
 
 def _validate_deadlock_freedom(topology, routing, config) -> None:
-    """Refuse routing tables whose channel dependencies can cycle."""
+    """Refuse routing tables whose channel dependencies can cycle: the
+    initialisation step of the real flow would load such a table into
+    hardware and hang the emulation."""
     from repro.noc.deadlock import DeadlockError, assert_deadlock_free
 
     destinations = set()

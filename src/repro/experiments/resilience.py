@@ -111,8 +111,10 @@ class FailureRecord:
     attempts: int
     status: str  # "failed" | "quarantined"
     wall_seconds: float = 0.0
-    cached: bool = False
-    failed: bool = True
+    #: Constants of the duck type, not fields: a failure is never served
+    #: from the cache.
+    cached = False
+    failed = True
 
     @property
     def key(self) -> str:

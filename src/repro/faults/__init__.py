@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "FAULT_SCHEMA": ".schedule",
     "FaultEvent": ".schedule",
     "FaultSchedule": ".schedule",
-    "flaky": ".schedule",
     "link_down": ".schedule",
     "link_up": ".schedule",
     "switch_down": ".schedule",

@@ -89,9 +89,9 @@ class FaultReport:
 
     dropped_flits: int = 0
     dropped_packets: int = 0
-    per_link_drops: Dict[str, int] = field(default_factory=dict)
-    events: List[FaultEventRecord] = field(default_factory=list)
-    windows: List[FaultWindow] = field(default_factory=list)
+    per_link_drops: Dict[str, int] = field(init=False, default_factory=dict)
+    events: List[FaultEventRecord] = field(init=False, default_factory=list)
+    windows: List[FaultWindow] = field(init=False, default_factory=list)
     degraded: bool = False
     degraded_reason: Optional[str] = None
 

@@ -18,7 +18,7 @@ Event kinds
 ``link_up(cycle, a, b)``
     A previously-downed link comes back; credits re-baseline and (with
     repair) routing is rebuilt to use it again.
-``flaky(cycle, a, b, until, drop_p, seed)``
+``FaultEvent("flaky", cycle, a=, b=, until=, drop_p=, seed=)``
     During ``[cycle, until)`` every flit arriving over ``a -> b`` is
     dropped with probability ``drop_p``; drops are content-addressed
     (packet id, flit sequence) through
@@ -125,19 +125,6 @@ def link_down(cycle: int, a: int, b: int) -> FaultEvent:
 
 def link_up(cycle: int, a: int, b: int) -> FaultEvent:
     return FaultEvent("link_up", cycle, a=a, b=b)
-
-
-def flaky(
-    cycle: int,
-    a: int,
-    b: int,
-    until: int,
-    drop_p: float,
-    seed: int = 1,
-) -> FaultEvent:
-    return FaultEvent(
-        "flaky", cycle, a=a, b=b, until=until, drop_p=drop_p, seed=seed
-    )
 
 
 def switch_down(cycle: int, switch: int) -> FaultEvent:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.core.config import F_CLK_HZ
 from repro.fpga.costs import control_cost, switch_cost, tg_cost, tr_cost
 
 #: Leakage per occupied slice (mW) — Virtex-II Pro class, 1.5 V core.
@@ -100,10 +101,10 @@ class PowerReport:
         return "\n".join(lines)
 
 
-def _dynamic_mw(slices: int, activity: float, clock_hz: float) -> float:
+def _dynamic_mw(slices: int, activity: float) -> float:
     activity = min(1.0, max(0.0, activity))
     return (
-        slices * DYNAMIC_MW_PER_SLICE * (clock_hz / F_REF_HZ) * activity
+        slices * DYNAMIC_MW_PER_SLICE * (F_CLK_HZ / F_REF_HZ) * activity
     )
 
 
@@ -111,7 +112,6 @@ def estimate_power(platform):
     """Power report for a run of an :class:`EmulationPlatform`, over
     the platform's cycles so far."""
     config = platform.config
-    clock = config.f_clk_hz
     cycles = max(1, platform.cycle)
     rows: List[PowerRow] = []
 
@@ -131,7 +131,7 @@ def estimate_power(platform):
                 slices=est.slices,
                 activity=activity,
                 static_mw=est.slices * STATIC_MW_PER_SLICE,
-                dynamic_mw=_dynamic_mw(est.slices, activity, clock),
+                dynamic_mw=_dynamic_mw(est.slices, activity),
             )
         )
 
@@ -148,7 +148,7 @@ def estimate_power(platform):
                 slices=est.slices,
                 activity=min(1.0, activity),
                 static_mw=est.slices * STATIC_MW_PER_SLICE,
-                dynamic_mw=_dynamic_mw(est.slices, activity, clock),
+                dynamic_mw=_dynamic_mw(est.slices, activity),
             )
         )
 
@@ -166,7 +166,7 @@ def estimate_power(platform):
                 slices=est.slices,
                 activity=min(1.0, activity),
                 static_mw=est.slices * STATIC_MW_PER_SLICE,
-                dynamic_mw=_dynamic_mw(est.slices, activity, clock),
+                dynamic_mw=_dynamic_mw(est.slices, activity),
             )
         )
 
@@ -177,9 +177,9 @@ def estimate_power(platform):
             slices=control.slices,
             activity=1.0,  # the control module's counters always tick
             static_mw=control.slices * STATIC_MW_PER_SLICE,
-            dynamic_mw=_dynamic_mw(control.slices, 1.0, clock),
+            dynamic_mw=_dynamic_mw(control.slices, 1.0),
         )
     )
     return PowerReport(
-        platform_name=config.name, clock_hz=clock, rows=rows
+        platform_name=config.name, clock_hz=F_CLK_HZ, rows=rows
     )

@@ -9,7 +9,7 @@ for the ablation study on arbitration fairness under the paper's
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 class Arbiter:
@@ -25,14 +25,13 @@ class Arbiter:
         self.grants = 0
         self.grant_counts = [0] * n_requesters
 
-    def grant(self, requests: Sequence[int]) -> Optional[int]:
-        """Return the granted requester index, or ``None`` if no requests.
+    def grant(self, requests: Sequence[int]) -> int:
+        """Return the granted requester index.
 
-        ``requests`` is the list of requesting input-port indices (each
-        in ``range(n_requesters)``); duplicates are not allowed.
+        ``requests`` is the non-empty list of requesting input-port
+        indices (each in ``range(n_requesters)``); duplicates are not
+        allowed.
         """
-        if not requests:
-            return None
         winner = self._select(requests)
         self.grants += 1
         self.grant_counts[winner] += 1
@@ -82,25 +81,16 @@ class RoundRobinArbiter(Arbiter):
         super().__init__(n_requesters)
         self._pointer = 0
 
-    def _won(self, winner: int) -> None:
-        # The pointer advances past the winner, exactly as the
-        # rotating search would set it.
-        self._pointer = (winner + 1) % self.n_requesters
-
     def grant_single(self, winner: int) -> int:
-        # Base implementation with ``_won`` folded in: the platform
-        # default arbiter takes this on every uncontended grant.
+        # The platform default arbiter takes this on every uncontended
+        # grant: the pointer advances past the winner, exactly as the
+        # rotating search would set it.
         self.grants += 1
         self.grant_counts[winner] += 1
         self._pointer = (winner + 1) % self.n_requesters
         return winner
 
     def _select(self, requests: Sequence[int]) -> int:
-        if len(requests) == 1:
-            # Uncontended grant: same pointer advance as a search win.
-            candidate = requests[0]
-            self._pointer = (candidate + 1) % self.n_requesters
-            return candidate
         request_set = set(requests)
         for offset in range(self.n_requesters):
             candidate = (self._pointer + offset) % self.n_requesters

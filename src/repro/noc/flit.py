@@ -70,8 +70,6 @@ class Packet:
     burst_id:
         Identifier of the burst this packet belongs to for burst/trace
         traffic; ``None`` for traffic without burst structure.
-    payload:
-        Opaque payload used by tests and trace replay to check integrity.
     """
 
     src: int
@@ -80,7 +78,6 @@ class Packet:
     injection_cycle: int = 0
     wire_entry_cycle: Optional[int] = None
     burst_id: Optional[int] = None
-    payload: Optional[object] = None
     pid: int = field(default_factory=next_packet_id)
 
     def __post_init__(self) -> None:

@@ -123,8 +123,6 @@ class Link:
             if wired is self
         )
 
-    occupancy = wire_count
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -50,6 +50,9 @@ from repro.noc.switch import (
 )
 from repro.noc.topology import Topology
 
+#: Cycles :meth:`Network.drain` steps before it reports a deadlock.
+DRAIN_CYCLES = 1_000_000
+
 
 def format_parked_report(entries: List[dict]) -> str:
     """Render :meth:`Network.parked_report` for an error message."""
@@ -795,13 +798,14 @@ class Network:
             return False
         return all(rx.partial_packets == 0 for rx in self.rx)
 
-    def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Step until drained; return cycles spent.  Raises on timeout."""
+    def drain(self) -> int:
+        """Step until drained; return cycles spent.  Raises after
+        :data:`DRAIN_CYCLES` cycles."""
         start = self.cycle
         while not self.is_drained:
-            if self.cycle - start > max_cycles:
+            if self.cycle - start > DRAIN_CYCLES:
                 raise RuntimeError(
-                    f"network failed to drain within {max_cycles} cycles"
+                    f"network failed to drain within {DRAIN_CYCLES} cycles"
                     f" ({self.in_flight_flits} flits in flight —"
                     f" possible deadlock);"
                     f" {format_parked_report(self.parked_report())}"

@@ -57,9 +57,9 @@ class NetworkInterface:
         "_clock", "_drain_level", "_on_drain",
     )
 
-    def __init__(self, node: int, name: str = "") -> None:
+    def __init__(self, node: int) -> None:
         self.node = node
-        self.name = name or f"ni{node}"
+        self.name = f"ni{node}"
         self._flits: Deque[Flit] = deque()
         self._link: Optional[Link] = None
         self._credits = 0
@@ -305,9 +305,9 @@ class ReassemblyBuffer:
         "_last_flits",
     )
 
-    def __init__(self, node: int, name: str = "") -> None:
+    def __init__(self, node: int) -> None:
         self.node = node
-        self.name = name or f"rx{node}"
+        self.name = f"rx{node}"
         #: Called with ``(packet, now, flits)`` per completed packet;
         #: the network sets it.
         self.on_packet: Optional[

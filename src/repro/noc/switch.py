@@ -104,9 +104,9 @@ class _OutputPort:
     #: The arbiter of this output port (the switch's per-output list
     #: entry, cached here so the grant loop needs no index lookup).
     arbiter: Optional[Arbiter] = None
-    requests: List[int] = field(default_factory=list)
-    credit_waiters: List[int] = field(default_factory=list)
-    lock_waiters: List[int] = field(default_factory=list)
+    requests: List[int] = field(init=False, default_factory=list)
+    credit_waiters: List[int] = field(init=False, default_factory=list)
+    lock_waiters: List[int] = field(init=False, default_factory=list)
 
     #: Not checkpointed (see :mod:`repro.checkpoint.walker`): sink
     #: wiring, topology config, the per-cycle request scratch (empty

@@ -94,13 +94,14 @@ class Topology:
             self.switch_outputs[b].append(OutputEndpoint("switch", a, delay))
             self.switch_inputs[a].append(InputSource("switch", b, delay))
 
-    def attach(self, switch: int, delay: int = 1) -> int:
-        """Attach a new node (NI endpoint) to ``switch``; return node id."""
+    def attach(self, switch: int) -> int:
+        """Attach a new node (NI endpoint) to ``switch`` over one-cycle
+        links; return node id."""
         self._check_switch(switch)
         node = len(self.node_switch)
         self.node_switch.append(switch)
-        self.switch_inputs[switch].append(InputSource("node", node, delay))
-        self.switch_outputs[switch].append(OutputEndpoint("node", node, delay))
+        self.switch_inputs[switch].append(InputSource("node", node, 1))
+        self.switch_outputs[switch].append(OutputEndpoint("node", node, 1))
         return node
 
     # ------------------------------------------------------------------

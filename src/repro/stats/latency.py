@@ -89,20 +89,6 @@ class LatencyAnalyzer:
         """Approximate latency quantile from the histogram bins."""
         return self.histogram.quantile(q)
 
-    @property
-    def mean_queueing_latency(self) -> float:
-        """Mean generation-to-wire component (source queueing)."""
-        if self.decomposed_count == 0:
-            return 0.0
-        return self.total_queueing / self.decomposed_count
-
-    @property
-    def mean_network_latency(self) -> float:
-        """Mean wire-to-reassembly component (time in the NoC)."""
-        if self.decomposed_count == 0:
-            return 0.0
-        return self.total_network / self.decomposed_count
-
     # ------------------------------------------------------------------
     # Per-burst aggregates (packets/burst sweeps)
     # ------------------------------------------------------------------

@@ -116,11 +116,6 @@ class BurstTraffic(TrafficModel):
         """Long-run fraction of slots spent in the ON state."""
         return self.p_on / (self.p_on + self.p_off)
 
-    @property
-    def mean_burst_packets(self) -> float:
-        """Mean number of packets per burst (geometric ON dwell)."""
-        return 1.0 / self.p_off
-
     def expected_load(self) -> Optional[float]:
         # One packet of `length` flits per `length`-cycle slot while ON.
         return self.stationary_on

@@ -229,9 +229,7 @@ def synthetic_burst_trace(
     flits_per_packet: int,
     gap: int,
     dst: Union[int, Sequence[int]],
-    start: int = 0,
     seed: int = 1,
-    name: Optional[str] = None,
 ) -> Trace:
     """A burst-structured trace with the exact paper sweep parameters.
 
@@ -249,7 +247,7 @@ def synthetic_burst_trace(
     rng = LfsrRandom(seed)
     dsts: Sequence[int] = (dst,) if isinstance(dst, int) else tuple(dst)
     records: List[TraceRecord] = []
-    cycle = start
+    cycle = 0
     for burst in range(n_bursts):
         burst_dst = dsts[0] if len(dsts) == 1 else rng.choice(dsts)
         for _ in range(packets_per_burst):
@@ -258,10 +256,9 @@ def synthetic_burst_trace(
             )
             cycle += flits_per_packet  # back-to-back serialisation
         cycle += gap
-    trace_name = name or (
-        f"burst_b{packets_per_burst}_f{flits_per_packet}_g{gap}"
+    return Trace(
+        records, name=f"burst_b{packets_per_burst}_f{flits_per_packet}_g{gap}"
     )
-    return Trace(records, name=trace_name)
 
 
 #: Relative frame sizes of an MPEG-like group of pictures.
@@ -277,7 +274,6 @@ def synthetic_mpeg_trace(
     n_frames: int,
     dst: int,
     flits_per_packet: int = 8,
-    start: int = 0,
     seed: int = 7,
 ) -> Trace:
     """An MPEG-decoder-like frame trace (substitute "real application").
@@ -299,7 +295,7 @@ def synthetic_mpeg_trace(
         lo = max(1, round(base * (1.0 - _SIZE_JITTER)))
         hi = max(lo, round(base * (1.0 + _SIZE_JITTER)))
         packets = rng.uniform_int(lo, hi)
-        cycle = start + frame * _FRAME_INTERVAL
+        cycle = frame * _FRAME_INTERVAL
         for _ in range(packets):
             records.append(
                 TraceRecord(cycle, dst, flits_per_packet, frame)

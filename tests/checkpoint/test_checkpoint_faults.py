@@ -19,7 +19,7 @@ from repro.checkpoint import Checkpoint, restore, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
-from repro.faults import FaultSchedule, flaky, link_down, link_up
+from repro.faults import FaultEvent, FaultSchedule, link_down, link_up
 
 pytestmark = pytest.mark.chaos
 
@@ -28,7 +28,7 @@ SCHEDULE = FaultSchedule(
     events=(
         link_down(400, 1, 4),
         link_up(1400, 1, 4),
-        flaky(1600, 2, 5, until=2200, drop_p=0.35, seed=9),
+        FaultEvent("flaky", 1600, a=2, b=5, until=2200, drop_p=0.35, seed=9),
     )
 )
 SPEC = ScenarioSpec(load=0.7, packets=300, seed=2, faults=SCHEDULE)

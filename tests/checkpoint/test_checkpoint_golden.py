@@ -21,7 +21,7 @@ from repro.experiments import (
     run_warm_point,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.faults import FaultSchedule, flaky, link_down
+from repro.faults import FaultEvent, FaultSchedule, link_down
 from repro.telemetry import WindowedMetrics
 
 CUT = 700
@@ -29,7 +29,7 @@ CUT = 700
 FAULTS = FaultSchedule(
     events=(
         link_down(300, 1, 4),
-        flaky(350, 2, 5, until=1200, drop_p=0.3, seed=4),
+        FaultEvent("flaky", 350, a=2, b=5, until=1200, drop_p=0.3, seed=4),
     ),
     repair=True,
 )

@@ -14,7 +14,7 @@ from repro.checkpoint import CheckpointError, restore, snapshot
 from repro.core.engine import EmulationEngine
 from repro.core.platform import EmulationPlatform, build_platform
 from repro.experiments.spec import ScenarioSpec
-from repro.faults import FaultSchedule, flaky, link_down
+from repro.faults import FaultEvent, FaultSchedule, link_down
 from repro.noc.link import Link
 from repro.receptors.histogram import Histogram
 from repro.telemetry import WindowedMetrics
@@ -22,7 +22,7 @@ from repro.telemetry import WindowedMetrics
 FAULTS = FaultSchedule(
     events=(
         link_down(200, 1, 4),
-        flaky(250, 2, 5, until=900, drop_p=0.3, seed=4),
+        FaultEvent("flaky", 250, a=2, b=5, until=900, drop_p=0.3, seed=4),
     )
 )
 

@@ -41,6 +41,16 @@ def small_mesh_routing(small_mesh):
 
 
 @pytest.fixture
+def no_deadlock_vet(monkeypatch):
+    """Let ``build_platform`` compile routing tables that can deadlock
+    (to observe the deadlock itself): skip its channel-dependency vet."""
+    monkeypatch.setattr(
+        "repro.core.platform._validate_deadlock_freedom",
+        lambda topology, routing, config: None,
+    )
+
+
+@pytest.fixture
 def small_paper_platform():
     """A paper platform with a small packet budget (fast to run)."""
     return build_platform(

@@ -183,6 +183,7 @@ TEST_ONLY = {
     "repro.noc.buffer.FlitBuffer.free_slots": "read-only accessor",
     "repro.noc.buffer.FlitBuffer.is_empty": "read-only accessor",
     "repro.noc.link.Link.busy_cycles": "read-only accessor",
+    "repro.noc.link.Link.wire_count": "read-only accessor",
     "repro.noc.ni.NetworkInterface.idle": "read-only accessor",
     "repro.stats.runtime.SpeedReport.modes": "read-only accessor",
     "repro.fpga.power.PowerReport.row_for": "read-only accessor",
@@ -205,6 +206,10 @@ TEST_ONLY = {
         "item 1: its _burst_acc is checkpoint state (schema 2)",
     "repro.stats.latency.LatencyAnalyzer.mean_burst_size":
         "item 1: its _burst_acc is checkpoint state (schema 2)",
+    "repro.receptors.histogram.Histogram.min":
+        "item 1 schema: its _min register is checkpoint state",
+    "repro.receptors.histogram.Histogram.max":
+        "item 1 schema: its _max register is checkpoint state",
 }
 
 #: Defaulted ``src/repro`` parameters that only tests set, each with the
@@ -215,6 +220,10 @@ TEST_ONLY_PARAMS = {
         "tests inject fixture modules through it",
     "repro.core.engine.EmulationEngine.run(fast_forward)":
         "parity tests compare against the un-skipped run",
+    "repro.core.flow.EmulationFlow.run(max_packets)":
+        "item 6 (register reads) decides the flow",
+    "repro.core.processor.Processor.initialise_generator(params)":
+        "item 6 (register reads) decides the processor",
     **{
         f"repro.noc.topology.{factory}(link_delay)":
             "tests build multi-cycle links through it"
@@ -227,15 +236,22 @@ TEST_ONLY_PARAMS = {
             "rtl.RtlPlatformSim.__init__(depth)",
             "tlm.TlmPlatformSim.__init__(depth)",
             "vcd.VcdTracer.__init__(timescale)",
+            "rtl.RtlPlatformSim.run_until_drained(max_cycles)",
+            "tlm.TlmPlatformSim.run_until_drained(max_cycles)",
+            "speed.build_packet_schedule(interval)",
+            "speed.build_packet_schedule(length)",
             "speed.speed_report(cycles_per_packet)",
             "speed.speed_report(include_paper_rows)",
         )
     },
 }
 
-#: A string that names a definition by dotted path, as ``getattr``
-#: targets and the benchmark's wrapped layers do.
-_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+#: A string that names a definition by dotted path, as the benchmark's
+#: wrapped layers do.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+#: Builtins whose second argument is an attribute name.
+_ATTR_BUILTINS = ("getattr", "hasattr", "setattr")
 
 
 def _python_files(top):
@@ -263,10 +279,41 @@ def _export_map_nodes(tree):
     return skip
 
 
+def _forms(cls):
+    """The string nodes of class ``cls``'s ``FORMS`` tuple, which names
+    the constructors ``make_traffic_model`` calls."""
+    for stmt in cls.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        if any(getattr(t, "id", None) == "FORMS" for t in targets):
+            yield from (
+                node for node in ast.walk(stmt.value)
+                if isinstance(node, ast.Constant)
+            )
+
+
+def _attribute_strings(tree):
+    """The ids of the strings in ``tree`` that name an attribute: the
+    name argument of ``getattr``/``hasattr``/``setattr`` and each
+    ``FORMS`` entry."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            named.update(map(id, _forms(node)))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in _ATTR_BUILTINS
+            and len(node.args) > 1
+        ):
+            named.add(id(node.args[1]))
+    return named
+
+
 def _names_used(tree):
     """``(name, line, bare)`` of every name the code in ``tree`` refers
-    to: names (``bare``), attributes, imports and dotted-path strings."""
+    to: names (``bare``), attributes, imports, dotted-path strings and
+    attribute-name strings (:func:`_attribute_strings`)."""
     skip = _export_map_nodes(tree)
+    attribute_strings = _attribute_strings(tree)
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
@@ -281,6 +328,8 @@ def _names_used(tree):
             if _DOTTED.fullmatch(node.value):
                 for part in node.value.split("."):
                     yield part, node.lineno, False
+            elif id(node) in attribute_strings:
+                yield node.value, node.lineno, False
 
 
 def _definitions(module, tree):
@@ -382,83 +431,196 @@ def _defaulted_params(node, method):
             yield arg.arg, None
 
 
-def _callee(func, bases):
-    """The name a call to ``func`` calls, and how many of its
-    positional arguments fill ``self``.  A constructor is called by its
-    class name, so ``super().__init__`` calls the enclosing class's
-    base and ``Base.__init__(self, ...)`` calls ``Base``."""
-    if isinstance(func, ast.Name):
-        return func.id, 0
-    if func.attr == "__init__":
-        owner = func.value
-        if isinstance(owner, ast.Call) and (
-            getattr(owner.func, "id", None) == "super"
+def _field_defaults(cls):
+    """``(name, call position or None)`` of each defaulted field that a
+    dataclass ``cls``'s ``__init__`` takes.  The position is None when
+    the class has bases, whose fields come first; a ``field(init=False)``
+    is run state, not an option, and takes no argument."""
+    if not any(
+        "dataclass" in ast.unparse(d) for d in cls.decorator_list
+    ):
+        return
+    position = None if cls.bases else 0
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign) or (
+            "ClassVar" in ast.unparse(stmt.annotation)
         ):
-            return (bases[0] if bases else None), 0
-        return getattr(owner, "id", None) or getattr(owner, "attr", None), 1
-    return func.attr, 0
+            continue
+        value, defaulted = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and getattr(
+            value.func, "id", None
+        ) in ("field", "declared"):
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            defaulted = (
+                "default" in keywords or "default_factory" in keywords
+                or len(value.args) > 1
+            )
+        if defaulted:
+            yield stmt.target.id, position
+        if position is not None:
+            position += 1
+
+
+def _enclosing_classes(tree):
+    """``{id(node): enclosing ClassDef}`` of every node in a class."""
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for inner in ast.walk(node):
+                owners[id(inner)] = node
+    return owners
+
+
+def _callee(func, owner):
+    """The name a call to ``func`` in class ``owner`` (or None) calls,
+    whether it calls a method, and how many of its positional arguments
+    fill ``self``.  A constructor is called by its class name, so
+    ``cls(...)`` calls ``owner``, ``super().__init__`` its first base and
+    ``Base.__init__(self, ...)`` calls ``Base``; ``obj.m(...)`` calls a
+    method, a bare ``m(...)`` never does."""
+    if isinstance(func, ast.Name):
+        if func.id == "cls" and owner is not None:
+            return owner.name, False, 0
+        return func.id, False, 0
+    if func.attr == "__init__":
+        target = func.value
+        if isinstance(target, ast.Call) and (
+            getattr(target.func, "id", None) == "super"
+        ):
+            base = owner.bases[0] if owner and owner.bases else None
+            return (
+                getattr(base, "id", None) or getattr(base, "attr", None)
+            ), False, 0
+        return getattr(target, "id", None) or getattr(
+            target, "attr", None
+        ), False, 1
+    return func.attr, True, 0
 
 
 def _calls(tree):
-    """``(callee name, keywords, positional count, starred, line)`` of
-    every call in ``tree``; ``starred`` when it passes ``*`` or ``**``."""
-    bases = {}  # id(call) -> base class names of the enclosing class
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            names = [
-                getattr(b, "id", None) or getattr(b, "attr", None)
-                for b in node.bases
-            ]
-            for inner in ast.walk(node):
-                bases[id(inner)] = names
+    """``(callee name, method, keywords, positional count, starred,
+    line)`` of every call in ``tree`` (see :func:`_callee`); ``starred``
+    when it passes ``*`` or ``**``.  ``partial(f, ...)`` passes ``f`` as
+    a value that may be called with anything: a starred call of ``f``."""
+    owners = _enclosing_classes(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not isinstance(
             node.func, (ast.Name, ast.Attribute)
         ):
             continue
-        callee, skipped = _callee(node.func, bases.get(id(node), []))
+        callee, method, skipped = _callee(node.func, owners.get(id(node)))
+        if callee == "partial":
+            bound = node.args[0] if node.args else None
+            if isinstance(bound, (ast.Name, ast.Attribute)):
+                callee, method, _ = _callee(bound, owners.get(id(node)))
+                yield callee, method, set(), 0, True, node.lineno
+            continue
         keywords = {kw.arg for kw in node.keywords} - {None}
         starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
             kw.arg is None for kw in node.keywords
         )
-        yield callee, keywords, len(node.args) - skipped, starred, node.lineno
+        yield (
+            callee, method, keywords, len(node.args) - skipped, starred,
+            node.lineno,
+        )
+
+
+def _field_writes(tree):
+    """``(field name, None, line)`` of every attribute a statement in
+    ``tree`` assigns on an object other than ``self``, and ``("*", class
+    name, line)`` for each class ``from_fields`` builds (it passes every
+    field a payload holds)."""
+    owners = _enclosing_classes(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and (
+                    getattr(target.value, "id", None) != "self"
+                ):
+                    yield target.attr, None, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "from_fields"
+            and node.args
+        ):
+            cls = getattr(node.args[0], "id", None)
+            if cls == "cls":
+                cls = owners[id(node)].name
+            yield "*", cls, node.lineno
+
+
+def _sets(call, callees, method, param, position):
+    """Whether ``call`` (a :func:`_calls` row after its path) calls one
+    of ``callees`` (a method only through an attribute when ``method``)
+    and passes ``param``: by keyword, in its ``position``, or starred."""
+    callee, call_method, keywords, n, starred, _line = call
+    return callee in callees and (call_method or not method) and (
+        param in keywords or starred or position is not None and n > position
+    )
 
 
 def _unset_params(trees):
     """``{"dotted(param)": "path:line"}`` of each defaulted parameter
     of a ``src`` function in ``trees`` (as for :func:`_unreached`) that
-    no call outside that function sets."""
-    calls = []  # (path or None outside src/, callee, kws, n, starred, line)
-    functions = []
+    no call outside that function sets, and of each defaulted field of
+    a ``src`` dataclass (``"dotted class(field)"``) that nothing sets."""
+    calls = []  # (path or None outside src/, *_calls row)
+    writes = []  # (path or None outside src/, *_field_writes row)
+    params = []  # (path, dotted, node, callees, method, param, position)
+    fields = []  # (path, dotted class, class node, field, position)
     for path, module, tree in trees:
-        calls.extend(
-            (path if module else None, *call) for call in _calls(tree)
-        )
+        where = path if module else None
+        calls.extend((where, *call) for call in _calls(tree))
+        writes.extend((where, *write) for write in _field_writes(tree))
         if not module:
             continue
+        formed = set()
         for dotted, name, node, method in _definitions(module, tree):
             if isinstance(node, ast.ClassDef):
-                continue
-            callees = {name}
-            if name == "__init__":
-                callees = {dotted.rsplit(".", 2)[-2]}
-            functions.extend(
-                (path, dotted, callees, node, param, position)
-                for param, position in _defaulted_params(node, method)
-            )
+                # make_traffic_model calls each form with every argument.
+                formed.update(
+                    f"{dotted}.{form.value}" for form in _forms(node)
+                )
+                fields.extend(
+                    (path, dotted, node, field, position)
+                    for field, position in _field_defaults(node)
+                )
+            elif dotted not in formed:
+                # A constructor is called by its class name, bare or not.
+                constructor = name == "__init__"
+                callees = {dotted.rsplit(".", 2)[-2] if constructor else name}
+                params.extend(
+                    (path, dotted, node, callees, method and not constructor,
+                     param, position)
+                    for param, position in _defaulted_params(node, method)
+                )
+
+    def inside(node, path, where, line):
+        return where == path and node.lineno <= line <= node.end_lineno
+
     unset = {}
-    for path, dotted, callees, node, param, position in functions:
-        outside = [
-            call for call in calls
-            if call[0] != path or not node.lineno <= call[5] <= node.end_lineno
-        ]
+    for path, dotted, node, callees, method, param, position in params:
         if not any(
-            param in kws
-            or callee in callees
-            and (starred or position is not None and n > position)
-            for _where, callee, kws, n, starred, _line in outside
+            _sets(call, callees, method, param, position)
+            for where, *call in calls
+            if not inside(node, path, where, call[-1])
         ):
             unset[f"{dotted}({param})"] = (
+                f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+            )
+    for path, dotted, node, field, position in fields:
+        if not any(
+            _sets(call, {node.name}, False, field, position)
+            or call[0] == "replace" and field in call[2]
+            for _where, *call in calls
+        ) and not any(
+            name == field and not inside(node, path, where, line)
+            or name == "*" and cls == node.name
+            for where, name, cls, line in writes
+        ):
+            unset[f"{dotted}({field})"] = (
                 f"{os.path.relpath(path, ROOT)}:{node.lineno}"
             )
     return unset
@@ -467,9 +629,14 @@ def _unset_params(trees):
 def test_every_parameter_is_set_outside_tests():
     """Each defaulted parameter of a function or method in ``src/repro``
     is set by code in ``src/`` outside that function, or in
-    ``benchmarks/`` or ``examples/``: a call passes a keyword of its
-    name, or calls the function's name with an argument in its position
-    or with ``*``/``**``.  A parameter only tests set is an option
+    ``benchmarks/`` or ``examples/``: a call resolved to the function
+    (its name, its class for ``__init__``, ``obj.name(...)`` for a
+    method) passes a keyword of its name, an argument in its position
+    or ``*``/``**``.  ``partial(f, ...)`` is a starred call of ``f``,
+    and a traffic model's ``FORMS`` have every parameter set.  Each
+    defaulted field of a dataclass is set the same way, through
+    ``dataclasses.replace``, by an attribute store outside tests, or
+    through ``from_fields``.  A parameter only tests set is an option
     nothing uses (make it a constant), or belongs in
     :data:`TEST_ONLY_PARAMS` with its reason."""
     unset = _unset_params(_module_trees())
@@ -539,6 +706,28 @@ REACH_CASES = [
         {"src/pkg/a.py": "__all__ = ['f']\n\ndef f(): pass"},
         {"pkg.a.f"},
     ),
+    (
+        "a dict-key string reaches nothing",
+        {"src/pkg/a.py": "class C:\n    def m(self): pass",
+         "src/pkg/b.py": "from pkg.a import C\nROW = {'m': 1}"},
+        {"pkg.a.C.m"},
+    ),
+    (
+        "a getattr target reaches a method",
+        {"src/pkg/a.py": "class C:\n    def m(self): pass",
+         "src/pkg/b.py": "from pkg.a import C\ngetattr(C(), 'm')()"},
+        set(),
+    ),
+    (
+        "a FORMS entry reaches a method",
+        {"src/pkg/a.py": (
+            "class C:\n"
+            "    FORMS = ('m',)\n"
+            "\n"
+            "    def m(self): pass"
+        ), "src/pkg/b.py": "from pkg.a import C"},
+        set(),
+    ),
 ]
 
 
@@ -564,6 +753,14 @@ class C:
         return x
 """
 _ALL_OF_C = {"pkg.a.C.__init__(x)", "pkg.a.C.m(x)", "pkg.a.C.s(x)"}
+_DATACLASS_D = """\
+@dataclass
+class D:
+    n: int
+    x: int = 0
+    y: int = field(default=1)
+    z: list = field(init=False, default_factory=list)
+"""
 
 #: ``(case, {path: source}, parameters the parameter rule flags)``.
 PARAM_CASES = [
@@ -647,6 +844,85 @@ PARAM_CASES = [
         "Base.__init__(self, value) sets the parameter",
         {"src/pkg/a.py": "class B:\n    def __init__(self, x=1): pass",
          "src/pkg/b.py": "B.__init__(obj, 2)"},
+        set(),
+    ),
+    (
+        "keyword on another function's call sets nothing",
+        {"src/pkg/a.py": _DEF_F, "src/pkg/b.py": "g(a=1, x=2)"},
+        {"pkg.a.f(a)", "pkg.a.f(x)"},
+    ),
+    (
+        "a bare call never sets a method",
+        {"src/pkg/a.py": _CLASS_C, "src/pkg/b.py": "m(x=2)"},
+        _ALL_OF_C,
+    ),
+    (
+        "cls(...) in a classmethod calls its class",
+        {"src/pkg/a.py": _CLASS_C + (
+            "\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls(x=2)\n"
+        )},
+        _ALL_OF_C - {"pkg.a.C.__init__(x)"},
+    ),
+    (
+        "a FORMS entry sets its parameters",
+        {"src/pkg/a.py": (
+            "class T:\n"
+            "    FORMS = ('__init__', 'for_load')\n"
+            "\n"
+            "    def __init__(self, rate, seed=1): pass\n"
+            "\n"
+            "    @classmethod\n"
+            "    def for_load(cls, load, seed=1): pass\n"
+            "\n"
+            "    def reset(self, seed=None): pass\n"
+        )},
+        {"pkg.a.T.reset(seed)"},
+    ),
+    (
+        "partial(obj.m, value) sets the method's parameters",
+        {"src/pkg/a.py": _CLASS_C,
+         "src/pkg/b.py": "from functools import partial\npartial(C().m, 2)"},
+        _ALL_OF_C - {"pkg.a.C.m(x)"},
+    ),
+    (
+        "unset dataclass fields; an init=False field is no option",
+        {"src/pkg/a.py": _DATACLASS_D},
+        {"pkg.a.D(x)", "pkg.a.D(y)"},
+    ),
+    (
+        "dataclass field set by keyword",
+        {"src/pkg/a.py": _DATACLASS_D, "src/pkg/b.py": "D(0, y=2)"},
+        {"pkg.a.D(x)"},
+    ),
+    (
+        "dataclass field set by position",
+        {"src/pkg/a.py": _DATACLASS_D, "src/pkg/b.py": "D(0, 1, 2)"},
+        set(),
+    ),
+    (
+        "dataclass field set by replace",
+        {"src/pkg/a.py": _DATACLASS_D,
+         "src/pkg/b.py": "replace(d, x=3)"},
+        {"pkg.a.D(y)"},
+    ),
+    (
+        "dataclass field stored as an attribute",
+        {"src/pkg/a.py": _DATACLASS_D,
+         "examples/e.py": "d.y = 3\n\n\nclass E:\n    def f(self):\n"
+                          "        self.x = 1"},
+        {"pkg.a.D(x)"},
+    ),
+    (
+        "dataclass built through from_fields",
+        {"src/pkg/a.py": _DATACLASS_D + (
+            "\n"
+            "    @classmethod\n"
+            "    def from_dict(cls, data):\n"
+            "        return from_fields(cls, data, 'D')\n"
+        )},
         set(),
     ),
 ]

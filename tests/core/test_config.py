@@ -179,8 +179,6 @@ class TestSignatures:
         with pytest.raises(ConfigError):
             PlatformConfig(buffer_depth=0)
         with pytest.raises(ConfigError):
-            PlatformConfig(f_clk_hz=0)
-        with pytest.raises(ConfigError):
             PlatformConfig(switching="teleport")
 
     def test_switching_string_accepted(self):

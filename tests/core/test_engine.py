@@ -97,7 +97,6 @@ class TestEngineResult:
             packets_sent=100,
             packets_received=100,
             wall_seconds=2.0,
-            f_clk_hz=50e6,
             completed=True,
         )
         assert result.emulated_seconds == pytest.approx(1.0)
@@ -110,7 +109,6 @@ class TestEngineResult:
             packets_sent=0,
             packets_received=0,
             wall_seconds=0.0,
-            f_clk_hz=50e6,
             completed=False,
         )
         assert result.engine_cycles_per_sec == 0.0

@@ -42,7 +42,6 @@ def wedging_ring_config(max_packets=20):
         topology=topo,
         routing=routing,
         buffer_depth=2,
-        check_deadlock=False,
         tgs=[
             TGSpec(
                 node=src,
@@ -55,6 +54,7 @@ def wedging_ring_config(max_packets=20):
     )
 
 
+@pytest.mark.usefixtures("no_deadlock_vet")
 class TestDeadlockGuard:
     def test_stagnation_detector_fires_with_fast_forward_active(
         self, monkeypatch

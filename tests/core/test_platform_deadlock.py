@@ -9,7 +9,7 @@ from repro.noc.routing import build_tables_from_paths
 from repro.noc.topology import ring
 
 
-def cyclic_ring_config(check_deadlock=True):
+def cyclic_ring_config():
     """Four clockwise flows around a 4-ring: a classic CDG cycle."""
     topo = ring(4)
     routing = build_tables_from_paths(
@@ -26,7 +26,6 @@ def cyclic_ring_config(check_deadlock=True):
         topology=topo,
         routing=routing,
         buffer_depth=4,
-        check_deadlock=check_deadlock,
         tgs=[
             TGSpec(node=src, params={**params, "dst": dst})
             for src, dst in ((0, 2), (1, 3), (2, 0), (3, 1))
@@ -40,11 +39,11 @@ class TestDeadlockGate:
         with pytest.raises(ConfigError, match="dependency cycle"):
             build_platform(cyclic_ring_config())
 
-    def test_gate_can_be_disabled(self):
-        # Opting out compiles fine (and documents the risk).
-        platform = build_platform(
-            cyclic_ring_config(check_deadlock=False)
-        )
+    @pytest.mark.usefixtures("no_deadlock_vet")
+    def test_only_the_gate_refuses_the_tables(self):
+        # Without the vet the same tables compile: nothing else
+        # in the build objects to them.
+        platform = build_platform(cyclic_ring_config())
         assert platform.topology.n_switches == 4
 
     def test_paper_platform_passes_the_gate(self):
@@ -54,16 +53,13 @@ class TestDeadlockGate:
             config = paper_platform_config(
                 max_packets=10, routing_case=case
             )
-            assert config.check_deadlock
             build_platform(config)  # must not raise
 
+    @pytest.mark.usefixtures("no_deadlock_vet")
     def test_cyclic_tables_actually_deadlock_when_forced(self):
         """The gate protects against a real hang: with the gate off
         and long packets, the clockwise ring wedges."""
-        from repro.core.engine import EmulationEngine
-        from repro.core.errors import EmulationError
-
-        config = cyclic_ring_config(check_deadlock=False)
+        config = cyclic_ring_config()
         for tg in config.tgs:
             tg.max_packets = 50
             tg.params["interval"] = 6  # saturate: packets back to back

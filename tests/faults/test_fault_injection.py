@@ -8,9 +8,9 @@ from repro.core.errors import EmulationError, UnroutableError
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
+    FaultEvent,
     FaultInjector,
     FaultSchedule,
-    flaky,
     link_down,
     link_up,
     switch_down,
@@ -100,7 +100,6 @@ class TestLinkDown:
                 )
             ],
             trs=[TRSpec(node=1)],
-            check_deadlock=False,
         )
         platform = build_platform(config)
         schedule = FaultSchedule.of(
@@ -226,7 +225,6 @@ class TestPartitionRegression:
                 )
             ],
             trs=[TRSpec(node=1)],
-            check_deadlock=False,
         )
 
     def test_cutting_the_only_route_raises_unroutable(self):
@@ -339,8 +337,12 @@ FAULT_STORIES = {
     ),
     "flaky": (
         FaultSchedule.of(
-            flaky(2000, 1, 4, until=6000, drop_p=0.1, seed=3),
-            flaky(2000, 4, 1, until=6000, drop_p=0.1, seed=4),
+            FaultEvent(
+                "flaky", 2000, a=1, b=4, until=6000, drop_p=0.1, seed=3
+            ),
+            FaultEvent(
+                "flaky", 2000, a=4, b=1, until=6000, drop_p=0.1, seed=4
+            ),
         ),
         1200,
         {

@@ -15,9 +15,9 @@ import pytest
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import (
+    FaultEvent,
     FaultInjector,
     FaultSchedule,
-    flaky,
     link_down,
     link_up,
     switch_down,
@@ -59,7 +59,7 @@ def snapshot(platform):
             (
                 link.flits_carried,
                 link.busy_cycles,
-                link.occupancy,
+                link.wire_count,
                 link.flits_dropped,
                 link.down,
             )
@@ -154,8 +154,8 @@ SCHEDULES = {
         link_up(1500, 4, 1),
     ),
     "flaky": FaultSchedule.of(
-        flaky(400, 1, 4, until=1400, drop_p=0.25, seed=11),
-        flaky(400, 4, 1, until=1400, drop_p=0.25, seed=12),
+        FaultEvent("flaky", 400, a=1, b=4, until=1400, drop_p=0.25, seed=11),
+        FaultEvent("flaky", 400, a=4, b=1, until=1400, drop_p=0.25, seed=12),
     ),
     "switch_down": FaultSchedule.of(switch_down(700, 1)),
     "no_repair": FaultSchedule.of(

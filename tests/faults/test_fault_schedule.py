@@ -9,7 +9,6 @@ from repro.experiments.spec import ScenarioSpec, Sweep
 from repro.faults import (
     FaultEvent,
     FaultSchedule,
-    flaky,
     link_down,
     link_up,
     switch_down,
@@ -39,13 +38,15 @@ class TestEventValidation:
 
     def test_flaky_window_must_extend_past_start(self):
         with pytest.raises(ConfigError):
-            flaky(100, 0, 1, until=100, drop_p=0.5)
+            FaultEvent("flaky", 100, a=0, b=1, until=100, drop_p=0.5, seed=1)
 
     def test_flaky_drop_p_bounds(self):
         with pytest.raises(ConfigError):
-            flaky(100, 0, 1, until=200, drop_p=1.5)
-        flaky(100, 0, 1, until=200, drop_p=0.0)  # boundary ok
-        flaky(100, 0, 1, until=200, drop_p=1.0)
+            FaultEvent("flaky", 100, a=0, b=1, until=200, drop_p=1.5, seed=1)
+        FaultEvent(  # boundary ok
+            "flaky", 100, a=0, b=1, until=200, drop_p=0.0, seed=1
+        )
+        FaultEvent("flaky", 100, a=0, b=1, until=200, drop_p=1.0, seed=1)
 
 
 class TestScheduleValidation:
@@ -97,7 +98,7 @@ class TestCanonicalForm:
         sched = FaultSchedule.of(
             link_down(300, 1, 4),
             link_up(900, 1, 4),
-            flaky(50, 0, 1, until=250, drop_p=0.125, seed=9),
+            FaultEvent("flaky", 50, a=0, b=1, until=250, drop_p=0.125, seed=9),
             switch_down(1200, 2),
             repair=False,
         )

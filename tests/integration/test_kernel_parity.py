@@ -46,7 +46,7 @@ def snapshot(platform):
             for sw in net.switches
         ],
         "links": [
-            (link.flits_carried, link.busy_cycles, link.occupancy)
+            (link.flits_carried, link.busy_cycles, link.wire_count)
             for link in net.links
         ],
         "nis": [
@@ -489,7 +489,6 @@ class TestFastForwardParity:
                     )
                 ],
                 trs=[TRSpec(node=3)],
-                check_deadlock=False,
             )
 
         def credit_state(platform):

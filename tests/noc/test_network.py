@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.noc import network as network_module
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.routing import (
@@ -137,12 +138,14 @@ class TestDrainAndProgress:
         net.drain()
         assert net.in_flight_flits == 0
 
-    def test_drain_timeout_raises(self):
+    def test_drain_timeout_raises(self, monkeypatch):
         net, _ = small_network()
         net.offer(Packet(src=0, dst=3, length=64))
         # Absurdly small budget: the drain must time out.
-        with pytest.raises(RuntimeError, match="drain"):
-            net.drain(max_cycles=2)
+        monkeypatch.setattr(network_module, "DRAIN_CYCLES", 2)
+        with pytest.raises(RuntimeError, match="drain within 2 cycles"):
+            net.drain()
+        assert net.cycle == 3
 
     def test_run_advances_cycles(self):
         net, _ = small_network()

@@ -28,7 +28,7 @@ class TestNetworkInterface:
         ni.offer(Packet(src=0, dst=1, length=3))
         assert ni.inject(0)
         assert ni.pending_flits == 2
-        assert link.occupancy == 1
+        assert link.wire_count == 1
 
     def test_inject_respects_credits(self):
         ni, _ = self.make_ni(credits=2)

@@ -52,7 +52,6 @@ def small_config(
         switching=switching,
         tgs=tgs,
         trs=trs,
-        check_deadlock=False,
     )
 
 

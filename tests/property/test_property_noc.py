@@ -144,7 +144,7 @@ def test_network_conserves_flits(data, mode):
         length = data.draw(st.integers(min_value=1, max_value=depth))
         net.offer(Packet(src=src, dst=dst, length=length))
         total_flits += length
-    net.drain(max_cycles=50_000)
+    net.drain()
     received = sum(rx.received_flits for rx in net.rx)
     assert received == total_flits
     assert sum(rx.received_packets for rx in net.rx) == n_packets
@@ -166,6 +166,6 @@ def test_wormhole_delivers_contiguous_packets_per_node(data):
         src = data.draw(st.integers(min_value=0, max_value=3))
         dst = data.draw(st.integers(min_value=0, max_value=3))
         net.offer(Packet(src=src, dst=dst, length=3))
-    net.drain(max_cycles=50_000)
+    net.drain()
     for flits in orders:
         assert [f.seq for f in flits] == [0, 1, 2]

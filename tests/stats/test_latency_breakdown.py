@@ -10,21 +10,28 @@ from repro.receptors.tracedriven import TraceDrivenReceptor
 from repro.stats.latency import LatencyAnalyzer
 
 
+def means(lat):
+    """Mean queueing and network latency of the decomposed packets, as
+    :func:`repro.stats.summary.scenario_metrics` derives them."""
+    n = lat.decomposed_count
+    if n == 0:
+        return 0.0, 0.0
+    return lat.total_queueing / n, lat.total_network / n
+
+
 class TestAnalyzerDecomposition:
     def test_components_sum_to_total(self):
         lat = LatencyAnalyzer()
         p = Packet(src=0, dst=1, length=2, injection_cycle=0,
                    wire_entry_cycle=6)
         lat.record(p, 20)
-        assert lat.mean_queueing_latency == pytest.approx(6.0)
-        assert lat.mean_network_latency == pytest.approx(14.0)
+        assert means(lat) == pytest.approx((6.0, 14.0))
 
     def test_unstamped_packets_skipped(self):
         lat = LatencyAnalyzer()
         lat.record(Packet(src=0, dst=1, length=1, injection_cycle=0), 9)
         assert lat.decomposed_count == 0
-        assert lat.mean_queueing_latency == 0.0
-        assert lat.mean_network_latency == 0.0
+        assert means(lat) == (0.0, 0.0)
         assert lat.count == 1  # still counted for total latency
 
     def test_merge_carries_decomposition(self):
@@ -75,10 +82,7 @@ class TestEndToEndDecomposition:
 
     def test_components_account_for_mean(self):
         merged = self.run_platform(ppb=4)
-        assert (
-            merged.mean_queueing_latency + merged.mean_network_latency
-            == pytest.approx(merged.mean_latency)
-        )
+        assert sum(means(merged)) == pytest.approx(merged.mean_latency)
 
     def test_congestion_shifts_latency_into_queueing(self):
         """The Slide 22 mechanism, observed directly: longer bursts
@@ -87,10 +91,10 @@ class TestEndToEndDecomposition:
         long = self.run_platform(ppb=64)
 
         def queueing_share(lat):
-            queueing = lat.mean_queueing_latency
-            return queueing / (queueing + lat.mean_network_latency)
+            queueing, network = means(lat)
+            return queueing / (queueing + network)
 
         assert queueing_share(long) > queueing_share(short)
         # Network time stays bounded by the path + serialisation,
         # growing far less than total latency does.
-        assert long.mean_network_latency < long.mean_latency * 0.7
+        assert means(long)[1] < long.mean_latency * 0.7

@@ -109,7 +109,7 @@ def traced_or_untraced_run(traced, cycles=4000):
             for ni in net.nis
         ],
         "links": [
-            (link.stats_snapshot(), link.occupancy) for link in net.links
+            (link.stats_snapshot(), link.wire_count) for link in net.links
         ],
         "rx": [rx.stats_snapshot() for rx in net.rx],
         "generators": [

@@ -15,7 +15,7 @@ import pytest
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
-from repro.faults import FaultSchedule, flaky, link_down, link_up
+from repro.faults import FaultEvent, FaultSchedule, link_down, link_up
 from repro.telemetry import FlitTracer
 
 #: A mesh link cut and healed both ways while another link drops
@@ -23,7 +23,7 @@ from repro.telemetry import FlitTracer
 MESH_FAULTS = FaultSchedule.of(
     link_down(200, 5, 6), link_down(200, 6, 5),
     link_up(600, 5, 6), link_up(600, 6, 5),
-    flaky(100, 9, 10, 500, 0.2),
+    FaultEvent("flaky", 100, a=9, b=10, until=500, drop_p=0.2, seed=1),
 )
 
 RUNS = {

@@ -151,7 +151,7 @@ class TestBurstTraffic:
             0.45, mean_burst_packets=8, length=4, destination=DST
         )
         assert m.expected_load() == pytest.approx(0.45)
-        assert m.mean_burst_packets == pytest.approx(8.0)
+        assert 1.0 / m.p_off == pytest.approx(8.0)  # geometric ON dwell
 
     def test_for_load_infeasible_rejected(self):
         with pytest.raises(ValueError, match="p_on > 1"):
