@@ -10,9 +10,9 @@ lower-priority flow, visible as a latency spread between flows.
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.receptors.tracedriven import TraceDrivenReceptor
 
 pytestmark = pytest.mark.perf
@@ -27,13 +27,13 @@ def run_policy(policy: str):
     # arbitration policy decides who waits.  (At the steady 45%/flow
     # uniform load the link is never oversubscribed and every policy
     # behaves identically.)
-    cfg = paper_platform_config(
+    cfg = ScenarioSpec(
         traffic="burst",
-        max_packets=PACKETS,
+        packets=PACKETS,
         seed=2,
         traffic_params={"mean_burst_packets": 16},
-    )
-    cfg.arbitration = policy
+        arbitration=policy,
+    ).to_platform_config()
     platform = build_platform(cfg)
     EmulationEngine(platform).run()
     per_flow = {

@@ -11,9 +11,9 @@ and latency; the hot-link load halves from overlap (~90%) to split
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.topology import paper_hot_links
 
 pytestmark = pytest.mark.perf
@@ -24,9 +24,9 @@ PACKETS = 1500
 
 def run_case(case: str):
     platform = build_platform(
-        paper_platform_config(
-            max_packets=PACKETS, routing_case=case, seed=6
-        )
+        ScenarioSpec(
+            packets=PACKETS, routing=case, seed=6
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     assert result.completed

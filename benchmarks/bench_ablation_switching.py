@@ -10,9 +10,9 @@ must win on latency at equal (sufficient) buffering.
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 pytestmark = pytest.mark.perf
 
@@ -24,13 +24,13 @@ MODES = ("wormhole", "store_and_forward")
 
 
 def run_mode(mode: str):
-    cfg = paper_platform_config(
-        max_packets=PACKETS,
+    cfg = ScenarioSpec(
+        packets=PACKETS,
         length=LENGTH,
         buffer_depth=DEPTH,
         seed=8,
-    )
-    cfg.switching = mode
+        switching=mode,
+    ).to_platform_config()
     platform = build_platform(cfg)
     result = EmulationEngine(platform).run()
     assert result.completed

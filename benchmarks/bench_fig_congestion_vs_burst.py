@@ -14,9 +14,9 @@ flits/packet, saturating for long bursts.
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 pytestmark = pytest.mark.perf
 
@@ -32,9 +32,9 @@ def run_point(ppb: int, fpp: int) -> float:
     n_bursts = max(1, PACKET_BUDGET // ppb)
     gap = round(ppb * fpp * 0.55 / 0.45)  # keep offered load at 45%
     platform = build_platform(
-        paper_platform_config(
+        ScenarioSpec(
             traffic="trace",
-            max_packets=None,
+            packets=None,
             length=fpp,
             traffic_params={
                 "n_bursts": n_bursts,
@@ -42,7 +42,7 @@ def run_point(ppb: int, fpp: int) -> float:
                 "flits_per_packet": fpp,
                 "gap": gap,
             },
-        )
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     assert result.completed

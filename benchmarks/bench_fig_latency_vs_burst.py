@@ -14,9 +14,9 @@ hot-link load that sets the ceiling.
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.topology import paper_hot_links
 
 pytestmark = pytest.mark.perf
@@ -30,9 +30,9 @@ def run_point(ppb: int):
     n_bursts = max(1, PACKET_BUDGET // ppb)
     gap = round(ppb * FLITS_PER_PACKET * 0.55 / 0.45)
     platform = build_platform(
-        paper_platform_config(
+        ScenarioSpec(
             traffic="trace",
-            max_packets=None,
+            packets=None,
             length=FLITS_PER_PACKET,
             traffic_params={
                 "n_bursts": n_bursts,
@@ -40,7 +40,7 @@ def run_point(ppb: int):
                 "flits_per_packet": FLITS_PER_PACKET,
                 "gap": gap,
             },
-        )
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     assert result.completed
@@ -105,9 +105,9 @@ def test_fig_latency_max_bounded_by_queue_depth(benchmark):
 
     def at_queue(limit):
         platform = build_platform(
-            paper_platform_config(
+            ScenarioSpec(
                 traffic="trace",
-                max_packets=None,
+                packets=None,
                 length=FLITS_PER_PACKET,
                 traffic_params={
                     "n_bursts": 16,
@@ -115,7 +115,7 @@ def test_fig_latency_max_bounded_by_queue_depth(benchmark):
                     "flits_per_packet": FLITS_PER_PACKET,
                     "gap": round(64 * FLITS_PER_PACKET * 0.55 / 0.45),
                 },
-            )
+            ).to_platform_config()
         )
         for generator in platform.generators:
             generator.queue_limit = limit

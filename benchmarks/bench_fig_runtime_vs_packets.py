@@ -14,9 +14,9 @@ congestion rate.
 import pytest
 
 from benchmarks.conftest import emit, format_table
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.stats.runtime import format_duration
 
 pytestmark = pytest.mark.perf
@@ -27,9 +27,9 @@ SWEEP_PACKETS = (250, 500, 1000, 2000, 4000)
 
 def run_point(traffic: str, packets: int):
     platform = build_platform(
-        paper_platform_config(
-            traffic=traffic, max_packets=packets, seed=3
-        )
+        ScenarioSpec(
+            traffic=traffic, packets=packets, seed=3
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     assert result.completed

@@ -36,7 +36,6 @@ from typing import Any, Callable, NamedTuple
 import pytest
 
 from benchmarks.conftest import emit, format_table, usable_cores
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments import (
@@ -141,13 +140,13 @@ def _report(group, rows):
 KERNEL_SCENARIOS = {
     # The paper's Slide 19 operating point: all four flows at 45%
     # load, the two shared middle-column links at 90%.
-    "saturation": dict(traffic="uniform", load=0.45, max_packets=1500),
+    "saturation": dict(traffic="uniform", load=0.45, packets=1500),
     # 90% offered load everywhere: the blocked-input parking regime.
-    "saturation90": dict(traffic="uniform", load=0.9, max_packets=1500),
+    "saturation90": dict(traffic="uniform", load=0.9, packets=1500),
     # Slide 20/22 shape: bursts separated by long idle gaps.
     "burst": dict(
         traffic="trace",
-        max_packets=None,
+        packets=None,
         traffic_params={
             "n_bursts": 40,
             "packets_per_burst": 8,
@@ -155,7 +154,7 @@ KERNEL_SCENARIOS = {
         },
     ),
     # Light independent Poisson traffic.
-    "lowload": dict(traffic="poisson", load=0.01, max_packets=250),
+    "lowload": dict(traffic="poisson", load=0.01, packets=250),
 }
 
 #: Event-vs-reference speedup floors.  The event kernel must be at
@@ -172,7 +171,7 @@ WINDOW_CYCLES = 2000
 
 def run_event(kwargs, mode="off"):
     """The event kernel, bare or observed by windows or a tracer."""
-    platform = build_platform(paper_platform_config(**kwargs))
+    platform = build_platform(ScenarioSpec(**kwargs).to_platform_config())
     telemetry = None
     if mode == "windows":
         telemetry = WindowedMetrics(platform, WINDOW_CYCLES)
@@ -194,7 +193,7 @@ def run_reference(kwargs):
     Every generator is polled every cycle (no backpressure parking)
     and completion is checked every 64 cycles, as the seed engine did.
     """
-    platform = build_platform(paper_platform_config(**kwargs))
+    platform = build_platform(ScenarioSpec(**kwargs).to_platform_config())
     network = platform.network
     generators = platform.generators
     for generator in generators:

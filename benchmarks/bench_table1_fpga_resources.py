@@ -17,7 +17,7 @@ part selection + timing), i.e. flow step 2.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.config import paper_platform_config
+from repro.experiments.spec import ScenarioSpec
 from repro.fpga.costs import control_cost, tg_cost, tr_cost
 from repro.fpga.synthesis import synthesize
 
@@ -37,17 +37,17 @@ PAPER_UTILISATION = 0.80
 
 
 def _stochastic_config():
-    return paper_platform_config(
-        traffic="uniform", receptor_kind="stochastic"
-    )
+    return ScenarioSpec(
+        traffic="uniform", receptors="stochastic"
+    ).to_platform_config()
 
 
 def _trace_config():
-    return paper_platform_config(
+    return ScenarioSpec(
         traffic="trace",
-        max_packets=None,
-        receptor_kind="tracedriven",
-    )
+        packets=None,
+        receptors="tracedriven",
+    ).to_platform_config()
 
 
 def test_table1_per_device_rows(benchmark):
@@ -108,7 +108,7 @@ def test_table1_capacity_planning(benchmark):
     def plan():
         rows.clear()
         for grid in ((3, 2), (4, 4), (6, 6), (8, 8)):
-            cfg = paper_platform_config(receptor_kind="stochastic")
+            cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
             cfg.topology = f"mesh:{grid[0]}:{grid[1]}"
             cfg.routing = "shortest"
             cfg.name = f"mesh{grid[0]}x{grid[1]}"

@@ -24,9 +24,9 @@ from repro.baselines.speed import (
     speed_report,
 )
 from repro.baselines.tlm import TlmPlatformSim
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.routing import paper_routing
 from repro.noc.topology import paper_topology
 
@@ -68,7 +68,7 @@ def test_table2_speed_comparison(benchmark):
     # Timed kernel: the fast engine on a short run.
     def short_run():
         platform = build_platform(
-            paper_platform_config(traffic="uniform", max_packets=100)
+            ScenarioSpec(traffic="uniform", packets=100).to_platform_config()
         )
         return EmulationEngine(platform).run()
 

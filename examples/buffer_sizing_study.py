@@ -13,19 +13,19 @@ then prints the sizing suggestion the occupancy data implies.
 Run:  python examples/buffer_sizing_study.py
 """
 
-from repro import EmulationEngine, build_platform, paper_platform_config
+from repro import EmulationEngine, ScenarioSpec, build_platform
 from repro.fpga.power import estimate_power
 from repro.fpga.synthesis import synthesize
 from repro.stats.occupancy import OccupancyReport
 
 
 def run_depth(depth: int):
-    config = paper_platform_config(
+    config = ScenarioSpec(
         traffic="burst",
-        max_packets=1200,
+        packets=1200,
         buffer_depth=depth,
         seed=12,
-    )
+    ).to_platform_config()
     config.sample_buffers = True
     platform = build_platform(config)
     EmulationEngine(platform).run()
@@ -72,9 +72,9 @@ def main() -> None:
             break
 
     # Show the full occupancy report for the chosen depth.
-    config = paper_platform_config(
-        traffic="burst", max_packets=1200, buffer_depth=depth, seed=12
-    )
+    config = ScenarioSpec(
+        traffic="burst", packets=1200, buffer_depth=depth, seed=12
+    ).to_platform_config()
     config.sample_buffers = True
     platform = build_platform(config)
     EmulationEngine(platform).run()

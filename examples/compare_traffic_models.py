@@ -10,7 +10,7 @@ received traffic", Slide 11) for the two extremes.
 Run:  python examples/compare_traffic_models.py
 """
 
-from repro import EmulationEngine, build_platform, paper_platform_config
+from repro import EmulationEngine, ScenarioSpec, build_platform
 
 MODELS = ("uniform", "poisson", "onoff", "burst")
 PACKETS = 2000
@@ -18,13 +18,13 @@ PACKETS = 2000
 
 def run_model(model: str, receptor_kind: str = "tracedriven"):
     platform = build_platform(
-        paper_platform_config(
+        ScenarioSpec(
             traffic=model,
             load=0.45,
-            max_packets=PACKETS,
-            receptor_kind=receptor_kind,
+            packets=PACKETS,
+            receptors=receptor_kind,
             seed=21,
-        )
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     return platform, result

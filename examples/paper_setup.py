@@ -9,18 +9,18 @@ both route cases and the congestion/latency consequences.
 Run:  python examples/paper_setup.py
 """
 
-from repro import EmulationEngine, build_platform, paper_platform_config
+from repro import EmulationEngine, ScenarioSpec, build_platform
 from repro.noc.topology import paper_hot_links
 
 
 def run_case(case: str):
     platform = build_platform(
-        paper_platform_config(
+        ScenarioSpec(
             traffic="uniform",
             load=0.45,
-            max_packets=3000,
-            routing_case=case,
-        )
+            packets=3000,
+            routing=case,
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     return platform, result

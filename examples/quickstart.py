@@ -8,18 +8,18 @@ final report) and prints what the monitor would show on the host PC.
 Run:  python examples/quickstart.py
 """
 
-from repro import EmulationFlow, paper_platform_config
+from repro import EmulationFlow, ScenarioSpec
 
 
 def main() -> None:
     # One emulation run: uniform traffic, each generator drives its
     # diagonal receptor at 45% of link bandwidth, 2000 packets each.
-    config = paper_platform_config(
+    config = ScenarioSpec(
         traffic="uniform",
         load=0.45,
-        max_packets=2000,
-        routing_case="overlap",
-    )
+        packets=2000,
+        routing="overlap",
+    ).to_platform_config()
 
     flow = EmulationFlow()
     report = flow.run(config)

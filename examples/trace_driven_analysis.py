@@ -19,8 +19,8 @@ import tempfile
 from repro import (
     EmulationEngine,
     Processor,
+    ScenarioSpec,
     build_platform,
-    paper_platform_config,
 )
 from repro.traffic.trace import load_trace, save_trace, synthetic_mpeg_trace
 
@@ -52,9 +52,9 @@ def main() -> None:
         )
 
     # 3. Replay all four traces through the paper platform.
-    config = paper_platform_config(
-        traffic="trace", max_packets=None, routing_case="overlap"
-    )
+    config = ScenarioSpec(
+        traffic="trace", packets=None, routing="overlap"
+    ).to_platform_config()
     for spec in config.tgs:
         spec.params = {"trace": traces[spec.node], "dst": None}
         spec.params.pop("dst")

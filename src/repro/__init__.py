@@ -14,10 +14,10 @@ comparison (``repro.baselines``).
 
 Quickstart::
 
-    from repro import paper_platform_config, EmulationFlow
+    from repro import EmulationFlow, ScenarioSpec
 
     flow = EmulationFlow()
-    report = flow.run(paper_platform_config(max_packets=2000))
+    report = flow.run(ScenarioSpec(packets=2000).to_platform_config())
     print(report.report_text)
 
 Every exported name resolves on first use: ``import repro`` loads no
@@ -43,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "PlatformConfig": ".core",
     "TGSpec": ".core",
     "TRSpec": ".core",
-    "paper_platform_config": ".core",
     "Processor": ".core",
     "ResultCache": ".experiments",
     "ScenarioResult": ".experiments",

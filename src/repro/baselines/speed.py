@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.flit import Packet
 from repro.noc.routing import TableRouting, paper_routing
 from repro.noc.topology import paper_flow_pairs, paper_topology
@@ -74,9 +74,7 @@ class EngineMeasurement:
 
 
 def _measure_emulation(packets_per_flow: int) -> EngineMeasurement:
-    config = paper_platform_config(
-        traffic="uniform", max_packets=packets_per_flow
-    )
+    config = ScenarioSpec(packets=packets_per_flow).to_platform_config()
     platform = build_platform(config)
     engine = EmulationEngine(platform)
     result = engine.run()

@@ -565,9 +565,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         runner = SweepRunner(
             workers=args.workers,
             cache=cache,
-            progress=(
-                progress if args.verbose or args.progress else None
-            ),
+            progress=progress if args.progress else None,
             retries=args.retries,
             timeout=args.scenario_timeout,
             memory_limit_mb=args.memory_limit,
@@ -980,16 +978,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     batch_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print per-scenario progress to stderr",
-    )
-    batch_parser.add_argument(
         "--progress",
         action="store_true",
         help=(
             "print per-scenario retirement lines with wall-clock"
-            " seconds to stderr (same stream as --verbose)"
+            " seconds to stderr"
         ),
     )
     batch_parser.set_defaults(func=cmd_batch)

@@ -17,8 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "PlatformConfig": ".config",
     "TGSpec": ".config",
     "TRSpec": ".config",
-    "generic_platform_config": ".config",
-    "paper_platform_config": ".config",
     "check_topology_spec": ".config",
     "resolve_topology_spec": ".config",
     "ControlDevice": ".control",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigError
 from repro.noc.routing import (
@@ -32,11 +32,9 @@ from repro.noc.routing import (
 )
 from repro.noc.switch import SwitchConfig, SwitchingMode
 from repro.noc.topology import (
-    PAPER_TG_LOAD,
     Topology,
     fully_connected,
     mesh,
-    paper_flow_pairs,
     paper_topology,
     ring,
     spidergon,
@@ -205,8 +203,9 @@ class PlatformConfig:
         around the down ``avoid_links`` (directed switch pairs) if any;
         paper tables and routing objects then repair to shortest paths
         (the paper's own repair story).  A platform stores a paper case
-        as ``paper_<case>`` and never ``auto``, which the builders
-        resolve first."""
+        as ``paper_<case>`` and never ``auto``, which
+        :meth:`~repro.experiments.spec.ScenarioSpec.to_platform_config`
+        resolves first."""
         if isinstance(self.routing, TableRouting):
             if not avoid_links:
                 return self.routing
@@ -434,9 +433,6 @@ def make_traffic_model(
         raise ConfigError(f"{spec.model} traffic: {exc}") from None
 
 
-# ----------------------------------------------------------------------
-# The paper's canonical setup (Slide 19) and the generic fabric sweep
-# ----------------------------------------------------------------------
 def tg_params(
     traffic: str,
     load: float,
@@ -457,143 +453,3 @@ def tg_params(
     if overrides:
         params.update(overrides)
     return params
-
-
-def paper_platform_config(
-    traffic: str = "uniform",
-    load: float = PAPER_TG_LOAD,
-    length: int = PACKET_LENGTH,
-    max_packets: Optional[int] = 10_000,
-    routing_case: str = "overlap",
-    receptor_kind: str = "tracedriven",
-    buffer_depth: int = SwitchConfig.buffer_depth,
-    seed: int = 1,
-    traffic_params: Optional[Dict[str, Any]] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> PlatformConfig:
-    """The 6-switch / 4-TG / 4-TR experimental platform.
-
-    Each generator drives its diagonal receptor at ``load`` (the paper
-    uses 45%); ``routing_case`` selects the overlapping (90% hot links)
-    or disjoint route case; ``traffic`` picks the model family;
-    ``traffic_params`` overrides/extends the per-model defaults.
-    ``max_packets`` is the budget *per generator*.  ``seeds`` replaces
-    the default per-TG seed registers ``seed + i`` with explicit
-    values — the experiment runner passes independently derived stream
-    seeds here (see :func:`repro.traffic.rng.derive_stream_seed`).
-    """
-    flows = paper_flow_pairs()
-    if seeds is not None and len(seeds) != len(flows):
-        raise ConfigError(
-            f"expected {len(flows)} TG seeds, got {len(seeds)}"
-        )
-    tgs: List[TGSpec] = []
-    for i, (src, dst) in enumerate(flows):
-        params = tg_params(traffic, load, length, dst, traffic_params)
-        tgs.append(
-            TGSpec(
-                node=src,
-                model=traffic,
-                params=params,
-                max_packets=max_packets,
-                seed=seeds[i] if seeds is not None else seed + i,
-            )
-        )
-    trs = [
-        TRSpec(node=4 + i, kind=receptor_kind)
-        for i in range(len(flows))
-    ]
-    return PlatformConfig(
-        topology="paper",
-        routing=f"paper_{routing_case}",
-        buffer_depth=buffer_depth,
-        tgs=tgs,
-        trs=trs,
-        name=f"paper6_{traffic}_{routing_case}",
-    )
-
-
-def generic_platform_config(
-    topology: Union[str, Topology] = "mesh:3:3",
-    traffic: str = "uniform",
-    load: float = 0.2,
-    length: int = PACKET_LENGTH,
-    max_packets: Optional[int] = 1000,
-    routing: str = "auto",
-    receptor_kind: str = "tracedriven",
-    buffer_depth: int = SwitchConfig.buffer_depth,
-    arbitration: str = SwitchConfig.arbitration,
-    switching: Union[str, SwitchingMode] = SwitchingMode.WORMHOLE,
-    seed: int = 1,
-    traffic_params: Optional[Dict[str, Any]] = None,
-    seeds: Optional[Sequence[int]] = None,
-    name: Optional[str] = None,
-) -> PlatformConfig:
-    """Uniform-random traffic on any factory topology.
-
-    The paper evaluates one hand-built 6-switch platform; the platform
-    compiler itself accepts arbitrary switch graphs ("switch topology",
-    Slide 6).  This builder opens that axis: every node of the resolved
-    topology hosts one traffic generator driving uniformly random
-    destinations (all other nodes) *and* one receptor, the standard
-    synthetic-workload setup for fabric comparisons.
-
-    ``routing="auto"`` picks a deadlock-free default per family
-    (:func:`auto_routing`).  Explicit ``routing`` specs (``shortest``,
-    ``updown``, ``multipath[:k]``) override the choice; the
-    platform's channel-dependency check still vets the result.
-
-    Per-TG seed registers come from ``seeds`` when given, else from
-    :func:`repro.traffic.rng.derive_stream_seed` so generators never
-    share an LFSR stream (the additive ``seed + i`` convention of the
-    paper builder makes neighbouring seeds overlap).
-    """
-    from repro.traffic.rng import derive_stream_seed
-
-    topo = resolve_topology_spec(topology)
-    n_nodes = topo.n_nodes
-    if n_nodes < 2:
-        raise ConfigError(
-            f"topology {topo.name!r} has {n_nodes} node(s); uniform"
-            f" traffic needs at least 2"
-        )
-    if routing == "auto":
-        routing = auto_routing(topo)
-    if seeds is not None and len(seeds) != n_nodes:
-        raise ConfigError(
-            f"expected {n_nodes} TG seeds, got {len(seeds)}"
-        )
-    tgs: List[TGSpec] = []
-    trs: List[TRSpec] = []
-    # Each TG's all-other-nodes set is one tuple cut from this one,
-    # which the destination chooser then keeps without copying.
-    nodes = tuple(range(n_nodes))
-    for node in range(n_nodes):
-        others = nodes[:node] + nodes[node + 1:]
-        params = tg_params(
-            traffic, load, length, others, traffic_params
-        )
-        tgs.append(
-            TGSpec(
-                node=node,
-                model=traffic,
-                params=params,
-                max_packets=max_packets,
-                seed=(
-                    seeds[node]
-                    if seeds is not None
-                    else derive_stream_seed(seed, node)
-                ),
-            )
-        )
-        trs.append(TRSpec(node=node, kind=receptor_kind))
-    return PlatformConfig(
-        topology=topo,
-        routing=routing,
-        buffer_depth=buffer_depth,
-        arbitration=arbitration,
-        switching=switching,
-        tgs=tgs,
-        trs=trs,
-        name=name or f"{topo.name}_{traffic}",
-    )

@@ -47,10 +47,10 @@ from repro.core.config import (
     TRAFFIC_MODEL,
     PlatformConfig,
     TGSpec,
+    TRSpec,
+    auto_routing,
     check_topology_spec,
-    generic_platform_config,
     make_traffic_model,
-    paper_platform_config,
     parse_routing,
     resolve_topology_spec,
     tg_params,
@@ -58,6 +58,7 @@ from repro.core.config import (
 from repro.core.errors import ConfigError
 from repro.noc.arbiter import ARBITERS
 from repro.noc.switch import SwitchConfig, SwitchingMode
+from repro.noc.topology import PAPER_TG_LOAD, paper_flow_pairs
 from repro.traffic.base import LENGTH, LOAD
 from repro.traffic.rng import derive_stream_seed
 from repro.util import (
@@ -124,7 +125,7 @@ class ScenarioSpec:
     )
     buffer_depth: int = declared(BUFFER_DEPTH, SwitchConfig.buffer_depth)
     traffic: str = declared(TRAFFIC_MODEL, "uniform")
-    load: float = declared(LOAD, 0.45)
+    load: float = declared(LOAD, PAPER_TG_LOAD)
     length: int = declared(LENGTH, PACKET_LENGTH)
     packets: Optional[int] = declared(
         Param(int, 1, optional=True, label="packet budget"), 1000
@@ -299,37 +300,57 @@ class ScenarioSpec:
     # Elaboration
     # ------------------------------------------------------------------
     def to_platform_config(self) -> PlatformConfig:
-        """Elaborate into a :class:`~repro.core.config.PlatformConfig`."""
-        common = dict(
-            traffic=self.traffic,
-            load=self.load,
-            length=self.length,
-            max_packets=self.packets,
-            receptor_kind=self.receptors,
-            buffer_depth=self.buffer_depth,
-            seed=self.seed,
-            traffic_params={k: v for k, v in self.traffic_params} or None,
-        )
+        """Elaborate into a :class:`~repro.core.config.PlatformConfig`.
+
+        The paper platform under its own route cases (``auto`` picks
+        ``overlap``) hosts the four paper flows, each generator driving
+        its diagonal receptor on nodes 4-7.  Every other scenario,
+        table routing on the paper switch graph included, puts one
+        generator and one receptor on each node, each generator
+        driving uniformly random destinations among all other nodes.
+        Generator ``i`` loads :meth:`stream_seed` ``(i)``.
+        """
         family, case = parse_routing(self.routing)
         if self.topology == "paper" and family in ("auto", "paper"):
-            config = paper_platform_config(
-                routing_case=case or "overlap",
-                seeds=self._stream_seeds(range(4)),
-                **common,
+            topology = self.topology
+            case = case or "overlap"
+            flows = paper_flow_pairs()
+            receptors = sorted(dst for _src, dst in flows)
+            routing = f"paper_{case}"
+            name = f"paper6_{self.traffic}_{case}"
+        else:
+            topology = resolve_topology_spec(self.topology)
+            # Each TG's all-other-nodes set is one tuple cut from this
+            # one, which the destination chooser then keeps unchanged.
+            nodes = tuple(range(topology.n_nodes))
+            flows = [(n, nodes[:n] + nodes[n + 1:]) for n in nodes]
+            receptors = nodes
+            routing = (
+                auto_routing(topology) if family == "auto" else self.routing
             )
-            config.arbitration = self.arbitration
-            config.switching = SwitchingMode(self.switching)
-            return config
-        # Table routing (on the paper switch graph too): every node
-        # hosts a generator.
-        topo = resolve_topology_spec(self.topology)
-        return generic_platform_config(
-            topology=topo,
-            routing=self.routing,
+            name = f"{topology.name}_{self.traffic}"
+        overrides = dict(self.traffic_params)
+        seeds = self._stream_seeds(range(len(flows)))
+        return PlatformConfig(
+            topology=topology,
+            routing=routing,
+            buffer_depth=self.buffer_depth,
             arbitration=self.arbitration,
-            switching=SwitchingMode(self.switching),
-            seeds=self._stream_seeds(range(topo.n_nodes)),
-            **common,
+            switching=self.switching,
+            tgs=[
+                TGSpec(
+                    node=src,
+                    model=self.traffic,
+                    params=tg_params(
+                        self.traffic, self.load, self.length, dst, overrides
+                    ),
+                    max_packets=self.packets,
+                    seed=seed,
+                )
+                for (src, dst), seed in zip(flows, seeds)
+            ],
+            trs=[TRSpec(node=n, kind=self.receptors) for n in receptors],
+            name=name,
         )
 
 

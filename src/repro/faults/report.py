@@ -87,13 +87,19 @@ class FaultWindow:
 class FaultReport:
     """Aggregated degradation record of one faulted run."""
 
-    dropped_flits: int = 0
-    dropped_packets: int = 0
+    # Run state, assigned by the injector and by restore.  Each field
+    # takes a default_factory: a dataclass leaves a plain-default
+    # init=False field out of the instance dict, which the checkpoint
+    # walker records.
+    dropped_flits: int = field(init=False, default_factory=int)
+    dropped_packets: int = field(init=False, default_factory=int)
     per_link_drops: Dict[str, int] = field(init=False, default_factory=dict)
     events: List[FaultEventRecord] = field(init=False, default_factory=list)
     windows: List[FaultWindow] = field(init=False, default_factory=list)
-    degraded: bool = False
-    degraded_reason: Optional[str] = None
+    degraded: bool = field(init=False, default_factory=bool)
+    degraded_reason: Optional[str] = field(
+        init=False, default_factory=lambda: None
+    )
 
     #: Record lists checkpoint code serializes itself (see
     #: :mod:`repro.checkpoint.walker`).

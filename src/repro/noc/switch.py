@@ -88,16 +88,23 @@ class _OutputPort:
     send: Callable[[Flit, int], None]
     credits: int  # remaining downstream buffer slots (None -> infinite)
     infinite_credits: bool = False
-    lock: Optional[int] = None  # input index holding the wormhole channel
+    # Run state below, set by the switch and by restore.  Each field
+    # takes a default_factory: a dataclass leaves a plain-default
+    # init=False field out of the instance dict, which the checkpoint
+    # walker records.
+    #: Input index holding the wormhole channel.
+    lock: Optional[int] = field(init=False, default_factory=lambda: None)
     #: Packet id of the wormhole holding the lock (fault accounting:
     #: lets the injector identify the packet whose tail can no longer
     #: arrive when a link dies mid-wormhole).  Set and cleared with
     #: ``lock`` at head-grant and tail-release.
-    lock_pid: Optional[int] = None
+    lock_pid: Optional[int] = field(
+        init=False, default_factory=lambda: None
+    )
     #: ``flits_sent`` minus the link's ``flits_carried``: the flits the
     #: link's statistics resets took away, and every flit a custom
     #: sink received (see :attr:`flits_sent`).
-    sent_base: int = 0
+    sent_base: int = field(init=False, default_factory=int)
     #: The Link behind ``send`` when the sink is a plain link, letting
     #: the traverse fast path inline the send; None for custom sinks.
     link: Optional[object] = None

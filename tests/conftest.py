@@ -11,8 +11,8 @@ import pytest
 
 import repro
 
-from repro.core.config import paper_platform_config
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.flit import Packet
 from repro.noc.routing import build_shortest_path_tables, paper_routing
 from repro.noc.topology import mesh, paper_topology
@@ -53,9 +53,7 @@ def no_deadlock_vet(monkeypatch):
 @pytest.fixture
 def small_paper_platform():
     """A paper platform with a small packet budget (fast to run)."""
-    return build_platform(
-        paper_platform_config(traffic="uniform", max_packets=100)
-    )
+    return build_platform(ScenarioSpec(packets=100).to_platform_config())
 
 
 def make_packet(

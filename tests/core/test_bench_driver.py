@@ -616,9 +616,9 @@ def _unset_params(trees):
             or call[0] == "replace" and field in call[2]
             for _where, *call in calls
         ) and not any(
-            name == field and not inside(node, path, where, line)
+            name == field and where is None
             or name == "*" and cls == node.name
-            for where, name, cls, line in writes
+            for where, name, cls, _line in writes
         ):
             unset[f"{dotted}({field})"] = (
                 f"{os.path.relpath(path, ROOT)}:{node.lineno}"
@@ -635,8 +635,9 @@ def test_every_parameter_is_set_outside_tests():
     or ``*``/``**``.  ``partial(f, ...)`` is a starred call of ``f``,
     and a traffic model's ``FORMS`` have every parameter set.  Each
     defaulted field of a dataclass is set the same way, through
-    ``dataclasses.replace``, by an attribute store outside tests, or
-    through ``from_fields``.  A parameter only tests set is an option
+    ``dataclasses.replace``, by an attribute store in ``benchmarks/`` or
+    ``examples/`` (one in ``src/`` is run state, a ``field(init=False)``),
+    or through ``from_fields``.  A parameter only tests set is an option
     nothing uses (make it a constant), or belongs in
     :data:`TEST_ONLY_PARAMS` with its reason."""
     unset = _unset_params(_module_trees())
@@ -914,6 +915,11 @@ PARAM_CASES = [
          "examples/e.py": "d.y = 3\n\n\nclass E:\n    def f(self):\n"
                           "        self.x = 1"},
         {"pkg.a.D(x)"},
+    ),
+    (
+        "dataclass field stored as an attribute inside src sets nothing",
+        {"src/pkg/a.py": _DATACLASS_D, "src/pkg/b.py": "d.y = 3"},
+        {"pkg.a.D(x)", "pkg.a.D(y)"},
     ),
     (
         "dataclass built through from_fields",

@@ -559,9 +559,9 @@ class TestBatchCommand:
         assert code == 2
         assert "error:" in captured.err
 
-    def test_batch_verbose_progress(self, tmp_path, capsys):
+    def test_batch_progress(self, tmp_path, capsys):
         sweep = self.make_sweep(tmp_path)
-        code = main(["batch", sweep, "--no-cache", "--verbose"])
+        code = main(["batch", sweep, "--no-cache", "--progress"])
         captured = capsys.readouterr()
         assert code == 0
         assert "[4/4]" in captured.err

@@ -7,9 +7,9 @@ from repro.core.config import (
     TGSpec,
     TRSpec,
     make_traffic_model,
-    paper_platform_config,
 )
 from repro.core.errors import ConfigError
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.routing import MultiPathTableRouting, TableRouting
 from repro.noc.switch import SwitchingMode
 from repro.noc.topology import mesh
@@ -94,8 +94,8 @@ class TestRoutingResolution:
         "routing", ["auto", "overlap", "paper_shortest", "paper_auto"]
     )
     def test_spec_only_spellings_rejected(self, routing):
-        """A platform stores ``paper_<case>`` or a table routing; the
-        builders resolve ``auto`` before a platform holds it."""
+        """A platform stores ``paper_<case>`` or a table routing; spec
+        elaboration resolves ``auto`` before a platform holds it."""
         cfg = PlatformConfig(topology="paper", routing=routing)
         with pytest.raises(ConfigError, match="platform routing"):
             cfg.resolve_routing(cfg.resolve_topology())
@@ -119,58 +119,54 @@ class TestAutoRouting:
         ],
     )
     def test_family_defaults(self, topology, expected):
-        from repro.core.config import generic_platform_config
-
-        cfg = generic_platform_config(topology=topology, max_packets=10)
+        cfg = ScenarioSpec(topology=topology, packets=10).to_platform_config()
         assert cfg.routing == expected
 
     def test_torus_auto_builds_deadlock_free(self):
         """Regression: torus:5:5 with routing="auto" used to resolve to
         shortest paths, whose channel-dependency graph cycles — the
         platform build refused the tables with a ConfigError."""
-        from repro.core.config import generic_platform_config
         from repro.core.platform import build_platform
 
         platform = build_platform(
-            generic_platform_config(topology="torus:5:5", max_packets=5)
+            ScenarioSpec(topology="torus:5:5", packets=5).to_platform_config()
         )
         assert platform.topology.name == "torus5x5"
 
     def test_torus_shortest_still_refused_at_build(self):
         """The channel-dependency check keeps vetting explicit specs."""
-        from repro.core.config import generic_platform_config
         from repro.core.platform import build_platform
 
-        cfg = generic_platform_config(
-            topology="torus:5:5", routing="shortest", max_packets=5
-        )
+        cfg = ScenarioSpec(
+            topology="torus:5:5", routing="shortest", packets=5
+        ).to_platform_config()
         with pytest.raises(ConfigError, match="dependency cycle"):
             build_platform(cfg)
 
 
 class TestSignatures:
     def test_software_change_keeps_hardware_signature(self):
-        a = paper_platform_config(max_packets=100, seed=1)
-        b = paper_platform_config(max_packets=9_999, seed=42)
+        a = ScenarioSpec(packets=100, seed=1).to_platform_config()
+        b = ScenarioSpec(packets=9_999, seed=42).to_platform_config()
         assert a.hardware_signature() == b.hardware_signature()
 
     def test_buffer_depth_changes_hardware_signature(self):
-        a = paper_platform_config(buffer_depth=4)
-        b = paper_platform_config(buffer_depth=8)
+        a = ScenarioSpec(buffer_depth=4).to_platform_config()
+        b = ScenarioSpec(buffer_depth=8).to_platform_config()
         assert a.hardware_signature() != b.hardware_signature()
 
     def test_routing_case_is_software(self):
-        a = paper_platform_config(routing_case="overlap")
-        b = paper_platform_config(routing_case="disjoint")
+        a = ScenarioSpec(routing="overlap").to_platform_config()
+        b = ScenarioSpec(routing="disjoint").to_platform_config()
         assert a.hardware_signature() == b.hardware_signature()
 
     def test_receptor_kind_changes_hardware(self):
-        a = paper_platform_config(receptor_kind="stochastic")
-        b = paper_platform_config(receptor_kind="tracedriven")
+        a = ScenarioSpec(receptors="stochastic").to_platform_config()
+        b = ScenarioSpec(receptors="tracedriven").to_platform_config()
         assert a.hardware_signature() != b.hardware_signature()
 
     def test_with_software_copies(self):
-        a = paper_platform_config()
+        a = ScenarioSpec().to_platform_config()
         b = a.with_software(name="other")
         assert b.name == "other"
         assert a.name != "other"
@@ -284,7 +280,7 @@ class TestTrafficModelFactory:
 
 class TestPaperConfig:
     def test_default_shape(self):
-        cfg = paper_platform_config()
+        cfg = ScenarioSpec().to_platform_config()
         assert len(cfg.tgs) == 4
         assert len(cfg.trs) == 4
         assert cfg.routing == "paper_overlap"
@@ -294,25 +290,25 @@ class TestPaperConfig:
     def test_flows_match_paper_pairs(self):
         from repro.noc.topology import paper_flow_pairs
 
-        cfg = paper_platform_config()
+        cfg = ScenarioSpec().to_platform_config()
         pairs = {(tg.node, tg.params["dst"]) for tg in cfg.tgs}
         assert pairs == set(paper_flow_pairs())
 
     def test_traffic_families(self):
         for family in ("uniform", "burst", "poisson", "onoff", "trace"):
-            cfg = paper_platform_config(traffic=family, max_packets=10)
+            cfg = ScenarioSpec(traffic=family, packets=10).to_platform_config()
             assert all(tg.model == family for tg in cfg.tgs)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
-            paper_platform_config(traffic="telepathy")
+            ScenarioSpec(traffic="telepathy")
 
     def test_traffic_params_override(self):
-        cfg = paper_platform_config(
+        cfg = ScenarioSpec(
             traffic="burst", traffic_params={"mean_burst_packets": 16}
-        )
+        ).to_platform_config()
         assert cfg.tgs[0].params["mean_burst_packets"] == 16
 
     def test_distinct_seeds_per_generator(self):
-        cfg = paper_platform_config(seed=10)
+        cfg = ScenarioSpec(seed=10).to_platform_config()
         assert len({tg.seed for tg in cfg.tgs}) == 4

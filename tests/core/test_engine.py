@@ -2,32 +2,33 @@
 
 import pytest
 
-from repro.core.config import TGSpec, PlatformConfig, paper_platform_config
+from repro.core.config import TGSpec, PlatformConfig
 from repro.core.engine import EmulationEngine, EngineResult
 from repro.core.errors import EmulationError
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 
-def engine_for(max_packets=50, **kwargs):
-    cfg = paper_platform_config(max_packets=max_packets, **kwargs)
+def engine_for(packets=50, **kwargs):
+    cfg = ScenarioSpec(packets=packets, **kwargs).to_platform_config()
     return EmulationEngine(build_platform(cfg))
 
 
 class TestRun:
     def test_runs_to_completion(self):
-        result = engine_for(max_packets=50).run()
+        result = engine_for(packets=50).run()
         assert result.completed
         assert result.packets_sent == 200
         assert result.packets_received == 200
         assert result.cycles > 0
 
     def test_max_cycles_limit(self):
-        result = engine_for(max_packets=10_000).run(max_cycles=500)
+        result = engine_for(packets=10_000).run(max_cycles=500)
         assert result.cycles == 500
         assert not result.completed
 
     def test_max_packets_limit(self):
-        result = engine_for(max_packets=10_000).run(max_packets=100)
+        result = engine_for(packets=10_000).run(max_packets=100)
         assert result.packets_received >= 100
         # It stopped long before the generators were done.
         assert result.packets_sent < 40_000
@@ -38,7 +39,7 @@ class TestRun:
         minus one delivery.  It must stop within the delivery cycle:
         the only overshoot left is same-cycle completions (at most one
         per receptor, and the paper platform has 4)."""
-        result = engine_for(max_packets=10_000).run(max_packets=100)
+        result = engine_for(packets=10_000).run(max_packets=100)
         assert result.packets_received >= 100
         assert result.packets_received - 100 < 4
 
@@ -46,7 +47,7 @@ class TestRun:
         """A run stopped in the cycle its emission ends has its budget
         done but flits in flight: it is not completed (the
         EngineResult contract: budget exhausted *and* drained)."""
-        engine = engine_for(max_packets=100, load=0.9)
+        engine = engine_for(packets=100, load=0.9)
         platform = engine.platform
         while not platform.generators_done:
             result = engine.run(max_cycles=1)
@@ -59,31 +60,31 @@ class TestRun:
         assert result.budget_done and result.drained and result.completed
 
     def test_completed_flags_on_full_run(self):
-        result = engine_for(max_packets=50).run()
+        result = engine_for(packets=50).run()
         assert result.budget_done and result.drained and result.completed
 
     def test_limit_stop_reports_budget_not_done(self):
-        result = engine_for(max_packets=10_000).run(max_cycles=500)
+        result = engine_for(packets=10_000).run(max_cycles=500)
         assert not result.budget_done
         assert not result.completed
 
     def test_unbounded_run_rejected(self):
-        cfg = paper_platform_config(max_packets=None)
+        cfg = ScenarioSpec(packets=None).to_platform_config()
         engine = EmulationEngine(build_platform(cfg))
         with pytest.raises(EmulationError, match="unbounded"):
             engine.run()
 
     def test_trace_generators_count_as_bounded(self):
-        cfg = paper_platform_config(
+        cfg = ScenarioSpec(
             traffic="trace",
-            max_packets=None,
+            packets=None,
             traffic_params={"n_bursts": 5, "packets_per_burst": 2},
-        )
+        ).to_platform_config()
         result = EmulationEngine(build_platform(cfg)).run()
         assert result.completed
 
     def test_control_module_reflects_run_state(self):
-        engine = engine_for(max_packets=20)
+        engine = engine_for(packets=20)
         platform = engine.platform
         assert not platform.control.running
         engine.run()
@@ -115,7 +116,7 @@ class TestEngineResult:
         assert result.cycles_per_packet == 0.0
 
     def test_emulated_time_matches_modelled_50mhz(self):
-        result = engine_for(max_packets=100).run()
+        result = engine_for(packets=100).run()
         assert result.emulated_seconds == pytest.approx(
             result.cycles / 50e6
         )
@@ -123,16 +124,16 @@ class TestEngineResult:
 
 class TestRepeatability:
     def test_same_seed_same_run(self):
-        a = engine_for(max_packets=200, seed=5).run()
-        b = engine_for(max_packets=200, seed=5).run()
+        a = engine_for(packets=200, seed=5).run()
+        b = engine_for(packets=200, seed=5).run()
         assert a.cycles == b.cycles
         assert a.packets_received == b.packets_received
 
     def test_different_seed_different_run(self):
         # Compare the traffic itself: two seeds can drain in the same
         # number of cycles.
-        ea = engine_for(max_packets=200, traffic="burst", seed=5)
-        eb = engine_for(max_packets=200, traffic="burst", seed=6)
+        ea = engine_for(packets=200, traffic="burst", seed=5)
+        eb = engine_for(packets=200, traffic="burst", seed=6)
         ea.run()
         eb.run()
         assert ea.platform.mean_latency() != eb.platform.mean_latency()

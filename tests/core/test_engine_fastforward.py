@@ -95,12 +95,10 @@ class TestDeadlockGuard:
         """Fast-forward jumps longer than the stagnation window must
         not read as stagnation (progress clock follows quiescence)."""
         monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 2000)
-        from repro.core.config import paper_platform_config
-
         platform = build_platform(
-            paper_platform_config(
-                traffic="poisson", load=0.001, max_packets=20
-            )
+            ScenarioSpec(
+                traffic="poisson", load=0.001, packets=20
+            ).to_platform_config()
         )
         result = EmulationEngine(platform).run()
         assert result.completed
@@ -109,12 +107,10 @@ class TestDeadlockGuard:
 
 class TestIdleFastForward:
     def test_quiescent_platform_jumps_to_next_emission(self):
-        from repro.core.config import paper_platform_config
-
         platform = build_platform(
-            paper_platform_config(
-                traffic="onoff", load=0.01, max_packets=50
-            )
+            ScenarioSpec(
+                traffic="onoff", load=0.01, packets=50
+            ).to_platform_config()
         )
         # Drain the first burst completely, then the fabric is idle.
         guard = 0
@@ -139,12 +135,10 @@ class TestIdleFastForward:
         assert platform.cycle == platform._next_gen_poll
 
     def test_no_jump_while_flits_in_flight(self):
-        from repro.core.config import paper_platform_config
-
         platform = build_platform(
-            paper_platform_config(
-                traffic="uniform", load=0.45, max_packets=100
-            )
+            ScenarioSpec(
+                traffic="uniform", load=0.45, packets=100
+            ).to_platform_config()
         )
         for _ in range(40):
             platform.step()
@@ -152,11 +146,9 @@ class TestIdleFastForward:
         assert platform.idle_fast_forward() == 0
 
     def test_no_jump_when_sampling_buffers(self):
-        from repro.core.config import paper_platform_config
-
-        cfg = paper_platform_config(
-            traffic="onoff", load=0.01, max_packets=50
-        )
+        cfg = ScenarioSpec(
+            traffic="onoff", load=0.01, packets=50
+        ).to_platform_config()
         cfg.sample_buffers = True
         platform = build_platform(cfg)
         for _ in range(2000):
@@ -165,12 +157,10 @@ class TestIdleFastForward:
         assert platform.idle_fast_forward() == 0
 
     def test_exhausted_generators_do_not_fast_forward_forever(self):
-        from repro.core.config import paper_platform_config
-
         platform = build_platform(
-            paper_platform_config(
-                traffic="uniform", load=0.45, max_packets=5
-            )
+            ScenarioSpec(
+                traffic="uniform", load=0.45, packets=5
+            ).to_platform_config()
         )
         result = EmulationEngine(platform).run()
         assert result.completed

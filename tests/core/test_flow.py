@@ -2,26 +2,26 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.flow import EmulationFlow
 from repro.core.monitor import Monitor
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 
 class TestFlow:
     def test_first_run_synthesises(self):
         flow = EmulationFlow()
-        report = flow.run(paper_platform_config(max_packets=50))
+        report = flow.run(ScenarioSpec(packets=50).to_platform_config())
         assert report.resynthesized
         assert flow.synthesis_runs == 1
         assert report.result.completed
 
     def test_software_change_skips_synthesis(self):
         flow = EmulationFlow()
-        flow.run(paper_platform_config(max_packets=50, seed=1))
+        flow.run(ScenarioSpec(packets=50, seed=1).to_platform_config())
         report = flow.run(
-            paper_platform_config(max_packets=80, seed=9)
+            ScenarioSpec(packets=80, seed=9).to_platform_config()
         )
         assert not report.resynthesized
         assert report.hardware_steps_skipped
@@ -29,18 +29,17 @@ class TestFlow:
 
     def test_routing_case_change_skips_synthesis(self):
         flow = EmulationFlow()
-        flow.run(paper_platform_config(max_packets=50))
+        flow.run(ScenarioSpec(packets=50).to_platform_config())
         report = flow.run(
-            paper_platform_config(max_packets=50,
-                                  routing_case="disjoint")
+            ScenarioSpec(packets=50, routing="disjoint").to_platform_config()
         )
         assert not report.resynthesized
 
     def test_hardware_change_resynthesises(self):
         flow = EmulationFlow()
-        flow.run(paper_platform_config(max_packets=50, buffer_depth=4))
+        flow.run(ScenarioSpec(packets=50, buffer_depth=4).to_platform_config())
         report = flow.run(
-            paper_platform_config(max_packets=50, buffer_depth=8)
+            ScenarioSpec(packets=50, buffer_depth=8).to_platform_config()
         )
         assert report.resynthesized
         assert flow.synthesis_runs == 2
@@ -52,15 +51,17 @@ class TestFlow:
         # if the device mix ignores it.  Our signature includes the
         # model tag, so this documents the conservative behaviour.
         flow = EmulationFlow()
-        flow.run(paper_platform_config(traffic="uniform", max_packets=50))
+        flow.run(
+            ScenarioSpec(traffic="uniform", packets=50).to_platform_config()
+        )
         report = flow.run(
-            paper_platform_config(traffic="burst", max_packets=50)
+            ScenarioSpec(traffic="burst", packets=50).to_platform_config()
         )
         assert report.resynthesized
 
     def test_step_timings_recorded(self):
         report = EmulationFlow().run(
-            paper_platform_config(max_packets=50)
+            ScenarioSpec(packets=50).to_platform_config()
         )
         assert set(report.step_seconds) == {
             "1-2 hardware",
@@ -74,7 +75,7 @@ class TestFlow:
     def test_sweep_reuses_hardware(self):
         flow = EmulationFlow()
         configs = [
-            paper_platform_config(max_packets=30, seed=s)
+            ScenarioSpec(packets=30, seed=s).to_platform_config()
             for s in range(4)
         ]
         reports = [flow.run(c) for c in configs]
@@ -84,7 +85,7 @@ class TestFlow:
 
     def test_report_text_contains_sections(self):
         report = EmulationFlow().run(
-            paper_platform_config(max_packets=50)
+            ScenarioSpec(packets=50).to_platform_config()
         )
         assert "emulation report" in report.report_text
         assert "traffic generators:" in report.report_text
@@ -92,8 +93,9 @@ class TestFlow:
 
     def test_synthesis_report_attached(self):
         report = EmulationFlow().run(
-            paper_platform_config(max_packets=50,
-                                  receptor_kind="stochastic")
+            ScenarioSpec(
+                packets=50, receptors="stochastic"
+            ).to_platform_config()
         )
         assert report.synthesis.total_slices > 0
         assert report.synthesis.fits
@@ -102,7 +104,9 @@ class TestFlow:
 class TestMonitor:
     @pytest.fixture
     def run_platform(self):
-        platform = build_platform(paper_platform_config(max_packets=80))
+        platform = build_platform(
+            ScenarioSpec(packets=80).to_platform_config()
+        )
         result = EmulationEngine(platform).run()
         return platform, result
 

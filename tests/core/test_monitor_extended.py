@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.monitor import Monitor
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 
 def run_platform(sample_buffers=False):
-    config = paper_platform_config(max_packets=300)
+    config = ScenarioSpec(packets=300).to_platform_config()
     config.sample_buffers = sample_buffers
     platform = build_platform(config)
     result = EmulationEngine(platform).run()
@@ -43,9 +43,9 @@ class TestFaultsSection:
     def faulted_run(self, repair=True):
         from repro.faults import FaultSchedule, link_down
 
-        config = paper_platform_config(
-            max_packets=300, routing_case="overlap", load=0.9
-        )
+        config = ScenarioSpec(
+            packets=300, routing="overlap", load=0.9
+        ).to_platform_config()
         platform = build_platform(config)
         schedule = FaultSchedule.of(
             link_down(400, 1, 4), link_down(400, 4, 1), repair=repair
@@ -83,7 +83,7 @@ class TestWindowsSection:
     def windowed_run(self):
         from repro.telemetry import WindowedMetrics
 
-        config = paper_platform_config(max_packets=300)
+        config = ScenarioSpec(packets=300).to_platform_config()
         platform = build_platform(config)
         telemetry = WindowedMetrics(platform, 200)
         result = EmulationEngine(platform, telemetry=telemetry).run()

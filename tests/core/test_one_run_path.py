@@ -11,11 +11,11 @@ computes what the bare engine computes.
 import pytest
 
 from repro.cli import main
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.flow import EmulationFlow
 from repro.core.monitor import Monitor
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 TRAFFIC = ("uniform", "burst", "poisson", "onoff", "trace")
 
@@ -78,14 +78,14 @@ def test_observer_flags_never_change_the_run(
 def test_flow_computes_what_the_engine_computes(traffic):
     """Step 3's bus writes hold the platform's own values: the flow's
     report equals a bare engine run of the same config."""
-    config = paper_platform_config(
+    config = ScenarioSpec(
         traffic=traffic,
-        max_packets=None if traffic == "trace" else 200,
+        packets=None if traffic == "trace" else 200,
         traffic_params=(
             {"n_bursts": 8, "packets_per_burst": 4}
-            if traffic == "trace" else None
+            if traffic == "trace" else {}
         ),
-    )
+    ).to_platform_config()
     flow = EmulationFlow().run(config)
     platform = build_platform(config)
     result = EmulationEngine(platform).run()

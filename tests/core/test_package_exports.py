@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import types
 from pathlib import Path
 
@@ -114,3 +115,18 @@ def test_example_import_resolves(example, module, name):
     """Each name an example imports from ``repro`` exists (the
     examples themselves are not run)."""
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports_by_path(path):
+    """Each example executes its module body (imports, constants,
+    definitions) without error; its ``__main__`` guard keeps the
+    experiment itself from running."""
+    spec = importlib.util.spec_from_file_location(
+        f"_example_{path.stem}", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

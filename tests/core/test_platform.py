@@ -9,7 +9,6 @@ from repro.core.config import (
     PlatformConfig,
     TGSpec,
     TRSpec,
-    paper_platform_config,
 )
 from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
@@ -69,7 +68,7 @@ class TestBuildValidation:
 
     def test_unroutable_destination_rejected(self):
         # Paper routing tables only cover the four paper flows.
-        cfg = paper_platform_config()
+        cfg = ScenarioSpec().to_platform_config()
         cfg.tgs[0].params["dst"] = 5  # not flow 0's receptor
         with pytest.raises(ConfigError, match="no entry"):
             build_platform(cfg)
@@ -190,18 +189,18 @@ class TestTrafficFamilies:
     )
     def test_stochastic_families_run(self, family):
         p = build_platform(
-            paper_platform_config(traffic=family, max_packets=50)
+            ScenarioSpec(traffic=family, packets=50).to_platform_config()
         )
         p.run(20_000)
         assert p.packets_received == 200
 
     def test_trace_family_runs_to_exhaustion(self):
         p = build_platform(
-            paper_platform_config(
+            ScenarioSpec(
                 traffic="trace",
-                max_packets=None,
+                packets=None,
                 traffic_params={"n_bursts": 10, "packets_per_burst": 4},
-            )
+            ).to_platform_config()
         )
         p.run(30_000)
         assert p.generators_done

@@ -47,12 +47,12 @@ class TestDeadlockGate:
         assert platform.topology.n_switches == 4
 
     def test_paper_platform_passes_the_gate(self):
-        from repro.core.config import paper_platform_config
+        from repro.experiments.spec import ScenarioSpec
 
         for case in ("overlap", "disjoint", "split"):
-            config = paper_platform_config(
-                max_packets=10, routing_case=case
-            )
+            config = ScenarioSpec(
+                packets=10, routing=case
+            ).to_platform_config()
             build_platform(config)  # must not raise
 
     @pytest.mark.usefixtures("no_deadlock_vet")

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.errors import EmulationError
 from repro.core.platform import build_platform
 from repro.core.processor import Processor
+from repro.experiments.spec import ScenarioSpec
 
 
 @pytest.fixture
 def platform():
     return build_platform(
-        paper_platform_config(max_packets=100, receptor_kind="tracedriven")
+        ScenarioSpec(packets=100, receptors="tracedriven").to_platform_config()
     )
 
 
@@ -113,9 +113,9 @@ class TestStatisticsReadout:
 class TestHistogramDrain:
     def test_drain_matches_device_state(self):
         platform = build_platform(
-            paper_platform_config(
-                max_packets=100, receptor_kind="stochastic"
-            )
+            ScenarioSpec(
+                packets=100, receptors="stochastic"
+            ).to_platform_config()
         )
         platform.run(12_000)
         processor = Processor(platform)

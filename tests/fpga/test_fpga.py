@@ -7,7 +7,7 @@ clock — all within the tolerances stated in EXPERIMENTS.md.
 
 import pytest
 
-from repro.core.config import paper_platform_config
+from repro.experiments.spec import ScenarioSpec
 from repro.fpga.costs import (
     CONTROL_SLICES,
     TG_STOCHASTIC_SLICES,
@@ -136,13 +136,13 @@ class TestSwitchCost:
 
 class TestPlatformCost:
     def test_paper_platform_total(self):
-        cfg = paper_platform_config(receptor_kind="stochastic")
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
         report = synthesize(cfg)
         # Paper: 7387 slices. Accept <1% deviation.
         assert report.total_slices == pytest.approx(7387, rel=0.01)
 
     def test_utilisation_near_80_percent(self):
-        cfg = paper_platform_config(receptor_kind="stochastic")
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
         report = synthesize(cfg)
         assert report.part.name == "XC2VP20"
         assert report.utilisation == pytest.approx(0.80, abs=0.01)
@@ -151,10 +151,10 @@ class TestPlatformCost:
     def test_trace_memory_counted_without_generating_the_trace(
         self, monkeypatch
     ):
-        cfg = paper_platform_config(
+        cfg = ScenarioSpec(
             traffic="trace",
             traffic_params={"n_bursts": 30, "packets_per_burst": 50},
-        )
+        ).to_platform_config()
 
         def refuse(*args, **kwargs):
             raise AssertionError("the cost model generated a trace")
@@ -167,7 +167,7 @@ class TestPlatformCost:
 
 class TestSynthesisReport:
     def test_rows_per_device_type(self):
-        cfg = paper_platform_config(receptor_kind="stochastic")
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
         report = synthesize(cfg)
         names = [name for name, _, _ in report.rows]
         assert "TG stochastic" in names
@@ -176,7 +176,7 @@ class TestSynthesisReport:
         assert "Switch fabric" in names
 
     def test_per_type_rows_match_table1(self):
-        cfg = paper_platform_config(receptor_kind="stochastic")
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
         report = synthesize(cfg)
         _, tg_slices, tg_pct = report.row_for("TG stochastic")
         assert tg_slices == 4 * 719
@@ -186,11 +186,11 @@ class TestSynthesisReport:
         assert control_pct == pytest.approx(0.2, abs=0.05)
 
     def test_trace_platform_uses_trace_rows(self):
-        cfg = paper_platform_config(
+        cfg = ScenarioSpec(
             traffic="trace",
-            max_packets=None,
-            receptor_kind="tracedriven",
-        )
+            packets=None,
+            receptors="tracedriven",
+        ).to_platform_config()
         report = synthesize(cfg)
         names = [name for name, _, _ in report.rows]
         assert "TG trace driven" in names
@@ -198,7 +198,7 @@ class TestSynthesisReport:
         assert report.total_bram > 0
 
     def test_auto_part_scales_with_design(self):
-        big = paper_platform_config(receptor_kind="stochastic")
+        big = ScenarioSpec(receptors="stochastic").to_platform_config()
         big.topology = "mesh:6:6"
         big.routing = "shortest"
         report = synthesize(big, auto_part=True)
@@ -206,7 +206,7 @@ class TestSynthesisReport:
         assert report.fits
 
     def test_overflow_reported(self):
-        cfg = paper_platform_config(receptor_kind="stochastic")
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
         cfg.topology = "mesh:8:8"
         cfg.routing = "shortest"
         report = synthesize(cfg)  # pinned to XC2VP20: cannot fit
@@ -215,7 +215,7 @@ class TestSynthesisReport:
 
     def test_render_layout(self):
         report = synthesize(
-            paper_platform_config(receptor_kind="stochastic")
+            ScenarioSpec(receptors="stochastic").to_platform_config()
         )
         text = report.render()
         assert "Number of slices" in text
@@ -225,7 +225,7 @@ class TestSynthesisReport:
 
     def test_missing_row_raises(self):
         report = synthesize(
-            paper_platform_config(receptor_kind="stochastic")
+            ScenarioSpec(receptors="stochastic").to_platform_config()
         )
         with pytest.raises(KeyError):
             report.row_for("Quantum module")
@@ -233,7 +233,7 @@ class TestSynthesisReport:
 
 class TestTiming:
     def test_paper_platform_hits_50mhz(self):
-        cfg = paper_platform_config()
+        cfg = ScenarioSpec().to_platform_config()
         assert platform_clock_hz(cfg) == pytest.approx(50e6)
 
     def test_critical_path_monotone(self):

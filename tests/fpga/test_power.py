@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.fpga.power import (
     DYNAMIC_MW_PER_SLICE,
     STATIC_MW_PER_SLICE,
@@ -16,9 +16,9 @@ from repro.fpga.power import (
 
 def run_platform(load=0.45, packets=500, depth=4):
     platform = build_platform(
-        paper_platform_config(
-            load=load, max_packets=packets, buffer_depth=depth
-        )
+        ScenarioSpec(
+            load=load, packets=packets, buffer_depth=depth
+        ).to_platform_config()
     )
     EmulationEngine(platform).run()
     return platform
@@ -54,7 +54,7 @@ class TestRows:
 class TestPhysics:
     def test_idle_platform_is_static_only(self):
         platform = build_platform(
-            paper_platform_config(max_packets=100)
+            ScenarioSpec(packets=100).to_platform_config()
         )
         for generator in platform.generators:
             generator.disable()

@@ -8,17 +8,17 @@ quantitatively.
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.flow import EmulationFlow
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 
 
 def run(traffic="uniform", packets=800, **kwargs):
     platform = build_platform(
-        paper_platform_config(
-            traffic=traffic, max_packets=packets, **kwargs
-        )
+        ScenarioSpec(
+            traffic=traffic, packets=packets, **kwargs
+        ).to_platform_config()
     )
     result = EmulationEngine(platform).run()
     return platform, result
@@ -127,15 +127,13 @@ class TestTorusSaturation:
         channel-dependency check or wormhole-deadlocked mid-run; the
         up*/down* default must complete and drain at full load."""
         monkeypatch.setattr("repro.core.engine.STAGNATION_CYCLES", 20_000)
-        from repro.core.config import generic_platform_config
-
         platform = build_platform(
-            generic_platform_config(
+            ScenarioSpec(
                 topology="torus:4:4",
                 load=0.9,
-                max_packets=40,
+                packets=40,
                 seed=3,
-            )
+            ).to_platform_config()
         )
         result = EmulationEngine(platform).run()
         assert result.completed
@@ -147,7 +145,7 @@ class TestFullFlowEndToEnd:
     def test_flow_sweep_with_report_artifacts(self):
         flow = EmulationFlow()
         reports = [
-            flow.run(paper_platform_config(max_packets=100, seed=s))
+            flow.run(ScenarioSpec(packets=100, seed=s).to_platform_config())
             for s in (1, 2)
         ]
         assert flow.synthesis_runs == 1

@@ -10,10 +10,10 @@ repair end to end.
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.flow import EmulationFlow
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.deadlock import is_deadlock_free
 from repro.noc.routing import (
     RoutingError,
@@ -65,7 +65,7 @@ class TestRepairEndToEnd:
     def test_traffic_survives_a_hot_link_failure(self):
         topo = paper_topology()
         repaired = build_shortest_path_tables(topo, avoid_links=FAILED)
-        config = paper_platform_config(max_packets=400)
+        config = ScenarioSpec(packets=400).to_platform_config()
         config.topology = topo
         config.routing = repaired
         platform = build_platform(config)
@@ -80,13 +80,13 @@ class TestRepairEndToEnd:
         flow reuses the cached synthesis."""
         flow = EmulationFlow()
         topo = paper_topology()
-        healthy = paper_platform_config(max_packets=100)
+        healthy = ScenarioSpec(packets=100).to_platform_config()
         healthy.topology = topo
         healthy.routing = build_shortest_path_tables(topo)
         first = flow.run(healthy)
         assert first.resynthesized
 
-        repaired = paper_platform_config(max_packets=100)
+        repaired = ScenarioSpec(packets=100).to_platform_config()
         repaired.topology = topo
         repaired.routing = build_shortest_path_tables(
             topo, avoid_links=FAILED
@@ -102,7 +102,7 @@ class TestRepairEndToEnd:
         topo = paper_topology()
 
         def latency_with(routing):
-            config = paper_platform_config(max_packets=400)
+            config = ScenarioSpec(packets=400).to_platform_config()
             config.topology = paper_topology()
             config.routing = routing
             platform = build_platform(config)

@@ -11,9 +11,9 @@ component-level counter.
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.receptors.tracedriven import TraceDrivenReceptor
 
 
@@ -104,44 +104,46 @@ def cosimulate(make_config, cycles):
 
 
 SCENARIOS = [
-    dict(traffic="uniform", max_packets=300),
-    dict(traffic="uniform", max_packets=300, load=0.9),
-    dict(traffic="burst", max_packets=300),
-    dict(traffic="poisson", max_packets=300, load=0.05),
-    dict(traffic="onoff", max_packets=300, load=0.1),
+    dict(traffic="uniform", packets=300),
+    dict(traffic="uniform", packets=300, load=0.9),
+    dict(traffic="burst", packets=300),
+    dict(traffic="poisson", packets=300, load=0.05),
+    dict(traffic="onoff", packets=300, load=0.1),
     dict(
         traffic="trace",
-        max_packets=None,
+        packets=None,
         traffic_params={"n_bursts": 24, "packets_per_burst": 6},
     ),
-    dict(traffic="uniform", max_packets=300, routing_case="disjoint"),
-    dict(traffic="uniform", max_packets=300, routing_case="split"),
+    dict(traffic="uniform", packets=300, routing="disjoint"),
+    dict(traffic="uniform", packets=300, routing="split"),
     # Saturation-parking coverage: shallow buffers at 90% load block
     # whole switches every few cycles (full-block/unblock churn), and
     # 90% load alone starves NIs on about half their inject attempts.
     dict(
-        traffic="uniform", max_packets=300, load=0.9, buffer_depth=1
+        traffic="uniform", packets=300, load=0.9, buffer_depth=1
     ),
     dict(
-        traffic="uniform", max_packets=300, load=0.9, buffer_depth=2
+        traffic="uniform", packets=300, load=0.9, buffer_depth=2
     ),
 ]
 
 
 @pytest.mark.parametrize(
     "kwargs", SCENARIOS, ids=lambda k: f"{k.get('traffic')}-"
-    f"{k.get('routing_case', 'overlap')}-{k.get('load', 'def')}"
+    f"{k.get('routing', 'overlap')}-{k.get('load', 'def')}"
 )
 def test_event_kernel_matches_reference(kwargs):
     event, reference = cosimulate(
-        lambda: paper_platform_config(**kwargs), cycles=6000
+        lambda: ScenarioSpec(**kwargs).to_platform_config(), cycles=6000
     )
     assert event == reference
 
 
 def test_parity_under_store_and_forward():
     def config():
-        cfg = paper_platform_config(traffic="burst", max_packets=200, length=4)
+        cfg = ScenarioSpec(
+            traffic="burst", packets=200, length=4
+        ).to_platform_config()
         cfg.switching = "store_and_forward"
         return cfg
 
@@ -153,7 +155,7 @@ def test_parity_with_buffer_sampling():
     """sample_buffers touches every switch every cycle on both paths."""
 
     def config():
-        cfg = paper_platform_config(traffic="uniform", max_packets=150)
+        cfg = ScenarioSpec(traffic="uniform", packets=150).to_platform_config()
         cfg.sample_buffers = True
         return cfg
 
@@ -179,7 +181,9 @@ def test_parity_with_buffer_sampling():
 
 def test_mixing_paths_mid_run_is_consistent():
     """Alternating step/step_reference on one network stays coherent."""
-    config = lambda: paper_platform_config(traffic="uniform", max_packets=200)
+    config = lambda: ScenarioSpec(
+        traffic="uniform", packets=200
+    ).to_platform_config()
     platform = fresh_platform(config)
     net = platform.network
     for k in range(5000):
@@ -212,9 +216,9 @@ class TestParkingParity:
         generators mid-run — and crucially *partial* parking occurs:
         a switch streams some inputs while others sleep."""
         platform = fresh_platform(
-            lambda: paper_platform_config(
-                traffic="uniform", load=0.9, max_packets=600
-            )
+            lambda: ScenarioSpec(
+                traffic="uniform", load=0.9, packets=600
+            ).to_platform_config()
         )
         saw_input = saw_whole_sw = saw_partial = saw_ni = saw_gen = False
         for _ in range(4000):
@@ -248,9 +252,9 @@ class TestParkingParity:
         the same reset."""
 
         def config():
-            return paper_platform_config(
-                traffic="uniform", load=0.9, max_packets=400
-            )
+            return ScenarioSpec(
+                traffic="uniform", load=0.9, packets=400
+            ).to_platform_config()
 
         snaps = []
         for reference in (False, True):
@@ -269,12 +273,12 @@ class TestParkingParity:
         """depth-1 buffers at 90% load force constant whole-switch
         block/unblock churn through the parking paths."""
         event, reference = cosimulate(
-            lambda: paper_platform_config(
+            lambda: ScenarioSpec(
                 traffic="uniform",
                 load=0.9,
-                max_packets=250,
+                packets=250,
                 buffer_depth=1,
-            ),
+            ).to_platform_config(),
             cycles=5000,
         )
         assert event == reference
@@ -285,9 +289,9 @@ class TestParkingParity:
         parking disabled (no clock) produces identical statistics."""
 
         def config():
-            cfg = paper_platform_config(
-                traffic="uniform", load=0.9, max_packets=300
-            )
+            cfg = ScenarioSpec(
+                traffic="uniform", load=0.9, packets=300
+            ).to_platform_config()
             for tg in cfg.tgs:
                 tg.queue_limit = 24  # tight queue: heavy backpressure
             return cfg
@@ -338,9 +342,9 @@ class TestParkingParity:
         NIs and generators sleep equal the scan-everything kernel's."""
 
         def config():
-            return paper_platform_config(
-                traffic="uniform", load=0.9, max_packets=400
-            )
+            return ScenarioSpec(
+                traffic="uniform", load=0.9, packets=400
+            ).to_platform_config()
 
         event = self.window_records(config, False, 5000, window=257)
         reference = self.window_records(config, True, 5000, window=257)
@@ -358,9 +362,9 @@ class TestParkingParity:
         )
 
         def config():
-            return paper_platform_config(
-                traffic="uniform", load=0.9, max_packets=400
-            )
+            return ScenarioSpec(
+                traffic="uniform", load=0.9, packets=400
+            ).to_platform_config()
 
         event = self.window_records(
             config, False, 5000, window=257, schedule=schedule
@@ -378,15 +382,15 @@ class TestParkingParity:
         from repro.telemetry import WindowedMetrics
 
         def config():
-            return paper_platform_config(
+            return ScenarioSpec(
                 traffic="trace",
-                max_packets=None,
+                packets=None,
                 traffic_params={
                     "n_bursts": 6,
                     "packets_per_burst": 4,
                     "gap": 2500,
                 },
-            )
+            ).to_platform_config()
 
         platform = fresh_platform(config)
         telemetry = WindowedMetrics(platform, 300)
@@ -408,12 +412,12 @@ class TestFastForwardParity:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(traffic="poisson", load=0.02, max_packets=150),
-            dict(traffic="onoff", load=0.05, max_packets=150),
-            dict(traffic="burst", load=0.1, max_packets=150),
+            dict(traffic="poisson", load=0.02, packets=150),
+            dict(traffic="onoff", load=0.05, packets=150),
+            dict(traffic="burst", load=0.1, packets=150),
             dict(
                 traffic="trace",
-                max_packets=None,
+                packets=None,
                 traffic_params={
                     "n_bursts": 12,
                     "packets_per_burst": 4,
@@ -425,10 +429,10 @@ class TestFastForwardParity:
     )
     def test_engine_results_identical_with_and_without_ff(self, kwargs):
         with_ff = EmulationEngine(
-            build_platform(paper_platform_config(**kwargs))
+            build_platform(ScenarioSpec(**kwargs).to_platform_config())
         ).run(fast_forward=True)
         without = EmulationEngine(
-            build_platform(paper_platform_config(**kwargs))
+            build_platform(ScenarioSpec(**kwargs).to_platform_config())
         ).run(fast_forward=False)
         assert with_ff.cycles == without.cycles
         assert with_ff.packets_sent == without.packets_sent
@@ -437,9 +441,9 @@ class TestFastForwardParity:
 
     def test_ff_actually_skips_idle_cycles(self):
         platform = build_platform(
-            paper_platform_config(
-                traffic="onoff", load=0.02, max_packets=100
-            )
+            ScenarioSpec(
+                traffic="onoff", load=0.02, packets=100
+            ).to_platform_config()
         )
         stepped = 0
         network = platform.network
@@ -520,9 +524,9 @@ class TestFastForwardParity:
 
     def test_max_cycles_limit_respected_across_jumps(self):
         platform = build_platform(
-            paper_platform_config(
-                traffic="poisson", load=0.001, max_packets=10_000
-            )
+            ScenarioSpec(
+                traffic="poisson", load=0.001, packets=10_000
+            ).to_platform_config()
         )
         result = EmulationEngine(platform).run(max_cycles=5000)
         assert result.cycles == 5000

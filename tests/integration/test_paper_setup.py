@@ -8,19 +8,19 @@ links loaded at ~90%.
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.topology import paper_hot_links
 
 
 def run_paper(routing_case, packets=1500, traffic="uniform"):
     platform = build_platform(
-        paper_platform_config(
+        ScenarioSpec(
             traffic=traffic,
-            max_packets=packets,
-            routing_case=routing_case,
-        )
+            packets=packets,
+            routing=routing_case,
+        ).to_platform_config()
     )
     EmulationEngine(platform).run()
     return platform

@@ -12,7 +12,6 @@ import io
 from contextlib import redirect_stdout
 
 from repro.cli import main
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
@@ -36,13 +35,13 @@ def test_repeated_split_sweep_prints_identical_tables():
 
 def test_rebuilt_split_trace_platform_repeats_its_statistics():
     def run():
-        platform = build_platform(paper_platform_config(
+        platform = build_platform(ScenarioSpec(
             traffic="trace",
-            routing_case="split",
+            routing="split",
             traffic_params={"n_bursts": 128, "packets_per_burst": 4},
-            max_packets=None,
+            packets=None,
             seed=1,
-        ))
+        ).to_platform_config())
         EmulationEngine(platform).run()
         return platform.mean_latency(), platform.congestion_rate()
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.flit import Packet
 from repro.receptors.tracedriven import TraceDrivenReceptor
 from repro.stats.latency import LatencyAnalyzer
@@ -56,14 +56,14 @@ class TestAnalyzerDecomposition:
 class TestEndToEndDecomposition:
     def run_platform(self, ppb):
         platform = build_platform(
-            paper_platform_config(
+            ScenarioSpec(
                 traffic="trace",
-                max_packets=None,
+                packets=None,
                 traffic_params={
                     "n_bursts": max(2, 256 // ppb),
                     "packets_per_burst": ppb,
                 },
-            )
+            ).to_platform_config()
         )
         EmulationEngine(platform).run()
         analyzers = [

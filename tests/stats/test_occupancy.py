@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.config import paper_platform_config
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments.spec import ScenarioSpec
 from repro.noc.network import Network
 from repro.noc.routing import build_shortest_path_tables
 from repro.noc.topology import mesh
@@ -12,7 +12,7 @@ from repro.stats.occupancy import OccupancyReport
 
 
 def sampled_paper_platform(**kwargs):
-    config = paper_platform_config(max_packets=500, **kwargs)
+    config = ScenarioSpec(packets=500, **kwargs).to_platform_config()
     config.sample_buffers = True
     platform = build_platform(config)
     EmulationEngine(platform).run()
@@ -68,8 +68,8 @@ class TestAnalysis:
         assert report.suggested_depth() == report.peak_depth_used() + 1
 
     def test_pressure_increases_with_congestion(self):
-        overlap = sampled_paper_platform(routing_case="overlap")
-        disjoint = sampled_paper_platform(routing_case="disjoint")
+        overlap = sampled_paper_platform(routing="overlap")
+        disjoint = sampled_paper_platform(routing="disjoint")
         hot = OccupancyReport(overlap.network).mean_pressure()
         cold = OccupancyReport(disjoint.network).mean_pressure()
         assert hot > cold
