@@ -17,8 +17,8 @@ hardware parameter).
 
 import pytest
 
-from benchmarks.conftest import emit, format_table
-from repro.experiments import ScenarioSpec, Sweep, SweepRunner
+from benchmarks.conftest import emit
+from repro.experiments import ScenarioSpec, Sweep, SweepRunner, render_table
 from repro.fpga.synthesis import synthesize
 
 pytestmark = pytest.mark.perf
@@ -45,33 +45,21 @@ def run_depths(depths):
     return out
 
 
-def run_depth(depth: int):
-    return run_depths((depth,))[depth]
-
-
-def test_ablation_buffer_depth(benchmark):
+def test_ablation_buffer_depth():
     results = run_depths(DEPTHS)
-    rows = [
-        (
-            depth,
-            f"{r['congestion']:.4f}",
-            f"{r['latency']:.1f}",
-            r["cycles"],
-            r["slices"],
-        )
-        for depth, r in results.items()
-    ]
     emit(
         "ablation_buffers",
-        format_table(
+        render_table(
             [
-                "buffer depth",
-                "congestion",
-                "mean latency",
-                "cycles",
-                "platform slices",
-            ],
-            rows,
+                {
+                    "buffer depth": depth,
+                    "congestion": f"{r['congestion']:.4f}",
+                    "mean latency": f"{r['latency']:.1f}",
+                    "cycles": r["cycles"],
+                    "platform slices": r["slices"],
+                }
+                for depth, r in results.items()
+            ]
         ),
     )
 
@@ -95,5 +83,3 @@ def test_ablation_buffer_depth(benchmark):
         - results[DEPTHS[-1]]["congestion"]
     )
     assert last_relief < first_relief
-
-    benchmark(lambda: run_depth(4))

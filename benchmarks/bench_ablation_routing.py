@@ -10,11 +10,13 @@ and latency; the hot-link load halves from overlap (~90%) to split
 
 import pytest
 
-from benchmarks.conftest import emit, format_table
+from benchmarks.conftest import emit
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
+from repro.experiments import render_table
 from repro.experiments.spec import ScenarioSpec
 from repro.noc.topology import paper_hot_links
+from repro.stats.summary import scenario_metrics
 
 pytestmark = pytest.mark.perf
 
@@ -30,39 +32,32 @@ def run_case(case: str):
     )
     result = EmulationEngine(platform).run()
     assert result.completed
+    # The metric record holds no link loads: the platform is read.
     loads = platform.network.link_loads()
-    hot = max(loads[pair] for pair in paper_hot_links())
+    metrics = scenario_metrics(platform, result)
     return {
-        "hot_link": hot,
-        "congestion": platform.congestion_rate(),
-        "latency": platform.mean_latency(),
-        "cycles": result.cycles,
+        "hot_link": max(loads[pair] for pair in paper_hot_links()),
+        "congestion": metrics["congestion_rate"],
+        "latency": metrics["mean_latency"],
+        "cycles": metrics["cycles"],
     }
 
 
-def test_ablation_routing_cases(benchmark):
+def test_ablation_routing_cases():
     results = {case: run_case(case) for case in CASES}
-    rows = [
-        (
-            case,
-            f"{r['hot_link']:.2f}",
-            f"{r['congestion']:.4f}",
-            f"{r['latency']:.1f}",
-            r["cycles"],
-        )
-        for case, r in results.items()
-    ]
     emit(
         "ablation_routing",
-        format_table(
+        render_table(
             [
-                "route case",
-                "middle link load",
-                "congestion",
-                "mean latency",
-                "cycles",
-            ],
-            rows,
+                {
+                    "route case": case,
+                    "middle link load": f"{r['hot_link']:.2f}",
+                    "congestion": f"{r['congestion']:.4f}",
+                    "mean latency": f"{r['latency']:.1f}",
+                    "cycles": r["cycles"],
+                }
+                for case, r in results.items()
+            ]
         ),
     )
 
@@ -80,5 +75,3 @@ def test_ablation_routing_cases(benchmark):
     assert (
         results["disjoint"]["latency"] < results["overlap"]["latency"]
     )
-
-    benchmark(lambda: run_case("disjoint"))

@@ -9,10 +9,8 @@ must win on latency at equal (sufficient) buffering.
 
 import pytest
 
-from benchmarks.conftest import emit, format_table
-from repro.core.engine import EmulationEngine
-from repro.core.platform import build_platform
-from repro.experiments.spec import ScenarioSpec
+from benchmarks.conftest import emit
+from repro.experiments import ScenarioSpec, Sweep, SweepRunner, render_table
 
 pytestmark = pytest.mark.perf
 
@@ -22,57 +20,32 @@ DEPTH = 8  # >= packet length, as store-and-forward requires
 
 MODES = ("wormhole", "store_and_forward")
 
-
-def run_mode(mode: str):
-    cfg = ScenarioSpec(
-        packets=PACKETS,
-        length=LENGTH,
-        buffer_depth=DEPTH,
-        seed=8,
-        switching=mode,
-    ).to_platform_config()
-    platform = build_platform(cfg)
-    result = EmulationEngine(platform).run()
-    assert result.completed
-    return {
-        "latency": platform.mean_latency(),
-        "max": platform.max_latency(),
-        "cycles": result.cycles,
-        "congestion": platform.congestion_rate(),
-    }
+BASE = ScenarioSpec(packets=PACKETS, length=LENGTH, buffer_depth=DEPTH, seed=8)
 
 
-def test_ablation_switching_mode(benchmark):
-    results = {mode: run_mode(mode) for mode in MODES}
-    rows = [
-        (
-            mode,
-            f"{r['latency']:.1f}",
-            r["max"],
-            r["cycles"],
-            f"{r['congestion']:.4f}",
-        )
-        for mode, r in results.items()
-    ]
+def test_ablation_switching_mode():
+    report = SweepRunner().run(Sweep.grid(BASE, switching=MODES))
+    results = {result.spec.switching: result.metrics for result in report}
+    assert all(results[mode]["completed"] for mode in MODES)
     emit(
         "ablation_switching",
-        format_table(
+        render_table(
             [
-                "switching",
-                "mean latency",
-                "max latency",
-                "cycles",
-                "congestion",
-            ],
-            rows,
+                {
+                    "switching": mode,
+                    "mean latency": f"{m['mean_latency']:.1f}",
+                    "max latency": m["max_latency"],
+                    "cycles": m["cycles"],
+                    "congestion": f"{m['congestion_rate']:.4f}",
+                }
+                for mode, m in results.items()
+            ]
         ),
     )
 
     # Wormhole pipelines flits across hops: strictly lower latency.
     assert (
-        results["wormhole"]["latency"]
-        < results["store_and_forward"]["latency"]
+        results["wormhole"]["mean_latency"]
+        < results["store_and_forward"]["mean_latency"]
     )
-    # Both deliver the full budget (asserted inside run_mode).
-
-    benchmark(lambda: run_mode("wormhole"))
+    # Both deliver the full budget (asserted above).

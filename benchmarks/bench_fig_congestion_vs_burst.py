@@ -7,66 +7,56 @@ parameter ("measure of congestion according to burst's length in
 flits").  The congestion rate is the network-wide fraction of blocked
 switch-traversal attempts.
 
+The scenarios are ``benchmarks/sweeps/fig_congestion_vs_burst.json``:
+the figure's grid, each point a 1024-packet budget per TG at 45%
+offered load, plus one 64-packet-burst point for the saturation claim.
+
 Expected shape: congestion increases with packets/burst and with
 flits/packet, saturating for long bursts.
 """
 
 import pytest
 
-from benchmarks.conftest import emit, format_table
-from repro.core.engine import EmulationEngine
-from repro.core.platform import build_platform
-from repro.experiments.spec import ScenarioSpec
+from benchmarks.conftest import emit, figure_results
+from repro.experiments import render_table
 
 pytestmark = pytest.mark.perf
+
+FIGURE = "fig_congestion_vs_burst"
 
 PACKETS_PER_BURST = (1, 2, 4, 8, 16, 32)
 FLITS_PER_PACKET = (2, 4, 8, 16)
 
-#: Total packets per generator at each point (keeps run times even).
-PACKET_BUDGET = 1024
+
+@pytest.fixture(scope="module")
+def congestion():
+    """Congestion rate per (packets/burst, flits/packet) point."""
+    points = {}
+    for result in figure_results(FIGURE):
+        params = dict(result.spec.traffic_params)
+        point = (params["packets_per_burst"], params["flits_per_packet"])
+        points[point] = result.metrics["congestion_rate"]
+    return points
 
 
-def run_point(ppb: int, fpp: int) -> float:
-    """Congestion rate for one (packets/burst, flits/packet) point."""
-    n_bursts = max(1, PACKET_BUDGET // ppb)
-    gap = round(ppb * fpp * 0.55 / 0.45)  # keep offered load at 45%
-    platform = build_platform(
-        ScenarioSpec(
-            traffic="trace",
-            packets=None,
-            length=fpp,
-            traffic_params={
-                "n_bursts": n_bursts,
-                "packets_per_burst": ppb,
-                "flits_per_packet": fpp,
-                "gap": gap,
-            },
-        ).to_platform_config()
-    )
-    result = EmulationEngine(platform).run()
-    assert result.completed
-    return platform.congestion_rate()
-
-
-def test_fig_congestion_vs_packets_per_burst(benchmark):
+def test_fig_congestion_vs_packets_per_burst(congestion):
     matrix = {
-        fpp: [run_point(ppb, fpp) for ppb in PACKETS_PER_BURST]
+        fpp: [congestion[ppb, fpp] for ppb in PACKETS_PER_BURST]
         for fpp in FLITS_PER_PACKET
     }
-    rows = [
-        (ppb,)
-        + tuple(
-            f"{matrix[fpp][i]:.4f}" for fpp in FLITS_PER_PACKET
-        )
-        for i, ppb in enumerate(PACKETS_PER_BURST)
-    ]
     emit(
-        "fig_congestion_vs_burst",
-        format_table(
-            ["packets/burst"]
-            + [f"{fpp} flits/pkt" for fpp in FLITS_PER_PACKET],
-            rows,
+        FIGURE,
+        render_table(
+            [
+                {
+                    "packets/burst": ppb,
+                    **{
+                        f"{fpp} flits/pkt": f"{matrix[fpp][i]:.4f}"
+                        for fpp in FLITS_PER_PACKET
+                    },
+                }
+                for i, ppb in enumerate(PACKETS_PER_BURST)
+            ]
         ),
     )
 
@@ -87,22 +77,10 @@ def test_fig_congestion_vs_packets_per_burst(benchmark):
         0.0 <= v < 1.0 for series in matrix.values() for v in series
     )
 
-    # Timed kernel: the cheapest point.
-    benchmark(
-        lambda: run_point(PACKETS_PER_BURST[0], FLITS_PER_PACKET[0])
-    )
 
-
-def test_fig_congestion_saturates_for_long_bursts(benchmark):
+def test_fig_congestion_saturates_for_long_bursts(congestion):
     """The marginal congestion gain shrinks as bursts get longer."""
-
-    def gains():
-        a = run_point(1, 8)
-        b = run_point(8, 8)
-        c = run_point(64, 8)
-        return a, b, c
-
-    a, b, c = benchmark.pedantic(gains, rounds=1, iterations=1)
+    a, b, c = (congestion[ppb, 8] for ppb in (1, 8, 64))
     first_gain = b - a
     second_gain = c - b
     assert first_gain > 0

@@ -35,7 +35,7 @@ from typing import Any, Callable, NamedTuple
 
 import pytest
 
-from benchmarks.conftest import emit, format_table, usable_cores
+from benchmarks.conftest import emit, usable_cores
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments import (
@@ -45,6 +45,7 @@ from repro.experiments import (
     SweepJournal,
     SweepRunner,
     make_ramp_checkpoint,
+    render_table,
     run_cold_point,
     run_warm_point,
 )
@@ -123,13 +124,12 @@ def _report(group, rows):
     """Emit one table of ratios: claim, gate, q1 / median / q3."""
     emit(
         f"ratios_{group}",
-        format_table(
-            ["ratio", "gate", "q1", "median", "q3"],
+        render_table(
             [
-                (claim, gate, f"{r.q1:.3f}", f"{r.median:.3f}",
-                 f"{r.q3:.3f}")
+                {"ratio": claim, "gate": gate, "q1": f"{r.q1:.3f}",
+                 "median": f"{r.median:.3f}", "q3": f"{r.q3:.3f}"}
                 for claim, gate, r in rows
-            ],
+            ]
         ),
     )
 

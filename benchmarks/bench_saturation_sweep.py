@@ -22,8 +22,8 @@ shared ``ScenarioResult`` record instead of ad-hoc receptor walks).
 
 import pytest
 
-from benchmarks.conftest import emit, format_table
-from repro.experiments import ScenarioSpec, Sweep, SweepRunner
+from benchmarks.conftest import emit
+from repro.experiments import ScenarioSpec, Sweep, SweepRunner, render_table
 
 pytestmark = pytest.mark.perf
 
@@ -43,45 +43,34 @@ BASE = ScenarioSpec(
 N_TGS = 4
 
 
-def run_loads(loads):
-    results = SweepRunner().run(Sweep.grid(BASE, load=loads))
-    series = {}
-    for spec, result in zip(loads, results):
+@pytest.fixture(scope="module")
+def series():
+    """Accepted throughput, latency and congestion per offered load."""
+    out = {}
+    for result in SweepRunner().run(Sweep.grid(BASE, load=LOADS)):
         metrics = result.metrics
         assert metrics["completed"]
-        series[spec] = {
+        out[result.spec.load] = {
             "accepted": metrics["accepted_flits_per_cycle"] / N_TGS,
             "latency": metrics["mean_latency"],
             "congestion": metrics["congestion_rate"],
         }
-    return series
+    return out
 
 
-def run_load(load: float):
-    return run_loads((load,))[load]
-
-
-def test_saturation_sweep(benchmark):
-    series = run_loads(LOADS)
-    rows = [
-        (
-            f"{load:.2f}",
-            f"{r['accepted']:.3f}",
-            f"{r['latency']:.1f}",
-            f"{r['congestion']:.4f}",
-        )
-        for load, r in series.items()
-    ]
+def test_saturation_sweep(series):
     emit(
         "saturation_sweep",
-        format_table(
+        render_table(
             [
-                "offered load/TG",
-                "accepted flits/cyc/TG",
-                "mean latency",
-                "congestion",
-            ],
-            rows,
+                {
+                    "offered load/TG": f"{load:.2f}",
+                    "accepted flits/cyc/TG": f"{r['accepted']:.3f}",
+                    "mean latency": f"{r['latency']:.1f}",
+                    "congestion": f"{r['congestion']:.4f}",
+                }
+                for load, r in series.items()
+            ]
         ),
     )
 
@@ -102,18 +91,11 @@ def test_saturation_sweep(benchmark):
     assert series[0.70]["latency"] > 2 * series[0.45]["latency"]
     assert series[0.90]["latency"] >= series[0.70]["latency"] * 0.9
 
-    benchmark(lambda: run_load(0.30))
 
-
-def test_saturation_knee_position(benchmark):
+def test_saturation_knee_position(series):
     """The knee sits between 45% and 55% per generator, matching the
     two-flows-per-link reading of the paper's setup."""
-
-    def measure():
-        series = run_loads((0.45, 0.55))
-        return series[0.45], series[0.55]
-
-    below, above = benchmark.pedantic(measure, rounds=1, iterations=1)
+    below, above = series[0.45], series[0.55]
     # 45% is still (nearly) loss-free in throughput terms...
     assert below["accepted"] == pytest.approx(0.45, abs=0.035)
     # ...while 55% already falls measurably short of its offer.

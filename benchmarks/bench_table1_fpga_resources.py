@@ -9,14 +9,12 @@ platform and checks every row against the published numbers:
     TR trace driven  690 slices   7.4%
     Control module    18 slices   0.2%
     whole platform  7387 slices  80%   (=> XC2VP20, 9280 slices)
-
-The timed kernel is the synthesis model itself (platform cost +
-part selection + timing), i.e. flow step 2.
 """
 
 import pytest
 
 from benchmarks.conftest import emit
+from repro.experiments import render_table
 from repro.experiments.spec import ScenarioSpec
 from repro.fpga.costs import control_cost, tg_cost, tr_cost
 from repro.fpga.synthesis import synthesize
@@ -50,7 +48,7 @@ def _trace_config():
     ).to_platform_config()
 
 
-def test_table1_per_device_rows(benchmark):
+def test_table1_per_device_rows():
     """Each device type reproduces its Table 1 slice count exactly."""
     report_stoch = synthesize(_stochastic_config())
     report_trace = synthesize(_trace_config())
@@ -83,13 +81,10 @@ def test_table1_per_device_rows(benchmark):
     lines.append(report_trace.render())
     emit("table1_fpga_resources", "\n".join(lines))
 
-    # Timed kernel: one full synthesis-model run (flow step 2).
-    benchmark(lambda: synthesize(_stochastic_config()))
 
-
-def test_table1_whole_platform(benchmark):
+def test_table1_whole_platform():
     """Whole stochastic platform: 7387 slices, ~80% of the XC2VP20."""
-    report = benchmark(lambda: synthesize(_stochastic_config()))
+    report = synthesize(_stochastic_config())
     assert report.part.name == "XC2VP20"
     assert report.total_slices == pytest.approx(
         PAPER_PLATFORM_SLICES, rel=0.01
@@ -101,39 +96,26 @@ def test_table1_whole_platform(benchmark):
     assert report.clock_hz == pytest.approx(50e6)
 
 
-def test_table1_capacity_planning(benchmark):
+def test_table1_capacity_planning():
     """Conclusion claim: larger parts host 'tens of switches'."""
     rows = []
-
-    def plan():
-        rows.clear()
-        for grid in ((3, 2), (4, 4), (6, 6), (8, 8)):
-            cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
-            cfg.topology = f"mesh:{grid[0]}:{grid[1]}"
-            cfg.routing = "shortest"
-            cfg.name = f"mesh{grid[0]}x{grid[1]}"
-            report = synthesize(cfg, auto_part=True)
-            rows.append(
-                (
-                    cfg.name,
-                    grid[0] * grid[1],
-                    report.total_slices,
-                    report.part.name,
-                    f"{report.utilisation:.0%}",
-                )
-            )
-        return rows
-
-    benchmark(plan)
-    from benchmarks.conftest import format_table
-
-    emit(
-        "table1_capacity_planning",
-        format_table(
-            ["platform", "switches", "slices", "part", "util"], rows
-        ),
-    )
+    for grid in ((3, 2), (4, 4), (6, 6), (8, 8)):
+        cfg = ScenarioSpec(receptors="stochastic").to_platform_config()
+        cfg.topology = f"mesh:{grid[0]}:{grid[1]}"
+        cfg.routing = "shortest"
+        cfg.name = f"mesh{grid[0]}x{grid[1]}"
+        report = synthesize(cfg, auto_part=True)
+        rows.append(
+            {
+                "platform": cfg.name,
+                "switches": grid[0] * grid[1],
+                "slices": report.total_slices,
+                "part": report.part.name,
+                "util": f"{report.utilisation:.0%}",
+            }
+        )
+    emit("table1_capacity_planning", render_table(rows))
     # 36 and 64 switches fit somewhere in the family.
-    assert all(r[3].startswith("XC2VP") for r in rows)
-    big = dict((r[1], r[3]) for r in rows)
+    assert all(r["part"].startswith("XC2VP") for r in rows)
+    big = {r["switches"]: r["part"] for r in rows}
     assert big[36] != "XC2VP20"  # needs a larger family member

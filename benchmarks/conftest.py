@@ -3,7 +3,9 @@
 Every bench regenerates one table or figure of the paper.  The
 rendered artefact is printed to the terminal *and* written to
 ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference a
-stable file regardless of pytest's output capturing.
+stable file regardless of pytest's output capturing.  A figure's
+scenarios are a sweep document, ``benchmarks/sweeps/<name>.json``,
+which ``repro batch`` runs unedited.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import os
 import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+SWEEPS_DIR = os.path.join(os.path.dirname(__file__), "sweeps")
 
 
 def pytest_configure(config):
@@ -33,20 +36,23 @@ def emit(name: str, text: str) -> None:
     sys.stderr.write(f"\n[{name}] -> {path}\n{text}\n")
 
 
-def format_table(headers, rows) -> str:
-    """Minimal fixed-width table renderer for figure data."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(str(h)), *(len(r[i]) for r in cells)) if cells else len(str(h))
-        for i, h in enumerate(headers)
-    ]
-    lines = [
-        "  ".join(str(h).ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+def figure_specs(name: str):
+    """The scenarios of figure ``name``'s sweep document
+    (``benchmarks/sweeps/<name>.json``), in document order."""
+    from repro.experiments import Sweep
+
+    return Sweep.from_file(os.path.join(SWEEPS_DIR, f"{name}.json"))
+
+
+def figure_results(name: str):
+    """Run figure ``name``'s sweep document through the experiment
+    runner; its results in document order, every run completed."""
+    from repro.experiments import SweepRunner
+
+    report = SweepRunner().run(figure_specs(name))
+    assert report.ok, report.failures
+    assert all(result.metrics["completed"] for result in report)
+    return report
 
 
 def usable_cores() -> int:

@@ -17,6 +17,7 @@ from repro import EmulationEngine, ScenarioSpec, build_platform
 from repro.fpga.power import estimate_power
 from repro.fpga.synthesis import synthesize
 from repro.stats.occupancy import OccupancyReport
+from repro.stats.summary import scenario_metrics
 
 
 def run_depth(depth: int):
@@ -28,13 +29,14 @@ def run_depth(depth: int):
     ).to_platform_config()
     config.sample_buffers = True
     platform = build_platform(config)
-    EmulationEngine(platform).run()
+    result = EmulationEngine(platform).run()
+    metrics = scenario_metrics(platform, result)
     occupancy = OccupancyReport(platform.network)
     power = estimate_power(platform)
     synth = synthesize(config)
     return {
-        "congestion": platform.congestion_rate(),
-        "latency": platform.mean_latency(),
+        "congestion": metrics["congestion_rate"],
+        "latency": metrics["mean_latency"],
         "peak_used": occupancy.peak_depth_used(),
         "pressure": occupancy.mean_pressure(),
         "slices": synth.total_slices,

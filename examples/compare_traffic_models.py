@@ -11,6 +11,7 @@ Run:  python examples/compare_traffic_models.py
 """
 
 from repro import EmulationEngine, ScenarioSpec, build_platform
+from repro.stats.summary import scenario_metrics
 
 MODELS = ("uniform", "poisson", "onoff", "burst")
 PACKETS = 2000
@@ -36,15 +37,13 @@ def main() -> None:
         f"{'mean lat':>10}{'max lat':>9}"
     )
     print("-" * 51)
-    results = {}
     for model in MODELS:
-        platform, result = run_model(model)
-        results[model] = platform
+        metrics = scenario_metrics(*run_model(model))
         print(
-            f"{model:<10}{result.cycles:>10}"
-            f"{platform.congestion_rate():>12.4f}"
-            f"{platform.mean_latency():>10.1f}"
-            f"{platform.max_latency():>9}"
+            f"{model:<10}{metrics['cycles']:>10}"
+            f"{metrics['congestion_rate']:>12.4f}"
+            f"{metrics['mean_latency']:>10.1f}"
+            f"{metrics['max_latency']:>9}"
         )
 
     print()

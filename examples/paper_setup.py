@@ -11,6 +11,7 @@ Run:  python examples/paper_setup.py
 
 from repro import EmulationEngine, ScenarioSpec, build_platform
 from repro.noc.topology import paper_hot_links
+from repro.stats.summary import scenario_metrics
 
 
 def run_case(case: str):
@@ -26,7 +27,8 @@ def run_case(case: str):
     return platform, result
 
 
-def print_link_map(platform) -> None:
+def print_case(platform, result) -> float:
+    """Print the case's link-load map and metrics; its mean latency."""
     loads = platform.network.link_loads()
     hot = set(paper_hot_links())
     print("  inter-switch link loads:")
@@ -34,30 +36,27 @@ def print_link_map(platform) -> None:
         marker = "  <-- 90% hot link (Slide 19)" if pair in hot else ""
         if load > 0.01:
             print(f"    {pair[0]}->{pair[1]}  {load:6.1%}{marker}")
+    metrics = scenario_metrics(platform, result)
+    print(f"  congestion rate : {metrics['congestion_rate']:.4f}")
+    print(f"  mean latency    : {metrics['mean_latency']:.1f} cycles")
+    print(f"  max latency     : {metrics['max_latency']} cycles")
+    return metrics["mean_latency"]
 
 
 def main() -> None:
     print("=" * 64)
     print("Route case 'overlap' — all flows share the middle column")
     print("=" * 64)
-    overlap, _ = run_case("overlap")
-    print_link_map(overlap)
-    print(f"  congestion rate : {overlap.congestion_rate():.4f}")
-    print(f"  mean latency    : {overlap.mean_latency():.1f} cycles")
-    print(f"  max latency     : {overlap.max_latency()} cycles")
+    overlap = print_case(*run_case("overlap"))
 
     print()
     print("=" * 64)
     print("Route case 'disjoint' — dimension-ordered, no shared links")
     print("=" * 64)
-    disjoint, _ = run_case("disjoint")
-    print_link_map(disjoint)
-    print(f"  congestion rate : {disjoint.congestion_rate():.4f}")
-    print(f"  mean latency    : {disjoint.mean_latency():.1f} cycles")
-    print(f"  max latency     : {disjoint.max_latency()} cycles")
+    disjoint = print_case(*run_case("disjoint"))
 
     print()
-    ratio = overlap.mean_latency() / max(disjoint.mean_latency(), 1e-9)
+    ratio = overlap / max(disjoint, 1e-9)
     print(
         f"sharing the two middle links costs {ratio:.2f}x mean latency"
         f" at the same offered load"

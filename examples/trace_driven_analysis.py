@@ -22,6 +22,7 @@ from repro import (
     ScenarioSpec,
     build_platform,
 )
+from repro.stats.summary import scenario_metrics
 from repro.traffic.trace import load_trace, save_trace, synthetic_mpeg_trace
 
 
@@ -79,7 +80,8 @@ def main() -> None:
             f" stalls = {congestion['stall_cycles']}"
         )
 
-    print(f"\nnetwork congestion rate: {platform.congestion_rate():.4f}")
+    congestion = scenario_metrics(platform, result)["congestion_rate"]
+    print(f"\nnetwork congestion rate: {congestion:.4f}")
 
 
 if __name__ == "__main__":

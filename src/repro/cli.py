@@ -10,7 +10,6 @@ host-side tooling for the Python reproduction::
     python -m repro run    --trace flits.jsonl --trace-perfetto t.json
     python -m repro synth  --receptors stochastic
     python -m repro speed  --packets 500
-    python -m repro sweep  --metric latency
     python -m repro batch  sweep.json --workers 4 --progress
 
 ``run`` turns its flags into one scenario spec
@@ -24,11 +23,11 @@ takes this one path: each TG's seed is the spec's stream seed
 ``--progress``, ``--trace``, ``--checkpoint-out``, ``--profile``) never
 change the emulated result.  ``synth`` prints the Table 1-style
 utilisation report only; ``speed`` measures the three engines and
-prints the Table 2-style comparison; ``sweep`` regenerates the
-packets-per-burst series of the trace-driven figures; ``batch``
-expands a JSON sweep document into scenarios and runs them through the
-experiment runner (parallel workers, on-disk result cache, aggregated
-report — see ``repro.experiments``).
+prints the Table 2-style comparison; ``batch`` expands a JSON sweep
+document into scenarios and runs them through the experiment runner
+(parallel workers, on-disk result cache, aggregated report — see
+``repro.experiments``); the paper's figure series are such documents
+(``benchmarks/sweeps/fig_*.json``).
 
 Robustness flags of ``batch`` (see ``repro.experiments.resilience``)::
 
@@ -126,7 +125,7 @@ import sys
 from dataclasses import fields
 from typing import List, Optional
 
-from repro.core.config import PAPER_CASES, ROUTINGS, parse_routing
+from repro.core.config import ROUTINGS, parse_routing
 from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError, EmulationError
 from repro.experiments.spec import ScenarioSpec
@@ -245,40 +244,6 @@ def _fault_schedule_from(args: argparse.Namespace):
     if not events:
         return None
     return FaultSchedule.of(*events, repair=not args.no_repair)
-
-
-def _fault_summary(report) -> str:
-    """Terse stdout degradation summary of a faulted run."""
-    lines = [
-        "--- faults ---",
-        f"dropped: {report.dropped_flits} flit(s) /"
-        f" {report.dropped_packets} packet(s)",
-    ]
-    for event in report.events:
-        repair = ""
-        if event.repaired:
-            repair = (
-                f", rerouted in {event.repair_wall_seconds * 1e3:.2f} ms"
-            )
-        recovery = (
-            f", recovered after {event.recovery_cycles} cycle(s)"
-            if event.recovery_cycles is not None
-            else ""
-        )
-        lines.append(
-            f"cycle {event.cycle}: {event.kind} {event.detail} —"
-            f" dropped {event.dropped_flits} flit(s)"
-            f"{repair}{recovery}"
-        )
-    for window in report.windows:
-        lines.append(
-            f"window {window.label!r} [{window.start},"
-            f" {window.end}): {window.packets_received} packet(s),"
-            f" {window.throughput:.4f} packets/cycle"
-        )
-    if report.degraded:
-        lines.append(f"DEGRADED: {report.degraded_reason}")
-    return "\n".join(lines)
 
 
 def _profiled(fn, top: int, out: Optional[str] = None):
@@ -426,8 +391,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint_out:
         print(f"wrote {args.checkpoint_out}", file=sys.stderr)
     print(Monitor(platform).final_report(result))
-    if result.faults is not None:
-        print(_fault_summary(result.faults))
     if args.windows_out:
         from repro.util import canonical_json
 
@@ -476,38 +439,6 @@ def cmd_speed(args: argparse.Namespace) -> int:
         rtl_packets=max(5, args.packets // 40),
     )
     print(speed_report(measurements).render())
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_scenario
-
-    try:
-        points = [
-            (ppb, ScenarioSpec(
-                topology="paper",
-                routing=args.routing,
-                traffic="trace",
-                packets=None,
-                seed=args.seed,
-                traffic_params={
-                    "n_bursts": max(2, args.budget // ppb),
-                    "packets_per_burst": ppb,
-                },
-            ))
-            for ppb in (1, 2, 4, 8, 16, 32, 64)
-        ]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"packets/burst  {args.metric}")
-    for ppb, spec in points:
-        metrics = run_scenario(spec).metrics
-        if args.metric == "latency":
-            value = f"{metrics['mean_latency']:.1f}"
-        else:
-            value = f"{metrics['congestion_rate']:.4f}"
-        print(f"{ppb:>13}  {value}")
     return 0
 
 
@@ -862,24 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fast-engine packet budget per flow (default: 500)",
     )
     speed_parser.set_defaults(func=cmd_speed)
-
-    sweep_parser = sub.add_parser(
-        "sweep", help="packets-per-burst sweep (trace-driven figures)"
-    )
-    sweep_parser.add_argument(
-        "--metric",
-        default="latency",
-        choices=("latency", "congestion"),
-        help="series to print (default: latency)",
-    )
-    sweep_parser.add_argument(
-        "--routing",
-        default="overlap",
-        choices=PAPER_CASES,
-    )
-    sweep_parser.add_argument("--budget", type=int, default=512)
-    sweep_parser.add_argument("--seed", type=int, default=1)
-    sweep_parser.set_defaults(func=cmd_sweep)
 
     batch_parser = sub.add_parser(
         "batch",

@@ -17,6 +17,7 @@ from repro.core.engine import EngineResult
 from repro.core.platform import EmulationPlatform
 from repro.receptors.stochastic import StochasticReceptor
 from repro.receptors.tracedriven import TraceDrivenReceptor
+from repro.stats.congestion import network_congestion_rate
 from repro.stats.runtime import format_duration
 
 
@@ -63,20 +64,20 @@ class Monitor:
         return "\n".join(lines)
 
     def network_section(self) -> str:
-        platform = self.platform
+        network = self.platform.network
         lines = [
             "network:",
-            f"  cycles          : {platform.cycle}",
-            f"  congestion rate : {platform.congestion_rate():.4f}",
+            f"  cycles          : {self.platform.cycle}",
+            f"  congestion rate : {network_congestion_rate(network):.4f}",
             "  link loads:",
         ]
         loads = sorted(
-            platform.hot_link_loads().items(),
+            network.link_loads().items(),
             key=lambda item: item[1],
             reverse=True,
         )
-        for name, load in loads:
-            lines.append(f"    {name:<8} {load:6.1%}")
+        for (a, b), load in loads:
+            lines.append(f"    {f'{a}->{b}':<8} {load:6.1%}")
         return "\n".join(lines)
 
     def occupancy_section(self) -> str:
@@ -89,7 +90,8 @@ class Monitor:
         """Render ``EngineResult.faults`` (degradation record).
 
         Per applied event: what it dropped, whether routing was
-        repaired and how long the fabric took to deliver again; then
+        repaired (and the repair's wall time) and how long the fabric
+        took to deliver again; then the flits lost on each wire, and
         the throughput of the before/during/after windows the events
         cut the run into.
         """
@@ -109,12 +111,17 @@ class Monitor:
                 if event.recovery_cycles is not None
                 else "no delivery after the event"
             )
+            repair = ""
+            if event.repaired:
+                ms = event.repair_wall_seconds * 1e3
+                repair = f"rerouted, repair {ms:.2f} ms, "
             lines.append(
                 f"  @{event.cycle:<6} {event.kind} {event.detail}:"
                 f" dropped {event.dropped_flits} flits"
-                f" ({event.dropped_packets} packets),"
-                f" {'rerouted, ' if event.repaired else ''}{recovery}"
+                f" ({event.dropped_packets} packets), {repair}{recovery}"
             )
+        if report.per_link_drops:
+            lines.append("  wire drops per link:")
         for name, drops in sorted(report.per_link_drops.items()):
             lines.append(f"    {name:<24} lost {drops} flits")
         if report.windows:

@@ -11,7 +11,7 @@ into a runnable platform.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.bus import BusFabric
 from repro.core.config import (
@@ -29,7 +29,6 @@ from repro.noc.topology import Topology
 from repro.receptors.base import TrafficReceptor
 from repro.receptors.stochastic import StochasticReceptor
 from repro.receptors.tracedriven import TraceDrivenReceptor
-from repro.stats.congestion import network_congestion_rate
 from repro.traffic.generator import NEVER, TrafficGenerator
 
 
@@ -297,42 +296,6 @@ class EmulationPlatform:
     def is_done(self) -> bool:
         """All traffic emitted and the network fully drained."""
         return self.generators_done and self.network.is_drained
-
-    def mean_latency(self) -> float:
-        """Mean packet latency over all trace-driven receptors."""
-        total, count = 0, 0
-        for receptor in self.receptors:
-            if isinstance(receptor, TraceDrivenReceptor):
-                total += receptor.latency.total_latency
-                count += receptor.latency.count
-        return total / count if count else 0.0
-
-    def max_latency(self) -> int:
-        peaks = [
-            r.latency.max_latency
-            for r in self.receptors
-            if isinstance(r, TraceDrivenReceptor)
-            and r.latency.max_latency is not None
-        ]
-        return max(peaks) if peaks else 0
-
-    def congestion_rate(self) -> float:
-        """Network-wide blocked-attempt fraction (Slide 21 metric)."""
-        return network_congestion_rate(self.network)
-
-    def total_stall_cycles(self) -> int:
-        return sum(
-            r.congestion.total_stall_cycles
-            for r in self.receptors
-            if isinstance(r, TraceDrivenReceptor)
-        )
-
-    def hot_link_loads(self) -> Dict[str, float]:
-        """Utilisation of every inter-switch link, keyed "a->b"."""
-        return {
-            f"{a}->{b}": load
-            for (a, b), load in self.network.link_loads().items()
-        }
 
     def reset_statistics(self) -> None:
         """Clear all statistics without touching configuration."""

@@ -83,6 +83,13 @@ __all__ = [
 NOT_RETRIED = frozenset({"ConfigError"})
 
 
+def retried(attempt: int, retries: int, error: str) -> bool:
+    """Whether a spec whose ``attempt``-th run failed with ``error`` (an
+    exception type name) runs again: attempts remain and a retry could
+    change the outcome."""
+    return attempt <= retries and error not in NOT_RETRIED
+
+
 class WorkerCrash(EmulationError):
     """A pool worker died without reporting a result.
 
@@ -481,7 +488,7 @@ def run_supervised(
         task_id: int, spec: Any, attempt: int, error: str, message: str
     ) -> None:
         nonlocal outstanding
-        if attempt <= retries and error not in NOT_RETRIED:
+        if retried(attempt, retries, error):
             queue.append((task_id, spec, attempt + 1))
         else:
             if on_failure is not None:

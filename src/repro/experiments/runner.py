@@ -54,10 +54,10 @@ from repro.core.engine import build_engine, drive
 from repro.core.errors import ConfigError
 from repro.experiments.cache import ResultCache
 from repro.experiments.resilience import (
-    NOT_RETRIED,
     FailureRecord,
     SweepJournal,
     SweepReport,
+    retried,
     run_supervised,
 )
 from repro.experiments.spec import ScenarioSpec
@@ -479,10 +479,7 @@ class SweepRunner:
                         if result is not None:
                             self._finish(i, spec, result, results, total)
                             break
-                        if (
-                            attempt > self.retries
-                            or failure[0] in NOT_RETRIED
-                        ):
+                        if not retried(attempt, self.retries, failure[0]):
                             self._fail(
                                 i, spec, *failure, attempt, failures, total
                             )

@@ -240,7 +240,6 @@ TEST_ONLY_PARAMS = {
             "tlm.TlmPlatformSim.run_until_drained(max_cycles)",
             "speed.build_packet_schedule(interval)",
             "speed.build_packet_schedule(length)",
-            "speed.speed_report(cycles_per_packet)",
             "speed.speed_report(include_paper_rows)",
         )
     },

@@ -7,6 +7,7 @@ from repro.core.engine import EmulationEngine, EngineResult
 from repro.core.errors import EmulationError
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
+from repro.stats.summary import scenario_metrics
 
 
 def engine_for(packets=50, **kwargs):
@@ -134,6 +135,6 @@ class TestRepeatability:
         # number of cycles.
         ea = engine_for(packets=200, traffic="burst", seed=5)
         eb = engine_for(packets=200, traffic="burst", seed=6)
-        ea.run()
-        eb.run()
-        assert ea.platform.mean_latency() != eb.platform.mean_latency()
+        a = scenario_metrics(ea.platform, ea.run())
+        b = scenario_metrics(eb.platform, eb.run())
+        assert a["mean_latency"] != b["mean_latency"]

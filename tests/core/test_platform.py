@@ -10,10 +10,13 @@ from repro.core.config import (
     TGSpec,
     TRSpec,
 )
+from repro.core.engine import EmulationEngine
 from repro.core.errors import ConfigError
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.noc.routing import build_shortest_path_tables
+from repro.stats.congestion import network_congestion_rate
+from repro.stats.summary import scenario_metrics
 from repro.util import canonical_json
 
 
@@ -159,28 +162,28 @@ class TestExecution:
 
     def test_latency_positive_under_way(self, small_paper_platform):
         p = small_paper_platform
-        p.run(12_000)
-        assert p.mean_latency() > 0
-        assert p.max_latency() >= p.mean_latency()
+        metrics = scenario_metrics(p, EmulationEngine(p).run())
+        assert metrics["mean_latency"] > 0
+        assert metrics["max_latency"] >= metrics["mean_latency"]
 
     def test_congestion_rate_in_unit_interval(self, small_paper_platform):
         p = small_paper_platform
         p.run(5000)
-        assert 0.0 <= p.congestion_rate() < 1.0
+        assert 0.0 <= network_congestion_rate(p.network) < 1.0
 
     def test_hot_link_loads_keys(self, small_paper_platform):
         p = small_paper_platform
         p.run(3000)
-        loads = p.hot_link_loads()
-        assert "1->4" in loads
-        assert "4->1" in loads
+        loads = p.network.link_loads()
+        assert (1, 4) in loads
+        assert (4, 1) in loads
 
     def test_reset_statistics(self, small_paper_platform):
         p = small_paper_platform
         p.run(3000)
         p.reset_statistics()
         assert p.packets_received == 0
-        assert p.congestion_rate() == 0.0
+        assert network_congestion_rate(p.network) == 0.0
 
 
 class TestTrafficFamilies:

@@ -465,8 +465,10 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "--- faults ---" in out
-        assert "link_down" in out
+        assert "faults:" in out
+        assert "--- faults ---" not in out  # rendered once
+        assert "@300    link_down 1->4: dropped" in out
+        assert "@300    link_down 4->1: dropped" in out
 
     def test_bad_fault_flag_is_a_usage_error(self, capsys):
         from repro.cli import main

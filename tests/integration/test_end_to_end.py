@@ -12,6 +12,7 @@ from repro.core.engine import EmulationEngine
 from repro.core.flow import EmulationFlow
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
+from repro.stats.summary import scenario_metrics
 
 
 def run(traffic="uniform", packets=800, **kwargs):
@@ -22,6 +23,10 @@ def run(traffic="uniform", packets=800, **kwargs):
     )
     result = EmulationEngine(platform).run()
     return platform, result
+
+
+def metrics(**kwargs):
+    return scenario_metrics(*run(**kwargs))
 
 
 class TestConservation:
@@ -51,9 +56,9 @@ class TestFigureShapes:
     def test_f2_burst_congests_more_than_uniform(self):
         """Slide 20: 'Burst traffic creates more congestion on the NoC
         than uniform traffic' at the same offered load."""
-        uniform, _ = run(traffic="uniform", packets=1200)
-        burst, _ = run(traffic="burst", packets=1200)
-        assert burst.congestion_rate() > uniform.congestion_rate()
+        uniform = metrics(traffic="uniform", packets=1200)
+        burst = metrics(traffic="burst", packets=1200)
+        assert burst["congestion_rate"] > uniform["congestion_rate"]
 
     def test_f2_runtime_grows_linearly_with_packets(self):
         """Slide 20: run-time vs number of sent packets is ~linear."""
@@ -70,22 +75,21 @@ class TestFigureShapes:
         """Slide 21 x-axis: packets per burst."""
         rates = []
         for ppb in (1, 8, 32):
-            platform, _ = run(
+            rates.append(metrics(
                 traffic="trace",
                 packets=None,
                 traffic_params={
                     "n_bursts": max(4, 256 // ppb),
                     "packets_per_burst": ppb,
                 },
-            )
-            rates.append(platform.congestion_rate())
+            )["congestion_rate"])
         assert rates[0] < rates[1] < rates[2]
 
     def test_f3_congestion_grows_with_flits_per_packet(self):
         """Slide 21 series: flits per packet."""
         rates = []
         for flits in (2, 16):
-            platform, _ = run(
+            rates.append(metrics(
                 traffic="trace",
                 packets=None,
                 length=flits,
@@ -95,8 +99,7 @@ class TestFigureShapes:
                     "flits_per_packet": flits,
                     "gap": round(8 * flits * 0.55 / 0.45),
                 },
-            )
-            rates.append(platform.congestion_rate())
+            )["congestion_rate"])
         assert rates[0] < rates[1]
 
     def test_f4_latency_grows_then_saturates(self):
@@ -104,15 +107,14 @@ class TestFigureShapes:
         reaches a maximum bounded by the finite TG queues."""
         latencies = []
         for ppb in (1, 16, 64, 128):
-            platform, _ = run(
+            latencies.append(metrics(
                 traffic="trace",
                 packets=None,
                 traffic_params={
                     "n_bursts": max(2, 512 // ppb),
                     "packets_per_burst": ppb,
                 },
-            )
-            latencies.append(platform.mean_latency())
+            )["mean_latency"])
         assert latencies[0] < latencies[1] < latencies[2]
         # Saturation: the last doubling gains far less than the first.
         first_gain = latencies[1] / latencies[0]

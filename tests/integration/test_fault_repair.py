@@ -21,6 +21,7 @@ from repro.noc.routing import (
     build_shortest_path_tables,
 )
 from repro.noc.topology import mesh, paper_flow_pairs, paper_topology
+from repro.stats.summary import scenario_metrics
 
 FAILED = frozenset({(1, 4)})  # one hot middle link is dead
 
@@ -106,8 +107,8 @@ class TestRepairEndToEnd:
             config.topology = paper_topology()
             config.routing = routing
             platform = build_platform(config)
-            EmulationEngine(platform).run()
-            return platform.mean_latency()
+            result = EmulationEngine(platform).run()
+            return scenario_metrics(platform, result)["mean_latency"]
 
         healthy = latency_with(
             build_shortest_path_tables(paper_topology())

@@ -15,6 +15,7 @@ from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
 from repro.receptors.tracedriven import TraceDrivenReceptor
+from repro.stats.congestion import network_congestion_rate
 
 
 def fresh_platform(make_config):
@@ -31,9 +32,7 @@ def snapshot(platform):
         "packets_sent": platform.packets_sent,
         "packets_received": platform.packets_received,
         "in_flight": net.in_flight_flits,
-        "mean_latency": platform.mean_latency(),
-        "max_latency": platform.max_latency(),
-        "congestion_rate": platform.congestion_rate(),
+        "congestion_rate": network_congestion_rate(net),
         "blocked": net.total_blocked_flit_cycles,
         "link_loads": net.link_loads(),
         "switches": [

@@ -8,29 +8,11 @@ function of the platform's registers alone, whatever else the process
 built, ran or interleaved with it.
 """
 
-import io
-from contextlib import redirect_stdout
-
-from repro.cli import main
 from repro.core.engine import EmulationEngine
 from repro.core.platform import build_platform
 from repro.experiments.spec import ScenarioSpec
+from repro.stats.summary import scenario_metrics
 from test_kernel_parity import snapshot
-
-
-def cli_output(argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(argv) == 0
-    return out.getvalue()
-
-
-def test_repeated_split_sweep_prints_identical_tables():
-    """Each sweep point starts from pid 0, so neither the points
-    before it nor an earlier sweep in the process shift its figure."""
-    argv = ["sweep", "--routing", "split", "--budget", "128"]
-    first = cli_output(argv)
-    assert first == cli_output(argv)
 
 
 def test_rebuilt_split_trace_platform_repeats_its_statistics():
@@ -42,8 +24,7 @@ def test_rebuilt_split_trace_platform_repeats_its_statistics():
             packets=None,
             seed=1,
         ).to_platform_config())
-        EmulationEngine(platform).run()
-        return platform.mean_latency(), platform.congestion_rate()
+        return scenario_metrics(platform, EmulationEngine(platform).run())
 
     assert run() == run()
 

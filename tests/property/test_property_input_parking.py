@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import PlatformConfig, TGSpec, TRSpec
 from repro.core.platform import build_platform
+from repro.stats.congestion import network_congestion_rate
 
 
 def mixed_load_config(load, buffer_depth, seed, queue_limit=None):
@@ -95,7 +96,7 @@ def stall_snapshot(platform):
         "gen": [g.backpressure_cycles for g in platform.generators],
         "forwarded": [sw.flits_forwarded for sw in net.switches],
         "buffered": [sw.buffered_flits for sw in net.switches],
-        "congestion": platform.congestion_rate(),
+        "congestion": network_congestion_rate(net),
     }
 
 
